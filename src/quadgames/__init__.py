@@ -2,8 +2,9 @@
 
 Linear solves with explicit solution sets, convex quadratic
 minimization, quadratic saddle points, parametric Lagrangian duality,
-the sphere trust-region problem via a companion-matrix eigenvalue, and
-sphere-constrained minmax/maxmin, each paired with brute-force oracles.
+the sphere trust-region problem via one eigendecomposition and a secular
+root, and sphere-constrained minmax/maxmin as trust regions on a Schur
+complement, each paired with brute-force oracles.
 """
 
 from .game import (
@@ -12,6 +13,7 @@ from .game import (
     PartitionedQuadratic,
     SaddleSolution,
     duality_report,
+    is_psd_partitioned,
     lambda_curve,
     maxmin_at_lambda,
     maxmin_threshold,
@@ -26,7 +28,6 @@ from .linalg import (
     SchurPair,
     SvdFactors,
     is_psd,
-    is_psd_partitioned,
     null_basis,
     pinv,
     range_basis,

@@ -72,34 +72,24 @@ def load_problem(path: str) -> dict:
     return prob
 
 
-def _field_matrix(prob: dict, key: str) -> np.ndarray:
+def _field(prob: dict, key: str, ndim: int) -> np.ndarray:
+    what = "matrix" if ndim == 2 else "vector"
     if key not in prob:
-        raise ProblemError(f"missing required matrix field {key!r}")
+        raise ProblemError(f"missing required {what} field {key!r}")
     try:
-        m = np.asarray(prob[key], dtype=float)
+        a = np.asarray(prob[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemError(f"field {key!r} is not a numeric array") from exc
-    if m.ndim != 2:
-        raise ProblemError(f"field {key!r} must be a rectangular 2-d array")
-    return m
-
-
-def _field_vector(prob: dict, key: str) -> np.ndarray:
-    if key not in prob:
-        raise ProblemError(f"missing required vector field {key!r}")
-    try:
-        v = np.asarray(prob[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"field {key!r} is not a numeric array") from exc
-    if v.ndim != 1:
-        raise ProblemError(f"field {key!r} must be a 1-d array")
-    return v
+    if a.ndim != ndim:
+        shape = "a rectangular 2-d array" if ndim == 2 else "a 1-d array"
+        raise ProblemError(f"field {key!r} must be {shape}")
+    return a
 
 
 def _partitioned(prob: dict) -> game.PartitionedQuadratic:
-    m11 = _field_matrix(prob, "M11")
-    m12 = _field_matrix(prob, "M12")
-    m22 = _field_matrix(prob, "M22")
+    m11 = _field(prob, "M11", 2)
+    m12 = _field(prob, "M12", 2)
+    m22 = _field(prob, "M22", 2)
     d1 = np.asarray(prob.get("d1", np.zeros(m11.shape[0])), dtype=float)
     d2 = np.asarray(prob.get("d2", np.zeros(m22.shape[0])), dtype=float)
     try:
@@ -141,7 +131,7 @@ def solve_document(prob: dict) -> tuple[dict, int]:
     kind = prob["kind"]
     try:
         if kind == "linear_solve":
-            result = solve_linear(_field_matrix(prob, "A"), _field_vector(prob, "b"))
+            result = solve_linear(_field(prob, "A", 2), _field(prob, "b", 1))
             doc = {
                 "kind": kind,
                 "status": "consistent" if result.consistent else "least_squares",
@@ -152,8 +142,8 @@ def solve_document(prob: dict) -> tuple[dict, int]:
 
         if kind == "quad_min":
             form = quadratic.QuadraticForm(
-                _field_matrix(prob, "D"),
-                _field_vector(prob, "d"),
+                _field(prob, "D", 2),
+                _field(prob, "d", 1),
                 float(prob.get("c", 0.0)),
             )
             optimum = quadratic.minimize(form)
@@ -206,7 +196,7 @@ def solve_document(prob: dict) -> tuple[dict, int]:
 
         if kind == "trust_region":
             solution = sphere.solve_trust_region(
-                _field_matrix(prob, "D"), _field_vector(prob, "d")
+                _field(prob, "D", 2), _field(prob, "d", 1)
             )
             doc = {
                 "kind": kind,
@@ -223,6 +213,8 @@ def solve_document(prob: dict) -> tuple[dict, int]:
         pq = _partitioned(prob)
         direction = minmax.Direction(kind)
         solution = minmax.solve_linear_term(pq, direction)
+        if solution is None:
+            return {"kind": kind, "status": "unbounded_below"}, EXIT_NO_SOLUTION
         doc = {
             "kind": kind,
             "status": "solved",
@@ -271,8 +263,8 @@ def run_curve(args) -> int:
         header = "lambda,minmax,maxmin"
     elif kind == "trust_region":
         rows = sphere.dual_curve(
-            _field_matrix(prob, "D"),
-            _field_vector(prob, "d"),
+            _field(prob, "D", 2),
+            _field(prob, "d", 1),
             args.lambda_min,
             args.lambda_max,
             args.steps,
@@ -296,7 +288,7 @@ def _check_trust_region(prob, cfg, scale):
     doc, _ = solve_document(prob)
     value = float(prob.get("expected_value", doc["value"]))
     form = quadratic.QuadraticForm(
-        _field_matrix(prob, "D"), _field_vector(prob, "d")
+        _field(prob, "D", 2), _field(prob, "d", 1)
     )
     if form.dim > 4:
         raise ProblemError("sphere oracle supports dimensions up to 4")
@@ -307,9 +299,16 @@ def _check_trust_region(prob, cfg, scale):
 
 
 def _check_minmax(prob, cfg, scale):
-    doc, _ = solve_document(prob)
-    value = float(prob.get("expected_value", doc["value"]))
+    doc, code = solve_document(prob)
     pq = _partitioned(prob)
+    if code == EXIT_NO_SOLUTION:
+        # Escape direction: u along the part of -d1 outside the range of
+        # M11 lowers V without bound for any w.
+        f = svd(pq.m11)
+        escape = -(f.u2 @ (f.u2.T @ pq.d1))
+        probe = pq.evaluate(1e6 * escape, np.eye(pq.w_dim, 1)[:, 0])
+        return math.nan, probe, probe < -1e2
+    value = float(prob.get("expected_value", doc["value"]))
     direction = minmax.Direction(prob["kind"])
     oracle_value = oracle.grid_minmax(pq, cfg, direction)
     tol = 1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3
@@ -320,7 +319,7 @@ def _check_minmax(prob, cfg, scale):
 def _check_quad_min(prob, cfg, scale):
     doc, code = solve_document(prob)
     form = quadratic.QuadraticForm(
-        _field_matrix(prob, "D"), _field_vector(prob, "d"), float(prob.get("c", 0.0))
+        _field(prob, "D", 2), _field(prob, "d", 1), float(prob.get("c", 0.0))
     )
     rng = np.random.default_rng(cfg.seed)
     if code == EXIT_NO_SOLUTION:
@@ -343,8 +342,8 @@ def _check_quad_min(prob, cfg, scale):
 
 def _check_linear_solve(prob, cfg, scale):
     doc, _ = solve_document(prob)
-    a = _field_matrix(prob, "A")
-    b = _field_vector(prob, "b")
+    a = _field(prob, "A", 2)
+    b = _field(prob, "b", 1)
     residual = float(prob.get("expected_value", doc["residual"]))
     rng = np.random.default_rng(cfg.seed)
     x0 = np.asarray(doc["solutions"]["particular"])

@@ -17,16 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    RANGE_TOL,
+    RANK_EPS,
     AffineSolutionSet,
     as_matrix,
     as_vector,
     is_nsd,
     is_psd,
+    nonnegative_spectrum,
     pinv,
     spectral_norm,
     svd,
     symmetrize,
 )
+from .sphere import Secular
 
 # Absolute slack at the existence boundary lambda = threshold, where the
 # pseudoinverse formulas remain valid.
@@ -189,9 +193,12 @@ class LambdaSolve:
     w_set: AffineSolutionSet | None = None
 
 
+PSD_MESSAGE = "the assembled block matrix must be positive semidefinite"
+
+
 def _require_psd(pq: PartitionedQuadratic) -> None:
     if not is_psd(pq.assembled()):
-        raise ValueError("the assembled block matrix must be positive semidefinite")
+        raise ValueError(PSD_MESSAGE)
 
 
 def _lambda_value(pq: PartitionedQuadratic, lam: float) -> float:
@@ -251,6 +258,71 @@ def maxmin_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve:
 
 
 @dataclass(frozen=True)
+class SchurReduction:
+    """The game reduced to a trust region on the Schur complement of M11.
+
+    With X = pinv(M11) [M12, d1]: S = M22 - M12' X12, r = d2 - M12' x1
+    and c0 = 1/2 d1' x1.  When d1 lies in the range of M11 (``bounded``),
+    min over u of V(u, w) = 1/2 w'Sw + r'w - c0, attained on
+    ``u_set(w)`` = -(X12 w + x1) + null(M11); otherwise that minimum is
+    -inf for every w.  The range test compares the part of d1 outside
+    R(M11) with ||d||, so it does not depend on the scale of the data.
+    ``secular`` holds the eigenpairs of S.
+    """
+
+    secular: Secular
+    c0: float
+    x12: np.ndarray
+    x1: np.ndarray
+    null11: np.ndarray
+    bounded: bool
+
+    def u_set(self, w: np.ndarray) -> AffineSolutionSet:
+        return AffineSolutionSet(-(self.x12 @ w + self.x1), self.null11)
+
+
+def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
+    """Factor M11 and S once each.  The assembled matrix is PSD iff
+    M11 >= 0, R(M12) lies in R(M11) and S >= 0; that test reads the two
+    eigendecompositions and raises otherwise (``is_psd_partitioned``
+    returns its outcome)."""
+    s11, q11 = np.linalg.eigh(pq.m11)
+    if not nonnegative_spectrum(s11):
+        raise ValueError(PSD_MESSAGE)
+    cutoff = RANK_EPS * (float(s11[-1]) if s11.size else 0.0) * max(pq.u_dim, 1)
+    keep = s11 > cutoff
+    u1, null11 = q11[:, keep], q11[:, ~keep]
+    if np.linalg.norm(null11.T @ pq.m12) > RANGE_TOL * np.linalg.norm(pq.m12):
+        raise ValueError(PSD_MESSAGE)
+    x = (u1 / s11[keep]) @ (u1.T @ np.column_stack([pq.m12, pq.d1]))
+    x12, x1 = x[:, :-1], x[:, -1]
+    coupling = pq.m12.T @ x12
+    schur = pq.m22 - coupling
+    r = pq.d2 - pq.m12.T @ x1
+    secular = Secular.of(0.5 * (schur + schur.T), r)
+    # S is a difference of two terms; its rounding follows their size.
+    scale = float(np.linalg.norm(pq.m22) + np.linalg.norm(coupling))
+    if not nonnegative_spectrum(secular.s, scale):
+        raise ValueError(PSD_MESSAGE)
+    bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= RANGE_TOL * np.linalg.norm(pq.d))
+    return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
+
+
+def is_psd_partitioned(m11, m12, m22) -> bool:
+    """PSD test for the assembled block matrix, block by block: the test
+    ``schur_reduction`` applies.  Agrees with ``is_psd`` on the
+    assembled matrix."""
+    m12 = as_matrix(m12, "M12")
+    zeros = np.zeros(m12.shape[0]), np.zeros(m12.shape[1])
+    pq = PartitionedQuadratic(m11, m12, m22, *zeros)
+    try:
+        schur_reduction(pq)
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
 class DualityReport:
     """Joint status of the two value functions at one lambda.
 
@@ -281,21 +353,25 @@ def lambda_curve(
     """Sample both value functions on a uniform lambda grid.
 
     Returns (lambda, minmax value, maxmin value) triples ordered by
-    lambda; infinite branches are encoded as math.inf.
+    lambda; infinite branches are encoded as math.inf.  Where finite,
+    both equal lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the
+    eigenpairs (s_i) of the Schur complement S, with r and c0 from
+    ``schur_reduction``: one eigendecomposition serves the whole grid.
     """
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    red = schur_reduction(pq)
+    sec = red.secular
+    thresholds = (minmax_threshold(pq), maxmin_threshold(pq))
     rows = []
     for lam in np.linspace(lambda_min, lambda_max, steps):
-        mm = minmax_at_lambda(pq, float(lam))
-        xm = maxmin_at_lambda(pq, float(lam))
-        rows.append(
-            (
-                float(lam),
-                mm.value if mm.finite else math.inf,
-                xm.value if xm.finite else math.inf,
-            )
+        lam = float(lam)
+        value = sec.value(lam, sec.response(lam)) - red.c0
+        mm, xm = (
+            math.inf if lam < thr - THRESHOLD_SLACK * (1.0 + thr) else value
+            for thr in thresholds
         )
+        rows.append((lam, mm, xm))
     return rows

@@ -218,32 +218,24 @@ def is_psd(m) -> bool:
         return True
     if np.linalg.norm(m - m.T) > SYM_TOL * np.linalg.norm(m):
         return False
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(w[0] >= -PSD_TOL * scale)
+    return nonnegative_spectrum(np.linalg.eigvalsh(0.5 * (m + m.T)))
+
+
+def nonnegative_spectrum(w: np.ndarray, scale: float | None = None) -> bool:
+    """Whether ascending eigenvalues ``w`` of a symmetric matrix pass the
+    PSD test of ``is_psd``; lets a caller that needs the eigenpairs
+    anyway test them without a second factorization.  ``scale`` is the
+    size of the data the matrix was computed from (default max |w|)."""
+    if w.size == 0:
+        return True
+    if scale is None:
+        scale = float(np.max(np.abs(w)))
+    return bool(w[0] >= -PSD_TOL * max(1.0, scale))
 
 
 def is_nsd(m) -> bool:
     """Whether ``m`` is symmetric negative semidefinite."""
     return is_psd(-as_matrix(m))
-
-
-def assemble_blocks(m11, m12, m22) -> np.ndarray:
-    """Assemble the symmetric block matrix [[M11, M12], [M12', M22]]."""
-    m11 = as_matrix(m11, "M11")
-    m12 = as_matrix(m12, "M12")
-    m22 = as_matrix(m22, "M22")
-    p, n = m11.shape[0], m22.shape[0]
-    if m11.shape != (p, p) or m22.shape != (n, n) or m12.shape != (p, n):
-        raise ValueError(
-            f"inconsistent block shapes {m11.shape}, {m12.shape}, {m22.shape}"
-        )
-    m = np.zeros((p + n, p + n))
-    m[:p, :p] = m11
-    m[:p, p:] = m12
-    m[p:, :p] = m12.T
-    m[p:, p:] = m22
-    return m
 
 
 @dataclass(frozen=True)
@@ -274,28 +266,3 @@ def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
     s11 = m22l - m12.T @ pinv(m11) @ m12
     s22 = m11 - m12 @ pinv(m22l) @ m12.T
     return SchurPair(0.5 * (s11 + s11.T), 0.5 * (s22 + s22.T))
-
-
-def is_psd_partitioned(m11, m12, m22) -> bool:
-    """PSD test for the assembled block matrix, block by block.
-
-    True iff M11 >= 0, the Schur complement M22 - M12' pinv(M11) M12 >= 0,
-    and the range of M12 is contained in the range of M11.  Agrees with
-    ``is_psd`` on the assembled matrix.
-    """
-    m11 = symmetrize(m11, "M11")
-    m22 = symmetrize(m22, "M22")
-    m12 = as_matrix(m12, "M12")
-    if m12.shape != (m11.shape[0], m22.shape[0]):
-        raise ValueError(
-            f"M12 shape {m12.shape} inconsistent with blocks "
-            f"{m11.shape} and {m22.shape}"
-        )
-    if not is_psd(m11):
-        return False
-    f = svd(m11)
-    range_ok = np.linalg.norm(f.u2.T @ m12) <= RANGE_TOL * np.linalg.norm(m12)
-    if not range_ok:
-        return False
-    s11 = m22 - m12.T @ f.pinv() @ m12
-    return is_psd(0.5 * (s11 + s11.T))

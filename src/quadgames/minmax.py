@@ -1,29 +1,35 @@
 """Sphere-constrained two-player quadratic games.
 
 min over u, max over unit-norm w (or the reversed order) of
-V(u, w) = 1/2 [u; w]' M [u; w] + u'd1 + w'd2 with M >= 0.  Without
-linear terms the optimal multiplier is available in closed form (the
-direction-specific existence threshold); with linear terms a
-one-dimensional search over the multiplier remains, driven by the root
-of ||w-response(lambda)|| = 1.
+V(u, w) = 1/2 [u; w]' M [u; w] + u'd1 + w'd2 with M >= 0.  Both orders
+reduce to the trust region on the Schur complement of M11: with
+S = M22 - M12' pinv(M11) M12 and r = d2 - M12' pinv(M11) d1,
+
+- maxmin = max over the sphere of 1/2 w'Sw + r'w, minus
+  1/2 d1' pinv(M11) d1, at the trust-region multiplier lambda_TR(S, r);
+- minmax has the multiplier lambda0 = max(||M22||, lambda_TR(S, r)).
+  When ||M22|| is larger, u* comes from the joint stationary point at
+  ||M22||, w0 = -(S - ||M22|| I)^{-1} r, and the maximizers over w at u*
+  are w0 + null(M22 - ||M22|| I) on the sphere.
+
+One factorization of M11, one of S and (minmax) one of M22 give every
+answer; the multiplier is the secular root of ``sphere.Secular``.  When
+d1 is outside the range of M11 the game is unbounded below in both
+orders (u = -t P_null(M11) d1 drives V to -inf) and the solvers return
+None.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import game
-from .game import LambdaSolve, PartitionedQuadratic
-from .linalg import AffineSolutionSet, is_psd, pinv, svd
-from .sphere import SphereSolutionSet, sphere_intersect
-
-MAX_DOUBLINGS = 60
-BISECT_TOL = 1e-10
-GOLDEN_TOL = 1e-13
+from .game import PartitionedQuadratic
+from .linalg import AffineSolutionSet
+from .sphere import BRANCH_TOL, SphereSolutionSet, sphere_intersect
 
 
 class Direction(enum.Enum):
@@ -36,7 +42,10 @@ class ConstrainedGameSolution:
     """Value, multiplier, and per-player optimizer sets.
 
     The w set lives on the unit sphere; its representatives have unit
-    norm.  ``diagnostics`` records how the multiplier was found.
+    norm.  ``diagnostics`` records how the multiplier was found:
+    ``mode`` is "homogeneous" (no linear terms), "boundary" (the
+    multiplier sits at the direction threshold) or "interior" (a secular
+    root above it), and ``iterations`` counts the Newton steps.
     """
 
     value: float
@@ -48,199 +57,74 @@ class ConstrainedGameSolution:
 
 
 def threshold(pq: PartitionedQuadratic, direction: Direction) -> float:
-    """Lower limit of the multiplier search for the given direction."""
+    """Lower limit of the multiplier for the given direction."""
     if direction is Direction.MINMAX:
         return game.minmax_threshold(pq)
     return game.maxmin_threshold(pq)
 
 
-def _require_psd(pq: PartitionedQuadratic) -> None:
-    if not is_psd(pq.assembled()):
-        raise ValueError("the assembled block matrix must be positive semidefinite")
-
-
-def _w_response(pq: PartitionedQuadratic, lam: float) -> tuple[float, bool]:
-    """Norm of the w-block of the joint stationary point at lambda,
-    plus whether that stationary point exists (range condition)."""
-    f = svd(pq.assembled(lam))
-    d = pq.d
-    exists = f.in_range(d)
-    w_block = (f.pinv() @ d)[pq.u_dim :]
-    return float(np.linalg.norm(w_block)), exists
-
-
-def _dual_value(pq: PartitionedQuadratic, lam: float) -> float:
-    d = pq.d
-    return float(0.5 * lam - 0.5 * d @ pinv(pq.assembled(lam)) @ d)
-
-
-def _golden_section(pq: PartitionedQuadratic, lo: float, hi: float) -> tuple[float, int]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    e = a + inv_phi * (b - a)
-    fc, fe = _dual_value(pq, c), _dual_value(pq, e)
-    iterations = 0
-    while b - a > GOLDEN_TOL * (1.0 + abs(b)) and iterations < 300:
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - inv_phi * (b - a)
-            fc = _dual_value(pq, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + inv_phi * (b - a)
-            fe = _dual_value(pq, e)
-        iterations += 1
-    return 0.5 * (a + b), iterations
-
-
-def _lambda_search_info(
-    pq: PartitionedQuadratic, thresh: float
-) -> tuple[float, dict]:
-    """Locate the multiplier minimizing the dual value on [thresh, inf).
-
-    Boundary case: when the stationary point exists at the threshold and
-    its w-block norm is at most 1, the threshold is optimal.  Otherwise
-    the response norm starts above 1 and decays; a doubling bracket
-    followed by bisection finds the root of norm(lambda) = 1.  If the
-    norm behaves non-monotonically across the bracket (possible below
-    ||M22|| where the shifted matrix changes rank), a golden-section
-    minimization of the dual value takes over, flagged in diagnostics.
-    """
-    norm_at_thresh, exists = _w_response(pq, thresh)
-    if exists and norm_at_thresh <= 1.0 + 1e-8:
-        return thresh, {
-            "mode": "boundary",
-            "response_norm": norm_at_thresh,
-            "iterations": 0,
-        }
-    delta = 1e-6 * (1.0 + abs(thresh))
-    lo = thresh
-    hi = None
-    doublings = 0
-    while doublings < MAX_DOUBLINGS:
-        cand = thresh + delta
-        norm_cand, _ = _w_response(pq, cand)
-        if norm_cand < 1.0:
-            hi = cand
-            break
-        lo = cand
-        delta *= 2.0
-        doublings += 1
-    if hi is None:
-        raise RuntimeError(
-            f"bracket expansion exceeded {MAX_DOUBLINGS} doublings "
-            f"(threshold {thresh!r}); pathological input"
-        )
-    bracket_hi = hi
-    iterations = 0
-    lam = 0.5 * (lo + hi)
-    gap = math.inf
-    while iterations < 200:
-        lam = 0.5 * (lo + hi)
-        norm_mid, _ = _w_response(pq, lam)
-        gap = norm_mid - 1.0
-        if abs(gap) <= BISECT_TOL:
-            break
-        if gap > 0.0:
-            lo = lam
-        else:
-            hi = lam
-        if hi - lo <= 1e-15 * (1.0 + abs(lam)):
-            break
-        iterations += 1
-    if abs(gap) <= 1e-8:
-        return lam, {
-            "mode": "stationary",
-            "response_gap": gap,
-            "iterations": iterations,
-            "doublings": doublings,
-        }
-    # Non-monotone response norm across the bracket; minimize the dual
-    # value directly instead.
-    lam, golden_iters = _golden_section(pq, thresh, bracket_hi)
-    return lam, {
-        "mode": "golden_section",
-        "iterations": golden_iters,
-        "doublings": doublings,
-        "bisection_gap": gap,
-    }
-
-
 def lambda_search(pq: PartitionedQuadratic, thresh: float) -> float:
-    """Multiplier minimizing the dual value function on [thresh, inf)."""
-    _require_psd(pq)
-    lam, _ = _lambda_search_info(pq, thresh)
-    return lam
+    """Multiplier minimizing the dual value function on [thresh, inf).
 
-
-def _minmax_sets(solve: LambdaSolve) -> tuple[AffineSolutionSet, SphereSolutionSet]:
-    return solve.u_set, sphere_intersect(solve.w_set)
-
-
-def _maxmin_sets(
-    pq: PartitionedQuadratic, solve: LambdaSolve
-) -> tuple[AffineSolutionSet, SphereSolutionSet]:
-    w_set = sphere_intersect(solve.w_set)
-    w0 = w_set.representative()
-    u0 = -pinv(pq.m11) @ (pq.m12 @ w0 + pq.d1)
-    return AffineSolutionSet(u0, svd(pq.m11).v2), w_set
+    The dual is convex with its unconstrained minimum at the secular
+    root lambda_TR(S, r), so the answer is max(thresh, lambda_TR).
+    """
+    return max(float(thresh), game.schur_reduction(pq).secular.solve()[0].lambda_p)
 
 
 def solve_homogeneous(
     pq: PartitionedQuadratic, direction: Direction
 ) -> ConstrainedGameSolution:
-    """Closed-form solution when both linear terms vanish.
+    """Solution when both linear terms vanish.
 
     The optimal multiplier equals the direction threshold and the value
-    is threshold / 2; optimizer sets are null-space slices of the
-    corresponding Schur complement.
+    is threshold / 2; optimizer sets are top-eigenspace slices.
     """
-    _require_psd(pq)
-    if np.any(pq.d1) or np.any(pq.d2):
+    if np.any(pq.d):
         raise ValueError("solve_homogeneous requires zero linear terms")
-    lam0 = threshold(pq, direction)
-    if direction is Direction.MINMAX:
-        solve = game.minmax_at_lambda(pq, lam0)
-        u_set, w_set = _minmax_sets(solve)
-    else:
-        solve = game.maxmin_at_lambda(pq, lam0)
-        u_set, w_set = _maxmin_sets(pq, solve)
-    return ConstrainedGameSolution(
-        value=0.5 * lam0,
-        lambda0=lam0,
-        u_set=u_set,
-        w_set=w_set,
-        direction=direction,
-        diagnostics={"mode": "homogeneous"},
-    )
+    return solve_linear_term(pq, direction)
 
 
 def solve_linear_term(
     pq: PartitionedQuadratic, direction: Direction
-) -> ConstrainedGameSolution:
-    """General sphere-constrained solve with linear terms.
+) -> ConstrainedGameSolution | None:
+    """Sphere-constrained solve; None when the game is unbounded below.
 
-    The multiplier comes from the one-dimensional search; the value is
-    lambda0/2 - 1/2 d' pinv(M(lambda0)) d, and the w set is the affine
-    optimizer set intersected with the unit sphere.
+    The value is lambda0/2 - 1/2 d' pinv(M(lambda0)) d, read off the
+    eigenpairs of S, and the w set is the optimizer set intersected with
+    the unit sphere.  The u set is -pinv(M11)(M12 w + d1) + null(M11)
+    at the representative w (maxmin, or minmax above ||M22||) or at the
+    joint stationary point w0 (minmax at ||M22||).
     """
-    _require_psd(pq)
-    if not (np.any(pq.d1) or np.any(pq.d2)):
-        return solve_homogeneous(pq, direction)
-    thresh = threshold(pq, direction)
-    lam0, info = _lambda_search_info(pq, thresh)
+    red = game.schur_reduction(pq)
+    if not red.bounded:
+        return None
+    sec = red.secular
+    tr, steps = sec.solve()
+    lam0, boundary, w_set = tr.lambda_p, tr.boundary, tr.w_star
+    w_u, value = w_set.representative(), tr.value - red.c0
     if direction is Direction.MINMAX:
-        solve = game.minmax_at_lambda(pq, lam0)
-        u_set, w_set = _minmax_sets(solve)
-    else:
-        solve = game.maxmin_at_lambda(pq, lam0)
-        u_set, w_set = _maxmin_sets(pq, solve)
+        s22, q22 = np.linalg.eigh(pq.m22)
+        sigma = float(s22[-1]) if s22.size else 0.0
+        if sigma >= lam0:
+            # The multiplier sticks at ||M22||: u* answers the joint
+            # stationary point w0 there, and the maximizers over w at u*
+            # are w0 + null(M22 - ||M22|| I) on the sphere.
+            c = sec.response(sigma)
+            w_u = sec.q @ c
+            tol = BRANCH_TOL * (sigma + float(np.linalg.norm(sec.r)))
+            null = q22[:, s22 >= sigma - tol]
+            nearest = w_u - null @ (null.T @ w_u)
+            w_set = sphere_intersect(AffineSolutionSet(nearest, null))
+            lam0, boundary, value = sigma, True, sec.value(sigma, c) - red.c0
+    mode = "boundary" if boundary else "interior"
+    if not np.any(pq.d):
+        mode = "homogeneous"
     return ConstrainedGameSolution(
-        value=solve.value,
+        value=value,
         lambda0=lam0,
-        u_set=u_set,
+        u_set=red.u_set(w_u),
         w_set=w_set,
         direction=direction,
-        diagnostics=info,
+        diagnostics={"mode": mode, "iterations": steps},
     )

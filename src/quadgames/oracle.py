@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .game import PartitionedQuadratic
 from .linalg import as_vector, pinv, spectral_norm, svd
@@ -133,6 +132,8 @@ def grid_minmax(
                 else:
                     lo = a
             return float(outer(np.array([0.5 * (lo + hi)])))
+        from scipy import optimize  # only this branch needs scipy
+
         rng = np.random.default_rng(cfg.seed)
         best = math.inf
         for _ in range(20):

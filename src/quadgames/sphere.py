@@ -1,11 +1,21 @@
 """Maximization of a convex quadratic over the unit sphere.
 
 The problem max V(w) = 1/2 w'Dw + w'd over w'w = 1 with D >= 0 is solved
-directly: the optimal multiplier is the largest real eigenvalue of the
-2n x 2n block matrix [[D, I], [dd', D]].  When that eigenvalue equals
-||D|| the optimum sits on a null-space slice of the sphere (boundary
-case); when it is larger, the optimizer -(D - lambda I)^{-1} d is unique
-and has unit norm (interior case).
+from one symmetric eigendecomposition D = Q diag(s) Q'.  With r = Q'd,
+the stationary point at a multiplier lambda > s_max = ||D|| has
+coordinates r_i / (lambda - s_i), and the value there is
+lambda/2 + 1/2 sum r_i^2 / (lambda - s_i).  The optimal multiplier is
+the root of the secular equation sum r_i^2 / (lambda - s_i)^2 = 1, found
+by a safeguarded Newton iteration on 1/||w(lambda)|| - 1 (Moré &
+Sorensen 1983), unless the hard case holds: r vanishes on the top
+eigenspace and the response at s_max has norm at most 1.  Then the
+multiplier stays at ||D|| (boundary case) and the optimizers are that
+response plus the top eigenspace, intersected with the sphere.
+
+The paper's certificate for the multiplier, the largest real eigenvalue
+of the 2n x 2n companion matrix [[D, I], [dd', D]], is kept as
+``lambda_p``; no solver calls it, the tests check it against the
+secular root (Adachi, Iwata, Nakatsukasa & Takeda 2017 relate the two).
 """
 
 from __future__ import annotations
@@ -15,62 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    AffineSolutionSet,
-    as_vector,
-    is_psd,
-    spectral_norm,
-    svd,
-    symmetrize,
-)
+from .linalg import AffineSolutionSet, as_vector, nonnegative_spectrum, symmetrize
 
 # An eigenvalue counts as real when |Im| <= IMAG_TOL * (1 + |Re|);
 # nonsymmetric eigensolvers return complex pairs with rounding noise.
 IMAG_TOL = 1e-8
-# Boundary case is declared for lambda_p <= ||D|| + BOUNDARY_TOL * (1 + ||D||).
-BOUNDARY_TOL = 1e-8
-# Width of the near-hard-case band around response norm 1 where both
-# branches are computed and compared.
+# Branch tests (top eigenspace, r vanishing on it, lambda at ||D||)
+# compare against BRANCH_TOL * (||D|| + ||d||).
+BRANCH_TOL = 1e-9
+# ``near_hard_case`` flags a boundary response norm within this of 1.
 HARD_CASE_BAND = 1e-6
-
-
-def _check_inputs(d_mat, d_vec):
-    d_mat = symmetrize(d_mat, "D")
-    if not is_psd(d_mat):
-        raise ValueError("D must be positive semidefinite")
-    d_vec = as_vector(d_vec, "d")
-    if d_vec.shape[0] != d_mat.shape[0]:
-        raise ValueError("d length does not match D")
-    return d_mat, d_vec
-
-
-def companion_matrix(d_mat, d_vec) -> np.ndarray:
-    """The 2n x 2n block matrix [[D, I], [dd', D]]."""
-    d_mat, d_vec = _check_inputs(d_mat, d_vec)
-    n = d_mat.shape[0]
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, :n] = d_mat
-    p[:n, n:] = np.eye(n)
-    p[n:, :n] = np.outer(d_vec, d_vec)
-    p[n:, n:] = d_mat
-    return p
-
-
-def lambda_p(d_mat, d_vec) -> float:
-    """Largest real eigenvalue of the companion matrix.
-
-    A real eigenvalue >= ||D|| always exists for PSD D; its absence
-    signals an eigensolver failure and is surfaced as a RuntimeError.
-    """
-    p = companion_matrix(d_mat, d_vec)
-    try:
-        eigs = np.linalg.eigvals(p)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError("eigenvalue computation failed") from exc
-    real = eigs[np.abs(eigs.imag) <= IMAG_TOL * (1.0 + np.abs(eigs.real))]
-    if real.size == 0:
-        raise RuntimeError("no real eigenvalue found in the companion matrix")
-    return float(real.real.max())
+# Newton steps on the secular equation converge quadratically from the
+# left; the cap only guards against a stalled iteration.
+NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -86,20 +53,6 @@ class BoundaryConditions:
     range_holds: bool
     norm_holds: bool
     response_norm: float
-
-
-def boundary_conditions(d_mat, d_vec) -> BoundaryConditions:
-    d_mat, d_vec = _check_inputs(d_mat, d_vec)
-    n = d_mat.shape[0]
-    shifted = d_mat - spectral_norm(d_mat) * np.eye(n)
-    f = svd(shifted)
-    response = f.pinv() @ d_vec
-    response_norm = float(np.linalg.norm(response))
-    return BoundaryConditions(
-        range_holds=f.in_range(d_vec),
-        norm_holds=response_norm <= 1.0 + 1e-9,
-        response_norm=response_norm,
-    )
 
 
 @dataclass(frozen=True)
@@ -150,10 +103,10 @@ class TrustRegionSolution:
     """Solution of max of a convex quadratic over the unit sphere.
 
     ``boundary`` records whether the optimal multiplier equals ||D||
-    (solution set may include null-space directions) or exceeds it
-    (unique optimizer).  ``near_hard_case`` flags instances where the
-    boundary response norm sits within the fragile band around 1 and
-    both branches were compared.
+    (solution set may include top-eigenspace directions) or exceeds it
+    (unique optimizer).  ``near_hard_case`` flags instances whose
+    boundary response norm sits within ``HARD_CASE_BAND`` of 1, where
+    the branch decision is fragile.
     """
 
     value: float
@@ -163,63 +116,163 @@ class TrustRegionSolution:
     near_hard_case: bool = False
 
 
-def _boundary_branch(d_mat, d_vec):
+@dataclass(frozen=True)
+class Secular:
+    """A trust region (D, d) in the eigenbasis of D = Q diag(s) Q'.
+
+    ``s`` ascends, ``r`` = Q'd, and ``tol`` = BRANCH_TOL (||D|| + ||d||)
+    is the scale of every branch test.  One instance serves the solve,
+    the boundary conditions and the dual curve.
+    """
+
+    s: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    tol: float
+
+    @classmethod
+    def of(cls, d_mat: np.ndarray, d_vec: np.ndarray) -> "Secular":
+        """Factor symmetric D once; its PSD test reads ``s``."""
+        s, q = np.linalg.eigh(d_mat)
+        norm = float(np.max(np.abs(s))) if s.size else 0.0
+        tol = BRANCH_TOL * (norm + float(np.linalg.norm(d_vec)))
+        return cls(s, q, q.T @ d_vec, tol)
+
+    @property
+    def smax(self) -> float:
+        return float(self.s[-1]) if self.s.size else 0.0
+
+    @property
+    def top(self) -> np.ndarray:
+        """Mask of the top eigenspace: s_i within tol of s_max."""
+        return self.s >= self.smax - self.tol
+
+    def response(self, lam: float) -> np.ndarray:
+        """Coordinates r_i / (lam - s_i) of the stationary point at lam,
+        leaving out directions with lam - s_i <= tol (the pseudoinverse
+        at the top of the spectrum)."""
+        gap = lam - self.s
+        keep = gap > self.tol
+        c = np.zeros_like(self.r)
+        c[keep] = self.r[keep] / gap[keep]
+        return c
+
+    def value(self, lam: float, c: np.ndarray) -> float:
+        """Dual value lam/2 + 1/2 r'c at the response coordinates c."""
+        return float(0.5 * lam + 0.5 * self.r @ c)
+
+    def boundary_conditions(self) -> BoundaryConditions:
+        response_norm = float(np.linalg.norm(self.response(self.smax)))
+        return BoundaryConditions(
+            range_holds=bool(np.linalg.norm(self.r[self.top]) <= self.tol),
+            norm_holds=response_norm <= 1.0,
+            response_norm=response_norm,
+        )
+
+    def solve(self) -> tuple[TrustRegionSolution, int]:
+        """The maximizer set and value, plus the Newton step count."""
+        bc = self.boundary_conditions()
+        boundary = bc.range_holds and bc.norm_holds
+        if boundary:
+            lam, c, steps = self.smax, self.response(self.smax), 0
+            aset = AffineSolutionSet(self.q @ c, self.q[:, self.top])
+            w_star = sphere_intersect(aset)
+        else:
+            mu, c, steps = _secular_root(np.maximum(self.smax - self.s, 0.0), self.r)
+            lam = self.smax + mu
+            w_star = SphereSolutionSet(self.q @ c, np.zeros((c.shape[0], 0)), 0.0)
+        near_hard = bc.range_holds and abs(bc.response_norm - 1.0) < HARD_CASE_BAND
+        value = self.value(lam, c)
+        return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
+
+
+def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Root mu of ||c(mu)|| = 1 with c_i = r_i / (mu + gaps_i), gaps >= 0.
+
+    Newton on f(mu) = 1/||c(mu)|| - 1, which is concave and increasing,
+    starts at the lower bound mu = max(0, max_i |r_i| - gaps_i), where
+    f <= 0; its iterates then rise monotonically to the root, capped at
+    ||r||, where f >= 0.  Returns (mu, c(mu), Newton steps).
+    """
+    live = r != 0.0
+    g, rl = gaps[live], r[live]
+    r2 = rl * rl
+    mu = max(0.0, float(np.max(np.abs(rl) - g)))
+    hi = math.sqrt(float(r2.sum()))
+    steps = 0
+    while steps < NEWTON_STEPS:
+        terms = r2 / (mu + g) ** 2
+        norm2 = float(terms.sum())
+        f = 1.0 / math.sqrt(norm2) - 1.0
+        if f >= -4.0 * np.finfo(float).eps:
+            break
+        slope = float(np.sum(terms / (mu + g))) / norm2**1.5
+        nxt = min(mu - f / slope, hi)
+        if not nxt > mu:
+            break
+        mu = nxt
+        steps += 1
+    c = np.zeros_like(r)
+    c[live] = rl / (mu + g)
+    return mu, c, steps
+
+
+def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
+    """Validated D and d, and the eigenpairs of D that the PSD test read."""
+    d_mat = symmetrize(d_mat, "D")
+    d_vec = as_vector(d_vec, "d")
+    if d_vec.shape[0] != d_mat.shape[0]:
+        raise ValueError("d length does not match D")
+    sec = Secular.of(d_mat, d_vec)
+    if not nonnegative_spectrum(sec.s):
+        raise ValueError("D must be positive semidefinite")
+    return d_mat, d_vec, sec
+
+
+def companion_matrix(d_mat, d_vec) -> np.ndarray:
+    """The 2n x 2n block matrix [[D, I], [dd', D]]."""
+    d_mat, d_vec, _ = _check_inputs(d_mat, d_vec)
     n = d_mat.shape[0]
-    shifted = d_mat - spectral_norm(d_mat) * np.eye(n)
-    f = svd(shifted)
-    step = f.pinv() @ d_vec
-    w_star = sphere_intersect(AffineSolutionSet(-step, f.v2))
-    value = float(-0.5 * d_vec @ step + 0.5 * spectral_norm(d_mat))
-    return value, w_star
+    p = np.zeros((2 * n, 2 * n))
+    p[:n, :n] = d_mat
+    p[:n, n:] = np.eye(n)
+    p[n:, :n] = np.outer(d_vec, d_vec)
+    p[n:, n:] = d_mat
+    return p
 
 
-def _interior_branch(d_mat, d_vec, lam):
-    n = d_mat.shape[0]
-    w = -np.linalg.solve(d_mat - lam * np.eye(n), d_vec)
-    value = float(0.5 * d_vec @ w + 0.5 * lam)
-    return value, SphereSolutionSet(w, np.zeros((n, 0)), 0.0)
+def lambda_p(d_mat, d_vec) -> float:
+    """Largest real eigenvalue of the companion matrix.
+
+    A real eigenvalue >= ||D|| always exists for PSD D; its absence
+    signals an eigensolver failure and is surfaced as a RuntimeError.
+    """
+    p = companion_matrix(d_mat, d_vec)
+    try:
+        eigs = np.linalg.eigvals(p)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("eigenvalue computation failed") from exc
+    real = eigs[np.abs(eigs.imag) <= IMAG_TOL * (1.0 + np.abs(eigs.real))]
+    if real.size == 0:
+        raise RuntimeError("no real eigenvalue found in the companion matrix")
+    return float(real.real.max())
 
 
-def _objective(d_mat, d_vec, w) -> float:
-    return float(0.5 * w @ d_mat @ w + w @ d_vec)
+def boundary_conditions(d_mat, d_vec) -> BoundaryConditions:
+    _, _, sec = _check_inputs(d_mat, d_vec)
+    return sec.boundary_conditions()
 
 
 def solve_trust_region(d_mat, d_vec) -> TrustRegionSolution:
     """Solve max 1/2 w'Dw + w'd over the unit sphere for PSD D.
 
-    The value is -1/2 d' pinv(D - lambda I) d + lambda/2 at the optimal
-    multiplier.  Exactly at the hard case (boundary response norm near
-    1) both case formulas are evaluated and the better one returned,
-    flagged via ``near_hard_case``.
+    The value is lambda/2 - 1/2 d' pinv(D - lambda I) d at the optimal
+    multiplier; one eigendecomposition of D gives the multiplier, the
+    branch and the maximizer set.
     """
-    d_mat, d_vec = _check_inputs(d_mat, d_vec)
-    norm_d = spectral_norm(d_mat)
-    lam = lambda_p(d_mat, d_vec)
-    conditions = boundary_conditions(d_mat, d_vec)
-    near_hard = (
-        conditions.range_holds
-        and abs(conditions.response_norm - 1.0) < HARD_CASE_BAND
-    )
-    boundary = lam <= norm_d + BOUNDARY_TOL * (1.0 + norm_d)
-    if near_hard:
-        value_b, w_b = _boundary_branch(d_mat, d_vec)
-        try:
-            value_i, w_i = _interior_branch(d_mat, d_vec, lam)
-        except np.linalg.LinAlgError:
-            value_i, w_i = -math.inf, None
-        take_boundary = _objective(d_mat, d_vec, w_b.representative()) >= (
-            _objective(d_mat, d_vec, w_i.representative())
-            if w_i is not None
-            else -math.inf
-        )
-        if take_boundary:
-            return TrustRegionSolution(value_b, lam, True, w_b, True)
-        return TrustRegionSolution(value_i, lam, False, w_i, True)
-    if boundary:
-        value, w_star = _boundary_branch(d_mat, d_vec)
-        return TrustRegionSolution(value, lam, True, w_star)
-    value, w_star = _interior_branch(d_mat, d_vec, lam)
-    return TrustRegionSolution(value, lam, False, w_star)
+    _, _, sec = _check_inputs(d_mat, d_vec)
+    solution, _ = sec.solve()
+    return solution
 
 
 def dual_curve(
@@ -231,38 +284,26 @@ def dual_curve(
 ) -> list[tuple[float, float, float | None]]:
     """Sample the dual value function and its derivative on a grid.
 
-    For lambda > ||D|| the value is -1/2 d'(D - lambda I)^{-1} d +
-    lambda/2 with derivative 1/2 (1 - d'(D - lambda I)^{-2} d).  At
-    lambda = ||D|| the value is finite iff d is in the range of
-    D - ||D|| I, and the pseudoinverse takes over.  Points below ||D||
-    are infinite with no derivative (encoded math.inf / None).
+    For lambda > ||D|| the value is lambda/2 + 1/2 sum r_i^2/(lambda - s_i)
+    with derivative 1/2 (1 - sum r_i^2/(lambda - s_i)^2), read off the
+    eigenpairs of D.  At lambda = ||D|| the value is finite iff d is in
+    the range of D - ||D|| I, and the top eigenspace drops out of the
+    sums.  Points below ||D|| are infinite with no derivative (encoded
+    math.inf / None).
     """
-    d_mat, d_vec = _check_inputs(d_mat, d_vec)
+    _, _, sec = _check_inputs(d_mat, d_vec)
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    n = d_mat.shape[0]
-    norm_d = spectral_norm(d_mat)
-    edge = BOUNDARY_TOL * (1.0 + norm_d)
+    finite_at_norm = sec.boundary_conditions().range_holds
     rows: list[tuple[float, float, float | None]] = []
     for lam in np.linspace(lambda_min, lambda_max, steps):
         lam = float(lam)
-        if lam < norm_d - edge:
+        at_norm = abs(lam - sec.smax) <= sec.tol
+        if lam < sec.smax - sec.tol or (at_norm and not finite_at_norm):
             rows.append((lam, math.inf, None))
-        elif lam <= norm_d + edge:
-            conditions = boundary_conditions(d_mat, d_vec)
-            if conditions.range_holds:
-                shifted_pinv = svd(d_mat - norm_d * np.eye(n)).pinv()
-                step = shifted_pinv @ d_vec
-                value = float(-0.5 * d_vec @ step + 0.5 * lam)
-                deriv = float(0.5 * (1.0 - step @ step))
-                rows.append((lam, value, deriv))
-            else:
-                rows.append((lam, math.inf, None))
-        else:
-            step = np.linalg.solve(d_mat - lam * np.eye(n), d_vec)
-            value = float(-0.5 * d_vec @ step + 0.5 * lam)
-            deriv = float(0.5 * (1.0 - step @ step))
-            rows.append((lam, value, deriv))
+            continue
+        c = sec.response(sec.smax if at_norm else lam)
+        rows.append((lam, sec.value(lam, c), float(0.5 * (1.0 - c @ c))))
     return rows

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -219,3 +222,32 @@ def test_curve_round_trip_parse(capsys):
         parsed = float(val)
         # the formatted token parses back to the same float
         assert val == "inf" or repr(parsed) == val
+
+
+def test_solve_minmax_unbounded_exit_2(tmp_path, capsys):
+    doc = {
+        "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.5], [0.0]], "M22": [[1.0]],
+        "d1": [0.0, 1.0], "d2": [0.3],
+    }
+    for kind in ("minmax", "maxmin"):
+        path = write_problem(tmp_path, {"kind": kind, **doc})
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 2
+        assert json.loads(out) == {"kind": kind, "status": "unbounded_below"}
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0
+        assert "PASS" in out
+
+
+def test_import_cli_leaves_scipy_optimize_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = "import sys, quadgames.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

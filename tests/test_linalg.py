@@ -3,6 +3,7 @@ import pytest
 
 from quadgames import (
     AffineSolutionSet,
+    PartitionedQuadratic,
     is_psd,
     is_psd_partitioned,
     null_basis,
@@ -13,7 +14,7 @@ from quadgames import (
     spectral_norm,
     svd,
 )
-from quadgames.linalg import assemble_blocks, is_nsd, symmetrize
+from quadgames.linalg import is_nsd, symmetrize
 
 from util import random_psd
 
@@ -185,7 +186,9 @@ def test_schur_complements_norms_equal_instance():
 
 
 def test_assemble_blocks():
-    m = assemble_blocks(np.eye(1), np.array([[2.0]]), np.eye(1))
+    m = PartitionedQuadratic(
+        np.eye(1), np.array([[2.0]]), np.eye(1), np.zeros(1), np.zeros(1)
+    ).assembled()
     np.testing.assert_allclose(m, [[1.0, 2.0], [2.0, 1.0]])
 
 
@@ -214,3 +217,20 @@ def test_shape_validation():
         pinv(np.array([np.nan]).reshape(1, 1))
     with pytest.raises(ValueError):
         AffineSolutionSet(np.zeros(2), np.zeros((3, 1)))
+
+
+def test_partitioned_psd_matches_assembled_at_every_scale():
+    # Rank-deficient PSD blocks make S = M22 - M12' pinv(M11) M12 pure
+    # cancellation; its rounding follows the scale of M22, not of S.
+    rng = np.random.default_rng(29)
+    for k in range(-8, 9):
+        m = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 3))
+        big = 10.0**k * random_psd(rng, m + n, rank=int(rng.integers(1, m + n)))
+        assert is_psd(big)
+        assert is_psd_partitioned(big[:m, :m], big[:m, m:], big[m:, m:])
+    m11 = np.array([[3840693.2215381153, 4047219.655953346],
+                    [4047219.655953346, 4264851.681378312]])
+    m12 = np.array([[25085958.44322859], [26434911.158877615]])
+    m22 = np.array([[1.6385201178951976e08]])
+    assert is_psd_partitioned(m11, m12, m22)

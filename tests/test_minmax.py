@@ -194,3 +194,94 @@ def test_rejects_indefinite_assembled_matrix():
     pq = PartitionedQuadratic(one, 3.0 * one, one, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError):
         solve_linear_term(pq, Direction.MINMAX)
+
+
+def unbounded_instance():
+    # d1 has a component along null(M11) = span(e2): u = -t e2 sends V
+    # to -inf whatever w does
+    return PartitionedQuadratic(
+        np.diag([1.0, 0.0]), np.array([[0.5], [0.0]]), np.array([[1.0]]),
+        np.array([0.0, 1.0]), np.array([0.3]),
+    )
+
+
+def test_linear_term_unbounded_returns_none():
+    pq = unbounded_instance()
+    for direction in Direction:
+        assert solve_linear_term(pq, direction) is None
+    # V really has no lower bound along the escape direction
+    for t in (1e2, 1e4, 1e6):
+        assert pq.evaluate(np.array([0.0, -t]), np.array([1.0])) < -0.5 * t
+
+
+def test_linear_term_bounded_at_every_scale():
+    # d in the range of M, scaled by 10^k: never reported unbounded
+    rng = np.random.default_rng(113)
+    for k in range(-8, 9):
+        big = random_psd(rng, 4, rank=2)
+        d = big @ rng.standard_normal(4)
+        c = 10.0 ** k
+        pq = PartitionedQuadratic(
+            c * big[:2, :2], c * big[:2, 2:], c * big[2:, 2:], c * d[:2], c * d[2:]
+        )
+        for direction in Direction:
+            assert solve_linear_term(pq, direction) is not None
+
+
+def test_minmax_u_star_minimizes_on_gap_game():
+    # ||M22|| = 1 exceeds the Schur-complement root lambda_TR(0, -0.1) =
+    # 0.1, so the multiplier sticks at 1 and u* comes from the joint
+    # stationary point there: u* = -0.2, value 0.46
+    pq = gap_instance(d1=0.3, d2=0.2)
+    sol = solve_linear_term(pq, Direction.MINMAX)
+    assert sol.lambda0 == pytest.approx(1.0, abs=1e-12)
+    assert sol.value == pytest.approx(0.46, abs=1e-12)
+    np.testing.assert_allclose(sol.u_set.particular, [-0.2], atol=1e-12)
+    u = sol.u_set.particular
+    inner = max(pq.evaluate(u, np.array([w])) for w in (-1.0, 1.0))
+    assert inner == pytest.approx(sol.value, abs=1e-12)
+    assert sol.diagnostics["mode"] == "boundary"
+
+
+def test_homogeneous_rank_deficient_games():
+    rng = np.random.default_rng(127)
+    for m in (1, 2):
+        for n in (1, 2):
+            for _ in range(40):
+                big = random_psd(rng, m + n, rank=int(rng.integers(0, m + n)))
+                pq = PartitionedQuadratic(
+                    big[:m, :m], big[:m, m:], big[m:, m:], np.zeros(m), np.zeros(n)
+                )
+                for direction in Direction:
+                    sol = solve_homogeneous(pq, direction)
+                    rep = sol.w_set.representative()
+                    assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-12)
+                    thr = threshold(pq, direction)
+                    assert sol.lambda0 == pytest.approx(thr, abs=1e-9 * (1.0 + thr))
+                    assert sol.value == pytest.approx(0.5 * sol.lambda0, abs=1e-12)
+
+
+def test_residual_certificates_n100():
+    # Beyond the oracles' dimension limit the answer is checked by its
+    # certificate: unit w, lambda at or above the direction threshold,
+    # the joint stationarity of M(lambda) z + d, and the value equal to
+    # the objective at the returned point.
+    rng = np.random.default_rng(131)
+    m = n = 100
+    pq = random_partitioned(rng, m, n, linear_scale=100.0)
+    norm22 = float(np.linalg.eigvalsh(pq.m22)[-1])
+    schur = pq.m22 - pq.m12.T @ np.linalg.solve(pq.m11, pq.m12)
+    norm_s = float(np.linalg.eigvalsh(0.5 * (schur + schur.T))[-1])
+    scale = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+    for direction, thr in ((Direction.MINMAX, norm22), (Direction.MAXMIN, norm_s)):
+        sol = solve_linear_term(pq, direction)
+        assert sol.diagnostics["mode"] == "interior"
+        u, w = sol.u_set.particular, sol.w_set.representative()
+        z = np.concatenate([u, w])
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert sol.lambda0 >= thr
+        residual = pq.assembled(sol.lambda0) @ z + pq.d
+        assert np.linalg.norm(residual) <= 1e-10 * (scale + sol.lambda0) * (
+            1.0 + np.linalg.norm(z)
+        )
+        assert sol.value == pytest.approx(pq.evaluate(u, w), rel=1e-10)
