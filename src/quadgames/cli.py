@@ -3,8 +3,8 @@
 Problem files are JSON documents with a ``kind`` field naming the solver
 and arrays named after the solver's inputs (see README for the schema
 and one example per kind).  Results are emitted as JSON documents that
-round-trip losslessly; curves are emitted as CSV with the literal token
-``inf`` for infinite entries.
+round-trip losslessly; curves are emitted as CSV with the literal tokens
+``inf`` and ``-inf`` for infinite entries.
 
 Exit codes: 0 solved / check passed, 1 input error, 2 well-posed
 "no solution / unbounded" outcomes, 3 check failed.
@@ -179,10 +179,9 @@ def solve_document(prob: dict) -> tuple[dict, int]:
             lam = float(prob["lambda"])
             report = game.duality_report(pq, lam)
             doc = {"kind": kind, "lambda": lam, "status": report.status}
-            for name, solve in (
-                ("minmax", game.minmax_at_lambda(pq, lam)),
-                ("maxmin", game.maxmin_at_lambda(pq, lam)),
-            ):
+            if report.status == "unbounded_below":
+                return doc, EXIT_NO_SOLUTION
+            for name, solve in (("minmax", report.minmax), ("maxmin", report.maxmin)):
                 entry: dict = {"finite": solve.finite}
                 if solve.finite:
                     entry["value"] = solve.value
@@ -234,7 +233,7 @@ def _fmt(x) -> str:
         return ""
     x = float(x)
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return repr(x)
 
 
@@ -298,16 +297,21 @@ def _check_trust_region(prob, cfg, scale):
     return value, oracle_value, passed
 
 
+def _escape_probe(pq):
+    """Check of an unbounded_below answer: u along the part of -d1
+    outside the range of M11 lowers V without bound for any w, and at a
+    unit w the Lagrangian equals V."""
+    f = svd(pq.m11)
+    escape = -(f.u2 @ (f.u2.T @ pq.d1))
+    probe = pq.evaluate(1e6 * escape, np.eye(pq.w_dim, 1)[:, 0])
+    return math.nan, probe, probe < -1e2
+
+
 def _check_minmax(prob, cfg, scale):
     doc, code = solve_document(prob)
     pq = _partitioned(prob)
     if code == EXIT_NO_SOLUTION:
-        # Escape direction: u along the part of -d1 outside the range of
-        # M11 lowers V without bound for any w.
-        f = svd(pq.m11)
-        escape = -(f.u2 @ (f.u2.T @ pq.d1))
-        probe = pq.evaluate(1e6 * escape, np.eye(pq.w_dim, 1)[:, 0])
-        return math.nan, probe, probe < -1e2
+        return _escape_probe(pq)
     value = float(prob.get("expected_value", doc["value"]))
     direction = minmax.Direction(prob["kind"])
     oracle_value = oracle.grid_minmax(pq, cfg, direction)
@@ -378,38 +382,14 @@ def _check_lagrangian(prob, cfg, scale):
     if pq.u_dim > 2 or pq.w_dim > 2:
         raise ProblemError("lagrangian check supports dimensions up to 2")
     lam = float(prob["lambda"])
-    mm = game.minmax_at_lambda(pq, lam)
-    xm = game.maxmin_at_lambda(pq, lam)
+    report = game.duality_report(pq, lam)
+    if report.status == "unbounded_below":
+        return _escape_probe(pq)
+    mm, xm = report.minmax, report.maxmin
     if not xm.finite:
         return math.nan, math.nan, True
     value = float(prob.get("expected_value", xm.value))
-    box = cfg.box_radius if cfg.box_radius > 0 else oracle._auto_box(pq)
-    points = np.linspace(-box, box, min(cfg.grid_points, 400))
-    # Outer grid over w, inner exact minimum over u of the parameterized
-    # objective; the inner solve reuses the fixed pinv of M11.
-    if pq.w_dim == 1:
-        w_grid = points.reshape(-1, 1)
-    else:
-        w_grid = np.stack(
-            np.meshgrid(points, points), axis=-1
-        ).reshape(-1, 2)
-    f11 = svd(pq.m11)
-    rhs = w_grid @ pq.m12.T + pq.d1
-    if f11.u2.shape[1] > 0:
-        bad = np.linalg.norm(rhs @ f11.u2, axis=1) > 1e-9 * np.maximum(
-            1.0, np.linalg.norm(rhs, axis=1)
-        )
-    else:
-        bad = np.zeros(len(w_grid), dtype=bool)
-    m22l = pq.m22 - lam * np.eye(pq.w_dim)
-    outer = (
-        0.5 * np.einsum("ij,ij->i", w_grid @ m22l, w_grid)
-        + w_grid @ pq.d2
-        + 0.5 * lam
-    )
-    inner = -0.5 * np.einsum("ij,ij->i", rhs @ f11.pinv(), rhs)
-    totals = np.where(bad, -math.inf, outer + inner)
-    oracle_value = float(np.max(totals))
+    oracle_value = oracle.grid_lagrangian(pq, lam, cfg)
     tol = (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
     passed = abs(oracle_value - value) <= tol
     if mm.finite:

@@ -3,10 +3,13 @@
 Covers the unconstrained saddle-point problem for
 V(u, w) = 1/2 [u; w]' M [u; w] + [u; w]' d with M11 >= 0 and M22 <= 0,
 a sampled saddle-point verifier, and the lambda-parameterized family
-L(u, w, lambda) = V(u, w) - lambda/2 (w'w - 1) whose minmax and maxmin
-value functions become finite at ||M22|| and at the Schur-complement
-norm ||M22 - M12' pinv(M11) M12|| respectively.  Between those two
-thresholds the duality gap is infinite.
+L(u, w, lambda) = V(u, w) - lambda/2 (w'w - 1) with M >= 0.  Its minmax
+value is finite from ||M22|| on and its maxmin value from ||S|| on,
+where S = M22 - M12' pinv(M11) M12; between those two thresholds the
+duality gap is infinite.  Where finite, both equal
+lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
+from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
+every lambda.
 """
 
 from __future__ import annotations
@@ -31,10 +34,6 @@ from .linalg import (
     symmetrize,
 )
 from .sphere import Secular
-
-# Absolute slack at the existence boundary lambda = threshold, where the
-# pseudoinverse formulas remain valid.
-THRESHOLD_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -196,67 +195,6 @@ class LambdaSolve:
 PSD_MESSAGE = "the assembled block matrix must be positive semidefinite"
 
 
-def _require_psd(pq: PartitionedQuadratic) -> None:
-    if not is_psd(pq.assembled()):
-        raise ValueError(PSD_MESSAGE)
-
-
-def _lambda_value(pq: PartitionedQuadratic, lam: float) -> float:
-    d = pq.d
-    return float(0.5 * lam - 0.5 * d @ pinv(pq.assembled(lam)) @ d)
-
-
-def minmax_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve:
-    """min over u of max over w of L at a fixed lambda.
-
-    Infinite for lambda < ||M22||.  When finite, the outer minimizer set
-    comes from the Schur complement of the shifted w-block, and the
-    returned w set is the inner best response at the particular u.
-    """
-    _require_psd(pq)
-    lam = float(lam)
-    thr = minmax_threshold(pq)
-    if lam < thr - THRESHOLD_SLACK * (1.0 + thr):
-        return LambdaSolve(lam, False)
-    n = pq.w_dim
-    m22l = pq.m22 - lam * np.eye(n)
-    m22l_p = pinv(m22l)
-    schur = pq.m11 - pq.m12 @ m22l_p @ pq.m12.T
-    schur = 0.5 * (schur + schur.T)
-    rhs = pq.d1 - pq.m12 @ (m22l_p @ pq.d2)
-    fs = svd(schur)
-    u0 = -fs.pinv() @ rhs
-    u_set = AffineSolutionSet(u0, fs.v2)
-    w0 = -m22l_p @ (pq.m12.T @ u0 + pq.d2)
-    w_set = AffineSolutionSet(w0, svd(m22l).v2)
-    return LambdaSolve(lam, True, _lambda_value(pq, lam), u_set, w_set)
-
-
-def maxmin_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve:
-    """max over w of min over u of L at a fixed lambda.
-
-    Infinite for lambda < ||M22 - M12' pinv(M11) M12||.  When finite,
-    the outer maximizer set comes from the Schur complement of M11, and
-    the returned u set is the inner best response at the particular w.
-    """
-    _require_psd(pq)
-    lam = float(lam)
-    thr = maxmin_threshold(pq)
-    if lam < thr - THRESHOLD_SLACK * (1.0 + thr):
-        return LambdaSolve(lam, False)
-    n = pq.w_dim
-    m11_p = pinv(pq.m11)
-    schur = (pq.m22 - lam * np.eye(n)) - pq.m12.T @ m11_p @ pq.m12
-    schur = 0.5 * (schur + schur.T)
-    rhs = pq.d2 - pq.m12.T @ (m11_p @ pq.d1)
-    fs = svd(schur)
-    w0 = -fs.pinv() @ rhs
-    w_set = AffineSolutionSet(w0, fs.v2)
-    u0 = -m11_p @ (pq.m12 @ w0 + pq.d1)
-    u_set = AffineSolutionSet(u0, svd(pq.m11).v2)
-    return LambdaSolve(lam, True, _lambda_value(pq, lam), u_set, w_set)
-
-
 @dataclass(frozen=True)
 class SchurReduction:
     """The game reduced to a trust region on the Schur complement of M11.
@@ -322,26 +260,94 @@ def is_psd_partitioned(m11, m12, m22) -> bool:
     return True
 
 
+def _finite(sec: Secular, thr: float, lam: float, range_holds: bool) -> bool:
+    """The finiteness rule of the family at threshold ``thr`` (||M22||
+    for minmax, ||S|| for maxmin): finite from thr - tol on, except at
+    the top eigenvalue of S, where r must vanish on its eigenspace
+    (``range_holds``, the test ``dual_curve`` applies at ||D||)."""
+    return lam >= thr - sec.tol and (lam > sec.smax + sec.tol or range_holds)
+
+
+def _m22(pq: PartitionedQuadratic) -> Secular:
+    """Eigenpairs of M22, with tol = BRANCH_TOL ||M22||."""
+    return Secular.of(pq.m22, np.zeros(pq.w_dim))
+
+
+def _lambda_solve(
+    red: SchurReduction, lam: float, m22: Secular | None = None
+) -> LambdaSolve:
+    """The family at lam, read off the reduction: maxmin when ``m22`` is
+    None, minmax when it is ``_m22(pq)``.  With B = S or M22, the
+    threshold is ||B||, the w set is the joint stationary point w0
+    (coordinates r_i / (lam - s_i) in S's eigenbasis) plus
+    null(B - lam I), and the u set is ``red.u_set(w0)``.
+    """
+    sec = red.secular
+    b = sec if m22 is None else m22
+    if not _finite(sec, b.smax, lam, sec.boundary_conditions().range_holds):
+        return LambdaSolve(lam, False)
+    c = sec.response(lam)
+    w0 = sec.q @ c
+    null = b.q[:, np.abs(b.s - lam) <= b.tol]
+    w_set = AffineSolutionSet(w0 - null @ (null.T @ w0), null)
+    return LambdaSolve(lam, True, sec.value(lam, c) - red.c0, red.u_set(w0), w_set)
+
+
+def minmax_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
+    """min over u of max over w of L at a fixed lambda.
+
+    Infinite below ||M22||; None when the game is unbounded below
+    (d1 outside the range of M11).  The returned w set is the inner
+    best response at the particular u.
+    """
+    red = schur_reduction(pq)
+    if not red.bounded:
+        return None
+    return _lambda_solve(red, float(lam), _m22(pq))
+
+
+def maxmin_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
+    """max over w of min over u of L at a fixed lambda.
+
+    Infinite below ||S||; None when the game is unbounded below.  The
+    returned u set is the inner best response at the particular w.
+    """
+    red = schur_reduction(pq)
+    if not red.bounded:
+        return None
+    return _lambda_solve(red, float(lam))
+
+
 @dataclass(frozen=True)
 class DualityReport:
     """Joint status of the two value functions at one lambda.
 
     status is "strong_duality" (both finite, equal value),
-    "infinite_gap" (only maxmin finite), or "both_infinite".
+    "infinite_gap" (only maxmin finite), "both_infinite", or
+    "unbounded_below" (d1 outside the range of M11; ``minmax`` and
+    ``maxmin``, the two evaluations, are then None).
     """
 
     status: str
     value: float | None = None
+    minmax: LambdaSolve | None = None
+    maxmin: LambdaSolve | None = None
 
 
 def duality_report(pq: PartitionedQuadratic, lam: float) -> DualityReport:
-    mm = minmax_at_lambda(pq, lam)
-    xm = maxmin_at_lambda(pq, lam)
-    if mm.finite and xm.finite:
-        return DualityReport("strong_duality", mm.value)
-    if xm.finite:
-        return DualityReport("infinite_gap")
-    return DualityReport("both_infinite")
+    """Both value functions at lam from one reduction and one
+    factorization of M22."""
+    red = schur_reduction(pq)
+    if not red.bounded:
+        return DualityReport("unbounded_below")
+    lam = float(lam)
+    mm = _lambda_solve(red, lam, _m22(pq))
+    xm = _lambda_solve(red, lam)
+    if not xm.finite:
+        return DualityReport("both_infinite", None, mm, xm)
+    if not mm.finite:
+        return DualityReport("infinite_gap", None, mm, xm)
+    return DualityReport("strong_duality", mm.value, mm, xm)
 
 
 def lambda_curve(
@@ -353,10 +359,12 @@ def lambda_curve(
     """Sample both value functions on a uniform lambda grid.
 
     Returns (lambda, minmax value, maxmin value) triples ordered by
-    lambda; infinite branches are encoded as math.inf.  Where finite,
-    both equal lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the
-    eigenpairs (s_i) of the Schur complement S, with r and c0 from
-    ``schur_reduction``: one eigendecomposition serves the whole grid.
+    lambda; infinite branches are encoded as math.inf, and the
+    finiteness rule is that of ``minmax_at_lambda``/``maxmin_at_lambda``.
+    Where finite, both equal lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i)
+    over the eigenpairs of S.  When the game is unbounded below, maxmin
+    is -inf at every lambda, and minmax is +inf below ||M22|| and -inf
+    from there on.
     """
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
@@ -364,14 +372,20 @@ def lambda_curve(
         raise ValueError("steps must be at least 2")
     red = schur_reduction(pq)
     sec = red.secular
-    thresholds = (minmax_threshold(pq), maxmin_threshold(pq))
+    norm22 = _m22(pq).smax
+    lams = [float(lam) for lam in np.linspace(lambda_min, lambda_max, steps)]
+    if not red.bounded:
+        return [
+            (lam, math.inf if lam < norm22 - sec.tol else -math.inf, -math.inf)
+            for lam in lams
+        ]
+    range_holds = sec.boundary_conditions().range_holds
     rows = []
-    for lam in np.linspace(lambda_min, lambda_max, steps):
-        lam = float(lam)
+    for lam in lams:
         value = sec.value(lam, sec.response(lam)) - red.c0
         mm, xm = (
-            math.inf if lam < thr - THRESHOLD_SLACK * (1.0 + thr) else value
-            for thr in thresholds
+            value if _finite(sec, thr, lam, range_holds) else math.inf
+            for thr in (norm22, sec.smax)
         )
         rows.append((lam, mm, xm))
     return rows

@@ -29,7 +29,7 @@ import numpy as np
 from . import game
 from .game import PartitionedQuadratic
 from .linalg import AffineSolutionSet
-from .sphere import BRANCH_TOL, SphereSolutionSet, sphere_intersect
+from .sphere import SphereSolutionSet, sphere_intersect
 
 
 class Direction(enum.Enum):
@@ -99,31 +99,25 @@ def solve_linear_term(
     red = game.schur_reduction(pq)
     if not red.bounded:
         return None
-    sec = red.secular
-    tr, steps = sec.solve()
+    tr, steps = red.secular.solve()
     lam0, boundary, w_set = tr.lambda_p, tr.boundary, tr.w_star
-    w_u, value = w_set.representative(), tr.value - red.c0
+    value, u_set = tr.value - red.c0, red.u_set(w_set.representative())
     if direction is Direction.MINMAX:
-        s22, q22 = np.linalg.eigh(pq.m22)
-        sigma = float(s22[-1]) if s22.size else 0.0
-        if sigma >= lam0:
+        m22 = game._m22(pq)
+        if m22.smax >= lam0:
             # The multiplier sticks at ||M22||: u* answers the joint
-            # stationary point w0 there, and the maximizers over w at u*
-            # are w0 + null(M22 - ||M22|| I) on the sphere.
-            c = sec.response(sigma)
-            w_u = sec.q @ c
-            tol = BRANCH_TOL * (sigma + float(np.linalg.norm(sec.r)))
-            null = q22[:, s22 >= sigma - tol]
-            nearest = w_u - null @ (null.T @ w_u)
-            w_set = sphere_intersect(AffineSolutionSet(nearest, null))
-            lam0, boundary, value = sigma, True, sec.value(sigma, c) - red.c0
+            # stationary point there, and the maximizers over w at u*
+            # are that point's best-response set on the sphere.
+            at = game._lambda_solve(red, m22.smax, m22)
+            lam0, boundary, value, u_set = at.lam, True, at.value, at.u_set
+            w_set = sphere_intersect(at.w_set)
     mode = "boundary" if boundary else "interior"
     if not np.any(pq.d):
         mode = "homogeneous"
     return ConstrainedGameSolution(
         value=value,
         lambda0=lam0,
-        u_set=red.u_set(w_u),
+        u_set=u_set,
         w_set=w_set,
         direction=direction,
         diagnostics={"mode": mode, "iterations": steps},

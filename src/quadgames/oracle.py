@@ -97,7 +97,7 @@ def grid_minmax(
     MINMAX: outer search over u (grid for 1-d, multi-start simplex for
     2-d) with the inner maximum taken over sampled sphere points.
     MAXMIN: outer maximum over sampled sphere points with the inner
-    minimum over u solved exactly (convex quadratic).
+    minimum over u solved exactly (``_inner_min``).
     """
     m, n = pq.u_dim, pq.w_dim
     if m > 2 or n > 2:
@@ -142,24 +142,33 @@ def grid_minmax(
             best = min(best, float(result.fun))
         return best
 
-    # MAXMIN: the inner minimum over u of a convex quadratic is exact.
+    return float(np.max(_inner_min(pq, w_cand)))
+
+
+def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray) -> np.ndarray:
+    """min over u of V(u, w) for each row w, solved exactly (a convex
+    quadratic in u); -inf where M11 u = -(M12 w + d1) has no solution."""
     f11 = svd(pq.m11)
-    m11_pinv = f11.pinv()
-    rhs = w_cand @ pq.m12.T + pq.d1  # one row per w candidate
-    # Unbounded below when the stationarity system has no solution.
-    if f11.u2.shape[1] > 0:
-        residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
-        feasible = residuals <= 1e-9 * np.maximum(
-            1.0, np.linalg.norm(rhs, axis=1)
-        )
-    else:
-        feasible = np.ones(len(w_cand), dtype=bool)
-    inner = -0.5 * np.einsum("ij,ij->i", rhs @ m11_pinv, rhs)
-    outer_vals = (
-        0.5 * np.einsum("ij,ij->i", w_cand @ pq.m22, w_cand) + w_cand @ pq.d2
-    )
-    totals = np.where(feasible, inner + outer_vals, -math.inf)
-    return float(np.max(totals))
+    rhs = w_rows @ pq.m12.T + pq.d1
+    residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
+    feasible = residuals <= 1e-9 * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
+    inner = -0.5 * np.einsum("ij,ij->i", rhs @ f11.pinv(), rhs)
+    outer = 0.5 * np.einsum("ij,ij->i", w_rows @ pq.m22, w_rows) + w_rows @ pq.d2
+    return np.where(feasible, inner + outer, -math.inf)
+
+
+def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> float:
+    """Brute-force max over w of min over u of L(u, w, lam) = V(u, w)
+    - lam/2 (w'w - 1): a grid over a box of w (dimensions up to 2) with
+    the inner minimum over u solved exactly."""
+    n = pq.w_dim
+    if n > 2:
+        raise ValueError("grid oracle supports w dimensions up to 2")
+    box = cfg.box_radius if cfg.box_radius > 0 else _auto_box(pq)
+    points = np.linspace(-box, box, min(cfg.grid_points, 400))
+    w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
+    penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_grid, w_grid))
+    return float(np.max(_inner_min(pq, w_grid) + penalty))
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

@@ -239,6 +239,26 @@ def test_solve_minmax_unbounded_exit_2(tmp_path, capsys):
         assert "PASS" in out
 
 
+def test_lagrangian_unbounded_exit_2_and_neg_inf_tokens(tmp_path, capsys):
+    path = write_problem(tmp_path, {
+        "kind": "lagrangian", "lambda": 2.0,
+        "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.5], [0.0]], "M22": [[1.0]],
+        "d1": [0.0, 1.0], "d2": [0.3],
+    })
+    code, out, _ = run(capsys, "solve", path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc == {"kind": "lagrangian", "lambda": 2.0, "status": "unbounded_below"}
+    code, out, _ = run(
+        capsys, "curve", path, "--lambda-min", "0", "--lambda-max", "2", "--steps", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["0.0,inf,-inf", "1.0,-inf,-inf", "2.0,-inf,-inf"]
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    assert "PASS" in out
+
+
 def test_import_cli_leaves_scipy_optimize_out():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])

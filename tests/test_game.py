@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from quadgames import (
     PartitionedQuadratic,
+    dual_curve,
     duality_report,
     lambda_curve,
     maxmin_at_lambda,
@@ -25,9 +27,17 @@ def bilinear(d1: float, d2: float) -> PartitionedQuadratic:
     )
 
 
-def gap_instance() -> PartitionedQuadratic:
-    one = np.array([[1.0]])
+def gap_instance(c: float = 1.0) -> PartitionedQuadratic:
+    one = np.array([[c]])
     return PartitionedQuadratic(one, one, one, np.zeros(1), np.zeros(1))
+
+
+def unbounded_instance() -> PartitionedQuadratic:
+    """d1 has a component outside R(M11): min over u of V is -inf."""
+    return PartitionedQuadratic(
+        np.diag([1.0, 0.0]), np.array([[0.5], [0.0]]), np.array([[1.0]]),
+        np.array([0.0, 1.0]), np.array([0.3]),
+    )
 
 
 def grid_saddle_values(pq, points):
@@ -263,3 +273,63 @@ def test_inner_response_containment():
         # outer stationarity for u0 on the Schur system
         resid_u = pq.m11 @ u0 + pq.m12 @ w0 + pq.d1
         assert np.linalg.norm(resid_u) <= 1e-8 * (1.0 + np.linalg.norm(pq.d))
+
+
+def test_threshold_edge_agrees_with_dual_curve():
+    # S = M22 = 1 and r = d2 = 1: at lambda = ||S|| = 1, r does not
+    # vanish on S's top eigenspace, so max over w is unbounded there,
+    # as on the trust region (S, r) itself.
+    one = np.array([[1.0]])
+    pq = PartitionedQuadratic(one, np.zeros((1, 1)), one, np.zeros(1), one[0])
+    assert not maxmin_at_lambda(pq, 1.0).finite
+    assert not minmax_at_lambda(pq, 1.0).finite
+    rep = duality_report(pq, 1.0)
+    assert rep.status == "both_infinite" and rep.value is None
+    rows = lambda_curve(pq, 0.0, 2.0, 3)
+    dual = dual_curve(one, one[0], 0.0, 2.0, 3)
+    assert rows[1] == (1.0, math.inf, math.inf)
+    for (lam, mm, xm), (_, value, _) in zip(rows, dual):
+        assert xm == mm == pytest.approx(value, abs=1e-12)
+
+
+def test_unbounded_game_lambda_family():
+    pq = unbounded_instance()
+    assert minmax_at_lambda(pq, 2.0) is None
+    assert maxmin_at_lambda(pq, 2.0) is None
+    rep = duality_report(pq, 2.0)
+    assert rep.status == "unbounded_below" and rep.value is None
+    assert lambda_curve(pq, 0.0, 2.0, 3) == [
+        (0.0, math.inf, -math.inf),
+        (1.0, -math.inf, -math.inf),
+        (2.0, -math.inf, -math.inf),
+    ]
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e-8, 1.0, 1e8])
+def test_duality_statuses_scale_with_the_data(c):
+    pq = gap_instance(c)
+    expected = ["both_infinite", "infinite_gap", "strong_duality"]
+    assert [duality_report(pq, c * t).status for t in (-0.5, 0.5, 1.5)] == expected
+    assert duality_report(pq, 1.5 * c).value == pytest.approx(0.75 * c, rel=1e-12)
+    rows = lambda_curve(pq, -0.5 * c, 1.5 * c, 3)
+    assert [(math.isinf(mm), math.isinf(xm)) for _, mm, xm in rows] == [
+        (True, True), (True, False), (False, False),
+    ]
+    assert rows[2][1] == pytest.approx(0.75 * c, rel=1e-12)
+
+
+def test_lambda_family_factorization_count(monkeypatch):
+    pq = random_partitioned(np.random.default_rng(67), 5, 5)
+    lam = minmax_threshold(pq) + 1.0
+    counts = Counter()
+    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    duality_report(pq, lam)
+    assert counts["svd"] == 0 and sum(counts.values()) <= 3
+    counts.clear()
+    lambda_curve(pq, 0.0, lam, 50)
+    assert counts["svd"] == 0 and sum(counts.values()) <= 3
