@@ -9,7 +9,8 @@ where S = M22 - M12' pinv(M11) M12; between those two thresholds the
 duality gap is infinite.  Where finite, both equal
 lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
 from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
-every lambda.
+every lambda, and ``lambda_curve`` evaluates a whole grid in one array
+pass.  Threshold tests are relative to the data S is computed from.
 """
 
 from __future__ import annotations
@@ -205,7 +206,8 @@ class SchurReduction:
     ``u_set(w)`` = -(X12 w + x1) + null(M11); otherwise that minimum is
     -inf for every w.  The range test compares the part of d1 outside
     R(M11) with ||d||, so it does not depend on the scale of the data.
-    ``secular`` holds the eigenpairs of S.
+    ``secular`` holds the eigenpairs of S; its ``tol`` is relative to
+    ||M22|| + ||M12' X12|| + ||r||, the data S is computed from.
     """
 
     secular: Secular
@@ -237,9 +239,10 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     coupling = pq.m12.T @ x12
     schur = pq.m22 - coupling
     r = pq.d2 - pq.m12.T @ x1
-    secular = Secular.of(0.5 * (schur + schur.T), r)
-    # S is a difference of two terms; its rounding follows their size.
+    # S is a difference of two terms; its rounding follows their size,
+    # so the PSD test and every threshold test read that scale.
     scale = float(np.linalg.norm(pq.m22) + np.linalg.norm(coupling))
+    secular = Secular.of(0.5 * (schur + schur.T), r, scale)
     if not nonnegative_spectrum(secular.s, scale):
         raise ValueError(PSD_MESSAGE)
     bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= RANGE_TOL * np.linalg.norm(pq.d))
@@ -260,12 +263,15 @@ def is_psd_partitioned(m11, m12, m22) -> bool:
     return True
 
 
-def _finite(sec: Secular, thr: float, lam: float, range_holds: bool) -> bool:
+def _finite(
+    sec: Secular, thr: float, lam: float | np.ndarray, range_holds: bool
+) -> bool | np.ndarray:
     """The finiteness rule of the family at threshold ``thr`` (||M22||
     for minmax, ||S|| for maxmin): finite from thr - tol on, except at
     the top eigenvalue of S, where r must vanish on its eigenspace
-    (``range_holds``, the test ``dual_curve`` applies at ||D||)."""
-    return lam >= thr - sec.tol and (lam > sec.smax + sec.tol or range_holds)
+    (``range_holds``, the test ``dual_curve`` applies at ||D||).
+    Elementwise: lam is one multiplier or an array of them."""
+    return (lam >= thr - sec.tol) & ((lam > sec.smax + sec.tol) | range_holds)
 
 
 def _m22(pq: PartitionedQuadratic) -> Secular:
@@ -290,7 +296,8 @@ def _lambda_solve(
     w0 = sec.q @ c
     null = b.q[:, np.abs(b.s - lam) <= b.tol]
     w_set = AffineSolutionSet(w0 - null @ (null.T @ w0), null)
-    return LambdaSolve(lam, True, sec.value(lam, c) - red.c0, red.u_set(w0), w_set)
+    value = float(sec.value(lam, c)) - red.c0
+    return LambdaSolve(lam, True, value, red.u_set(w0), w_set)
 
 
 def minmax_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
@@ -364,7 +371,8 @@ def lambda_curve(
     Where finite, both equal lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i)
     over the eigenpairs of S.  When the game is unbounded below, maxmin
     is -inf at every lambda, and minmax is +inf below ||M22|| and -inf
-    from there on.
+    from there on.  The whole grid is one array pass over a (steps x n)
+    response matrix.
     """
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
@@ -373,19 +381,15 @@ def lambda_curve(
     red = schur_reduction(pq)
     sec = red.secular
     norm22 = _m22(pq).smax
-    lams = [float(lam) for lam in np.linspace(lambda_min, lambda_max, steps)]
+    lams = np.linspace(lambda_min, lambda_max, steps)
     if not red.bounded:
-        return [
-            (lam, math.inf if lam < norm22 - sec.tol else -math.inf, -math.inf)
-            for lam in lams
-        ]
-    range_holds = sec.boundary_conditions().range_holds
-    rows = []
-    for lam in lams:
-        value = sec.value(lam, sec.response(lam)) - red.c0
+        mm = np.where(lams < norm22 - sec.tol, math.inf, -math.inf)
+        xm = np.full(steps, -math.inf)
+    else:
+        range_holds = sec.boundary_conditions().range_holds
+        values = sec.value(lams, sec.response(lams)) - red.c0
         mm, xm = (
-            value if _finite(sec, thr, lam, range_holds) else math.inf
+            np.where(_finite(sec, thr, lams, range_holds), values, math.inf)
             for thr in (norm22, sec.smax)
         )
-        rows.append((lam, mm, xm))
-    return rows
+    return list(zip(lams.tolist(), mm.tolist(), xm.tolist()))

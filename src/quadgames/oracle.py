@@ -102,10 +102,10 @@ def grid_minmax(
     m, n = pq.u_dim, pq.w_dim
     if m > 2 or n > 2:
         raise ValueError("grid oracle supports dimensions up to 2")
-    box = cfg.box_radius if cfg.box_radius > 0 else _auto_box(pq)
     w_cand = _w_candidates(n, cfg)
 
     if direction is Direction.MINMAX:
+        box = cfg.box_radius if cfg.box_radius > 0 else _auto_box(pq)
         quad_w = 0.5 * np.einsum("ij,ij->i", w_cand @ pq.m22, w_cand) + w_cand @ pq.d2
 
         def outer(u: np.ndarray) -> float:

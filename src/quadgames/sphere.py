@@ -11,6 +11,8 @@ Sorensen 1983), unless the hard case holds: r vanishes on the top
 eigenspace and the response at s_max has norm at most 1.  Then the
 multiplier stays at ||D|| (boundary case) and the optimizers are that
 response plus the top eigenspace, intersected with the sphere.
+The dual curve over a lambda grid is one array pass over the same
+eigenpairs (``Secular.response`` takes one multiplier or an array).
 
 The paper's certificate for the multiplier, the largest real eigenvalue
 of the 2n x 2n companion matrix [[D, I], [dd', D]], is kept as
@@ -131,11 +133,16 @@ class Secular:
     tol: float
 
     @classmethod
-    def of(cls, d_mat: np.ndarray, d_vec: np.ndarray) -> "Secular":
-        """Factor symmetric D once; its PSD test reads ``s``."""
+    def of(
+        cls, d_mat: np.ndarray, d_vec: np.ndarray, scale: float | None = None
+    ) -> "Secular":
+        """Factor symmetric D once; its PSD test reads ``s``.  ``scale``
+        stands in for ||D|| in ``tol`` when D was computed from larger
+        data (a Schur complement), whose rounding its eigenvalues carry."""
         s, q = np.linalg.eigh(d_mat)
-        norm = float(np.max(np.abs(s))) if s.size else 0.0
-        tol = BRANCH_TOL * (norm + float(np.linalg.norm(d_vec)))
+        if scale is None:
+            scale = float(np.max(np.abs(s))) if s.size else 0.0
+        tol = BRANCH_TOL * (scale + float(np.linalg.norm(d_vec)))
         return cls(s, q, q.T @ d_vec, tol)
 
     @property
@@ -147,19 +154,17 @@ class Secular:
         """Mask of the top eigenspace: s_i within tol of s_max."""
         return self.s >= self.smax - self.tol
 
-    def response(self, lam: float) -> np.ndarray:
+    def response(self, lam: float | np.ndarray) -> np.ndarray:
         """Coordinates r_i / (lam - s_i) of the stationary point at lam,
         leaving out directions with lam - s_i <= tol (the pseudoinverse
-        at the top of the spectrum)."""
-        gap = lam - self.s
-        keep = gap > self.tol
-        c = np.zeros_like(self.r)
-        c[keep] = self.r[keep] / gap[keep]
-        return c
+        at the top of the spectrum).  A scalar lam gives one row, a 1-D
+        array of multipliers one row per entry."""
+        gap = np.subtract.outer(lam, self.s)
+        return np.divide(self.r, gap, out=np.zeros_like(gap), where=gap > self.tol)
 
-    def value(self, lam: float, c: np.ndarray) -> float:
-        """Dual value lam/2 + 1/2 r'c at the response coordinates c."""
-        return float(0.5 * lam + 0.5 * self.r @ c)
+    def value(self, lam: float | np.ndarray, c: np.ndarray) -> float | np.ndarray:
+        """Dual value lam/2 + 1/2 r'c per row of response coordinates c."""
+        return 0.5 * np.asarray(lam) + 0.5 * np.vecdot(c, self.r)
 
     def boundary_conditions(self) -> BoundaryConditions:
         response_norm = float(np.linalg.norm(self.response(self.smax)))
@@ -182,7 +187,7 @@ class Secular:
             lam = self.smax + mu
             w_star = SphereSolutionSet(self.q @ c, np.zeros((c.shape[0], 0)), 0.0)
         near_hard = bc.range_holds and abs(bc.response_norm - 1.0) < HARD_CASE_BAND
-        value = self.value(lam, c)
+        value = float(self.value(lam, c))
         return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
 
 
@@ -289,21 +294,25 @@ def dual_curve(
     eigenpairs of D.  At lambda = ||D|| the value is finite iff d is in
     the range of D - ||D|| I, and the top eigenspace drops out of the
     sums.  Points below ||D|| are infinite with no derivative (encoded
-    math.inf / None).
+    math.inf / None).  The whole grid is one array pass over a
+    (steps x n) response matrix.
     """
     _, _, sec = _check_inputs(d_mat, d_vec)
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    finite_at_norm = sec.boundary_conditions().range_holds
-    rows: list[tuple[float, float, float | None]] = []
-    for lam in np.linspace(lambda_min, lambda_max, steps):
-        lam = float(lam)
-        at_norm = abs(lam - sec.smax) <= sec.tol
-        if lam < sec.smax - sec.tol or (at_norm and not finite_at_norm):
-            rows.append((lam, math.inf, None))
-            continue
-        c = sec.response(sec.smax if at_norm else lam)
-        rows.append((lam, sec.value(lam, c), float(0.5 * (1.0 - c @ c))))
-    return rows
+    lams = np.linspace(lambda_min, lambda_max, steps)
+    at_norm = np.abs(lams - sec.smax) <= sec.tol
+    finite = (lams >= sec.smax - sec.tol) & (
+        ~at_norm | sec.boundary_conditions().range_holds
+    )
+    c = sec.response(np.where(at_norm, sec.smax, lams))
+    values = sec.value(lams, c)
+    slopes = 0.5 * (1.0 - np.vecdot(c, c))
+    return [
+        (lam, value, slope) if ok else (lam, math.inf, None)
+        for lam, value, slope, ok in zip(
+            lams.tolist(), values.tolist(), slopes.tolist(), finite.tolist()
+        )
+    ]

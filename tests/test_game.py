@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quadgames import (
+    Direction,
     PartitionedQuadratic,
     dual_curve,
     duality_report,
@@ -13,11 +14,12 @@ from quadgames import (
     maxmin_threshold,
     minmax_at_lambda,
     minmax_threshold,
+    solve_linear_term,
     solve_saddle,
     verify_saddle,
 )
 
-from util import random_partitioned, random_saddle_instance
+from util import random_partitioned, random_saddle_instance, rotation
 
 
 def bilinear(d1: float, d2: float) -> PartitionedQuadratic:
@@ -40,6 +42,30 @@ def unbounded_instance() -> PartitionedQuadratic:
     )
 
 
+def threshold_game(c: float, r_vanishes_on_top: bool) -> PartitionedQuadratic:
+    """S = c R'diag(2, 1)R and M22 = c R'diag(3, 1)R, so ||S|| = 2c <
+    ||M22|| = 3c; r = c R'(0, 1) vanishes on S's top eigenspace, or
+    r = c R'(1, 1) does not."""
+    rot = rotation(0.7)
+    d2 = c * np.array([0.5 if r_vanishes_on_top else 1.5, 1.0])
+    return PartitionedQuadratic(
+        np.array([[c]]), c * np.array([[1.0, 0.0]]) @ rot,
+        rot.T @ (c * np.diag([3.0, 1.0])) @ rot, np.array([0.5 * c]), rot.T @ d2,
+    )
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """Count the numpy.linalg factorization calls made from here on."""
+    counts = Counter()
+    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def grid_saddle_values(pq, points):
     """Nested grid estimates of (minmax, maxmin) over a box.
 
@@ -58,18 +84,22 @@ def grid_saddle_values(pq, points):
     ).reshape(-1, n)
     quad_u = 0.5 * np.einsum("ij,ij->i", u_grid @ pq.m11, u_grid) + u_grid @ pq.d1
     quad_w = 0.5 * np.einsum("ij,ij->i", w_grid @ pq.m22, w_grid) + w_grid @ pq.d2
-    minmax = math.inf
-    maxmin = -math.inf
+    # Row u, column w of the payoff table is [u'M12, 1] . [w; quad_w]
+    # + quad_u: one matmul per chunk into a reused buffer.
+    left = np.column_stack([u_grid @ pq.m12, np.ones(len(u_grid))])
+    right = np.vstack([w_grid.T, quad_w])
     chunk = 256
+    buffer = np.empty((chunk, len(w_grid)))
+    minmax = math.inf
     inner_min = np.full(len(w_grid), math.inf)
     for lo in range(0, len(u_grid), chunk):
-        hi = lo + chunk
-        cross = u_grid[lo:hi] @ pq.m12 @ w_grid.T
-        table = quad_u[lo:hi, None] + cross + quad_w[None, :]
+        hi = min(lo + chunk, len(u_grid))
+        table = buffer[: hi - lo]
+        np.matmul(left[lo:hi], right, out=table)
+        table += quad_u[lo:hi, None]
         minmax = min(minmax, float(table.max(axis=1).min()))
-        inner_min = np.minimum(inner_min, table.min(axis=0))
-    maxmin = float(inner_min.max())
-    return minmax, maxmin
+        np.minimum(inner_min, table.min(axis=0), out=inner_min)
+    return minmax, float(inner_min.max())
 
 
 def test_saddle_bilinear():
@@ -321,15 +351,58 @@ def test_duality_statuses_scale_with_the_data(c):
 def test_lambda_family_factorization_count(monkeypatch):
     pq = random_partitioned(np.random.default_rng(67), 5, 5)
     lam = minmax_threshold(pq) + 1.0
-    counts = Counter()
-    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    counts = count_factorizations(monkeypatch)
     duality_report(pq, lam)
     assert counts["svd"] == 0 and sum(counts.values()) <= 3
     counts.clear()
     lambda_curve(pq, 0.0, lam, 50)
     assert counts["svd"] == 0 and sum(counts.values()) <= 3
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("vanishes", [True, False])
+def test_lambda_curve_rows_match_pointwise_evaluations(c, vanishes):
+    # The array pass over the grid against the scalar evaluations, on
+    # grids with points exactly on ||S|| and ||M22||.
+    pq = threshold_game(c, vanishes)
+    norm_s, norm22 = maxmin_threshold(pq), minmax_threshold(pq)
+    edges = lambda_curve(pq, norm_s, norm22, 5)
+    rows = edges + lambda_curve(pq, -c, 4.0 * c, 21)
+    assert edges[0][1] == math.inf and math.isfinite(edges[0][2]) == vanishes
+    assert math.isfinite(edges[-1][1]) and math.isfinite(edges[-1][2])
+    for lam, mm, xm in rows:
+        for got, at in ((mm, minmax_at_lambda(pq, lam)), (xm, maxmin_at_lambda(pq, lam))):
+            assert got == (pytest.approx(at.value, rel=1e-12) if at.finite else math.inf)
+
+
+@pytest.mark.parametrize("steps", [2, 2000])
+def test_curve_factorization_count_does_not_grow_with_steps(monkeypatch, steps):
+    pq = random_partitioned(np.random.default_rng(71), 5, 5)
+    counts = count_factorizations(monkeypatch)
+    assert len(lambda_curve(pq, 0.0, 5.0, steps)) == steps
+    assert counts["svd"] == 0 and sum(counts.values()) <= 3
+    counts.clear()
+    assert len(dual_curve(pq.m22, pq.d2, 0.0, 5.0, steps)) == steps
+    assert counts == Counter(eigh=1)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_schur_complement_formed_by_cancellation(c):
+    # S = M22 - M12' pinv(M11) M12 = 0 exactly, but its computed
+    # eigenvalues are rounding of order eps c: the threshold and range
+    # tests must read the size of the terms S is computed from.
+    q = rotation(0.7)
+    pq = PartitionedQuadratic(
+        c * np.diag([2.0, 3.0]), c * np.diag(np.sqrt([2.0, 3.0])) @ q,
+        c * q.T @ q, np.zeros(2), np.zeros(2),
+    )
+    xm = maxmin_at_lambda(pq, 0.0)
+    assert xm.finite and xm.value == pytest.approx(0.0, abs=1e-12 * c)
+    assert xm.w_set.dim == 2
+    sol = solve_linear_term(pq, Direction.MAXMIN)
+    assert sol.value == pytest.approx(0.0, abs=1e-12 * c)
+    assert sol.w_set.basis.shape[1] == 2  # every unit w is a maximizer
+    rows = lambda_curve(pq, 0.0, 2.0 * c, 3)
+    assert rows[0][:2] == (0.0, math.inf)
+    assert rows[0][2] == pytest.approx(0.0, abs=1e-12 * c)
+    assert rows[1][1:] == pytest.approx((0.5 * c, 0.5 * c), rel=1e-12)

@@ -88,6 +88,21 @@ def test_grid_minmax_examples():
     )
 
 
+def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
+    # The search box is an input of the MINMAX branch alone.
+    one = np.array([[1.0]])
+    pq = PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0]))
+    shapes = []
+
+    def counted(a, *args, _real=np.linalg.svd, **kwargs):
+        shapes.append(np.shape(a))
+        return _real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN)
+    assert shapes == [(1, 1)]
+
+
 def test_grid_minmax_deterministic():
     cfg = OracleConfig(seed=11, samples=500, grid_points=300)
     one = np.array([[1.0]])

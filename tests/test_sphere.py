@@ -16,7 +16,9 @@ from quadgames import (
     sphere_max,
 )
 
-from util import random_psd
+from quadgames.sphere import Secular
+
+from util import random_psd, rotation
 
 
 def test_companion_matrix_structure():
@@ -240,3 +242,28 @@ def test_input_validation():
         solve_trust_region(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
         dual_curve(np.eye(2), np.zeros(2), 3.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("vanishes", [True, False])
+def test_dual_curve_rows_match_secular_evaluations(c, vanishes):
+    # The array pass over the grid against Secular.response/value at
+    # each lambda, on grids with a point exactly on ||D|| = 2c.
+    rot = rotation(0.7)
+    d_mat = rot.T @ (c * np.diag([2.0, 1.0])) @ rot
+    d_vec = rot.T @ (c * np.array([0.0 if vanishes else 1.0, 1.0]))
+    sec = Secular.of(d_mat, d_vec)
+    rows = (
+        dual_curve(d_mat, d_vec, 0.0, sec.smax, 5)
+        + dual_curve(d_mat, d_vec, sec.smax, sec.smax + 2.0 * c, 5)
+        + dual_curve(d_mat, d_vec, -c, 4.0 * c, 21)
+    )
+    assert math.isfinite(rows[5][1]) == vanishes
+    for lam, value, slope in rows:
+        at_norm = abs(lam - sec.smax) <= sec.tol
+        if lam < sec.smax - sec.tol or (at_norm and not vanishes):
+            assert (value, slope) == (math.inf, None)
+            continue
+        coords = sec.response(lam)
+        assert value == pytest.approx(float(sec.value(lam, coords)), rel=1e-12)
+        assert slope == pytest.approx(0.5 * (1.0 - coords @ coords), rel=1e-12, abs=1e-12)

@@ -13,6 +13,12 @@ def random_psd(rng, n, rank=None, scale=1.0):
     return 0.5 * (m + m.T)
 
 
+def rotation(theta):
+    """The 2 x 2 rotation by ``theta``."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 def random_partitioned(rng, m, n, linear_scale=1.0):
     """PartitionedQuadratic whose assembled block matrix is PSD."""
     big = random_psd(rng, m + n)
