@@ -28,9 +28,7 @@ from .linalg import (
     SchurPair,
     SvdFactors,
     is_psd,
-    null_basis,
     pinv,
-    range_basis,
     schur_complements,
     solve_linear,
     spectral_norm,
@@ -39,7 +37,6 @@ from .linalg import (
 from .minmax import (
     ConstrainedGameSolution,
     Direction,
-    lambda_search,
     solve_homogeneous,
     solve_linear_term,
 )
@@ -84,16 +81,13 @@ __all__ = [
     "is_psd_partitioned",
     "lambda_curve",
     "lambda_p",
-    "lambda_search",
     "maximize",
     "maxmin_at_lambda",
     "maxmin_threshold",
     "minimize",
     "minmax_at_lambda",
     "minmax_threshold",
-    "null_basis",
     "pinv",
-    "range_basis",
     "schur_complements",
     "solve_homogeneous",
     "solve_linear",

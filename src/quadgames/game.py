@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     RANGE_TOL,
-    RANK_EPS,
     AffineSolutionSet,
     as_matrix,
     as_vector,
@@ -31,7 +30,7 @@ from .linalg import (
     nonnegative_spectrum,
     pinv,
     spectral_norm,
-    svd,
+    symmetric_split,
     symmetrize,
 )
 from .sphere import Secular
@@ -124,13 +123,14 @@ def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
 
     Requires M11 >= 0 and M22 <= 0.  Returns None when no solution
     exists.  At a solution, strong duality holds: the minmax and maxmin
-    values both equal -1/2 d' pinv(M) d.
+    values both equal -1/2 d' pinv(M) d.  One ``eigh`` of M gives
+    pinv(M), the range test and null(M).
     """
     if not is_psd(pq.m11):
         raise ValueError("solve_saddle requires M11 positive semidefinite")
     if not is_nsd(pq.m22):
         raise ValueError("solve_saddle requires M22 negative semidefinite")
-    f = svd(pq.assembled())
+    f = symmetric_split(pq.assembled())[1]
     d = pq.d
     if not f.in_range(d):
         return None
@@ -207,7 +207,8 @@ class SchurReduction:
     -inf for every w.  The range test compares the part of d1 outside
     R(M11) with ||d||, so it does not depend on the scale of the data.
     ``secular`` holds the eigenpairs of S; its ``tol`` is relative to
-    ||M22|| + ||M12' X12|| + ||r||, the data S is computed from.
+    ||M22|| + ||M12' X12|| + ||d2|| + ||M12' x1|| + ||r||, the data S
+    and r are computed from.
     """
 
     secular: Secular
@@ -226,23 +227,22 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     M11 >= 0, R(M12) lies in R(M11) and S >= 0; that test reads the two
     eigendecompositions and raises otherwise (``is_psd_partitioned``
     returns its outcome)."""
-    s11, q11 = np.linalg.eigh(pq.m11)
-    if not nonnegative_spectrum(s11):
+    psd11, f11 = symmetric_split(pq.m11)
+    if not psd11:
         raise ValueError(PSD_MESSAGE)
-    cutoff = RANK_EPS * (float(s11[-1]) if s11.size else 0.0) * max(pq.u_dim, 1)
-    keep = s11 > cutoff
-    u1, null11 = q11[:, keep], q11[:, ~keep]
+    null11 = f11.v2
     if np.linalg.norm(null11.T @ pq.m12) > RANGE_TOL * np.linalg.norm(pq.m12):
         raise ValueError(PSD_MESSAGE)
-    x = (u1 / s11[keep]) @ (u1.T @ np.column_stack([pq.m12, pq.d1]))
+    x = f11.pinv() @ np.column_stack([pq.m12, pq.d1])
     x12, x1 = x[:, :-1], x[:, -1]
-    coupling = pq.m12.T @ x12
+    coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
     schur = pq.m22 - coupling
-    r = pq.d2 - pq.m12.T @ x1
-    # S is a difference of two terms; its rounding follows their size,
-    # so the PSD test and every threshold test read that scale.
+    # S and r are differences of two terms; their rounding follows the
+    # size of those terms, so the PSD test reads the scale of S's terms
+    # and every threshold test also that of r's.
     scale = float(np.linalg.norm(pq.m22) + np.linalg.norm(coupling))
-    secular = Secular.of(0.5 * (schur + schur.T), r, scale)
+    data = scale + float(np.linalg.norm(pq.d2) + np.linalg.norm(shift))
+    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, data)
     if not nonnegative_spectrum(secular.s, scale):
         raise ValueError(PSD_MESSAGE)
     bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= RANGE_TOL * np.linalg.norm(pq.d))

@@ -1,9 +1,11 @@
 """Dense matrix primitives.
 
-Everything downstream is built on the rank-revealing SVD split computed
+Everything downstream is built on the rank-revealing split computed
 here: pseudoinverses, null/range bases, affine solution sets of linear
 systems, semidefiniteness tests, and Schur complements of partitioned
-symmetric matrices.
+symmetric matrices.  A symmetric matrix is split by one ``eigh``
+(``symmetric_split``, which runs the PSD test on the same eigenvalues);
+the SVD is for rectangular A (``solve_linear``).
 
 Matrices are plain ``numpy.ndarray`` values, validated (2-d, finite) at
 the function boundary.  All functions are pure and all returned values
@@ -19,12 +21,12 @@ import numpy as np
 # Singular value sigma_i is treated as zero when
 # sigma_i <= RANK_EPS * sigma_max * max(rows, cols).
 RANK_EPS = 1e-12
-# b is in R(A) when ||U2' b|| <= RANGE_TOL * max(1, ||b||).
+# b is in R(A) when ||U2' b|| <= RANGE_TOL * ||b||.
 RANGE_TOL = 1e-9
 # Asymmetry ||M - M'|| <= SYM_TOL * ||M|| is silently symmetrized,
 # anything larger is rejected.
 SYM_TOL = 1e-9
-# Minimum eigenvalue >= -PSD_TOL * max(1, ||M||) counts as nonnegative.
+# Minimum eigenvalue >= -PSD_TOL * ||M|| counts as nonnegative.
 PSD_TOL = 1e-9
 
 
@@ -50,7 +52,8 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Rank-revealing SVD split A = U1 diag(sigma) V1'.
+    """Rank-revealing SVD split A = U1 diag(sigma) V1', from ``svd`` or,
+    for symmetric A, from one ``eigh`` (``symmetric_split``).
 
     Columns of ``u1``/``u2`` span the range of A and its orthogonal
     complement; columns of ``v1``/``v2`` span the row space and the null
@@ -77,7 +80,7 @@ class SvdFactors:
         """Whether b lies in the range of A (relative residual test)."""
         b = as_vector(b)
         resid = np.linalg.norm(self.u2.T @ b)
-        return resid <= RANGE_TOL * max(1.0, np.linalg.norm(b))
+        return resid <= RANGE_TOL * np.linalg.norm(b)
 
 
 def svd(a) -> SvdFactors:
@@ -85,19 +88,35 @@ def svd(a) -> SvdFactors:
     a = as_matrix(a)
     m, n = a.shape
     if a.size == 0:
-        u = np.eye(m)
-        s = np.zeros(0)
-        vt = np.eye(n)
-    else:
-        u, s, vt = np.linalg.svd(a, full_matrices=True)
+        return _split(np.eye(m), np.zeros(0), np.eye(n))
+    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    return _split(u, s, vt.T)
+
+
+def symmetric_split(m: np.ndarray) -> tuple[bool, SvdFactors]:
+    """The SVD split of symmetric M from one ``eigh`` M = V diag(s) V':
+    sigma_i = |s_i|, U = V sign(s).  Also returns whether M passes the
+    PSD test of ``is_psd``; when it does, the eigenvalues that test
+    tolerates below zero count as zero, so they join the null space and
+    pinv does not invert them."""
+    s, v = np.linalg.eigh(m)
+    psd = nonnegative_spectrum(s)
+    if psd:
+        s = np.maximum(s, 0.0)
+    order = np.argsort(-np.abs(s), kind="stable")
+    v = v[:, order]
+    return psd, _split(v * np.copysign(1.0, s[order]), np.abs(s[order]), v)
+
+
+def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
+    """Split U diag(s) V' (s descending) at the numerical rank."""
     smax = float(s[0]) if s.size else 0.0
-    cutoff = RANK_EPS * smax * max(m, n, 1)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > RANK_EPS * smax * max(u.shape[0], v.shape[0], 1)))
     return SvdFactors(
         u1=u[:, :rank],
         u2=u[:, rank:],
-        v1=vt[:rank].T,
-        v2=vt[rank:].T,
+        v1=v[:, :rank],
+        v2=v[:, rank:],
         sigma=s[:rank].copy(),
         rank=rank,
     )
@@ -106,16 +125,6 @@ def svd(a) -> SvdFactors:
 def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse of ``a``."""
     return svd(a).pinv()
-
-
-def null_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the null space of ``a``."""
-    return svd(a).v2
-
-
-def range_basis(a) -> np.ndarray:
-    """Orthonormal columns spanning the range of ``a``."""
-    return svd(a).u1
 
 
 def spectral_norm(a) -> float:
@@ -190,7 +199,7 @@ def solve_linear(a, b) -> LinearSolve:
     f = svd(a)
     x = f.pinv() @ b
     residual = float(np.linalg.norm(f.u2.T @ b))
-    consistent = residual <= RANGE_TOL * max(1.0, float(np.linalg.norm(b)))
+    consistent = residual <= RANGE_TOL * float(np.linalg.norm(b))
     return LinearSolve(AffineSolutionSet(x, f.v2), residual, consistent)
 
 
@@ -230,7 +239,7 @@ def nonnegative_spectrum(w: np.ndarray, scale: float | None = None) -> bool:
         return True
     if scale is None:
         scale = float(np.max(np.abs(w)))
-    return bool(w[0] >= -PSD_TOL * max(1.0, scale))
+    return bool(w[0] >= -PSD_TOL * scale)
 
 
 def is_nsd(m) -> bool:

@@ -56,22 +56,6 @@ class ConstrainedGameSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def threshold(pq: PartitionedQuadratic, direction: Direction) -> float:
-    """Lower limit of the multiplier for the given direction."""
-    if direction is Direction.MINMAX:
-        return game.minmax_threshold(pq)
-    return game.maxmin_threshold(pq)
-
-
-def lambda_search(pq: PartitionedQuadratic, thresh: float) -> float:
-    """Multiplier minimizing the dual value function on [thresh, inf).
-
-    The dual is convex with its unconstrained minimum at the secular
-    root lambda_TR(S, r), so the answer is max(thresh, lambda_TR).
-    """
-    return max(float(thresh), game.schur_reduction(pq).secular.solve()[0].lambda_p)
-
-
 def solve_homogeneous(
     pq: PartitionedQuadratic, direction: Direction
 ) -> ConstrainedGameSolution:

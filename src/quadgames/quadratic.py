@@ -3,7 +3,8 @@
 V(u) = 1/2 u'Du + u'd + c with symmetric D.  Minimization is exact: the
 minimum exists iff d lies in the range of D, in which case the full
 minimizer set is -pinv(D) d + null(D) and the value is
--1/2 d' pinv(D) d + c.
+-1/2 d' pinv(D) d + c.  One ``eigh`` of D gives the convexity test,
+pinv(D), the range test and null(D).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineSolutionSet, as_vector, is_psd, svd, symmetrize
+from .linalg import AffineSolutionSet, as_vector, is_psd, symmetric_split, symmetrize
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ def minimize(q: QuadraticForm) -> QuadOptimum | None:
     range of the hessian).  Raises for non-convex input; maximize the
     negation instead.
     """
-    if not q.is_convex():
+    psd, f = symmetric_split(q.hessian)
+    if not psd:
         raise ValueError("minimize requires a convex form (PSD quadratic term)")
-    f = svd(q.hessian)
     if not f.in_range(q.linear):
         return None
     step = f.pinv() @ q.linear
@@ -89,9 +90,10 @@ def maximize(q: QuadraticForm) -> QuadOptimum | None:
 
     Returns None when unbounded above.
     """
-    if not q.is_concave():
-        raise ValueError("maximize requires a concave form (NSD quadratic term)")
-    result = minimize(q.negated())
+    try:
+        result = minimize(q.negated())
+    except ValueError:
+        raise ValueError("maximize requires a concave form (NSD quadratic term)") from None
     if result is None:
         return None
     return QuadOptimum(result.points, -result.value)

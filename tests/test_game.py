@@ -19,7 +19,12 @@ from quadgames import (
     verify_saddle,
 )
 
-from util import random_partitioned, random_saddle_instance, rotation
+from util import (
+    count_factorizations,
+    random_partitioned,
+    random_saddle_instance,
+    rotation,
+)
 
 
 def bilinear(d1: float, d2: float) -> PartitionedQuadratic:
@@ -52,18 +57,6 @@ def threshold_game(c: float, r_vanishes_on_top: bool) -> PartitionedQuadratic:
         np.array([[c]]), c * np.array([[1.0, 0.0]]) @ rot,
         rot.T @ (c * np.diag([3.0, 1.0])) @ rot, np.array([0.5 * c]), rot.T @ d2,
     )
-
-
-def count_factorizations(monkeypatch) -> Counter:
-    """Count the numpy.linalg factorization calls made from here on."""
-    counts = Counter()
-    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
 
 
 def grid_saddle_values(pq, points):
@@ -406,3 +399,27 @@ def test_schur_complement_formed_by_cancellation(c):
     assert rows[0][:2] == (0.0, math.inf)
     assert rows[0][2] == pytest.approx(0.0, abs=1e-12 * c)
     assert rows[1][1:] == pytest.approx((0.5 * c, 0.5 * c), rel=1e-12)
+
+
+def test_schur_vector_formed_by_cancellation():
+    # d2 = M12' M11^{-1} d1, so r = d2 - M12' M11^{-1} d1 = 0 and the
+    # maxmin value is finite at ||S||; the rounding in the computed r
+    # follows the size of d2, which grows with 10^k.
+    q = rotation(0.7)
+    m11, m12 = np.diag([2.0, 3.0]), np.diag(np.sqrt([2.0, 3.0])) @ q
+    m22 = q.T @ np.diag([2.0, 1.0]) @ q + q.T @ q
+    for k in range(14):
+        d1 = 10.0**k * np.array([1.0, -2.0])
+        pq = PartitionedQuadratic(m11, m12, m22, d1, m12.T @ np.linalg.solve(m11, d1))
+        norm_s = maxmin_threshold(pq)
+        xm = maxmin_at_lambda(pq, norm_s)
+        assert xm.finite, k
+        c0 = 0.5 * d1 @ np.linalg.solve(m11, d1)
+        assert xm.value == pytest.approx(0.5 * norm_s - c0, rel=1e-9)
+
+
+def test_saddle_factorization_count(monkeypatch):
+    pq = random_saddle_instance(np.random.default_rng(73), 4, 3)
+    counts = count_factorizations(monkeypatch)
+    assert solve_saddle(pq) is not None
+    assert counts == Counter(eigh=1, eigvalsh=2)

@@ -3,18 +3,22 @@ import pytest
 
 from quadgames import (
     AffineSolutionSet,
+    Direction,
     PartitionedQuadratic,
+    QuadraticForm,
     is_psd,
     is_psd_partitioned,
-    null_basis,
+    maximize,
+    minimize,
     pinv,
-    range_basis,
     schur_complements,
     solve_linear,
+    solve_linear_term,
+    solve_saddle,
     spectral_norm,
     svd,
 )
-from quadgames.linalg import is_nsd, symmetrize
+from quadgames.linalg import RANGE_TOL, RANK_EPS, is_nsd, symmetrize
 
 from util import random_psd
 
@@ -79,10 +83,10 @@ def test_projector_identities():
 
 def test_null_and_range_basis():
     a = np.diag([1.0, 0.0])
-    nb = null_basis(a)
+    nb = svd(a).v2
     assert nb.shape == (2, 1)
     np.testing.assert_allclose(a @ nb, 0, atol=1e-14)
-    rb = range_basis(a)
+    rb = svd(a).u1
     assert rb.shape == (2, 1)
     np.testing.assert_allclose(np.abs(rb.ravel()), [1.0, 0.0], atol=1e-14)
 
@@ -234,3 +238,85 @@ def test_partitioned_psd_matches_assembled_at_every_scale():
     m12 = np.array([[25085958.44322859], [26434911.158877615]])
     m22 = np.array([[1.6385201178951976e08]])
     assert is_psd_partitioned(m11, m12, m22)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1.0, 1e8])
+def test_range_and_sign_tests_scale_with_the_data(c):
+    # Each answer is read against the size of the data, with no absolute
+    # floor that would turn a tiny problem into a zero one.
+    flat, off_range = c * np.diag([1.0, 0.0]), c * np.array([0.0, 1.0])
+    assert minimize(QuadraticForm(flat, off_range)) is None
+    assert not solve_linear(flat, off_range).consistent
+    assert not is_psd(c * np.diag([1.0, -1.0]))
+    one, zero = np.array([[c]]), np.zeros((1, 1))
+    no_saddle = PartitionedQuadratic(one, zero, zero, np.zeros(1), np.array([c]))
+    assert solve_saddle(no_saddle) is None
+    indefinite = PartitionedQuadratic(one, zero, -one, np.zeros(1), np.array([c]))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        solve_linear_term(indefinite, Direction.MINMAX)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_eigenvalues_the_psd_test_tolerates_count_as_zero(c):
+    # M11 = c diag(1, -1e-10) passes the PSD test, but its second
+    # eigenvalue is above the rank cutoff: inverting it would turn the
+    # flat direction e2 into curvature -1e-10 c.
+    m11 = c * np.diag([1.0, -1e-10])
+    assert is_psd(m11)
+    m12, m22 = c * np.array([[0.0], [1.0]]), c * np.eye(1)
+    assert not is_psd(np.block([[m11, m12], [m12.T, m22]]))
+    assert not is_psd_partitioned(m11, m12, m22)
+    e2 = c * np.array([0.0, 1.0])
+    assert minimize(QuadraticForm(m11, e2)) is None
+    pq = PartitionedQuadratic(m11, np.zeros((2, 1)), m22, e2, np.zeros(1))
+    assert solve_linear_term(pq, Direction.MAXMIN) is None
+
+
+def svd_reference(m, d):
+    """Stationary set of 1/2 z'Mz + d'z from numpy's SVD and pinv:
+    (min-norm point, value, null dimension), or None when d is outside
+    the range of M."""
+    n = m.shape[0]
+    x = -np.linalg.pinv(m, rtol=RANK_EPS * n) @ d
+    if np.linalg.norm(m @ x + d) > RANGE_TOL * np.linalg.norm(d):
+        return None
+    s = np.linalg.svd(m, compute_uv=False)
+    return x, 0.5 * d @ x, n - int(np.sum(s > RANK_EPS * s[0] * n))
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_symmetric_solvers_match_the_svd_reference(k):
+    # minimize, maximize and solve_saddle split their matrix with one
+    # eigh; on rank-deficient data at scale 10^k they must give the
+    # SVD's answer: same status, same null dimension, same point/value.
+    rng = np.random.default_rng(150 + k)
+    c = 10.0**k
+    for _ in range(12):
+        n, p, q = (int(v) for v in rng.integers(1, [7, 4, 4]))
+        d_mat = c * random_psd(rng, n, rank=int(rng.integers(0, n)))
+        big = np.zeros((p + q, p + q))
+        big[:p, :p] = c * random_psd(rng, p, rank=int(rng.integers(0, p)))
+        big[p:, p:] = -c * random_psd(rng, q, rank=int(rng.integers(0, q)))
+        r = int(rng.integers(0, min(p, q) + 1))
+        big[:p, p:] = c * rng.standard_normal((p, r)) @ rng.standard_normal((r, q))
+        big[p:, :p] = big[:p, p:].T
+        for kind, m in (("min", d_mat), ("max", -d_mat), ("saddle", big)):
+            in_range = rng.random() < 0.5
+            size = m.shape[0]
+            d = m @ rng.standard_normal(size) if in_range else c * rng.standard_normal(size)
+            if kind == "saddle":
+                sol = solve_saddle(PartitionedQuadratic(
+                    m[:p, :p], m[:p, p:], m[p:, p:], d[:p], d[p:]
+                ))
+                got = sol and (sol.solutions, sol.value)
+            else:
+                opt = (minimize if kind == "min" else maximize)(QuadraticForm(m, d))
+                got = opt and (opt.points, opt.value)
+            ref = svd_reference(m, d)
+            assert (got is None) == (ref is None)
+            if ref is None:
+                continue
+            x, value, dim = ref
+            assert got[0].dim == dim
+            assert np.linalg.norm(got[0].particular - x) <= 1e-10 * np.linalg.norm(x)
+            assert abs(got[1] - value) <= 1e-10 * abs(value)

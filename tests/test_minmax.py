@@ -6,7 +6,6 @@ from quadgames import (
     OracleConfig,
     PartitionedQuadratic,
     grid_minmax,
-    lambda_search,
     lambda_p,
     maxmin_threshold,
     minmax_threshold,
@@ -15,7 +14,6 @@ from quadgames import (
     solve_linear_term,
     solve_trust_region,
 )
-from quadgames.minmax import threshold
 
 from util import random_partitioned, random_psd
 
@@ -99,25 +97,19 @@ def test_linear_term_delegates_when_homogeneous():
         assert abs(a.lambda0 - b.lambda0) <= 1e-8
 
 
-def test_threshold_dispatch():
-    pq = gap_instance()
-    assert threshold(pq, Direction.MINMAX) == minmax_threshold(pq)
-    assert threshold(pq, Direction.MAXMIN) == maxmin_threshold(pq)
-
-
 def test_lambda_search_small_linear_term_root():
     pq = PartitionedQuadratic(
         np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
         np.zeros(1), np.array([0.1]),
     )
-    lam0 = lambda_search(pq, minmax_threshold(pq))
+    lam0 = solve_linear_term(pq, Direction.MINMAX).lambda0
     # response norm 0.1/lam = 1 at lam = 0.1 > threshold 0
     assert lam0 == pytest.approx(0.1, abs=1e-8)
 
 
 def test_lambda_search_root_separable():
     pq = separable_instance()
-    assert lambda_search(pq, minmax_threshold(pq)) == pytest.approx(
+    assert solve_linear_term(pq, Direction.MINMAX).lambda0 == pytest.approx(
         2.0, abs=1e-8
     )
 
@@ -252,11 +244,14 @@ def test_homogeneous_rank_deficient_games():
                 pq = PartitionedQuadratic(
                     big[:m, :m], big[:m, m:], big[m:, m:], np.zeros(m), np.zeros(n)
                 )
-                for direction in Direction:
+                thresholds = {
+                    Direction.MINMAX: minmax_threshold(pq),
+                    Direction.MAXMIN: maxmin_threshold(pq),
+                }
+                for direction, thr in thresholds.items():
                     sol = solve_homogeneous(pq, direction)
                     rep = sol.w_set.representative()
                     assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-12)
-                    thr = threshold(pq, direction)
                     assert sol.lambda0 == pytest.approx(thr, abs=1e-9 * (1.0 + thr))
                     assert sol.value == pytest.approx(0.5 * sol.lambda0, abs=1e-12)
 

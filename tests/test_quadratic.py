@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadgames import QuadraticForm, fd_gradient, maximize, minimize
 
-from util import random_psd
+from util import count_factorizations, random_psd
 
 
 def test_evaluate_examples():
@@ -51,8 +53,10 @@ def test_minimize_unbounded_below():
 
 def test_minimize_rejects_nonconvex():
     q = QuadraticForm(np.diag([1.0, -1.0]), np.zeros(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="convex"):
         minimize(q)
+    with pytest.raises(ValueError, match="concave"):
+        maximize(q)
 
 
 def test_maximize_mirrors_minimize():
@@ -122,3 +126,16 @@ def test_convexity_inequality(seed, alpha):
     y = rng.standard_normal(n)
     mix = q.evaluate(alpha * x + (1 - alpha) * y)
     assert mix <= alpha * q.evaluate(x) + (1 - alpha) * q.evaluate(y) + 1e-9
+
+
+def test_factorization_count(monkeypatch):
+    rng = np.random.default_rng(17)
+    d_mat = random_psd(rng, 5, rank=3)
+    convex = QuadraticForm(d_mat, d_mat @ rng.standard_normal(5))
+    concave = convex.negated()
+    counts = count_factorizations(monkeypatch)
+    assert minimize(convex) is not None
+    assert counts == Counter(eigh=1)
+    counts.clear()
+    assert maximize(concave) is not None
+    assert counts == Counter(eigh=1)

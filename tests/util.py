@@ -1,4 +1,6 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and probes for the test suite."""
+
+from collections import Counter
 
 import numpy as np
 
@@ -42,3 +44,15 @@ def random_saddle_instance(rng, m, n, definite=False):
     big[m:, m:] = m22
     d = big @ rng.standard_normal(m + n)
     return PartitionedQuadratic(m11, m12, m22, d[:m], d[m:])
+
+
+def count_factorizations(monkeypatch) -> Counter:
+    """Count the numpy.linalg factorization calls made from here on."""
+    counts = Counter()
+    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
