@@ -130,7 +130,7 @@ def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
         raise ValueError("solve_saddle requires M11 positive semidefinite")
     if not is_nsd(pq.m22):
         raise ValueError("solve_saddle requires M22 negative semidefinite")
-    f = symmetric_split(pq.assembled())[1]
+    f = symmetric_split(pq.assembled())
     d = pq.d
     if not f.in_range(d):
         return None
@@ -207,8 +207,9 @@ class SchurReduction:
     -inf for every w.  The range test compares the part of d1 outside
     R(M11) with ||d||, so it does not depend on the scale of the data.
     ``secular`` holds the eigenpairs of S; its ``tol`` is relative to
-    ||M22|| + ||M12' X12|| + ||d2|| + ||M12' x1|| + ||r||, the data S
-    and r are computed from.
+    ||M22|| + ||M12' X12|| + ||r||, the data S is computed from, and its
+    ``range_tol`` to ||M22|| + ||M12' X12|| + ||d2|| + ||M12' x1||,
+    which also covers the data r is computed from.
     """
 
     secular: Secular
@@ -227,8 +228,8 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     M11 >= 0, R(M12) lies in R(M11) and S >= 0; that test reads the two
     eigendecompositions and raises otherwise (``is_psd_partitioned``
     returns its outcome)."""
-    psd11, f11 = symmetric_split(pq.m11)
-    if not psd11:
+    f11 = symmetric_split(pq.m11, psd=True)
+    if f11 is None:
         raise ValueError(PSD_MESSAGE)
     null11 = f11.v2
     if np.linalg.norm(null11.T @ pq.m12) > RANGE_TOL * np.linalg.norm(pq.m12):
@@ -238,11 +239,11 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
     schur = pq.m22 - coupling
     # S and r are differences of two terms; their rounding follows the
-    # size of those terms, so the PSD test reads the scale of S's terms
-    # and every threshold test also that of r's.
+    # size of those terms, so the PSD and eigenvalue tests read the scale
+    # of S's terms and the test that r vanishes that of r's.
     scale = float(np.linalg.norm(pq.m22) + np.linalg.norm(coupling))
-    data = scale + float(np.linalg.norm(pq.d2) + np.linalg.norm(shift))
-    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, data)
+    d_scale = float(np.linalg.norm(pq.d2) + np.linalg.norm(shift))
+    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, scale, d_scale)
     if not nonnegative_spectrum(secular.s, scale):
         raise ValueError(PSD_MESSAGE)
     bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= RANGE_TOL * np.linalg.norm(pq.d))

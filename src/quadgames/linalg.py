@@ -4,8 +4,8 @@ Everything downstream is built on the rank-revealing split computed
 here: pseudoinverses, null/range bases, affine solution sets of linear
 systems, semidefiniteness tests, and Schur complements of partitioned
 symmetric matrices.  A symmetric matrix is split by one ``eigh``
-(``symmetric_split``, which runs the PSD test on the same eigenvalues);
-the SVD is for rectangular A (``solve_linear``).
+(``symmetric_split``, which can run the PSD test on the same
+eigenvalues); the SVD is for rectangular A (``solve_linear``).
 
 Matrices are plain ``numpy.ndarray`` values, validated (2-d, finite) at
 the function boundary.  All functions are pure and all returned values
@@ -93,19 +93,21 @@ def svd(a) -> SvdFactors:
     return _split(u, s, vt.T)
 
 
-def symmetric_split(m: np.ndarray) -> tuple[bool, SvdFactors]:
+def symmetric_split(m: np.ndarray, psd: bool = False) -> SvdFactors | None:
     """The SVD split of symmetric M from one ``eigh`` M = V diag(s) V':
-    sigma_i = |s_i|, U = V sign(s).  Also returns whether M passes the
-    PSD test of ``is_psd``; when it does, the eigenvalues that test
-    tolerates below zero count as zero, so they join the null space and
-    pinv does not invert them."""
+    sigma_i = |s_i|, U = V sign(s), with the SVD's rank rule on |s_i|.
+    A caller that requires M >= 0 passes ``psd``: the split is None when
+    M fails the PSD test of ``is_psd``, and the negative eigenvalues
+    that test tolerates are rounding, so they are split as zeros (null
+    space, not inverted by pinv).  Otherwise every |s_i| is kept."""
     s, v = np.linalg.eigh(m)
-    psd = nonnegative_spectrum(s)
     if psd:
+        if not nonnegative_spectrum(s):
+            return None
         s = np.maximum(s, 0.0)
     order = np.argsort(-np.abs(s), kind="stable")
     v = v[:, order]
-    return psd, _split(v * np.copysign(1.0, s[order]), np.abs(s[order]), v)
+    return _split(v * np.copysign(1.0, s[order]), np.abs(s[order]), v)
 
 
 def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineSolutionSet, as_vector, is_psd, symmetric_split, symmetrize
+from .linalg import AffineSolutionSet, as_vector, symmetric_split, symmetrize
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class QuadraticForm:
         u = as_vector(u, "u")
         return self.hessian @ u + self.linear
 
-    def is_convex(self) -> bool:
-        return is_psd(self.hessian)
-
-    def is_concave(self) -> bool:
-        return is_psd(-self.hessian)
-
     def negated(self) -> "QuadraticForm":
         return QuadraticForm(-self.hessian, -self.linear, -self.constant)
 
@@ -75,14 +69,7 @@ def minimize(q: QuadraticForm) -> QuadOptimum | None:
     range of the hessian).  Raises for non-convex input; maximize the
     negation instead.
     """
-    psd, f = symmetric_split(q.hessian)
-    if not psd:
-        raise ValueError("minimize requires a convex form (PSD quadratic term)")
-    if not f.in_range(q.linear):
-        return None
-    step = f.pinv() @ q.linear
-    value = float(-0.5 * q.linear @ step + q.constant)
-    return QuadOptimum(AffineSolutionSet(-step, f.v2), value)
+    return _minimum(q, "minimize requires a convex form (PSD quadratic term)")
 
 
 def maximize(q: QuadraticForm) -> QuadOptimum | None:
@@ -90,10 +77,19 @@ def maximize(q: QuadraticForm) -> QuadOptimum | None:
 
     Returns None when unbounded above.
     """
-    try:
-        result = minimize(q.negated())
-    except ValueError:
-        raise ValueError("maximize requires a concave form (NSD quadratic term)") from None
-    if result is None:
+    opt = _minimum(q.negated(), "maximize requires a concave form (NSD quadratic term)")
+    if opt is None:
         return None
-    return QuadOptimum(result.points, -result.value)
+    return QuadOptimum(opt.points, -opt.value)
+
+
+def _minimum(q: QuadraticForm, not_convex: str) -> QuadOptimum | None:
+    """``minimize``, raising ValueError(not_convex) for non-convex q."""
+    f = symmetric_split(q.hessian, psd=True)
+    if f is None:
+        raise ValueError(not_convex)
+    if not f.in_range(q.linear):
+        return None
+    step = f.pinv() @ q.linear
+    value = float(-0.5 * q.linear @ step + q.constant)
+    return QuadOptimum(AffineSolutionSet(-step, f.v2), value)

@@ -33,7 +33,8 @@ from .linalg import AffineSolutionSet, as_vector, nonnegative_spectrum, symmetri
 # nonsymmetric eigensolvers return complex pairs with rounding noise.
 IMAG_TOL = 1e-8
 # Branch tests (top eigenspace, r vanishing on it, lambda at ||D||)
-# compare against BRANCH_TOL * (||D|| + ||d||).
+# compare against BRANCH_TOL * (||D|| + ||d||), or the size of the data
+# D and d were computed from.
 BRANCH_TOL = 1e-9
 # ``near_hard_case`` flags a boundary response norm within this of 1.
 HARD_CASE_BAND = 1e-6
@@ -123,27 +124,33 @@ class Secular:
     """A trust region (D, d) in the eigenbasis of D = Q diag(s) Q'.
 
     ``s`` ascends, ``r`` = Q'd, and ``tol`` = BRANCH_TOL (||D|| + ||d||)
-    is the scale of every branch test.  One instance serves the solve,
-    the boundary conditions and the dual curve.
+    is the scale of the eigenvalue tests (top eigenspace, gaps lam - s_i).
+    ``range_tol`` is that of the test that r vanishes on the top
+    eigenspace; it equals ``tol`` unless d was computed from larger data.
+    One instance serves the solve, the boundary conditions and the dual
+    curve.
     """
 
     s: np.ndarray
     q: np.ndarray
     r: np.ndarray
     tol: float
+    range_tol: float
 
     @classmethod
     def of(
-        cls, d_mat: np.ndarray, d_vec: np.ndarray, scale: float | None = None
+        cls, d_mat: np.ndarray, d_vec: np.ndarray, scale=None, d_scale=None
     ) -> "Secular":
         """Factor symmetric D once; its PSD test reads ``s``.  ``scale``
-        stands in for ||D|| in ``tol`` when D was computed from larger
-        data (a Schur complement), whose rounding its eigenvalues carry."""
+        stands in for ||D|| when D was computed from larger data (a Schur
+        complement), whose rounding its eigenvalues carry; ``d_scale``
+        likewise stands in for ||d|| in ``range_tol``."""
         s, q = np.linalg.eigh(d_mat)
         if scale is None:
             scale = float(np.max(np.abs(s))) if s.size else 0.0
         tol = BRANCH_TOL * (scale + float(np.linalg.norm(d_vec)))
-        return cls(s, q, q.T @ d_vec, tol)
+        range_tol = tol if d_scale is None else BRANCH_TOL * (scale + d_scale)
+        return cls(s, q, q.T @ d_vec, tol, range_tol)
 
     @property
     def smax(self) -> float:
@@ -169,7 +176,7 @@ class Secular:
     def boundary_conditions(self) -> BoundaryConditions:
         response_norm = float(np.linalg.norm(self.response(self.smax)))
         return BoundaryConditions(
-            range_holds=bool(np.linalg.norm(self.r[self.top]) <= self.tol),
+            range_holds=bool(np.linalg.norm(self.r[self.top]) <= self.range_tol),
             norm_holds=response_norm <= 1.0,
             response_norm=response_norm,
         )

@@ -418,6 +418,37 @@ def test_schur_vector_formed_by_cancellation():
         assert xm.value == pytest.approx(0.5 * norm_s - c0, rel=1e-9)
 
 
+def test_large_vector_data_leaves_the_thresholds_on_the_matrix_scale():
+    # S = 1 and r = d2 - d1 = 1, computed exactly, but d is of size 1e13:
+    # the test that r vanishes reads that size, the thresholds ||S|| = 1
+    # and ||M22|| = 2 must not.
+    one = np.ones((1, 1))
+    pq = PartitionedQuadratic(one, one, 2 * one, np.array([1e13]), np.array([1e13 + 1]))
+    assert not maxmin_at_lambda(pq, 0.5).finite
+    assert not minmax_at_lambda(pq, 1.5).finite
+    assert minmax_at_lambda(pq, 2.5).finite
+    rows = lambda_curve(pq, 0.0, 4.0, 9)
+    assert [row[2] == math.inf for row in rows[:2]] == [True, True]
+    assert [row[1] == math.inf for row in rows[:4]] == [True] * 4
+    assert all(math.isfinite(v) for row in rows[5:] for v in row[1:])
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_saddle_keeps_small_curvature_of_the_other_player(c):
+    # M = c diag(1, -1e-10) is indefinite by design; its eigenvalue
+    # -1e-10 c is curvature, not rounding, and the saddle is u = 0,
+    # w = 1 with value 1/2 d' pinv(M) d negated = 0.5e-10 c.
+    pq = PartitionedQuadratic(
+        c * np.eye(1), np.zeros((1, 1)), -1e-10 * c * np.eye(1),
+        np.zeros(1), np.array([1e-10 * c]),
+    )
+    sol = solve_saddle(pq)
+    assert sol is not None
+    assert sol.solutions.dim == 0
+    np.testing.assert_allclose(sol.solutions.particular, [0.0, 1.0], atol=1e-12)
+    assert sol.value == pytest.approx(0.5e-10 * c, rel=1e-12)
+
+
 def test_saddle_factorization_count(monkeypatch):
     pq = random_saddle_instance(np.random.default_rng(73), 4, 3)
     counts = count_factorizations(monkeypatch)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgames import QuadraticForm, fd_gradient, maximize, minimize
+from quadgames import QuadraticForm, fd_gradient, is_psd, maximize, minimize
 
 from util import count_factorizations, random_psd
 
@@ -20,9 +20,9 @@ def test_evaluate_examples():
 
 
 def test_convexity_flags():
-    assert QuadraticForm(np.eye(2), np.zeros(2)).is_convex()
-    assert not QuadraticForm(np.diag([1.0, -1.0]), np.zeros(2)).is_convex()
-    assert QuadraticForm(-np.eye(2), np.zeros(2)).is_concave()
+    assert is_psd(QuadraticForm(np.eye(2), np.zeros(2)).hessian)
+    assert not is_psd(QuadraticForm(np.diag([1.0, -1.0]), np.zeros(2)).hessian)
+    assert is_psd(-QuadraticForm(-np.eye(2), np.zeros(2)).hessian)
 
 
 def test_minimize_strictly_convex():
