@@ -43,10 +43,8 @@ from .minmax import (
 from .oracle import OracleConfig, fd_gradient, grid_minmax, sphere_max
 from .quadratic import QuadOptimum, QuadraticForm, maximize, minimize
 from .sphere import (
-    BoundaryConditions,
     SphereSolutionSet,
     TrustRegionSolution,
-    boundary_conditions,
     companion_matrix,
     dual_curve,
     lambda_p,
@@ -56,7 +54,6 @@ from .sphere import (
 
 __all__ = [
     "AffineSolutionSet",
-    "BoundaryConditions",
     "ConstrainedGameSolution",
     "Direction",
     "DualityReport",
@@ -71,7 +68,6 @@ __all__ = [
     "SphereSolutionSet",
     "SvdFactors",
     "TrustRegionSolution",
-    "boundary_conditions",
     "companion_matrix",
     "duality_report",
     "dual_curve",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    RANGE_TOL,
+    TOL,
     AffineSolutionSet,
     as_matrix,
     as_vector,
@@ -232,7 +232,7 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     if f11 is None:
         raise ValueError(PSD_MESSAGE)
     null11 = f11.v2
-    if np.linalg.norm(null11.T @ pq.m12) > RANGE_TOL * np.linalg.norm(pq.m12):
+    if np.linalg.norm(null11.T @ pq.m12) > TOL * np.linalg.norm(pq.m12):
         raise ValueError(PSD_MESSAGE)
     x = f11.pinv() @ np.column_stack([pq.m12, pq.d1])
     x12, x1 = x[:, :-1], x[:, -1]
@@ -246,7 +246,7 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, scale, d_scale)
     if not nonnegative_spectrum(secular.s, scale):
         raise ValueError(PSD_MESSAGE)
-    bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= RANGE_TOL * np.linalg.norm(pq.d))
+    bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= TOL * np.linalg.norm(pq.d))
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
 
 
@@ -264,19 +264,8 @@ def is_psd_partitioned(m11, m12, m22) -> bool:
     return True
 
 
-def _finite(
-    sec: Secular, thr: float, lam: float | np.ndarray, range_holds: bool
-) -> bool | np.ndarray:
-    """The finiteness rule of the family at threshold ``thr`` (||M22||
-    for minmax, ||S|| for maxmin): finite from thr - tol on, except at
-    the top eigenvalue of S, where r must vanish on its eigenspace
-    (``range_holds``, the test ``dual_curve`` applies at ||D||).
-    Elementwise: lam is one multiplier or an array of them."""
-    return (lam >= thr - sec.tol) & ((lam > sec.smax + sec.tol) | range_holds)
-
-
 def _m22(pq: PartitionedQuadratic) -> Secular:
-    """Eigenpairs of M22, with tol = BRANCH_TOL ||M22||."""
+    """Eigenpairs of M22, with tol = TOL ||M22||."""
     return Secular.of(pq.m22, np.zeros(pq.w_dim))
 
 
@@ -291,14 +280,11 @@ def _lambda_solve(
     """
     sec = red.secular
     b = sec if m22 is None else m22
-    if not _finite(sec, b.smax, lam, sec.boundary_conditions().range_holds):
+    if not sec.finite(lam, b.smax):
         return LambdaSolve(lam, False)
-    c = sec.response(lam)
-    w0 = sec.q @ c
-    null = b.q[:, np.abs(b.s - lam) <= b.tol]
-    w_set = AffineSolutionSet(w0 - null @ (null.T @ w0), null)
+    c, w_set = sec.at(lam, b)
     value = float(sec.value(lam, c)) - red.c0
-    return LambdaSolve(lam, True, value, red.u_set(w0), w_set)
+    return LambdaSolve(lam, True, value, red.u_set(sec.q @ c), w_set)
 
 
 def minmax_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
@@ -387,10 +373,8 @@ def lambda_curve(
         mm = np.where(lams < norm22 - sec.tol, math.inf, -math.inf)
         xm = np.full(steps, -math.inf)
     else:
-        range_holds = sec.boundary_conditions().range_holds
         values = sec.value(lams, sec.response(lams)) - red.c0
         mm, xm = (
-            np.where(_finite(sec, thr, lams, range_holds), values, math.inf)
-            for thr in (norm22, sec.smax)
+            np.where(sec.finite(lams, thr), values, math.inf) for thr in (norm22, None)
         )
     return list(zip(lams.tolist(), mm.tolist(), xm.tolist()))

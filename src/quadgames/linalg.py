@@ -21,13 +21,13 @@ import numpy as np
 # Singular value sigma_i is treated as zero when
 # sigma_i <= RANK_EPS * sigma_max * max(rows, cols).
 RANK_EPS = 1e-12
-# b is in R(A) when ||U2' b|| <= RANGE_TOL * ||b||.
-RANGE_TOL = 1e-9
-# Asymmetry ||M - M'|| <= SYM_TOL * ||M|| is silently symmetrized,
-# anything larger is rejected.
-SYM_TOL = 1e-9
-# Minimum eigenvalue >= -PSD_TOL * ||M|| counts as nonnegative.
-PSD_TOL = 1e-9
+# One relative tolerance for every decision on the data, applied to the
+# size of the data the tested quantity is computed from: range membership
+# (||U2' b|| <= TOL ||b||), symmetry (||M - M'|| <= TOL ||M||, larger is
+# rejected), the PSD test (eigenvalues >= -TOL ||M||), the branch tests
+# of ``sphere.Secular`` (TOL (||D|| + ||d||)) and the unit-sphere test
+# of ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
+TOL = 1e-9
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -80,7 +80,7 @@ class SvdFactors:
         """Whether b lies in the range of A (relative residual test)."""
         b = as_vector(b)
         resid = np.linalg.norm(self.u2.T @ b)
-        return resid <= RANGE_TOL * np.linalg.norm(b)
+        return resid <= TOL * np.linalg.norm(b)
 
 
 def svd(a) -> SvdFactors:
@@ -201,7 +201,7 @@ def solve_linear(a, b) -> LinearSolve:
     f = svd(a)
     x = f.pinv() @ b
     residual = float(np.linalg.norm(f.u2.T @ b))
-    consistent = residual <= RANGE_TOL * float(np.linalg.norm(b))
+    consistent = residual <= TOL * float(np.linalg.norm(b))
     return LinearSolve(AffineSolutionSet(x, f.v2), residual, consistent)
 
 
@@ -211,7 +211,7 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     asym = np.linalg.norm(m - m.T)
-    if asym > SYM_TOL * np.linalg.norm(m):
+    if asym > TOL * np.linalg.norm(m):
         raise ValueError(f"{name} is not symmetric (asymmetry {asym:g})")
     return 0.5 * (m + m.T)
 
@@ -227,7 +227,7 @@ def is_psd(m) -> bool:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     if m.size == 0:
         return True
-    if np.linalg.norm(m - m.T) > SYM_TOL * np.linalg.norm(m):
+    if np.linalg.norm(m - m.T) > TOL * np.linalg.norm(m):
         return False
     return nonnegative_spectrum(np.linalg.eigvalsh(0.5 * (m + m.T)))
 
@@ -241,7 +241,7 @@ def nonnegative_spectrum(w: np.ndarray, scale: float | None = None) -> bool:
         return True
     if scale is None:
         scale = float(np.max(np.abs(w)))
-    return bool(w[0] >= -PSD_TOL * scale)
+    return bool(w[0] >= -TOL * scale)
 
 
 def is_nsd(m) -> bool:

@@ -11,8 +11,8 @@ Sorensen 1983), unless the hard case holds: r vanishes on the top
 eigenspace and the response at s_max has norm at most 1.  Then the
 multiplier stays at ||D|| (boundary case) and the optimizers are that
 response plus the top eigenspace, intersected with the sphere.
-The dual curve over a lambda grid is one array pass over the same
-eigenpairs (``Secular.response`` takes one multiplier or an array).
+One ``Secular`` rule decides each branch for the solve, the dual curve
+(one array pass over a lambda grid) and the games of ``game``.
 
 The paper's certificate for the multiplier, the largest real eigenvalue
 of the 2n x 2n companion matrix [[D, I], [dd', D]], is kept as
@@ -27,35 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import AffineSolutionSet, as_vector, nonnegative_spectrum, symmetrize
+from .linalg import TOL, AffineSolutionSet, as_vector, nonnegative_spectrum, symmetrize
 
 # An eigenvalue counts as real when |Im| <= IMAG_TOL * (1 + |Re|);
 # nonsymmetric eigensolvers return complex pairs with rounding noise.
 IMAG_TOL = 1e-8
-# Branch tests (top eigenspace, r vanishing on it, lambda at ||D||)
-# compare against BRANCH_TOL * (||D|| + ||d||), or the size of the data
-# D and d were computed from.
-BRANCH_TOL = 1e-9
 # ``near_hard_case`` flags a boundary response norm within this of 1.
 HARD_CASE_BAND = 1e-6
 # Newton steps on the secular equation converge quadratically from the
 # left; the cap only guards against a stalled iteration.
 NEWTON_STEPS = 100
-
-
-@dataclass(frozen=True)
-class BoundaryConditions:
-    """The two tests deciding whether the multiplier sticks at ||D||.
-
-    ``range_holds``: d lies in the range of D - ||D|| I.
-    ``norm_holds``: ||pinv(D - ||D|| I) d|| <= 1.
-    Both hold iff the optimal multiplier equals ||D||.
-    ``response_norm`` is the tested pseudoinverse-response norm.
-    """
-
-    range_holds: bool
-    norm_holds: bool
-    response_norm: float
 
 
 @dataclass(frozen=True)
@@ -88,11 +69,11 @@ def sphere_intersect(aset: AffineSolutionSet) -> SphereSolutionSet:
     which on trust-region solution sets signals a numerical breakdown.
     """
     p_norm = float(np.linalg.norm(aset.particular))
-    if p_norm > 1.0 + 1e-9:
+    if p_norm > 1.0 + TOL:
         raise ValueError(
             f"affine set does not reach the unit sphere (min norm {p_norm!r})"
         )
-    if aset.basis.shape[1] == 0 and p_norm < 1.0 - 1e-9:
+    if aset.basis.shape[1] == 0 and p_norm < 1.0 - TOL:
         raise ValueError(
             f"affine set is a single interior point (norm {p_norm!r}); "
             "empty intersection with the sphere"
@@ -123,12 +104,13 @@ class TrustRegionSolution:
 class Secular:
     """A trust region (D, d) in the eigenbasis of D = Q diag(s) Q'.
 
-    ``s`` ascends, ``r`` = Q'd, and ``tol`` = BRANCH_TOL (||D|| + ||d||)
-    is the scale of the eigenvalue tests (top eigenspace, gaps lam - s_i).
+    ``s`` ascends, ``r`` = Q'd, and ``tol`` = TOL (||D|| + ||d||) is
+    the scale of the eigenvalue tests (top eigenspace, gaps lam - s_i).
     ``range_tol`` is that of the test that r vanishes on the top
     eigenspace; it equals ``tol`` unless d was computed from larger data.
-    One instance serves the solve, the boundary conditions and the dual
-    curve.
+    One instance serves the solve, the dual curve and the lambda-family
+    of a game, which all decide their branches by ``range_holds``,
+    ``finite`` and ``at``.
     """
 
     s: np.ndarray
@@ -148,8 +130,8 @@ class Secular:
         s, q = np.linalg.eigh(d_mat)
         if scale is None:
             scale = float(np.max(np.abs(s))) if s.size else 0.0
-        tol = BRANCH_TOL * (scale + float(np.linalg.norm(d_vec)))
-        range_tol = tol if d_scale is None else BRANCH_TOL * (scale + d_scale)
+        tol = TOL * (scale + float(np.linalg.norm(d_vec)))
+        range_tol = tol if d_scale is None else TOL * (scale + d_scale)
         return cls(s, q, q.T @ d_vec, tol, range_tol)
 
     @property
@@ -173,27 +155,45 @@ class Secular:
         """Dual value lam/2 + 1/2 r'c per row of response coordinates c."""
         return 0.5 * np.asarray(lam) + 0.5 * np.vecdot(c, self.r)
 
-    def boundary_conditions(self) -> BoundaryConditions:
-        response_norm = float(np.linalg.norm(self.response(self.smax)))
-        return BoundaryConditions(
-            range_holds=bool(np.linalg.norm(self.r[self.top]) <= self.range_tol),
-            norm_holds=response_norm <= 1.0,
-            response_norm=response_norm,
-        )
+    @property
+    def range_holds(self) -> bool:
+        """Whether d lies in R(D - ||D|| I): r vanishes on the top
+        eigenspace, up to ``range_tol``."""
+        return bool(np.linalg.norm(self.r[self.top]) <= self.range_tol)
+
+    def finite(self, lam: float | np.ndarray, thr: float | None = None):
+        """Whether the dual value at lam is finite, elementwise: from the
+        threshold ``thr`` (default ||D||) less tol on, except within tol
+        of ||D||, where d must lie in R(D - ||D|| I)."""
+        thr = self.smax if thr is None else thr
+        above = lam > self.smax + self.tol
+        return (lam >= thr - self.tol) & (above | self.range_holds)
+
+    def at(self, lam: float, b: Secular | None = None):
+        """Response coordinates c at lam and the stationary set
+        w0 + null(B - lam I), w0 = Qc, held by its minimum-norm point.
+        B is D unless the eigenpairs ``b`` of another matrix (M22) are
+        given."""
+        b = self if b is None else b
+        c = self.response(lam)
+        w0 = self.q @ c
+        null = b.q[:, np.abs(b.s - lam) <= b.tol]
+        return c, AffineSolutionSet(w0 - null @ (null.T @ w0), null)
 
     def solve(self) -> tuple[TrustRegionSolution, int]:
         """The maximizer set and value, plus the Newton step count."""
-        bc = self.boundary_conditions()
-        boundary = bc.range_holds and bc.norm_holds
+        response_norm = float(np.linalg.norm(self.response(self.smax)))
+        range_holds = self.range_holds
+        boundary = range_holds and response_norm <= 1.0
         if boundary:
-            lam, c, steps = self.smax, self.response(self.smax), 0
-            aset = AffineSolutionSet(self.q @ c, self.q[:, self.top])
+            lam, steps = self.smax, 0
+            c, aset = self.at(lam)
             w_star = sphere_intersect(aset)
         else:
             mu, c, steps = _secular_root(np.maximum(self.smax - self.s, 0.0), self.r)
             lam = self.smax + mu
             w_star = SphereSolutionSet(self.q @ c, np.zeros((c.shape[0], 0)), 0.0)
-        near_hard = bc.range_holds and abs(bc.response_norm - 1.0) < HARD_CASE_BAND
+        near_hard = range_holds and abs(response_norm - 1.0) < HARD_CASE_BAND
         value = float(self.value(lam, c))
         return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
 
@@ -270,11 +270,6 @@ def lambda_p(d_mat, d_vec) -> float:
     return float(real.real.max())
 
 
-def boundary_conditions(d_mat, d_vec) -> BoundaryConditions:
-    _, _, sec = _check_inputs(d_mat, d_vec)
-    return sec.boundary_conditions()
-
-
 def solve_trust_region(d_mat, d_vec) -> TrustRegionSolution:
     """Solve max 1/2 w'Dw + w'd over the unit sphere for PSD D.
 
@@ -298,11 +293,11 @@ def dual_curve(
 
     For lambda > ||D|| the value is lambda/2 + 1/2 sum r_i^2/(lambda - s_i)
     with derivative 1/2 (1 - sum r_i^2/(lambda - s_i)^2), read off the
-    eigenpairs of D.  At lambda = ||D|| the value is finite iff d is in
-    the range of D - ||D|| I, and the top eigenspace drops out of the
-    sums.  Points below ||D|| are infinite with no derivative (encoded
-    math.inf / None).  The whole grid is one array pass over a
-    (steps x n) response matrix.
+    eigenpairs of D.  Within tol of ||D|| the value is finite iff d is
+    in the range of D - ||D|| I (``Secular.finite``), and the top
+    eigenspace drops out of the sums.  Points below ||D|| are infinite
+    with no derivative (encoded math.inf / None).  The whole grid is one
+    array pass over a (steps x n) response matrix.
     """
     _, _, sec = _check_inputs(d_mat, d_vec)
     if not lambda_min < lambda_max:
@@ -310,13 +305,10 @@ def dual_curve(
     if steps < 2:
         raise ValueError("steps must be at least 2")
     lams = np.linspace(lambda_min, lambda_max, steps)
-    at_norm = np.abs(lams - sec.smax) <= sec.tol
-    finite = (lams >= sec.smax - sec.tol) & (
-        ~at_norm | sec.boundary_conditions().range_holds
-    )
-    c = sec.response(np.where(at_norm, sec.smax, lams))
+    c = sec.response(lams)
     values = sec.value(lams, c)
     slopes = 0.5 * (1.0 - np.vecdot(c, c))
+    finite = sec.finite(lams)
     return [
         (lam, value, slope) if ok else (lam, math.inf, None)
         for lam, value, slope, ok in zip(

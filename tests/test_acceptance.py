@@ -16,7 +16,6 @@ from quadgames import (
     OracleConfig,
     PartitionedQuadratic,
     QuadraticForm,
-    boundary_conditions,
     dual_curve,
     grid_minmax,
     lambda_p,
@@ -33,6 +32,7 @@ from quadgames import (
     spectral_norm,
 )
 from quadgames.cli import main as cli_main
+from quadgames.sphere import Secular
 
 from util import random_partitioned, random_psd
 
@@ -115,9 +115,9 @@ def test_criterion_4_eigenvalue_certificate():
             assert sol.lambda_p >= norm_d - 1e-9
             if sol.boundary:
                 boundary_seen += 1
-                bc = boundary_conditions(d_mat, d_vec)
-                assert bc.range_holds
-                assert bc.norm_holds
+                sec = Secular.of(d_mat, d_vec)
+                assert sec.range_holds
+                assert np.linalg.norm(sec.response(sec.smax)) <= 1.0
             else:
                 interior_seen += 1
                 w = np.linalg.solve(d_mat - sol.lambda_p * np.eye(n), d_vec)

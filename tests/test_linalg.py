@@ -18,7 +18,7 @@ from quadgames import (
     spectral_norm,
     svd,
 )
-from quadgames.linalg import RANGE_TOL, RANK_EPS, is_nsd, symmetrize
+from quadgames.linalg import RANK_EPS, TOL, is_nsd, symmetrize
 
 from util import random_psd
 
@@ -278,7 +278,7 @@ def svd_reference(m, d):
     the range of M."""
     n = m.shape[0]
     x = -np.linalg.pinv(m, rtol=RANK_EPS * n) @ d
-    if np.linalg.norm(m @ x + d) > RANGE_TOL * np.linalg.norm(d):
+    if np.linalg.norm(m @ x + d) > TOL * np.linalg.norm(d):
         return None
     s = np.linalg.svd(m, compute_uv=False)
     return x, 0.5 * d @ x, n - int(np.sum(s > RANK_EPS * s[0] * n))

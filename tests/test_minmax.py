@@ -5,7 +5,9 @@ from quadgames import (
     Direction,
     OracleConfig,
     PartitionedQuadratic,
+    dual_curve,
     grid_minmax,
+    lambda_curve,
     lambda_p,
     maxmin_threshold,
     minmax_threshold,
@@ -14,6 +16,8 @@ from quadgames import (
     solve_linear_term,
     solve_trust_region,
 )
+
+from quadgames.sphere import Secular
 
 from util import random_partitioned, random_psd
 
@@ -167,18 +171,53 @@ def test_grid_oracle_agreement_2d():
             assert sol.value == pytest.approx(oracle, abs=5e-3)
 
 
+def hard_case_instance(rng, n, norm):
+    """D with top eigenvalue 2 (repeated when ``rng`` says so) and d in
+    R(D - 2I) whose response pinv(D - 2I) d has norm ``norm``."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.sort(rng.uniform(0.0, 2.0, n))
+    s[-1] = 2.0
+    if n > 2 and rng.uniform() < 0.5:
+        s[-2] = 2.0
+    c = np.where(s < 2.0, rng.standard_normal(n), 0.0)
+    if np.any(c):
+        c *= norm / np.linalg.norm(c)
+    d_mat = q @ np.diag(s) @ q.T
+    return 0.5 * (d_mat + d_mat.T), q @ ((2.0 - s) * c)
+
+
 def test_trust_region_embedding_matches_direct_solver():
+    # A trust region is the sphere game with no u-player: both
+    # directions and the maxmin curve give the direct solver's answers
+    # exactly, hard case and lambda within tol of ||D|| included.
     rng = np.random.default_rng(107)
-    for _ in range(20):
+    for i in range(60):
         n = int(rng.integers(1, 5))
-        d_mat = random_psd(rng, n)
-        d_vec = rng.standard_normal(n)
+        if i % 3 == 0:
+            d_mat, d_vec = hard_case_instance(rng, n, (0.5, 1.0, 2.0)[i % 9 // 3])
+        else:
+            d_mat = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
+            d_vec = rng.standard_normal(n)
         pq = embed_trust_region(d_mat, d_vec)
-        sol = solve_linear_term(pq, Direction.MINMAX)
         direct = solve_trust_region(d_mat, d_vec)
-        lam_ref = lambda_p(d_mat, d_vec)
-        assert sol.lambda0 == pytest.approx(lam_ref, rel=1e-8, abs=1e-10)
-        assert sol.value == pytest.approx(direct.value, rel=1e-8, abs=1e-8)
+        for direction in Direction:
+            sol = solve_linear_term(pq, direction)
+            assert sol.lambda0 == direct.lambda_p
+            assert sol.value == direct.value
+            w_set, w_star = sol.w_set, direct.w_star
+            np.testing.assert_array_equal(w_set.particular, w_star.particular)
+            np.testing.assert_array_equal(w_set.basis, w_star.basis)
+        if i % 3:
+            # the companion eigenvalue is defective in the hard case
+            lam_ref = lambda_p(d_mat, d_vec)
+            assert direct.lambda_p == pytest.approx(lam_ref, rel=1e-8, abs=1e-10)
+        sec = Secular.of(d_mat, d_vec)
+        top, half = sec.smax, 0.5 * sec.tol
+        grids = ((top, top + 1.0), (top - half, top + 1.0), (top - 1.0, top + half))
+        for lo, hi in grids:
+            maxmin = [row[2] for row in lambda_curve(pq, lo, hi, 5)]
+            dual = [row[1] for row in dual_curve(d_mat, d_vec, lo, hi, 5)]
+            assert maxmin == dual
 
 
 def test_rejects_indefinite_assembled_matrix():

@@ -7,7 +7,6 @@ from quadgames import (
     AffineSolutionSet,
     OracleConfig,
     QuadraticForm,
-    boundary_conditions,
     companion_matrix,
     dual_curve,
     lambda_p,
@@ -47,15 +46,20 @@ def test_lambda_p_examples():
     )
 
 
-def test_boundary_conditions_examples():
-    bc = boundary_conditions(np.diag([2.0, 1.0]), np.array([0.0, 0.5]))
-    assert bc.range_holds and bc.norm_holds
-    assert bc.response_norm == pytest.approx(0.5, abs=1e-12)
-    bc = boundary_conditions(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
-    assert not bc.range_holds
-    bc = boundary_conditions(np.diag([2.0, 1.0]), np.array([0.0, 3.0]))
-    assert bc.range_holds and not bc.norm_holds
-    assert bc.response_norm == pytest.approx(3.0, abs=1e-12)
+def response_norm(sec: Secular) -> float:
+    """||pinv(D - ||D|| I) d||, the norm the boundary branch tests."""
+    return float(np.linalg.norm(sec.response(sec.smax)))
+
+
+def test_range_and_response_norm_examples():
+    sec = Secular.of(np.diag([2.0, 1.0]), np.array([0.0, 0.5]))
+    assert sec.range_holds and response_norm(sec) <= 1.0
+    assert response_norm(sec) == pytest.approx(0.5, abs=1e-12)
+    sec = Secular.of(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
+    assert not sec.range_holds
+    sec = Secular.of(np.diag([2.0, 1.0]), np.array([0.0, 3.0]))
+    assert sec.range_holds and not response_norm(sec) <= 1.0
+    assert response_norm(sec) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_trust_region_boundary_example():
@@ -105,8 +109,8 @@ def test_interior_stationarity_random():
         d_vec = rng.standard_normal(n)
         sol = solve_trust_region(d_mat, d_vec)
         if sol.boundary:
-            bc = boundary_conditions(d_mat, d_vec)
-            assert bc.range_holds and bc.norm_holds
+            sec = Secular.of(d_mat, d_vec)
+            assert sec.range_holds and response_norm(sec) <= 1.0
             continue
         w = sol.w_star.particular
         resid = (d_mat - sol.lambda_p * np.eye(n)) @ w + d_vec
