@@ -86,6 +86,15 @@ def _field(prob: dict, key: str, ndim: int) -> np.ndarray:
     return a
 
 
+def _scalar(prob: dict, key: str, default=None) -> float:
+    if key not in prob and default is None:
+        raise ProblemError(f"missing required number field {key!r}")
+    try:
+        return float(prob.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"field {key!r} is not a number") from exc
+
+
 def _partitioned(prob: dict) -> game.PartitionedQuadratic:
     m11 = _field(prob, "M11", 2)
     m12 = _field(prob, "M12", 2)
@@ -99,7 +108,10 @@ def _partitioned(prob: dict) -> game.PartitionedQuadratic:
 
 
 def _oracle_config(prob: dict, samples=None, seed=None) -> oracle.OracleConfig:
-    raw = dict(prob.get("oracle", {}))
+    raw = prob.get("oracle", {})
+    if not isinstance(raw, dict):
+        raise ProblemError("field 'oracle' must be an object")
+    raw = dict(raw)
     if samples is not None:
         raw["samples"] = samples
     if seed is not None:
@@ -144,7 +156,7 @@ def solve_document(prob: dict) -> tuple[dict, int]:
             form = quadratic.QuadraticForm(
                 _field(prob, "D", 2),
                 _field(prob, "d", 1),
-                float(prob.get("c", 0.0)),
+                _scalar(prob, "c", 0.0),
             )
             optimum = quadratic.minimize(form)
             if optimum is None:
@@ -174,9 +186,7 @@ def solve_document(prob: dict) -> tuple[dict, int]:
 
         if kind == "lagrangian":
             pq = _partitioned(prob)
-            if "lambda" not in prob:
-                raise ProblemError("lagrangian problems require a 'lambda' field")
-            lam = float(prob["lambda"])
+            lam = _scalar(prob, "lambda")
             report = game.duality_report(pq, lam)
             doc = {"kind": kind, "lambda": lam, "status": report.status}
             if report.status == "unbounded_below":
@@ -283,118 +293,117 @@ def run_curve(args) -> int:
     return EXIT_OK
 
 
-def _check_trust_region(prob, cfg, scale):
-    doc, _ = solve_document(prob)
-    value = float(prob.get("expected_value", doc["value"]))
-    form = quadratic.QuadraticForm(
-        _field(prob, "D", 2), _field(prob, "d", 1)
-    )
+def _check_trust_region(prob, doc, code, cfg, scale):
+    value = _scalar(prob, "expected_value", doc["value"])
+    form = quadratic.QuadraticForm(_field(prob, "D", 2), _field(prob, "d", 1))
     if form.dim > 4:
         raise ProblemError("sphere oracle supports dimensions up to 4")
     oracle_value, _ = oracle.sphere_max(form, cfg)
-    gap = value - oracle_value
-    passed = -1e-9 * scale <= gap <= 5e-3 * scale
-    return value, oracle_value, passed
+    return value, oracle_value, -1e-9 * scale <= value - oracle_value <= 5e-3 * scale
 
 
-def _escape_probe(pq):
-    """Check of an unbounded_below answer: u along the part of -d1
-    outside the range of M11 lowers V without bound for any w, and at a
-    unit w the Lagrangian equals V."""
-    f = svd(pq.m11)
-    escape = -(f.u2 @ (f.u2.T @ pq.d1))
-    probe = pq.evaluate(1e6 * escape, np.eye(pq.w_dim, 1)[:, 0])
-    return math.nan, probe, probe < -1e2
+def _escape_probe(h, d, evaluate):
+    """Check of an unbounded_below answer: a step of 1e6 along -P d / ||d||,
+    P the projector onto null(h), lowers the objective by 1e6 ||P d||^2 / ||d||.
+    It passes when that drop exceeds 1e2 ||d|| (scale-free); it fails at d = 0."""
+    f = svd(h)
+    norm = float(np.linalg.norm(d))
+    step = -(f.u2 @ (f.u2.T @ d)) * (1e6 / norm) if norm > 0 else np.zeros_like(d)
+    probe = evaluate(step) - evaluate(np.zeros_like(d))
+    return math.nan, probe, probe < -1e2 * norm
 
 
-def _check_minmax(prob, cfg, scale):
-    doc, code = solve_document(prob)
+def _game_escape(pq):
+    """Escape probe of a game in u, at the unit w = e1."""
+    w = np.eye(pq.w_dim, 1)[:, 0]
+    return _escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
+
+
+def _sampled_min(objective, x0, cfg, value, scale):
+    """Smallest objective over Gaussian draws around x0 (row 0 is x0),
+    evaluated in one array pass; the solver value must not exceed it."""
+    rng = np.random.default_rng(cfg.seed)
+    x = x0 + rng.standard_normal((cfg.samples, x0.shape[0])) * (1.0 + np.linalg.norm(x0))
+    x[0] = x0
+    oracle_value = float(np.min(objective(x)))
+    return value, oracle_value, -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
+
+
+def _check_minmax(prob, doc, code, cfg, scale):
     pq = _partitioned(prob)
     if code == EXIT_NO_SOLUTION:
-        return _escape_probe(pq)
-    value = float(prob.get("expected_value", doc["value"]))
-    direction = minmax.Direction(prob["kind"])
-    oracle_value = oracle.grid_minmax(pq, cfg, direction)
+        return _game_escape(pq)
+    value = _scalar(prob, "expected_value", doc["value"])
+    oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction(prob["kind"]))
     tol = 1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3
-    passed = abs(value - oracle_value) <= tol * scale
-    return value, oracle_value, passed
+    return value, oracle_value, abs(value - oracle_value) <= tol * scale
 
 
-def _check_quad_min(prob, cfg, scale):
-    doc, code = solve_document(prob)
+def _check_quad_min(prob, doc, code, cfg, scale):
     form = quadratic.QuadraticForm(
-        _field(prob, "D", 2), _field(prob, "d", 1), float(prob.get("c", 0.0))
+        _field(prob, "D", 2), _field(prob, "d", 1), _scalar(prob, "c", 0.0)
     )
-    rng = np.random.default_rng(cfg.seed)
     if code == EXIT_NO_SOLUTION:
-        # Escape direction: the component of -d outside the range of D.
-        f = svd(form.hessian)
-        escape = -(form.linear - f.u1 @ (f.u1.T @ form.linear))
-        probe = form.evaluate(1e6 * escape)
-        return math.nan, probe, probe < -1e2
-    value = float(prob.get("expected_value", doc["value"]))
+        return _escape_probe(form.hessian, form.linear, form.evaluate)
+    value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    candidates = x0 + rng.standard_normal((cfg.samples, form.dim)) * (
-        1.0 + np.linalg.norm(x0)
+    h, d, c = form.hessian, form.linear, form.constant
+    return _sampled_min(
+        lambda x: 0.5 * np.einsum("ij,ij->i", x @ h, x) + x @ d + c, x0, cfg, value, scale
     )
-    candidates[0] = x0
-    vals = [form.evaluate(c) for c in candidates]
-    oracle_value = float(np.min(vals))
-    passed = -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
-    return value, oracle_value, passed
 
 
-def _check_linear_solve(prob, cfg, scale):
-    doc, _ = solve_document(prob)
+def _check_linear_solve(prob, doc, code, cfg, scale):
     a = _field(prob, "A", 2)
     b = _field(prob, "b", 1)
-    residual = float(prob.get("expected_value", doc["residual"]))
-    rng = np.random.default_rng(cfg.seed)
+    residual = _scalar(prob, "expected_value", doc["residual"])
     x0 = np.asarray(doc["solutions"]["particular"])
-    candidates = x0 + rng.standard_normal((cfg.samples, a.shape[1])) * (
-        1.0 + np.linalg.norm(x0)
+    return _sampled_min(
+        lambda x: np.linalg.norm(x @ a.T - b, axis=1), x0, cfg, residual, scale
     )
-    candidates[0] = x0
-    oracle_value = float(np.min(np.linalg.norm(candidates @ a.T - b, axis=1)))
-    passed = -1e-9 * scale <= oracle_value - residual <= 1e-6 * scale
-    return residual, oracle_value, passed
 
 
-def _check_saddle(prob, cfg, scale):
-    doc, code = solve_document(prob)
+def _check_saddle(prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
         return math.nan, math.nan, True
     pq = _partitioned(prob)
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = float(doc["value"])
-    samples = min(cfg.samples, 2000)
     passed = game.verify_saddle(
-        pq, u_star, w_star, samples=samples, seed=cfg.seed, tol=1e-9 * scale
+        pq, u_star, w_star, samples=min(cfg.samples, 2000), seed=cfg.seed, tol=1e-9 * scale
     )
-    if "expected_value" in prob:
-        passed = passed and abs(float(prob["expected_value"]) - value) <= 1e-9 * scale
+    passed = passed and abs(_scalar(prob, "expected_value", value) - value) <= 1e-9 * scale
     return value, pq.evaluate(u_star, w_star), passed
 
 
-def _check_lagrangian(prob, cfg, scale):
+def _check_lagrangian(prob, doc, code, cfg, scale):
     pq = _partitioned(prob)
     if pq.u_dim > 2 or pq.w_dim > 2:
         raise ProblemError("lagrangian check supports dimensions up to 2")
-    lam = float(prob["lambda"])
-    report = game.duality_report(pq, lam)
-    if report.status == "unbounded_below":
-        return _escape_probe(pq)
-    mm, xm = report.minmax, report.maxmin
-    if not xm.finite:
+    if doc["status"] == "unbounded_below":
+        return _game_escape(pq)
+    mm, xm = doc["minmax"], doc["maxmin"]
+    if not xm["finite"]:
         return math.nan, math.nan, True
-    value = float(prob.get("expected_value", xm.value))
-    oracle_value = oracle.grid_lagrangian(pq, lam, cfg)
+    value = _scalar(prob, "expected_value", xm["value"])
+    oracle_value = oracle.grid_lagrangian(pq, doc["lambda"], cfg)
     tol = (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
     passed = abs(oracle_value - value) <= tol
-    if mm.finite:
-        passed = passed and xm.value <= mm.value + 1e-9 * scale
+    if mm["finite"]:
+        passed = passed and xm["value"] <= mm["value"] + 1e-9 * scale
     return value, oracle_value, passed
+
+
+_CHECKERS = {
+    "linear_solve": _check_linear_solve,
+    "quad_min": _check_quad_min,
+    "saddle": _check_saddle,
+    "lagrangian": _check_lagrangian,
+    "trust_region": _check_trust_region,
+    "minmax": _check_minmax,
+    "maxmin": _check_minmax,
+}
 
 
 def run_check(args) -> int:
@@ -402,21 +411,15 @@ def run_check(args) -> int:
     scale = _tol_scale()
     cfg = _oracle_config(prob, samples=args.samples, seed=args.seed)
     kind = prob["kind"]
-    checkers = {
-        "trust_region": _check_trust_region,
-        "minmax": _check_minmax,
-        "maxmin": _check_minmax,
-        "quad_min": _check_quad_min,
-        "linear_solve": _check_linear_solve,
-        "saddle": _check_saddle,
-        "lagrangian": _check_lagrangian,
-    }
-    value, oracle_value, passed = checkers[kind](prob, cfg, scale)
+    doc, code = solve_document(prob)
+    try:
+        value, oracle_value, passed = _CHECKERS[kind](prob, doc, code, cfg, scale)
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from exc
     print(f"kind: {kind}")
     print(f"solver value: {_fmt(value)}")
     print(f"oracle value: {_fmt(oracle_value)}")
-    gap = value - oracle_value if not (math.isnan(value) or math.isnan(oracle_value)) else math.nan
-    print(f"gap: {_fmt(gap)}")
+    print(f"gap: {_fmt(value - oracle_value)}")
     print(f"result: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -149,22 +149,22 @@ def verify_saddle(
 ) -> bool:
     """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
 
-    Draws ``samples`` Gaussian perturbations around the candidate point;
-    a probabilistic refutation test, not a certificate.
+    Draws ``samples`` Gaussian perturbations around the candidate point
+    (row i: the u part moves u*, the w part moves w*) and evaluates them
+    in one array pass; a probabilistic refutation test, not a
+    certificate.
     """
     u_star = as_vector(u_star, "u_star")
     w_star = as_vector(w_star, "w_star")
-    rng = np.random.default_rng(seed)
+    p = pq.u_dim
     center = pq.evaluate(u_star, w_star)
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
-    for _ in range(samples):
-        u = u_star + scale * rng.standard_normal(pq.u_dim)
-        w = w_star + scale * rng.standard_normal(pq.w_dim)
-        if pq.evaluate(u_star, w) > center + tol:
-            return False
-        if pq.evaluate(u, w_star) < center - tol:
-            return False
-    return True
+    g = scale * np.random.default_rng(seed).standard_normal((samples, p + pq.w_dim))
+    z = np.tile(np.concatenate([u_star, w_star]), (2, samples, 1))
+    z[0, :, p:] += g[:, p:]  # rows (u*, w)
+    z[1, :, :p] += g[:, :p]  # rows (u, w*)
+    v = 0.5 * np.einsum("kij,kij->ki", z @ pq.assembled(), z) + z @ pq.d
+    return bool(np.all(v[0] <= center + tol) and np.all(v[1] >= center - tol))
 
 
 def minmax_threshold(pq: PartitionedQuadratic) -> float:

@@ -27,16 +27,12 @@ class OracleConfig:
     seed: int = 0
     samples: int = 100_000
     grid_points: int = 2000
-    box_radius: float = 0.0  # 0 means derive from the problem data
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step must be positive")
 
 
 def unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -105,7 +101,7 @@ def grid_minmax(
     w_cand = _w_candidates(n, cfg)
 
     if direction is Direction.MINMAX:
-        box = cfg.box_radius if cfg.box_radius > 0 else _auto_box(pq)
+        box = _auto_box(pq)
         quad_w = 0.5 * np.einsum("ij,ij->i", w_cand @ pq.m22, w_cand) + w_cand @ pq.d2
 
         def outer(u: np.ndarray) -> float:
@@ -164,7 +160,7 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     n = pq.w_dim
     if n > 2:
         raise ValueError("grid oracle supports w dimensions up to 2")
-    box = cfg.box_radius if cfg.box_radius > 0 else _auto_box(pq)
+    box = _auto_box(pq)
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
     w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
     penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_grid, w_grid))

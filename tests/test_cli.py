@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from quadgames import minmax, quadratic
 from quadgames.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -271,3 +273,81 @@ def test_import_cli_leaves_scipy_optimize_out():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_check_every_fixture(name, capsys):
+    code, out, _ = run(capsys, "check", str(FIXTURES / name))
+    assert code == (3 if name == "check_corrupted.json" else 0)
+    assert out.splitlines()[-1] == ("result: FAIL" if code == 3 else "result: PASS")
+
+
+UNBOUNDED_GAME = {
+    "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.5], [0.0]], "M22": [[1.0]],
+    "d1": [0.0, 1.0], "d2": [0.3],
+}
+
+
+def _scaled(doc, c):
+    return {k: v if k == "kind" else (c * np.asarray(v)).tolist() for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-3, 1.0, 1e8])
+def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
+    docs = [
+        {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": [0.0, 1.0]},
+        {"kind": "maxmin", **UNBOUNDED_GAME},
+        {"kind": "minmax", **UNBOUNDED_GAME},
+        {"kind": "lagrangian", "lambda": 2.0, **UNBOUNDED_GAME},
+    ]
+    for doc in docs:
+        path = write_problem(tmp_path, _scaled(doc, c))
+        code, out, _ = run(capsys, "solve", path)
+        assert code == 2 and json.loads(out)["status"] == "unbounded_below"
+        code, out, _ = run(capsys, "check", path)
+        assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (doc["kind"], out)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "quad_min", "D": [[1.0]], "d": [0.0], "c": -1000.0},
+    {"kind": "quad_min", "D": [[1.0]], "d": [1.0]},
+    {"kind": "minmax", "M11": [[1.0]], "M12": [[0.0]], "M22": [[1.0]],
+     "d1": [0.0], "d2": [-1000.0]},
+], ids=["quad-min-zero-d", "quad-min-d-in-range", "minmax-zero-d1"])
+def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, doc):
+    monkeypatch.setattr(quadratic, "minimize", lambda form: None)
+    monkeypatch.setattr(minmax, "solve_linear_term", lambda pq, direction: None)
+    path = write_problem(tmp_path, doc)
+    code, out, _ = run(capsys, "check", path)
+    assert (code, out.splitlines()[-1]) == (3, "result: FAIL")
+
+
+THREE_BY_THREE = {
+    "M11": np.eye(3).tolist(), "M12": [[0.0]] * 3, "M22": [[1.0]],
+    "d1": [0.0, 0.0, 0.0], "d2": [0.0],
+}
+LAGRANGIAN = {"kind": "lagrangian", "M11": [[1.0]], "M12": [[1.0]], "M22": [[1.0]]}
+QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("check", {"kind": "minmax", **THREE_BY_THREE}),
+    ("check", {"kind": "maxmin", **THREE_BY_THREE}),
+    ("solve", {**LAGRANGIAN, "lambda": None}),
+    ("check", {**LAGRANGIAN, "lambda": None}),
+    ("solve", {**QUAD_MIN, "c": [1, 2]}),
+    ("check", {**QUAD_MIN, "c": [1, 2]}),
+    ("check", {**QUAD_MIN, "expected_value": {"value": 1}}),
+    ("check", {**QUAD_MIN, "expected_value": "one"}),
+    ("check", {**QUAD_MIN, "oracle": 5}),
+    ("check", {**QUAD_MIN, "oracle": [["seed", 1]]}),
+], ids=[
+    "minmax-3x3", "maxmin-3x3", "solve-null-lambda", "check-null-lambda",
+    "solve-list-c", "check-list-c", "object-expected", "string-expected",
+    "number-oracle", "list-oracle",
+])
+def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
+    code, _, err = run(capsys, command, write_problem(tmp_path, doc))
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -148,6 +148,41 @@ def test_verify_saddle_accepts_and_refutes():
     assert verify_saddle(zero, np.zeros(1), np.zeros(1))
 
 
+def _verify_saddle_loop(pq, u_star, w_star, samples, seed, tol):
+    """Per-sample reference for the array pass of ``verify_saddle``."""
+    rng = np.random.default_rng(seed)
+    center = pq.evaluate(u_star, w_star)
+    scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
+    for _ in range(samples):
+        u = u_star + scale * rng.standard_normal(pq.u_dim)
+        w = w_star + scale * rng.standard_normal(pq.w_dim)
+        if pq.evaluate(u_star, w) > center + tol or pq.evaluate(u, w_star) < center - tol:
+            return False
+    return True
+
+
+def test_verify_saddle_matches_the_per_sample_loop():
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for trial in range(60):
+        p, n = (int(k) for k in rng.integers(0, 4, size=2))
+        c = 10.0 ** rng.choice([-6, 0, 6])
+        a, b = rng.standard_normal((p, p)), rng.standard_normal((n, n))
+        pq = PartitionedQuadratic(
+            c * a @ a.T, c * rng.standard_normal((p, n)), -c * b @ b.T,
+            c * rng.standard_normal(p), c * rng.standard_normal(n),
+        )
+        sol = solve_saddle(pq)
+        u, w = (sol.u_star, sol.w_star) if sol else (np.zeros(p), np.zeros(n))
+        if trial % 2:
+            u, w = u + 1e-3 * rng.standard_normal(p), w + 1e-3 * rng.standard_normal(n)
+        for tol in (1e-9 * c, 1e-6 * c):
+            expected = _verify_saddle_loop(pq, u, w, 200, trial, tol)
+            assert verify_saddle(pq, u, w, samples=200, seed=trial, tol=tol) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_saddle_stationarity_and_verifier_on_random_instances():
     rng = np.random.default_rng(41)
     for _ in range(30):

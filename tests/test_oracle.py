@@ -18,8 +18,6 @@ def test_config_validation():
         OracleConfig(samples=0)
     with pytest.raises(ValueError):
         OracleConfig(grid_points=1)
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=0.0)
 
 
 def test_unit_samples_on_sphere():
