@@ -46,6 +46,11 @@ class QuadraticForm:
             raise ValueError(f"expected a vector of length {self.dim}")
         return float(0.5 * u @ self.hessian @ u + u @ self.linear + self.constant)
 
+    def evaluate_rows(self, x: np.ndarray) -> np.ndarray:
+        """``evaluate`` along the last axis of x, for stacked rows."""
+        quad = 0.5 * np.einsum("...i,...i->...", x @ self.hessian, x)
+        return quad + x @ self.linear + self.constant
+
     def gradient(self, u) -> np.ndarray:
         u = as_vector(u, "u")
         return self.hessian @ u + self.linear

@@ -289,17 +289,25 @@ UNBOUNDED_GAME = {
 
 
 def _scaled(doc, c):
-    return {k: v if k == "kind" else (c * np.asarray(v)).tolist() for k, v in doc.items()}
+    return {
+        k: v if k == "kind" else (c * np.asarray(v)).tolist() for k, v in doc.items()
+    }
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-3, 1.0, 1e8])
 def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
-    docs = [
-        {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": [0.0, 1.0]},
-        {"kind": "maxmin", **UNBOUNDED_GAME},
-        {"kind": "minmax", **UNBOUNDED_GAME},
-        {"kind": "lagrangian", "lambda": 2.0, **UNBOUNDED_GAME},
-    ]
+    # d (d1) with a null-space part only, and mixed with a range part
+    # 1e3 and 1e8 times larger; the solvers call the last unbounded
+    # because its null-space part exceeds TOL ||d||.
+    docs = []
+    for d in ([0.0, 1.0], [1000.0, 1.0], [1.0, 1e-8]):
+        game = {**UNBOUNDED_GAME, "d1": d}
+        docs += [
+            {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": d},
+            {"kind": "maxmin", **game},
+            {"kind": "minmax", **game},
+            {"kind": "lagrangian", "lambda": 2.0, **game},
+        ]
     for doc in docs:
         path = write_problem(tmp_path, _scaled(doc, c))
         code, out, _ = run(capsys, "solve", path)
@@ -311,9 +319,13 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
 @pytest.mark.parametrize("doc", [
     {"kind": "quad_min", "D": [[1.0]], "d": [0.0], "c": -1000.0},
     {"kind": "quad_min", "D": [[1.0]], "d": [1.0]},
+    {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": [1.0, 1e-12]},
     {"kind": "minmax", "M11": [[1.0]], "M12": [[0.0]], "M22": [[1.0]],
      "d1": [0.0], "d2": [-1000.0]},
-], ids=["quad-min-zero-d", "quad-min-d-in-range", "minmax-zero-d1"])
+], ids=[
+    "quad-min-zero-d", "quad-min-d-in-range", "quad-min-rounding-null-part",
+    "minmax-zero-d1",
+])
 def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.setattr(quadratic, "minimize", lambda form: None)
     monkeypatch.setattr(minmax, "solve_linear_term", lambda pq, direction: None)

@@ -156,7 +156,9 @@ def _verify_saddle_loop(pq, u_star, w_star, samples, seed, tol):
     for _ in range(samples):
         u = u_star + scale * rng.standard_normal(pq.u_dim)
         w = w_star + scale * rng.standard_normal(pq.w_dim)
-        if pq.evaluate(u_star, w) > center + tol or pq.evaluate(u, w_star) < center - tol:
+        if pq.evaluate(u_star, w) > center + tol:
+            return False
+        if pq.evaluate(u, w_star) < center - tol:
             return False
     return True
 
