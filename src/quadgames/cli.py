@@ -367,7 +367,7 @@ def _check_quad_min(prob, doc, code, cfg, scale):
         return _escape_probe(form.hessian, form.linear, form.evaluate)
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    return _sampled_min(form.evaluate_rows, x0, cfg, value, scale)
+    return _sampled_min(form._evaluate_rows, x0, cfg, value, scale)
 
 
 def _check_linear_solve(prob, doc, code, cfg, scale):

@@ -164,7 +164,7 @@ def verify_saddle(
     z = np.tile(np.concatenate([u_star, w_star]), (2, samples, 1))
     z[0, :, p:] += g[:, p:]  # rows (u*, w)
     z[1, :, :p] += g[:, :p]  # rows (u, w*)
-    v = QuadraticForm(pq.assembled(), pq.d).evaluate_rows(z)
+    v = QuadraticForm(pq.assembled(), pq.d)._evaluate_rows(z)
     return bool(np.all(v[0] <= center + tol) and np.all(v[1] >= center - tol))
 
 

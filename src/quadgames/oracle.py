@@ -53,7 +53,7 @@ def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
         raise ValueError("dimension must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     candidates = unit_samples(rng, cfg.samples, q.dim)
-    values = q.evaluate_rows(candidates)
+    values = q._evaluate_rows(candidates)
     best = int(np.argmax(values))
     w = candidates[best]
     step = 1.0 / (spectral_norm(q.hessian) + 1.0)
@@ -98,7 +98,7 @@ def grid_minmax(
 
     if direction is Direction.MINMAX:
         box = _auto_box(pq)
-        quad_w = QuadraticForm(pq.m22, pq.d2).evaluate_rows(w_cand)
+        quad_w = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_cand)
 
         def outer(u: np.ndarray) -> float:
             cross = w_cand @ (pq.m12.T @ u)
@@ -145,7 +145,7 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray) -> np.ndarray:
     residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
     feasible = residuals <= 1e-9 * np.maximum(1.0, np.linalg.norm(rhs, axis=1))
     inner = -0.5 * np.einsum("ij,ij->i", rhs @ f11.pinv(), rhs)
-    outer = QuadraticForm(pq.m22, pq.d2).evaluate_rows(w_rows)
+    outer = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_rows)
     return np.where(feasible, inner + outer, -math.inf)
 
 

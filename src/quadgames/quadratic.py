@@ -46,7 +46,7 @@ class QuadraticForm:
             raise ValueError(f"expected a vector of length {self.dim}")
         return float(0.5 * u @ self.hessian @ u + u @ self.linear + self.constant)
 
-    def evaluate_rows(self, x: np.ndarray) -> np.ndarray:
+    def _evaluate_rows(self, x: np.ndarray) -> np.ndarray:
         """``evaluate`` along the last axis of x, for stacked rows."""
         quad = 0.5 * np.einsum("...i,...i->...", x @ self.hessian, x)
         return quad + x @ self.linear + self.constant
