@@ -22,6 +22,7 @@ import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
 from .linalg import TOL, AffineSolutionSet, solve_linear, svd
+from .quadratic import _blocks
 
 KINDS = (
     "linear_solve",
@@ -72,9 +73,11 @@ def load_problem(path: str) -> dict:
     return prob
 
 
-def _field(prob: dict, key: str, ndim: int) -> np.ndarray:
+def _field(prob: dict, key: str, ndim: int, default=None) -> np.ndarray:
     what = "matrix" if ndim == 2 else "vector"
     if key not in prob:
+        if default is not None:
+            return default
         raise ProblemError(f"missing required {what} field {key!r}")
     try:
         a = np.asarray(prob[key], dtype=float)
@@ -99,8 +102,8 @@ def _partitioned(prob: dict) -> game.PartitionedQuadratic:
     m11 = _field(prob, "M11", 2)
     m12 = _field(prob, "M12", 2)
     m22 = _field(prob, "M22", 2)
-    d1 = np.asarray(prob.get("d1", np.zeros(m11.shape[0])), dtype=float)
-    d2 = np.asarray(prob.get("d2", np.zeros(m22.shape[0])), dtype=float)
+    d1 = _field(prob, "d1", 1, np.zeros(m11.shape[0]))
+    d2 = _field(prob, "d2", 1, np.zeros(m22.shape[0]))
     try:
         return game.PartitionedQuadratic(m11, m12, m22, d1, d2)
     except ValueError as exc:
@@ -336,13 +339,17 @@ def _grid_tol(pq, scale):
 
 def _sampled_min(objective, x0, cfg, value, scale):
     """Smallest objective over Gaussian draws around x0 (row 0 is x0),
-    evaluated in one array pass; the solver value must not exceed it."""
+    drawn and evaluated in blocks of ``BLOCK`` rows; the solver
+    value must not exceed it."""
     rng = np.random.default_rng(cfg.seed)
-    candidates = x0 + rng.standard_normal((cfg.samples, x0.shape[0])) * (
-        1.0 + np.linalg.norm(x0)
-    )
-    candidates[0] = x0
-    oracle_value = float(np.min(objective(candidates)))
+    spread = 1.0 + np.linalg.norm(x0)
+    oracle_value = math.inf
+    for start, stop in _blocks(cfg.samples):
+        candidates = x0 + rng.standard_normal((stop - start, x0.shape[0])) * spread
+        if start == 0:
+            candidates[0] = x0
+        oracle_value = np.minimum(oracle_value, np.min(objective(candidates)))
+    oracle_value = float(oracle_value)
     passed = -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
     return value, oracle_value, passed
 

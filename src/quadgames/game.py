@@ -33,7 +33,7 @@ from .linalg import (
     symmetric_split,
     symmetrize,
 )
-from .quadratic import QuadraticForm
+from .quadratic import QuadraticForm, _blocks
 from .sphere import Secular
 
 
@@ -152,20 +152,26 @@ def verify_saddle(
 
     Draws ``samples`` Gaussian perturbations around the candidate point
     (row i: the u part moves u*, the w part moves w*) and evaluates them
-    in one array pass; a probabilistic refutation test, not a
-    certificate.
+    in blocks of ``BLOCK`` rows; a probabilistic refutation
+    test, not a certificate.
     """
     u_star = as_vector(u_star, "u_star")
     w_star = as_vector(w_star, "w_star")
     p = pq.u_dim
     center = pq.evaluate(u_star, w_star)
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
-    g = scale * np.random.default_rng(seed).standard_normal((samples, p + pq.w_dim))
-    z = np.tile(np.concatenate([u_star, w_star]), (2, samples, 1))
-    z[0, :, p:] += g[:, p:]  # rows (u*, w)
-    z[1, :, :p] += g[:, :p]  # rows (u, w*)
-    v = QuadraticForm(pq.assembled(), pq.d)._evaluate_rows(z)
-    return bool(np.all(v[0] <= center + tol) and np.all(v[1] >= center - tol))
+    form = QuadraticForm(pq.assembled(), pq.d)
+    point = np.concatenate([u_star, w_star])
+    rng = np.random.default_rng(seed)
+    for start, stop in _blocks(samples):
+        g = scale * rng.standard_normal((stop - start, p + pq.w_dim))
+        z = np.tile(point, (2, stop - start, 1))
+        z[0, :, p:] += g[:, p:]  # rows (u*, w)
+        z[1, :, :p] += g[:, :p]  # rows (u, w*)
+        v = form._evaluate_rows(z)
+        if not (np.all(v[0] <= center + tol) and np.all(v[1] >= center - tol)):
+            return False
+    return True
 
 
 def minmax_threshold(pq: PartitionedQuadratic) -> float:

@@ -15,6 +15,11 @@ import numpy as np
 
 from .linalg import AffineSolutionSet, as_vector, symmetric_split, symmetrize
 
+# Most rows one array pass of a sampling oracle holds: the oracles draw
+# and evaluate their candidates in blocks of this many rows, so their
+# memory does not grow with the sample count.
+BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class QuadraticForm:
@@ -57,6 +62,28 @@ class QuadraticForm:
 
     def negated(self) -> "QuadraticForm":
         return QuadraticForm(-self.hessian, -self.linear, -self.constant)
+
+
+def _blocks(count: int, width: int = 1):
+    """Consecutive (start, stop) row ranges that cover range(count), of
+    max(2, BLOCK // width) rows each, for oracle passes whose rows hold
+    ``width`` numbers; a lone last row joins the block before it.
+
+    numpy hands a one-row product to another BLAS routine than a taller
+    one, and the two round differently; with no one-row block (unless
+    count is 1) a row gets the same numbers in any block as in one pass
+    over all rows.  Draws made block by block from one generator
+    (``rng.standard_normal((stop - start, dim))``) are the rows of one
+    draw of ``count`` rows.
+    """
+    size = max(2, BLOCK // width)
+    start = 0
+    while start < count:
+        stop = start + size
+        if stop >= count - 1:
+            stop = count
+        yield start, stop
+        start = stop
 
 
 @dataclass(frozen=True)

@@ -353,13 +353,50 @@ QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
     ("check", {**QUAD_MIN, "expected_value": "one"}),
     ("check", {**QUAD_MIN, "oracle": 5}),
     ("check", {**QUAD_MIN, "oracle": [["seed", 1]]}),
+    ("curve --lambda-min 0 --lambda-max 2 --steps 3",
+     {**LAGRANGIAN, "lambda": 1.0, "d1": ["x"]}),
+    ("solve", {**LAGRANGIAN, "lambda": 1.0, "d1": ["x"]}),
+    ("check", {**LAGRANGIAN, "lambda": 1.0, "d2": [[0.0]]}),
+    ("check", {**QUAD_MIN, "oracle": {"samples": 1.5}}),
+    ("check", {**QUAD_MIN, "oracle": {"samples": True}}),
+    ("check", {**QUAD_MIN, "oracle": {"seed": -1}}),
+    ("check --seed -3", QUAD_MIN),
 ], ids=[
     "minmax-3x3", "maxmin-3x3", "solve-null-lambda", "check-null-lambda",
     "solve-list-c", "check-list-c", "object-expected", "string-expected",
-    "number-oracle", "list-oracle",
+    "number-oracle", "list-oracle", "curve-string-d1", "solve-string-d1",
+    "check-matrix-d2", "float-samples", "bool-samples", "negative-seed",
+    "negative-seed-option",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
-    code, _, err = run(capsys, command, write_problem(tmp_path, doc))
+    name, *options = command.split()
+    code, _, err = run(capsys, name, write_problem(tmp_path, doc), *options)
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_solve_and_curve_leave_numpy_random_out():
+    # Only the oracles draw random numbers; importing numpy.random costs
+    # a cold process about 6 MB of memory.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import contextlib, io, pathlib, sys\n"
+        "from quadgames.cli import main\n"
+        "curve = ['--lambda-min', '0', '--lambda-max', '2', '--steps', '5']\n"
+        "for f in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+        "    for argv in (['solve', str(f)], ['curve', str(f), *curve]):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "            main(argv)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(FIXTURES)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"

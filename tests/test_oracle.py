@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,10 @@ from quadgames import (
     fd_gradient,
     grid_minmax,
     sphere_max,
+    verify_saddle,
 )
+from quadgames import quadratic
+from quadgames.cli import _sampled_min
 from quadgames.oracle import unit_samples
 
 
@@ -18,6 +24,13 @@ def test_config_validation():
         OracleConfig(samples=0)
     with pytest.raises(ValueError):
         OracleConfig(grid_points=1)
+    with pytest.raises(ValueError):
+        OracleConfig(seed=-1)
+    for bad in ({"samples": 1.5}, {"samples": 2.0}, {"samples": True},
+                {"seed": False}, {"seed": "1"}, {"grid_points": 2.5}):
+        with pytest.raises(TypeError):
+            OracleConfig(**bad)
+    assert OracleConfig(seed=np.int64(3), samples=1, grid_points=2).seed == 3
 
 
 def test_unit_samples_on_sphere():
@@ -126,3 +139,152 @@ def test_fd_gradient_examples():
     np.testing.assert_allclose(grad, [1.0], atol=1e-8)
     grad = fd_gradient(lambda x: 3.0, np.array([0.5, 0.5]), 1e-5)
     np.testing.assert_allclose(grad, [0.0, 0.0], atol=1e-12)
+
+
+# One problem per blocked oracle: a 4-d sphere maximum, the sampled
+# minimum of ``check`` on a 4-d convex quadratic, a 2 x 2 saddle (a true
+# saddle point and a refuted one) and a MAXMIN game with a 2-d w.
+SPHERE_FORM = QuadraticForm(
+    np.diag([1.0, 3.0, -0.5, 2.0]), np.array([0.1, -0.2, 0.4, 0.3])
+)
+CONVEX_FORM = QuadraticForm(
+    np.diag([1.0, 2.0, 0.5, 4.0]), np.array([1.0, -1.0, 0.0, 2.0])
+)
+SADDLE_GAME = PartitionedQuadratic(
+    np.eye(2), 0.3 * np.ones((2, 2)), -np.eye(2), np.array([0.5, 0.0]), np.zeros(2)
+)
+MAXMIN_GAME = PartitionedQuadratic(
+    np.diag([2.0, 1.0]), np.array([[0.5, 0.2], [0.0, 1.0]]), np.diag([1.0, -0.5]),
+    np.array([0.3, -0.1]), np.array([0.2, 0.4]),
+)
+
+
+def _random_data(seed: int):
+    """A 5 x 4 least-squares objective with its center, and a 2 x 2
+    MAXMIN game."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
+    x0 = rng.standard_normal(4)
+    m = rng.standard_normal((2, 2))
+    game = PartitionedQuadratic(
+        m @ m.T, rng.standard_normal((2, 2)), np.diag([1.0, -0.5]),
+        rng.standard_normal(2), rng.standard_normal(2),
+    )
+    return (lambda x: np.linalg.norm(x @ a.T - b, axis=1)), x0, game
+
+
+def _blocked_oracles(samples: int) -> list:
+    cfg = OracleConfig(seed=4, samples=samples)
+    value, point = sphere_max(SPHERE_FORM, cfg)
+    x0 = np.array([-1.0, 0.5, 0.0, -0.5])
+    u, w = np.linalg.solve(SADDLE_GAME.assembled(), -SADDLE_GAME.d).reshape(2, 2)
+    answers = [
+        value,
+        point.tolist(),
+        _sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0),
+        verify_saddle(SADDLE_GAME, u, w, samples=samples, seed=4),
+        verify_saddle(SADDLE_GAME, u + 1.0, w, samples=samples, seed=4),
+        grid_minmax(MAXMIN_GAME, cfg, Direction.MAXMIN),
+    ]
+    # On these draws a lone row evaluated by itself rounds differently
+    # from the same row inside a taller block (numpy hands one-row
+    # products to other BLAS routines), at 8 or 22 samples.
+    for seed in (1, 159):
+        objective, center, game = _random_data(seed)
+        answers.append(_sampled_min(objective, center, cfg, 0.0, 1.0))
+        answers.append(grid_minmax(game, cfg, Direction.MAXMIN))
+    return answers
+
+
+@pytest.mark.parametrize("samples", [1, 6, 7, 8, 22])
+def test_blocks_give_the_one_pass_answers(monkeypatch, samples):
+    # Draws and evaluations made in blocks of 7 rows give exactly the
+    # answers of the default block size, which holds every row at once.
+    whole = _blocked_oracles(samples)
+    monkeypatch.setattr(quadratic, "BLOCK", 7)
+    assert _blocked_oracles(samples) == whole
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda n: sphere_max(SPHERE_FORM, OracleConfig(samples=n)),
+    lambda n: _sampled_min(
+        CONVEX_FORM._evaluate_rows, np.zeros(4), OracleConfig(samples=n), 0.0, 1.0
+    ),
+    lambda n: verify_saddle(SADDLE_GAME, np.zeros(2), np.zeros(2), samples=n),
+    lambda n: grid_minmax(MAXMIN_GAME, OracleConfig(samples=n), Direction.MAXMIN),
+], ids=["sphere_max", "sampled_min", "verify_saddle", "maxmin_grid"])
+def test_blocked_oracle_memory_is_flat_in_samples(oracle):
+    few, many = 4 * quadratic.BLOCK, 40 * quadratic.BLOCK
+    oracle(few)  # first-call imports and caches stay out of the peaks
+    assert _traced_peak(lambda: oracle(many)) <= _traced_peak(
+        lambda: oracle(few)
+    ) + 2**20
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-3, 1.0, 1e8])
+def test_maxmin_grid_feasibility_is_relative(c):
+    # M11 u = -(M12 w + d1) asks u's null-space part to equal c w, so it
+    # has no solution at any scale c and every inner minimum is -inf.
+    pq = PartitionedQuadratic(
+        c * np.diag([1.0, 0.0]), c * np.array([[0.0], [1.0]]), np.zeros((1, 1)),
+        np.zeros(2), np.zeros(1),
+    )
+    assert grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN) == -math.inf
+
+
+def _minmax_loop(pq, cfg):
+    """Per-point reference for the MINMAX u-grid of ``grid_minmax`` (1-d
+    u): one inner maximum over the w candidates per grid point and per
+    refinement point."""
+    if pq.w_dim == 1:
+        w_cand = np.array([[-1.0], [1.0]])
+    else:
+        theta = np.linspace(0.0, 2.0 * math.pi, max(cfg.samples, 4), endpoint=False)
+        w_cand = np.column_stack([np.cos(theta), np.sin(theta)])
+    quad_w = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_cand)
+
+    def outer(u):
+        inner = float(np.max(quad_w + w_cand @ (pq.m12.T @ u)))
+        return inner + float(0.5 * u @ pq.m11 @ u + u @ pq.d1)
+
+    box = 2.0 * (1.0 + np.linalg.norm(np.linalg.pinv(pq.assembled()) @ pq.d))
+    grid = np.linspace(-box, box, cfg.grid_points)
+    best = int(np.argmin([outer(np.array([u])) for u in grid]))
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    for _ in range(80):
+        third = (hi - lo) / 3.0
+        a, b = lo + third, hi - third
+        if outer(np.array([a])) <= outer(np.array([b])):
+            hi = b
+        else:
+            lo = a
+    return outer(np.array([0.5 * (lo + hi)]))
+
+
+def test_grid_minmax_matches_the_per_point_loop():
+    # Equal for a 1-d w, where every product is a single rounding; for a
+    # 2-d w the row-wise pass sums the two products of each cross term in
+    # a matrix product, so it may differ from the loop in the last bits.
+    rng = np.random.default_rng(8)
+    cfg = OracleConfig(seed=0, samples=500, grid_points=400)
+    for trial in range(40):
+        n = 1 + trial % 2
+        m22 = rng.standard_normal((n, n))
+        pq = PartitionedQuadratic(
+            np.array([[abs(rng.standard_normal()) + 0.1]]), rng.standard_normal((1, n)),
+            m22 + m22.T, rng.standard_normal(1), rng.standard_normal(n),
+        )
+        value = grid_minmax(pq, cfg, Direction.MINMAX)
+        if n == 1:
+            assert value == _minmax_loop(pq, cfg)
+        else:
+            assert value == pytest.approx(_minmax_loop(pq, cfg), rel=1e-12, abs=1e-12)
