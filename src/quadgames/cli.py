@@ -329,12 +329,14 @@ def _game_escape(pq):
     return _escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
 
 
-def _grid_tol(pq, scale):
-    """Tolerance of the grid oracles, which take blocks up to 2 x 2."""
-    dim = max(pq.u_dim, pq.w_dim)
-    if dim > 2:
-        raise ProblemError("grid oracle supports dimensions up to 2")
-    return (1e-3 if dim <= 1 else 5e-3) * scale
+def _grid_tol(pq, scale, direction=None):
+    """Tolerance of the grid oracles; refuses the blocks they cannot
+    take (a w beyond 2-d, a MINMAX u beyond 4-d)."""
+    try:
+        oracle._check_dims(pq, direction)
+    except ValueError as exc:
+        raise ProblemError(str(exc)) from exc
+    return (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
 
 
 def _sampled_min(objective, x0, cfg, value, scale):
@@ -358,9 +360,9 @@ def _check_minmax(prob, doc, code, cfg, scale):
     pq = _partitioned(prob)
     if code == EXIT_NO_SOLUTION:
         return _game_escape(pq)
-    tol = _grid_tol(pq, scale)
-    value = _scalar(prob, "expected_value", doc["value"])
     direction = minmax.Direction(prob["kind"])
+    tol = _grid_tol(pq, scale, direction)
+    value = _scalar(prob, "expected_value", doc["value"])
     oracle_value = oracle.grid_minmax(pq, cfg, direction)
     passed = abs(value - oracle_value) <= tol
     return value, oracle_value, passed

@@ -10,7 +10,8 @@ duality gap is infinite.  Where finite, both equal
 lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
 from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
 every lambda, and ``lambda_curve`` evaluates a whole grid in one array
-pass.  Threshold tests are relative to the data S is computed from.
+pass, reading only the eigenvalues of M22.  Threshold tests are
+relative to the data S is computed from.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
     d = pq.d
     if not f.in_range(d):
         return None
-    step = f.pinv() @ d
+    step = f.solve(d)
     value = float(-0.5 * d @ step)
     return SaddleSolution(AffineSolutionSet(-step, f.v2), value, pq.u_dim)
 
@@ -241,7 +242,7 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     null11 = f11.v2
     if np.linalg.norm(null11.T @ pq.m12) > TOL * np.linalg.norm(pq.m12):
         raise ValueError(PSD_MESSAGE)
-    x = f11.pinv() @ np.column_stack([pq.m12, pq.d1])
+    x = f11.solve(np.column_stack([pq.m12, pq.d1]))
     x12, x1 = x[:, :-1], x[:, -1]
     coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
     schur = pq.m22 - coupling
@@ -374,7 +375,8 @@ def lambda_curve(
         raise ValueError("steps must be at least 2")
     red = schur_reduction(pq)
     sec = red.secular
-    norm22 = _m22(pq).smax
+    s22 = np.linalg.eigvalsh(pq.m22)  # only ||M22|| is read
+    norm22 = float(s22[-1]) if s22.size else 0.0
     lams = np.linspace(lambda_min, lambda_max, steps)
     if not red.bounded:
         mm = np.where(lams < norm22 - sec.tol, math.inf, -math.inf)

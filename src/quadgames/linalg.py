@@ -70,11 +70,10 @@ class SvdFactors:
     sigma: np.ndarray
     rank: int
 
-    def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse V1 diag(1/sigma) U1'."""
-        if self.rank == 0:
-            return np.zeros((self.v1.shape[0], self.u1.shape[0]))
-        return (self.v1 / self.sigma) @ self.u1.T
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """pinv(A) b = V1 diag(1/sigma) U1' b, for a vector or the columns
+        of a matrix b, without forming pinv(A)."""
+        return (self.v1 / self.sigma) @ (self.u1.T @ b)
 
     def in_range(self, b: np.ndarray) -> bool:
         """Whether b lies in the range of A (relative residual test)."""
@@ -99,7 +98,7 @@ def symmetric_split(m: np.ndarray, psd: bool = False) -> SvdFactors | None:
     A caller that requires M >= 0 passes ``psd``: the split is None when
     M fails the PSD test of ``is_psd``, and the negative eigenvalues
     that test tolerates are rounding, so they are split as zeros (null
-    space, not inverted by pinv).  Otherwise every |s_i| is kept."""
+    space, not inverted by ``solve``).  Otherwise every |s_i| is kept."""
     s, v = np.linalg.eigh(m)
     if psd:
         if not nonnegative_spectrum(s):
@@ -125,8 +124,9 @@ def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
 
 
 def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of ``a``."""
-    return svd(a).pinv()
+    """Moore-Penrose pseudoinverse V1 diag(1/sigma) U1' of ``a``."""
+    f = svd(a)
+    return (f.v1 / f.sigma) @ f.u1.T
 
 
 def spectral_norm(a) -> float:
@@ -199,7 +199,7 @@ def solve_linear(a, b) -> LinearSolve:
     if a.shape[0] != b.shape[0]:
         raise ValueError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
     f = svd(a)
-    x = f.pinv() @ b
+    x = f.solve(b)
     residual = float(np.linalg.norm(f.u2.T @ b))
     consistent = residual <= TOL * float(np.linalg.norm(b))
     return LinearSolve(AffineSolutionSet(x, f.v2), residual, consistent)

@@ -78,8 +78,11 @@ def solve_linear_term(
     eigenpairs of S, and the w set is the optimizer set intersected with
     the unit sphere.  The u set is -pinv(M11)(M12 w + d1) + null(M11)
     at the representative w (maxmin, or minmax above ||M22||) or at the
-    joint stationary point w0 (minmax at ||M22||).
+    joint stationary point w0 (minmax at ||M22||).  An empty w block is
+    an input error: the unit sphere in R^0 has no points.
     """
+    if pq.w_dim == 0:
+        raise ValueError("the w block is empty; the unit sphere in R^0 is empty")
     red = game.schur_reduction(pq)
     if not red.bounded:
         return None
@@ -91,10 +94,12 @@ def solve_linear_term(
         if m22.smax >= lam0:
             # The multiplier sticks at ||M22||: u* answers the joint
             # stationary point there, and the maximizers over w at u*
-            # are that point's best-response set on the sphere.
+            # are that point's best-response set on the sphere, oriented
+            # as in the trust region by the inner linear term M12'u* + d2.
             at = game._lambda_solve(red, m22.smax, m22)
-            lam0, boundary, value, u_set = at.lam, True, at.value, at.u_set
-            w_set = sphere_intersect(at.w_set)
+            lam0, boundary, u_set = at.lam, True, at.u_set
+            inner = m22.q.T @ (pq.m12.T @ u_set.particular + pq.d2)
+            w_set, value = m22.orient(sphere_intersect(at.w_set), lam0, at.value, inner)
     mode = "boundary" if boundary else "interior"
     if not np.any(pq.d):
         mode = "homogeneous"

@@ -1,10 +1,13 @@
 """Brute-force verifiers, independent of the closed-form solvers.
 
-Sphere sampling for constrained maximization, nested grid / multi-start
-search for the small minmax games, and finite-difference gradients.
-These are probabilistic desk-scale bounds (dimensions up to 4), not
-certificates.  All randomness flows from the seed in OracleConfig, so
-identical configurations give identical outputs.
+Sphere sampling for constrained maximization, finite-difference
+gradients, and for the small sphere games a deterministic grid of w
+(2 points or a circle): MAXMIN and the Lagrangian solve the inner
+minimum over u exactly, MINMAX brackets the outer minimum over u by
+central cuts, with no random starts.  These are desk-scale bounds, not
+certificates: a w of up to 2 dimensions, a MINMAX u of up to 4 (any u
+otherwise), spheres of up to 4.  All randomness flows from the seed in
+OracleConfig, so identical configurations give identical outputs.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PartitionedQuadratic
-from .linalg import TOL, as_vector, pinv, spectral_norm, svd
+from .linalg import TOL, as_vector, pinv, spectral_norm, svd, symmetric_split
 from .minmax import Direction
 from .quadratic import QuadraticForm, _blocks
 
 POLISH_STEPS = 100
+# The MINMAX cuts stop on their bracket after a few hundred steps for a
+# u of up to 4 dimensions; the cap only guards against a stalled bracket.
+_MAX_CUTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -88,23 +94,35 @@ def _auto_box(pq: PartitionedQuadratic) -> float:
     return 2.0 * (1.0 + float(np.linalg.norm(pinv(pq.assembled()) @ d)))
 
 
+def _check_dims(pq: PartitionedQuadratic, direction: Direction | None = None):
+    """Refuse blocks the grid oracles cannot take.  They sample w, on a
+    circle at most (2-d); MINMAX also searches u, by cuts whose count
+    grows with the square of dim u, up to 4-d.  MAXMIN and
+    ``grid_lagrangian`` solve the inner minimum over u exactly, for any
+    dim u."""
+    if pq.w_dim > 2:
+        raise ValueError("grid oracle supports w dimensions up to 2")
+    if direction is Direction.MINMAX and pq.u_dim > 4:
+        raise ValueError("MINMAX grid oracle supports u dimensions up to 4")
+
+
 def grid_minmax(
     pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction
 ) -> float:
-    """Nested brute-force value of the sphere-constrained game.
+    """Nested brute-force value of the sphere-constrained game, with the
+    maximum over w taken over candidates: +-1 for a 1-d w, else
+    ``cfg.samples`` points of a deterministic circle grid.
 
-    MINMAX: outer search over u (grid for 1-d, multi-start simplex for
-    2-d) with the inner maximum taken over sampled sphere points.  It
-    holds every w candidate at once (``cfg.samples`` rows for a 2-d w),
-    because each u evaluation re-reads them; the u rows are evaluated in
-    blocks of about ``BLOCK`` numbers against them.
-    MAXMIN: outer maximum over sampled sphere points, swept in blocks of
+    MINMAX: the convex f(u) = max over the candidates of V(u, w) is
+    minimized by central cuts (``_convex_min``), deterministic and
+    with no random starts, for a u of up to 4 dimensions; the value is
+    f at the best point found.
+    MAXMIN: outer maximum over the candidates, swept in blocks of
     ``BLOCK`` rows, with the inner minimum over u solved exactly
-    (``_inner_min``).
+    (``_inner_min``), for a u of any dimension.
     """
-    m, n = pq.u_dim, pq.w_dim
-    if m > 2 or n > 2:
-        raise ValueError("grid oracle supports dimensions up to 2")
+    _check_dims(pq, direction)
+    n = pq.w_dim
     count = 2 if n == 1 else max(cfg.samples, 4)
 
     if direction is Direction.MAXMIN:
@@ -114,50 +132,70 @@ def grid_minmax(
             w_rows = _w_candidates(n, count, start, stop)
             best = np.maximum(best, np.max(_inner_min(pq, w_rows, f11)))
         return float(best)
+    return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
 
-    box = _auto_box(pq)
-    w_cand = _w_candidates(n, count, 0, count)
+
+def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, float]:
+    """Bracket (lower, upper) on the minimum over u of the convex
+    f(u) = max over the rows w of ``w_cand`` of V(u, w), by central cuts
+    (the ellipsoid method; bisection when the search space is 1-d).
+
+    f is constant along null(M11) when M >= 0 and d1 is in R(M11), so
+    the search runs over u = V1 x in R(M11); with d1 outside R(M11)
+    (beyond TOL ||d||) f is unbounded below and both ends are -inf.  As
+    the rows are unit vectors, f(V1 x) >= f(0) - a ||x|| +
+    sigma_min ||x||^2 / 2 with a = ||V1' d1|| + ||V1' M12||_F, so every
+    minimizer lies in the first ellipsoid, the ball ||x|| <= 2a / sigma_min.
+    Each ellipsoid E = {x + By : ||y|| <= 1} is cut at its center x along
+    the subgradient g = V1'(M11 u + d1 + M12 w*), w* the best row.  E
+    keeps a minimizer, so f(x) - ||B'g||, the least value on E of the
+    cut's linear bound, is a lower end; upper is the least f(x) seen.
+    The cuts stop when upper - lower <= 1e-10 (1 + |upper|).
+    """
+    f11 = symmetric_split(pq.m11, psd=True)
+    m12_off = np.linalg.norm(f11.v2.T @ pq.m12) if f11 is not None else math.inf
+    if m12_off > TOL * np.linalg.norm(pq.m12):
+        raise ValueError("the MINMAX oracle requires M11 >= 0 and R(M12) in R(M11)")
+    if np.linalg.norm(f11.v2.T @ pq.d1) > TOL * np.linalg.norm(pq.d):
+        return -math.inf, -math.inf
+    sigma, k = f11.sigma, f11.rank
+    coupling, lin = f11.v1.T @ pq.m12, f11.v1.T @ pq.d1
     quad_w = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_cand)
-    quad_u = QuadraticForm(pq.m11, pq.d1)
+    cross = coupling @ w_cand.T
 
-    def outer(u_rows: np.ndarray) -> np.ndarray:
-        """The inner maximum plus the u terms, one entry per row of u."""
-        inner = np.empty(len(u_rows))
-        for start, stop in _blocks(len(u_rows), len(w_cand)):
-            cross = (u_rows[start:stop] @ pq.m12) @ w_cand.T
-            inner[start:stop] = np.max(quad_w + cross, axis=1)
-        return inner + quad_u._evaluate_rows(u_rows)
+    def at(x: np.ndarray) -> tuple[float, np.ndarray]:
+        inner = quad_w + x @ cross
+        j = int(np.argmax(inner))
+        value = inner[j] + (0.5 * sigma * x + lin) @ x
+        return float(value), sigma * x + lin + cross[:, j]
 
-    if m == 0:
-        return float(outer(np.zeros((1, 0)))[0])
-    if m == 1:
-        grid = np.linspace(-box, box, cfg.grid_points)
-        best = int(np.argmin(outer(grid[:, None])))
-        # Derivative-free refinement around the best grid point; the
-        # outer function can have a kink where the inner argmax
-        # switches, so the raw grid error is O(step), not O(step^2).
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        for _ in range(80):
-            third = (hi - lo) / 3.0
-            a, b = lo + third, hi - third
-            at_a, at_b = outer(np.array([[a], [b]]))
-            if at_a <= at_b:
-                hi = b
-            else:
-                lo = a
-        return float(outer(np.array([[0.5 * (lo + hi)]]))[0])
-    from scipy import optimize  # only this branch needs scipy
-
-    rng = np.random.default_rng(cfg.seed)
-    best = math.inf
-    for _ in range(20):
-        start = rng.uniform(-box, box, size=m)
-        result = optimize.minimize(
-            lambda u: float(outer(u[None])[0]), start, method="Nelder-Mead"
-        )
-        best = min(best, float(result.fun))
-    return best
+    x = np.zeros(k)
+    if k == 0:
+        value, _ = at(x)
+        return value, value
+    # B holds the ellipsoid: P = BB' stays PSD under rounding, where
+    # P itself does not.  A cut along p = B'g / ||B'g|| moves x by
+    # -Bp / (k+1) and maps B to B (alpha (I - pp') + gamma pp'), the
+    # update P <- k^2/(k^2-1) (P - 2/(k+1) Pgg'P / g'Pg) in factored form.
+    # For k = 1 it halves B: bisection.
+    radius = 2.0 * float(np.linalg.norm(lin) + np.linalg.norm(coupling)) / sigma[-1]
+    b = radius * np.eye(k)
+    alpha = k / math.sqrt(k * k - 1.0) if k > 1 else 0.0
+    gamma = k / (k + 1.0)
+    lower, upper = -math.inf, math.inf
+    for _ in range(_MAX_CUTS):
+        value, g = at(x)
+        bg = b.T @ g
+        width = float(np.linalg.norm(bg))
+        upper = min(upper, value)
+        lower = max(lower, value - width)
+        if upper - lower <= 1e-10 * (1.0 + abs(upper)):
+            break
+        p = bg / width
+        bp = b @ p
+        x = x - bp / (k + 1.0)
+        b = alpha * b + (gamma - alpha) * np.outer(bp, p)
+    return lower, upper
 
 
 def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
@@ -165,13 +203,14 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     quadratic in u; f11 is ``svd(M11)``); -inf where M11 u = -(M12 w + d1)
     has no solution.  The right-hand side is formed by cancellation, so
     its residual off the range of M11 is read against TOL (||M12 w|| +
-    ||d1||), the norms it is formed from."""
+    ||d||): the norm of M12 w it is formed from, and the scale the
+    solvers' range test reads d1 against."""
     cross = w_rows @ pq.m12.T
     rhs = cross + pq.d1
     residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
-    scale = np.linalg.norm(cross, axis=1) + np.linalg.norm(pq.d1)
+    scale = np.linalg.norm(cross, axis=1) + np.linalg.norm(pq.d)
     feasible = residuals <= TOL * scale
-    inner = -0.5 * np.einsum("ij,ij->i", rhs @ f11.pinv(), rhs)
+    inner = -0.5 * np.einsum("ij,ji->i", rhs, f11.solve(rhs.T))
     outer = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_rows)
     return np.where(feasible, inner + outer, -math.inf)
 
@@ -180,9 +219,8 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     """Brute-force max over w of min over u of L(u, w, lam) = V(u, w)
     - lam/2 (w'w - 1): a grid over a box of w (dimensions up to 2) with
     the inner minimum over u solved exactly."""
+    _check_dims(pq)
     n = pq.w_dim
-    if n > 2:
-        raise ValueError("grid oracle supports w dimensions up to 2")
     box = _auto_box(pq)
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
     w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)

@@ -122,6 +122,6 @@ def _minimum(q: QuadraticForm, not_convex: str) -> QuadOptimum | None:
         raise ValueError(not_convex)
     if not f.in_range(q.linear):
         return None
-    step = f.pinv() @ q.linear
+    step = f.solve(q.linear)
     value = float(-0.5 * q.linear @ step + q.constant)
     return QuadOptimum(AffineSolutionSet(-step, f.v2), value)

@@ -10,7 +10,9 @@ by a safeguarded Newton iteration on 1/||w(lambda)|| - 1 (Moré &
 Sorensen 1983), unless the hard case holds: r vanishes on the top
 eigenspace and the response at s_max has norm at most 1.  Then the
 multiplier stays at ||D|| (boundary case) and the optimizers are that
-response plus the top eigenspace, intersected with the sphere.
+response plus the top eigenspace, intersected with the sphere; the part
+of r on that eigenspace, zero up to the range test, still points the
+representative at the best member.
 One ``Secular`` rule decides each branch for the solve, the dual curve
 (one array pass over a lambda grid) and the games of ``game``.
 
@@ -188,14 +190,41 @@ class Secular:
         if boundary:
             lam, steps = self.smax, 0
             c, aset = self.at(lam)
-            w_star = sphere_intersect(aset)
+            value = float(self.value(lam, c))
+            w_star, value = self.orient(sphere_intersect(aset), lam, value)
         else:
             mu, c, steps = _secular_root(np.maximum(self.smax - self.s, 0.0), self.r)
             lam = self.smax + mu
             w_star = SphereSolutionSet(self.q @ c, np.zeros((c.shape[0], 0)), 0.0)
+            value = float(self.value(lam, c))
         near_hard = range_holds and abs(response_norm - 1.0) < HARD_CASE_BAND
-        value = float(self.value(lam, c))
         return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
+
+    def orient(
+        self, sset: SphereSolutionSet, lam: float, value: float, r=None
+    ) -> tuple[SphereSolutionSet, float]:
+        """Turn ``sset``, whose free directions span null(D - lam I), so
+        that its representative points along the part of r (default
+        ``self.r``; eigenbasis coordinates) in that null space, and add
+        radius ||r_null|| to ``value``, the value at the set's stationary
+        point: the representative's value.  That part passes the range
+        test, so it is rounding, but it still picks the best member of
+        the set.  When it is exactly 0 both come back as they are."""
+        r = self.r if r is None else r
+        part = r[np.abs(self.s - lam) <= self.tol]
+        norm = float(np.linalg.norm(part))
+        if norm == 0.0:
+            return sset, value
+        # A Householder reflection maps the first coordinate axis to the
+        # unit part: the new first free direction is basis @ part / norm.
+        v = -part / norm
+        v[0] += 1.0
+        vv = float(v @ v)
+        basis = sset.basis
+        if vv > 0.0:
+            basis = basis - np.outer(basis @ v, (2.0 / vv) * v)
+        turned = SphereSolutionSet(sset.particular, basis, sset.radius_residual)
+        return turned, value + sset.radius_residual * norm
 
 
 def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -275,9 +304,12 @@ def solve_trust_region(d_mat, d_vec) -> TrustRegionSolution:
 
     The value is lambda/2 - 1/2 d' pinv(D - lambda I) d at the optimal
     multiplier; one eigendecomposition of D gives the multiplier, the
-    branch and the maximizer set.
+    branch and the maximizer set.  A 0 x 0 D is an input error: the
+    unit sphere in R^0 has no points.
     """
     _, _, sec = _check_inputs(d_mat, d_vec)
+    if sec.s.size == 0:
+        raise ValueError("D is 0 x 0; the unit sphere in R^0 is empty")
     solution, _ = sec.solve()
     return solution
 

@@ -261,18 +261,54 @@ def test_lagrangian_unbounded_exit_2_and_neg_inf_tokens(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_import_cli_leaves_scipy_optimize_out():
+# M11 = diag(2, 1), M12 = [[0.5, 0.2], [0, 0.3]], M22 = diag(1, 0.5): a
+# MINMAX game with a 2-d u, where the oracle searches u by cuts.
+WIDE_U_MINMAX = {
+    "kind": "minmax", "M11": [[2.0, 0.0], [0.0, 1.0]],
+    "M12": [[0.5, 0.2], [0.0, 0.3]], "M22": [[1.0, 0.0], [0.0, 0.5]],
+    "d1": [0.3, -0.2], "d2": [0.1, 0.4],
+}
+
+
+def test_check_runs_without_scipy(tmp_path):
+    # With every scipy import made to fail, `check` gives each fixture
+    # and the 2-d u game its verdict: all pass but check_corrupted.
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    probe = "import sys, quadgames.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    files = sorted(str(p) for p in FIXTURES.glob("*.json"))
+    files.append(write_problem(tmp_path, WIDE_U_MINMAX))
+    probe = (
+        "import contextlib, io, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from quadgames.cli import main\n"
+        "for f in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(main(['check', f, '--seed', '1']), file=sys.stderr)\n"
+    )
+    codes = subprocess.run(
+        [sys.executable, "-c", probe, *files],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
-    ).stdout
-    assert out.strip() == "False"
+    ).stderr.split()
+    expected = [3 if f.endswith("check_corrupted.json") else 0 for f in files]
+    assert [int(c) for c in codes] == expected
+
+
+@pytest.mark.parametrize("kind", [
+    {"kind": "maxmin"}, {"kind": "lagrangian", "lambda": 2.5},
+], ids=["maxmin", "lagrangian"])
+def test_check_wide_u_without_a_u_grid(tmp_path, capsys, kind):
+    # MAXMIN and the Lagrangian oracle solve the inner minimum over u
+    # exactly, so a 3-d u is checked like a 1-d one.
+    game = {
+        "M11": np.diag([2.0, 1.0, 0.5]).tolist(),
+        "M12": [[0.5], [0.2], [0.1]], "M22": [[1.0]],
+        "d1": [0.3, -0.2, 0.1], "d2": [0.4],
+    }
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, {**game, **kind}))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
@@ -334,9 +370,15 @@ def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, d
     assert (code, out.splitlines()[-1]) == (3, "result: FAIL")
 
 
+# A 3-d w (the oracles sample w on a circle at most) and a 5-d u (the
+# MINMAX cuts take up to 4).
 THREE_BY_THREE = {
-    "M11": np.eye(3).tolist(), "M12": [[0.0]] * 3, "M22": [[1.0]],
-    "d1": [0.0, 0.0, 0.0], "d2": [0.0],
+    "M11": [[1.0]], "M12": [[0.0, 0.0, 0.0]], "M22": np.eye(3).tolist(),
+    "d1": [0.0], "d2": [0.0, 0.0, 0.0],
+}
+FIVE_BY_FIVE = {
+    "M11": np.eye(5).tolist(), "M12": [[0.0]] * 5, "M22": [[1.0]],
+    "d1": [0.0] * 5, "d2": [0.0],
 }
 LAGRANGIAN = {"kind": "lagrangian", "M11": [[1.0]], "M12": [[1.0]], "M22": [[1.0]]}
 QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
@@ -345,6 +387,8 @@ QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
 @pytest.mark.parametrize("command,doc", [
     ("check", {"kind": "minmax", **THREE_BY_THREE}),
     ("check", {"kind": "maxmin", **THREE_BY_THREE}),
+    ("check", {"kind": "lagrangian", "lambda": 2.0, **THREE_BY_THREE}),
+    ("check", {"kind": "minmax", **FIVE_BY_FIVE}),
     ("solve", {**LAGRANGIAN, "lambda": None}),
     ("check", {**LAGRANGIAN, "lambda": None}),
     ("solve", {**QUAD_MIN, "c": [1, 2]}),
@@ -362,11 +406,11 @@ QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
     ("check", {**QUAD_MIN, "oracle": {"seed": -1}}),
     ("check --seed -3", QUAD_MIN),
 ], ids=[
-    "minmax-3x3", "maxmin-3x3", "solve-null-lambda", "check-null-lambda",
-    "solve-list-c", "check-list-c", "object-expected", "string-expected",
-    "number-oracle", "list-oracle", "curve-string-d1", "solve-string-d1",
-    "check-matrix-d2", "float-samples", "bool-samples", "negative-seed",
-    "negative-seed-option",
+    "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
+    "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
+    "object-expected", "string-expected", "number-oracle", "list-oracle",
+    "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
+    "bool-samples", "negative-seed", "negative-seed-option",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     name, *options = command.split()

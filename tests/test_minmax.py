@@ -9,7 +9,9 @@ from quadgames import (
     grid_minmax,
     lambda_curve,
     lambda_p,
+    maxmin_at_lambda,
     maxmin_threshold,
+    minmax_at_lambda,
     minmax_threshold,
     pinv,
     solve_homogeneous,
@@ -169,6 +171,40 @@ def test_grid_oracle_agreement_2d():
             sol = solve_linear_term(pq, direction)
             oracle = grid_minmax(pq, cfg, direction)
             assert sol.value == pytest.approx(oracle, abs=5e-3)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_oracle_agreement_wide_u(m, n):
+    # Only w is sampled: MINMAX cuts over a u of up to 4 dimensions, and
+    # MAXMIN solves the inner minimum over u exactly.
+    rng = np.random.default_rng(109 + 10 * m + n)
+    cfg = OracleConfig(seed=7, samples=2000)
+    for _ in range(5):
+        pq = random_partitioned(rng, m, n, linear_scale=0.5)
+        for direction in Direction:
+            sol = solve_linear_term(pq, direction)
+            oracle = grid_minmax(pq, cfg, direction)
+            assert sol.value == pytest.approx(oracle, abs=5e-3)
+
+
+def test_empty_w_block_is_an_input_error():
+    # The unit sphere in R^0 is empty; the lambda family has no sphere
+    # constraint and keeps accepting an empty w block.
+    pq = PartitionedQuadratic(
+        np.eye(2), np.zeros((2, 0)), np.zeros((0, 0)), np.array([1.0, 0.0]), np.zeros(0)
+    )
+    for direction in Direction:
+        with pytest.raises(ValueError, match="w block is empty"):
+            solve_linear_term(pq, direction)
+    zero = PartitionedQuadratic(
+        np.eye(2), np.zeros((2, 0)), np.zeros((0, 0)), np.zeros(2), np.zeros(0)
+    )
+    for direction in Direction:
+        with pytest.raises(ValueError, match="w block is empty"):
+            solve_homogeneous(zero, direction)
+    assert minmax_at_lambda(pq, 1.0).value == pytest.approx(0.0)
+    assert maxmin_at_lambda(pq, 1.0).value == pytest.approx(0.0)
 
 
 def hard_case_instance(rng, n, norm):

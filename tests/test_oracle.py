@@ -11,12 +11,15 @@ from quadgames import (
     QuadraticForm,
     fd_gradient,
     grid_minmax,
+    solve_linear_term,
     sphere_max,
     verify_saddle,
 )
 from quadgames import quadratic
 from quadgames.cli import _sampled_min
-from quadgames.oracle import unit_samples
+from quadgames.oracle import _convex_min, _w_candidates, unit_samples
+
+from util import random_partitioned
 
 
 def test_config_validation():
@@ -124,12 +127,21 @@ def test_grid_minmax_deterministic():
 
 
 def test_grid_minmax_dimension_limit():
-    cfg = OracleConfig()
-    pq = PartitionedQuadratic(
-        np.eye(3), np.zeros((3, 1)), np.zeros((1, 1)), np.zeros(3), np.zeros(1)
+    # Only w is sampled: MINMAX searches a u of up to 4 dimensions by
+    # cuts, MAXMIN solves the inner minimum over any u exactly.
+    cfg = OracleConfig(samples=100)
+    wide_u = PartitionedQuadratic(
+        np.eye(5), np.zeros((5, 1)), np.zeros((1, 1)), np.zeros(5), np.zeros(1)
     )
     with pytest.raises(ValueError):
-        grid_minmax(pq, cfg, Direction.MINMAX)
+        grid_minmax(wide_u, cfg, Direction.MINMAX)
+    assert grid_minmax(wide_u, cfg, Direction.MAXMIN) == 0.0
+    wide_w = PartitionedQuadratic(
+        np.eye(1), np.zeros((1, 3)), np.eye(3), np.zeros(1), np.zeros(3)
+    )
+    for direction in Direction:
+        with pytest.raises(ValueError):
+            grid_minmax(wide_w, cfg, direction)
 
 
 def test_fd_gradient_examples():
@@ -241,10 +253,23 @@ def test_maxmin_grid_feasibility_is_relative(c):
     assert grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN) == -math.inf
 
 
+def test_maxmin_grid_feasibility_reads_d_as_the_solvers_do():
+    # d1 is rounding next to d2, so the solvers call the game bounded
+    # (||P_null(M11) d1|| <= TOL ||d||); M12 = 0 leaves d1 alone in the
+    # inner right-hand side, which must count as feasible too.
+    pq = PartitionedQuadratic(
+        np.zeros((1, 1)), np.zeros((1, 2)), np.diag([2.0, 1.0]),
+        np.array([5e-16]), np.array([0.3, -0.4]),
+    )
+    value = solve_linear_term(pq, Direction.MAXMIN).value
+    oracle = grid_minmax(pq, OracleConfig(samples=2000), Direction.MAXMIN)
+    assert oracle == pytest.approx(value, abs=5e-3)
+
+
 def _minmax_loop(pq, cfg):
-    """Per-point reference for the MINMAX u-grid of ``grid_minmax`` (1-d
-    u): one inner maximum over the w candidates per grid point and per
-    refinement point."""
+    """Per-point reference for the MINMAX search of ``grid_minmax`` (1-d
+    u): a u-grid over a box around the solution, refined by ternary
+    search, with one inner maximum over the w candidates per point."""
     if pq.w_dim == 1:
         w_cand = np.array([[-1.0], [1.0]])
     else:
@@ -270,10 +295,17 @@ def _minmax_loop(pq, cfg):
     return outer(np.array([0.5 * (lo + hi)]))
 
 
+def _bracket(pq, cfg):
+    """``_convex_min`` over the w candidates of ``grid_minmax``."""
+    n = pq.w_dim
+    count = 2 if n == 1 else max(cfg.samples, 4)
+    return _convex_min(pq, _w_candidates(n, count, 0, count))
+
+
 def test_grid_minmax_matches_the_per_point_loop():
-    # Equal for a 1-d w, where every product is a single rounding; for a
-    # 2-d w the row-wise pass sums the two products of each cross term in
-    # a matrix product, so it may differ from the loop in the last bits.
+    # The cuts and the u-grid with its ternary refinement find the same
+    # minimum over the same w candidates; any lower end of the bracket is
+    # at most f at the loop's u.
     rng = np.random.default_rng(8)
     cfg = OracleConfig(seed=0, samples=500, grid_points=400)
     for trial in range(40):
@@ -283,8 +315,47 @@ def test_grid_minmax_matches_the_per_point_loop():
             np.array([[abs(rng.standard_normal()) + 0.1]]), rng.standard_normal((1, n)),
             m22 + m22.T, rng.standard_normal(1), rng.standard_normal(n),
         )
-        value = grid_minmax(pq, cfg, Direction.MINMAX)
+        loop = _minmax_loop(pq, cfg)
+        lower, upper = _bracket(pq, cfg)
+        assert grid_minmax(pq, cfg, Direction.MINMAX) == upper
+        assert abs(upper - loop) <= 1e-9 * (1.0 + abs(loop))
+        assert lower <= loop + 1e-12 * (1.0 + abs(loop))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2])
+def test_minmax_bracket_holds_the_solver_value(m, n):
+    # The candidates are points of the sphere, so the minimum over them
+    # is at most the game value v; for a 1-d w the candidates +-1 are the
+    # whole sphere, and the bracket closes on v.
+    rng = np.random.default_rng(10 * m + n)
+    cfg = OracleConfig(samples=2000)
+    for k in range(-3, 4):
+        pq = random_partitioned(rng, m, n)
+        c = 10.0**k
+        pq = PartitionedQuadratic(
+            c * pq.m11, c * pq.m12, c * pq.m22, c * pq.d1, c * pq.d2
+        )
+        v = solve_linear_term(pq, Direction.MINMAX).value
+        lower, upper = _bracket(pq, cfg)
+        assert lower <= upper
+        assert lower <= v + 1e-12 * (1.0 + abs(v))
         if n == 1:
-            assert value == _minmax_loop(pq, cfg)
-        else:
-            assert value == pytest.approx(_minmax_loop(pq, cfg), rel=1e-12, abs=1e-12)
+            assert abs(upper - v) <= 1e-8 * (1.0 + abs(v))
+
+
+@pytest.mark.parametrize("null_part", [0.0, 1e-3])
+def test_minmax_bracket_with_a_singular_m11(null_part):
+    # The cuts run over R(M11): with d1 in it f is constant along
+    # null(M11); with a part of d1 off it f is unbounded below.
+    pq = PartitionedQuadratic(
+        np.diag([1.0, 0.0]), np.array([[0.5], [0.0]]), np.eye(1),
+        np.array([0.3, null_part]), np.array([0.2]),
+    )
+    lower, upper = _bracket(pq, OracleConfig())
+    if null_part:
+        assert lower == upper == -math.inf
+    else:
+        v = solve_linear_term(pq, Direction.MINMAX).value
+        assert lower <= v + 1e-12 and abs(upper - v) <= 1e-8 * (1.0 + abs(v))
+    assert grid_minmax(pq, OracleConfig(), Direction.MINMAX) == upper

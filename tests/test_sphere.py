@@ -271,3 +271,31 @@ def test_dual_curve_rows_match_secular_evaluations(c, vanishes):
         coords = sec.response(lam)
         assert value == pytest.approx(float(sec.value(lam, coords)), rel=1e-12)
         assert slope == pytest.approx(0.5 * (1.0 - coords @ coords), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("d_mat,d_vec", [
+    ([2.0, 1.0], [-1e-9, 0.5]),
+    ([2.0, 1.0], [1e-9, 0.5]),
+    ([2.0, 2.0, 1.0], [1e-9, 1e-9, 0.5]),
+], ids=["negative", "positive", "two-d-top"])
+def test_hard_case_representative_follows_the_top_part_of_d(c, d_mat, d_vec):
+    # d's part in the top eigenspace passes the range test (hard case),
+    # yet it decides which member of the boundary set is best: the
+    # representative points along it, and the value is the value there.
+    d_mat, d_vec = c * np.diag(d_mat), c * np.array(d_vec)
+    sol = solve_trust_region(d_mat, d_vec)
+    assert sol.boundary
+    form = QuadraticForm(d_mat, d_vec)
+    rep = sol.w_star.representative()
+    assert abs(form.evaluate(rep) - sol.value) <= 1e-15 * (1.0 + abs(sol.value))
+    best, _ = sphere_max(form, OracleConfig(seed=0, samples=2000))
+    assert sol.value >= best - 1e-12 * c
+
+
+def test_empty_sphere_is_an_input_error():
+    with pytest.raises(ValueError, match="D is 0 x 0"):
+        solve_trust_region(np.zeros((0, 0)), np.zeros(0))
+    # The dual function has no sphere constraint: lambda/2 everywhere.
+    rows = dual_curve(np.zeros((0, 0)), np.zeros(0), 1.0, 3.0, 3)
+    assert [value for _, value, _ in rows] == [0.5, 1.0, 1.5]
