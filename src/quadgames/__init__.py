@@ -25,8 +25,6 @@ from .game import (
 from .linalg import (
     AffineSolutionSet,
     LinearSolve,
-    SchurPair,
-    SvdFactors,
     is_psd,
     pinv,
     schur_complements,
@@ -64,9 +62,7 @@ __all__ = [
     "QuadOptimum",
     "QuadraticForm",
     "SaddleSolution",
-    "SchurPair",
     "SphereSolutionSet",
-    "SvdFactors",
     "TrustRegionSolution",
     "companion_matrix",
     "duality_report",

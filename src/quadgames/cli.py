@@ -6,6 +6,10 @@ and one example per kind).  Results are emitted as JSON documents that
 round-trip losslessly; curves are emitted as CSV with the literal tokens
 ``inf`` and ``-inf`` for infinite entries.
 
+``KINDS`` has one entry per kind: it reads the file into the solver's
+input once, solves it, checks the result document with an oracle and,
+for ``lagrangian`` and ``trust_region``, draws the curve.
+
 Exit codes: 0 solved / check passed, 1 input error, 2 well-posed
 "no solution / unbounded" outcomes, 3 check failed.
 """
@@ -17,22 +21,14 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
 from .linalg import TOL, AffineSolutionSet, solve_linear, svd
 from .quadratic import _blocks
-
-KINDS = (
-    "linear_solve",
-    "quad_min",
-    "saddle",
-    "lagrangian",
-    "trust_region",
-    "minmax",
-    "maxmin",
-)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,6 +38,22 @@ EXIT_CHECK_FAILED = 3
 
 class ProblemError(Exception):
     """Malformed or inconsistent problem file."""
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind: ``read(prob) -> data`` parses the file into the solver's
+    input, ``solve(data, prob) -> (doc without kind, exit code)``,
+    ``check(data, prob, doc, code, cfg, scale) -> (value, oracle_value,
+    passed)``, and ``curve(data, lo, hi, steps)`` gives the CSV rows
+    under ``header``.  ``prob`` is passed on for the fields that only
+    one command reads (``lambda``, ``expected_value``)."""
+
+    read: Callable
+    solve: Callable
+    check: Callable
+    curve: Callable | None = None
+    header: str = ""
 
 
 def _tol_scale() -> float:
@@ -66,7 +78,7 @@ def load_problem(path: str) -> dict:
     if not isinstance(prob, dict):
         raise ProblemError(f"{path}: top level must be an object")
     kind = prob.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ProblemError(
             f"{path}: field 'kind' must be one of {', '.join(KINDS)}; got {kind!r}"
         )
@@ -98,16 +110,18 @@ def _scalar(prob: dict, key: str, default=None) -> float:
         raise ProblemError(f"field {key!r} is not a number") from exc
 
 
+def _form(prob: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``D`` and ``d`` of a ``quad_min`` or ``trust_region`` file."""
+    return _field(prob, "D", 2), _field(prob, "d", 1)
+
+
 def _partitioned(prob: dict) -> game.PartitionedQuadratic:
     m11 = _field(prob, "M11", 2)
     m12 = _field(prob, "M12", 2)
     m22 = _field(prob, "M22", 2)
     d1 = _field(prob, "d1", 1, np.zeros(m11.shape[0]))
     d2 = _field(prob, "d2", 1, np.zeros(m22.shape[0]))
-    try:
-        return game.PartitionedQuadratic(m11, m12, m22, d1, d2)
-    except ValueError as exc:
-        raise ProblemError(str(exc)) from exc
+    return game.PartitionedQuadratic(m11, m12, m22, d1, d2)
 
 
 def _oracle_config(prob: dict, samples=None, seed=None) -> oracle.OracleConfig:
@@ -141,174 +155,6 @@ def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:
     }
 
 
-def solve_document(prob: dict) -> tuple[dict, int]:
-    """Dispatch a parsed problem to its solver and build the result doc."""
-    kind = prob["kind"]
-    try:
-        if kind == "linear_solve":
-            result = solve_linear(_field(prob, "A", 2), _field(prob, "b", 1))
-            doc = {
-                "kind": kind,
-                "status": "consistent" if result.consistent else "least_squares",
-                "residual": result.residual,
-                "solutions": _aset_doc(result.solutions),
-            }
-            return doc, EXIT_OK
-
-        if kind == "quad_min":
-            form = quadratic.QuadraticForm(
-                _field(prob, "D", 2),
-                _field(prob, "d", 1),
-                _scalar(prob, "c", 0.0),
-            )
-            optimum = quadratic.minimize(form)
-            if optimum is None:
-                return {"kind": kind, "status": "unbounded_below"}, EXIT_NO_SOLUTION
-            doc = {
-                "kind": kind,
-                "status": "bounded",
-                "value": optimum.value,
-                "minimizers": _aset_doc(optimum.points),
-            }
-            return doc, EXIT_OK
-
-        if kind == "saddle":
-            pq = _partitioned(prob)
-            solution = game.solve_saddle(pq)
-            if solution is None:
-                return {"kind": kind, "status": "no_solution"}, EXIT_NO_SOLUTION
-            doc = {
-                "kind": kind,
-                "status": "solved",
-                "value": solution.value,
-                "u_star": solution.u_star.tolist(),
-                "w_star": solution.w_star.tolist(),
-                "solutions": _aset_doc(solution.solutions),
-            }
-            return doc, EXIT_OK
-
-        if kind == "lagrangian":
-            pq = _partitioned(prob)
-            lam = _scalar(prob, "lambda")
-            report = game.duality_report(pq, lam)
-            doc = {"kind": kind, "lambda": lam, "status": report.status}
-            if report.status == "unbounded_below":
-                return doc, EXIT_NO_SOLUTION
-            for name, solve in (("minmax", report.minmax), ("maxmin", report.maxmin)):
-                entry: dict = {"finite": solve.finite}
-                if solve.finite:
-                    entry["value"] = solve.value
-                    entry["u_set"] = _aset_doc(solve.u_set)
-                    entry["w_set"] = _aset_doc(solve.w_set)
-                doc[name] = entry
-            code = EXIT_OK if report.status == "strong_duality" else EXIT_NO_SOLUTION
-            if report.value is not None:
-                doc["value"] = report.value
-            return doc, code
-
-        if kind == "trust_region":
-            solution = sphere.solve_trust_region(
-                _field(prob, "D", 2), _field(prob, "d", 1)
-            )
-            doc = {
-                "kind": kind,
-                "status": "solved",
-                "value": solution.value,
-                "lambda_p": solution.lambda_p,
-                "case": "boundary" if solution.boundary else "interior",
-                "w_star": _sset_doc(solution.w_star),
-                "diagnostics": {"near_hard_case": solution.near_hard_case},
-            }
-            return doc, EXIT_OK
-
-        # minmax / maxmin
-        pq = _partitioned(prob)
-        direction = minmax.Direction(kind)
-        solution = minmax.solve_linear_term(pq, direction)
-        if solution is None:
-            return {"kind": kind, "status": "unbounded_below"}, EXIT_NO_SOLUTION
-        doc = {
-            "kind": kind,
-            "status": "solved",
-            "value": solution.value,
-            "lambda0": solution.lambda0,
-            "u_set": _aset_doc(solution.u_set),
-            "w_set": _sset_doc(solution.w_set),
-            "diagnostics": solution.diagnostics,
-        }
-        return doc, EXIT_OK
-    except ValueError as exc:
-        raise ProblemError(str(exc)) from exc
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
-
-
-def run_solve(args) -> int:
-    prob = load_problem(args.input)
-    doc, code = solve_document(prob)
-    text = json.dumps(doc, indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return code
-
-
-def run_curve(args) -> int:
-    prob = load_problem(args.input)
-    kind = prob["kind"]
-    if args.lambda_min >= args.lambda_max:
-        raise ProblemError("--lambda-min must be smaller than --lambda-max")
-    if args.steps < 2:
-        raise ProblemError("--steps must be at least 2")
-    if kind == "lagrangian":
-        pq = _partitioned(prob)
-        rows = game.lambda_curve(pq, args.lambda_min, args.lambda_max, args.steps)
-        header = "lambda,minmax,maxmin"
-    elif kind == "trust_region":
-        rows = sphere.dual_curve(
-            _field(prob, "D", 2),
-            _field(prob, "d", 1),
-            args.lambda_min,
-            args.lambda_max,
-            args.steps,
-        )
-        header = "lambda,L,dL"
-    else:
-        raise ProblemError(
-            f"curve supports kinds 'lagrangian' and 'trust_region', not {kind!r}"
-        )
-    lines = [header] + [",".join(_fmt(x) for x in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _check_trust_region(prob, doc, code, cfg, scale):
-    value = _scalar(prob, "expected_value", doc["value"])
-    form = quadratic.QuadraticForm(
-        _field(prob, "D", 2), _field(prob, "d", 1)
-    )
-    if form.dim > 4:
-        raise ProblemError("sphere oracle supports dimensions up to 4")
-    oracle_value, _ = oracle.sphere_max(form, cfg)
-    gap = value - oracle_value
-    passed = -1e-9 * scale <= gap <= 5e-3 * scale
-    return value, oracle_value, passed
-
-
 def _escape_probe(h, d, evaluate):
     """Check of an unbounded_below answer: with P the projector onto
     null(h), a step of 1e6 along -P d / ||P d|| lowers the objective by
@@ -332,10 +178,7 @@ def _game_escape(pq):
 def _grid_tol(pq, scale, direction=None):
     """Tolerance of the grid oracles; refuses the blocks they cannot
     take (a w beyond 2-d, a MINMAX u beyond 4-d)."""
-    try:
-        oracle._check_dims(pq, direction)
-    except ValueError as exc:
-        raise ProblemError(str(exc)) from exc
+    oracle._check_dims(pq, direction)
     return (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
 
 
@@ -356,32 +199,21 @@ def _sampled_min(objective, x0, cfg, value, scale):
     return value, oracle_value, passed
 
 
-def _check_minmax(prob, doc, code, cfg, scale):
-    pq = _partitioned(prob)
-    if code == EXIT_NO_SOLUTION:
-        return _game_escape(pq)
-    direction = minmax.Direction(prob["kind"])
-    tol = _grid_tol(pq, scale, direction)
-    value = _scalar(prob, "expected_value", doc["value"])
-    oracle_value = oracle.grid_minmax(pq, cfg, direction)
-    passed = abs(value - oracle_value) <= tol
-    return value, oracle_value, passed
+def _linear_system(prob):
+    return _field(prob, "A", 2), _field(prob, "b", 1)
 
 
-def _check_quad_min(prob, doc, code, cfg, scale):
-    form = quadratic.QuadraticForm(
-        _field(prob, "D", 2), _field(prob, "d", 1), _scalar(prob, "c", 0.0)
-    )
-    if code == EXIT_NO_SOLUTION:
-        return _escape_probe(form.hessian, form.linear, form.evaluate)
-    value = _scalar(prob, "expected_value", doc["value"])
-    x0 = np.asarray(doc["minimizers"]["particular"])
-    return _sampled_min(form._evaluate_rows, x0, cfg, value, scale)
+def _solve_linear_system(data, prob):
+    result = solve_linear(*data)
+    return {
+        "status": "consistent" if result.consistent else "least_squares",
+        "residual": result.residual,
+        "solutions": _aset_doc(result.solutions),
+    }, EXIT_OK
 
 
-def _check_linear_solve(prob, doc, code, cfg, scale):
-    a = _field(prob, "A", 2)
-    b = _field(prob, "b", 1)
+def _check_linear_system(data, prob, doc, code, cfg, scale):
+    a, b = data
     residual = _scalar(prob, "expected_value", doc["residual"])
     x0 = np.asarray(doc["solutions"]["particular"])
     return _sampled_min(
@@ -389,10 +221,45 @@ def _check_linear_solve(prob, doc, code, cfg, scale):
     )
 
 
-def _check_saddle(prob, doc, code, cfg, scale):
+def _quad_form(prob):
+    return quadratic.QuadraticForm(*_form(prob), _scalar(prob, "c", 0.0))
+
+
+def _solve_quad_min(form, prob):
+    optimum = quadratic.minimize(form)
+    if optimum is None:
+        return {"status": "unbounded_below"}, EXIT_NO_SOLUTION
+    return {
+        "status": "bounded",
+        "value": optimum.value,
+        "minimizers": _aset_doc(optimum.points),
+    }, EXIT_OK
+
+
+def _check_quad_min(form, prob, doc, code, cfg, scale):
+    if code == EXIT_NO_SOLUTION:
+        return _escape_probe(form.hessian, form.linear, form.evaluate)
+    value = _scalar(prob, "expected_value", doc["value"])
+    x0 = np.asarray(doc["minimizers"]["particular"])
+    return _sampled_min(form._evaluate_rows, x0, cfg, value, scale)
+
+
+def _solve_saddle(pq, prob):
+    solution = game.solve_saddle(pq)
+    if solution is None:
+        return {"status": "no_solution"}, EXIT_NO_SOLUTION
+    return {
+        "status": "solved",
+        "value": solution.value,
+        "u_star": solution.u_star.tolist(),
+        "w_star": solution.w_star.tolist(),
+        "solutions": _aset_doc(solution.solutions),
+    }, EXIT_OK
+
+
+def _check_saddle(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
         return math.nan, math.nan, True
-    pq = _partitioned(prob)
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = float(doc["value"])
@@ -405,14 +272,35 @@ def _check_saddle(prob, doc, code, cfg, scale):
     return value, pq.evaluate(u_star, w_star), passed
 
 
-def _check_lagrangian(prob, doc, code, cfg, scale):
-    pq = _partitioned(prob)
-    tol = _grid_tol(pq, scale)
+def _solve_lagrangian(pq, prob):
+    # ``lambda`` is read here, not in the entry's ``read``: a curve
+    # sweeps lambda and needs no such field.
+    lam = _scalar(prob, "lambda")
+    report = game.duality_report(pq, lam)
+    doc = {"lambda": lam, "status": report.status}
+    if report.status == "unbounded_below":
+        return doc, EXIT_NO_SOLUTION
+    for name, solve in (("minmax", report.minmax), ("maxmin", report.maxmin)):
+        entry: dict = {"finite": solve.finite}
+        if solve.finite:
+            entry["value"] = solve.value
+            entry["u_set"] = _aset_doc(solve.u_set)
+            entry["w_set"] = _aset_doc(solve.w_set)
+        doc[name] = entry
+    code = EXIT_OK if report.status == "strong_duality" else EXIT_NO_SOLUTION
+    if report.value is not None:
+        doc["value"] = report.value
+    return doc, code
+
+
+def _check_lagrangian(pq, prob, doc, code, cfg, scale):
     if doc["status"] == "unbounded_below":
         return _game_escape(pq)
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
         return math.nan, math.nan, True
+    # The dimension caps are the grid oracle's, so only its path has them.
+    tol = _grid_tol(pq, scale)
     value = _scalar(prob, "expected_value", xm["value"])
     oracle_value = oracle.grid_lagrangian(pq, doc["lambda"], cfg)
     passed = abs(oracle_value - value) <= tol
@@ -421,25 +309,135 @@ def _check_lagrangian(prob, doc, code, cfg, scale):
     return value, oracle_value, passed
 
 
-_CHECKERS = {
-    "linear_solve": _check_linear_solve,
-    "quad_min": _check_quad_min,
-    "saddle": _check_saddle,
-    "lagrangian": _check_lagrangian,
-    "trust_region": _check_trust_region,
-    "minmax": _check_minmax,
-    "maxmin": _check_minmax,
+def _solve_sphere_game(pq, prob):
+    solution = minmax.solve_linear_term(pq, minmax.Direction(prob["kind"]))
+    if solution is None:
+        return {"status": "unbounded_below"}, EXIT_NO_SOLUTION
+    return {
+        "status": "solved",
+        "value": solution.value,
+        "lambda0": solution.lambda0,
+        "u_set": _aset_doc(solution.u_set),
+        "w_set": _sset_doc(solution.w_set),
+        "diagnostics": solution.diagnostics,
+    }, EXIT_OK
+
+
+def _check_sphere_game(pq, prob, doc, code, cfg, scale):
+    if code == EXIT_NO_SOLUTION:
+        return _game_escape(pq)
+    direction = minmax.Direction(prob["kind"])
+    tol = _grid_tol(pq, scale, direction)
+    value = _scalar(prob, "expected_value", doc["value"])
+    oracle_value = oracle.grid_minmax(pq, cfg, direction)
+    passed = abs(value - oracle_value) <= tol
+    return value, oracle_value, passed
+
+
+def _solve_trust_region(data, prob):
+    solution = sphere.solve_trust_region(*data)
+    return {
+        "status": "solved",
+        "value": solution.value,
+        "lambda_p": solution.lambda_p,
+        "case": "boundary" if solution.boundary else "interior",
+        "w_star": _sset_doc(solution.w_star),
+        "diagnostics": {"near_hard_case": solution.near_hard_case},
+    }, EXIT_OK
+
+
+def _check_trust_region(data, prob, doc, code, cfg, scale):
+    value = _scalar(prob, "expected_value", doc["value"])
+    form = quadratic.QuadraticForm(*data)
+    if form.dim > 4:
+        raise ProblemError("sphere oracle supports dimensions up to 4")
+    oracle_value, _ = oracle.sphere_max(form, cfg)
+    gap = value - oracle_value
+    passed = -1e-9 * scale <= gap <= 5e-3 * scale
+    return value, oracle_value, passed
+
+
+# The curves look the library functions up at call time, so that a
+# wrapper installed on the module (a tracer) sees the call.
+KINDS: dict[str, _Kind] = {
+    "linear_solve": _Kind(_linear_system, _solve_linear_system, _check_linear_system),
+    "quad_min": _Kind(_quad_form, _solve_quad_min, _check_quad_min),
+    "saddle": _Kind(_partitioned, _solve_saddle, _check_saddle),
+    "lagrangian": _Kind(
+        _partitioned,
+        _solve_lagrangian,
+        _check_lagrangian,
+        lambda pq, *grid: game.lambda_curve(pq, *grid),
+        "lambda,minmax,maxmin",
+    ),
+    "trust_region": _Kind(
+        _form,
+        _solve_trust_region,
+        _check_trust_region,
+        lambda data, *grid: sphere.dual_curve(*data, *grid),
+        "lambda,L,dL",
+    ),
+    "minmax": _Kind(_partitioned, _solve_sphere_game, _check_sphere_game),
 }
+KINDS["maxmin"] = KINDS["minmax"]
+
+
+def solve_document(prob: dict) -> tuple[object, dict, int]:
+    """Read a loaded problem into its solver's input and solve it: the
+    input, the result document and the exit code."""
+    kind = prob["kind"]
+    data = KINDS[kind].read(prob)
+    doc, code = KINDS[kind].solve(data, prob)
+    return data, {"kind": kind, **doc}, code
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return repr(x)
+
+
+def _write(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def run_solve(args) -> int:
+    _, doc, code = solve_document(load_problem(args.input))
+    _write(json.dumps(doc, indent=2) + "\n", args.output)
+    return code
+
+
+def run_curve(args) -> int:
+    prob = load_problem(args.input)
+    if args.lambda_min >= args.lambda_max:
+        raise ProblemError("--lambda-min must be smaller than --lambda-max")
+    if args.steps < 2:
+        raise ProblemError("--steps must be at least 2")
+    entry = KINDS[prob["kind"]]
+    if entry.curve is None:
+        kinds = " and ".join(repr(k) for k, e in KINDS.items() if e.curve)
+        raise ProblemError(f"curve supports kinds {kinds}, not {prob['kind']!r}")
+    rows = entry.curve(entry.read(prob), args.lambda_min, args.lambda_max, args.steps)
+    lines = [entry.header] + [",".join(_fmt(x) for x in row) for row in rows]
+    _write("\n".join(lines) + "\n", args.output)
+    return EXIT_OK
 
 
 def run_check(args) -> int:
     prob = load_problem(args.input)
     scale = _tol_scale()
     cfg = _oracle_config(prob, samples=args.samples, seed=args.seed)
-    kind = prob["kind"]
-    doc, code = solve_document(prob)
-    value, oracle_value, passed = _CHECKERS[kind](prob, doc, code, cfg, scale)
-    print(f"kind: {kind}")
+    data, doc, code = solve_document(prob)
+    check = KINDS[prob["kind"]].check
+    value, oracle_value, passed = check(data, prob, doc, code, cfg, scale)
+    print(f"kind: {prob['kind']}")
     print(f"solver value: {_fmt(value)}")
     print(f"oracle value: {_fmt(oracle_value)}")
     print(f"gap: {_fmt(value - oracle_value)}")
@@ -481,10 +479,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RuntimeError as exc:
+    except (ProblemError, ValueError, RuntimeError) as exc:
+        # A ValueError is a solver or oracle refusing the data (not PSD,
+        # a wrong length, a block too large): an input error.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

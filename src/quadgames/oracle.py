@@ -223,7 +223,11 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     n = pq.w_dim
     box = _auto_box(pq)
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
-    w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
+    if n == 0:
+        # An empty w block: the grid is the one point of R^0.
+        w_grid = np.zeros((1, 0))
+    else:
+        w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
     penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_grid, w_grid))
     return float(np.max(_inner_min(pq, w_grid, svd(pq.m11)) + penalty))
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadgames import minmax, quadratic
+from quadgames import cli, minmax, quadratic
 from quadgames.cli import main
+from quadgames.game import DualityReport
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -322,6 +323,12 @@ UNBOUNDED_GAME = {
     "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.5], [0.0]], "M22": [[1.0]],
     "d1": [0.0, 1.0], "d2": [0.3],
 }
+# The same kind of game with a 3-d w, beyond the grid oracles, which
+# the escape probe does not use.
+WIDE_W_UNBOUNDED = {
+    "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    "M22": np.eye(3).tolist(), "d1": [0.0, 1.0], "d2": [0.1, 0.2, 0.3],
+}
 
 
 def _scaled(doc, c):
@@ -334,7 +341,8 @@ def _scaled(doc, c):
 def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
     # d (d1) with a null-space part only, and mixed with a range part
     # 1e3 and 1e8 times larger; the solvers call the last unbounded
-    # because its null-space part exceeds TOL ||d||.
+    # because its null-space part exceeds TOL ||d||.  The dimension caps
+    # are the grid oracles', so a game with a 3-d w is checked too.
     docs = []
     for d in ([0.0, 1.0], [1000.0, 1.0], [1.0, 1e-8]):
         game = {**UNBOUNDED_GAME, "d1": d}
@@ -344,6 +352,10 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
             {"kind": "minmax", **game},
             {"kind": "lagrangian", "lambda": 2.0, **game},
         ]
+    docs += [
+        {"kind": "minmax", **WIDE_W_UNBOUNDED},
+        {"kind": "lagrangian", "lambda": 2.0, **WIDE_W_UNBOUNDED},
+    ]
     for doc in docs:
         path = write_problem(tmp_path, _scaled(doc, c))
         code, out, _ = run(capsys, "solve", path)
@@ -358,13 +370,17 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
     {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": [1.0, 1e-12]},
     {"kind": "minmax", "M11": [[1.0]], "M12": [[0.0]], "M22": [[1.0]],
      "d1": [0.0], "d2": [-1000.0]},
+    {"kind": "lagrangian", "lambda": 2.0, **WIDE_W_UNBOUNDED, "d1": [1.0, 0.0]},
 ], ids=[
     "quad-min-zero-d", "quad-min-d-in-range", "quad-min-rounding-null-part",
-    "minmax-zero-d1",
+    "minmax-zero-d1", "lagrangian-wide-w-d1-in-range",
 ])
 def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, doc):
     monkeypatch.setattr(quadratic, "minimize", lambda form: None)
     monkeypatch.setattr(minmax, "solve_linear_term", lambda pq, direction: None)
+    monkeypatch.setattr(
+        cli.game, "duality_report", lambda pq, lam: DualityReport("unbounded_below")
+    )
     path = write_problem(tmp_path, doc)
     code, out, _ = run(capsys, "check", path)
     assert (code, out.splitlines()[-1]) == (3, "result: FAIL")
@@ -382,6 +398,7 @@ FIVE_BY_FIVE = {
 }
 LAGRANGIAN = {"kind": "lagrangian", "M11": [[1.0]], "M12": [[1.0]], "M22": [[1.0]]}
 QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
+TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.5]}
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -405,12 +422,20 @@ QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
     ("check", {**QUAD_MIN, "oracle": {"samples": True}}),
     ("check", {**QUAD_MIN, "oracle": {"seed": -1}}),
     ("check --seed -3", QUAD_MIN),
+    ("curve --lambda-min 0 --lambda-max 2 --steps 3",
+     {**TRUST_REGION, "D": [[-1.0, 0.0], [0.0, 1.0]]}),
+    ("curve --lambda-min 0 --lambda-max 2 --steps 3",
+     {**TRUST_REGION, "D": [[1.0, 1.0], [0.0, 1.0]]}),
+    ("curve --lambda-min 0 --lambda-max 2 --steps 3", {**TRUST_REGION, "d": [0.5]}),
+    ("curve --lambda-min 0 --lambda-max 2 --steps 3", {**LAGRANGIAN, "M22": [[-1.0]]}),
 ], ids=[
     "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
     "object-expected", "string-expected", "number-oracle", "list-oracle",
     "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
     "bool-samples", "negative-seed", "negative-seed-option",
+    "curve-non-psd-D", "curve-non-symmetric-D", "curve-short-d",
+    "curve-non-psd-lagrangian",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     name, *options = command.split()
@@ -418,6 +443,29 @@ def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["fig_duality_gap.json", "fig_trust_blue.json"])
+def test_each_command_solves_at_most_once(monkeypatch, capsys, name):
+    # `check` verifies the document of one solve, and the benchmark times
+    # a check as `run_check` minus that `solve_document`; `curve` solves
+    # nothing.
+    calls = []
+    solve_document = cli.solve_document
+
+    def counted(prob):
+        calls.append(prob)
+        return solve_document(prob)
+
+    monkeypatch.setattr(cli, "solve_document", counted)
+    path = str(FIXTURES / name)
+    curve = ["--lambda-min", "0", "--lambda-max", "2", "--steps", "3"]
+    for argv, count in (
+        (["solve", path], 1), (["check", path], 1), (["curve", path, *curve], 0),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (0, count), argv
 
 
 def test_solve_and_curve_leave_numpy_random_out():

@@ -9,6 +9,7 @@ from quadgames import (
     OracleConfig,
     PartitionedQuadratic,
     QuadraticForm,
+    duality_report,
     fd_gradient,
     grid_minmax,
     solve_linear_term,
@@ -17,7 +18,7 @@ from quadgames import (
 )
 from quadgames import quadratic
 from quadgames.cli import _sampled_min
-from quadgames.oracle import _convex_min, _w_candidates, unit_samples
+from quadgames.oracle import _convex_min, _w_candidates, grid_lagrangian, unit_samples
 
 from util import random_partitioned
 
@@ -359,3 +360,14 @@ def test_minmax_bracket_with_a_singular_m11(null_part):
         v = solve_linear_term(pq, Direction.MINMAX).value
         assert lower <= v + 1e-12 and abs(upper - v) <= 1e-8 * (1.0 + abs(v))
     assert grid_minmax(pq, OracleConfig(), Direction.MINMAX) == upper
+
+
+def test_grid_lagrangian_with_an_empty_w_block():
+    # R^0 holds one w, the empty one, so the oracle's value is
+    # min over u of V(u) + lam/2: -0.125 + 0.5 here.
+    pq = PartitionedQuadratic(
+        np.eye(1), np.zeros((1, 0)), np.zeros((0, 0)), np.array([0.5]), np.zeros(0)
+    )
+    report = duality_report(pq, 1.0)
+    assert report.status == "strong_duality"
+    assert abs(grid_lagrangian(pq, 1.0, OracleConfig()) - report.value) <= 1e-3
