@@ -13,7 +13,6 @@ from .game import (
     PartitionedQuadratic,
     SaddleSolution,
     duality_report,
-    is_psd_partitioned,
     lambda_curve,
     maxmin_at_lambda,
     maxmin_threshold,
@@ -26,11 +25,8 @@ from .linalg import (
     AffineSolutionSet,
     LinearSolve,
     is_psd,
-    pinv,
     schur_complements,
     solve_linear,
-    spectral_norm,
-    svd,
 )
 from .minmax import (
     ConstrainedGameSolution,
@@ -43,7 +39,6 @@ from .quadratic import QuadOptimum, QuadraticForm, maximize, minimize
 from .sphere import (
     SphereSolutionSet,
     TrustRegionSolution,
-    companion_matrix,
     dual_curve,
     lambda_p,
     solve_trust_region,
@@ -64,13 +59,11 @@ __all__ = [
     "SaddleSolution",
     "SphereSolutionSet",
     "TrustRegionSolution",
-    "companion_matrix",
     "duality_report",
     "dual_curve",
     "fd_gradient",
     "grid_minmax",
     "is_psd",
-    "is_psd_partitioned",
     "lambda_curve",
     "lambda_p",
     "maximize",
@@ -79,16 +72,13 @@ __all__ = [
     "minimize",
     "minmax_at_lambda",
     "minmax_threshold",
-    "pinv",
     "schur_complements",
     "solve_homogeneous",
     "solve_linear",
     "solve_linear_term",
     "solve_saddle",
     "solve_trust_region",
-    "spectral_norm",
     "sphere_intersect",
     "sphere_max",
-    "svd",
     "verify_saddle",
 ]

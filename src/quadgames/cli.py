@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
-from .linalg import TOL, AffineSolutionSet, solve_linear, svd
+from .linalg import TOL, AffineSolutionSet, solve_linear, symmetric_split
 from .quadratic import _blocks
 
 EXIT_OK = 0
@@ -161,8 +161,8 @@ def _escape_probe(h, d, evaluate):
     1e6 ||P d||.  It passes when that drop exceeds 1e6 TOL ||d||, as the
     solvers' range test calls d unbounded once ||P d|| > TOL ||d||; the
     bound is scale-free and fails at P d = 0 (d = 0 or d in range)."""
-    f = svd(h)
-    escape = -(f.u2 @ (f.u2.T @ d))
+    f = symmetric_split(h)
+    escape = -(f.v2 @ (f.v2.T @ d))
     norm = float(np.linalg.norm(escape))
     step = escape * (1e6 / norm) if norm > 0 else escape
     probe = evaluate(step) - evaluate(np.zeros_like(d))
@@ -173,6 +173,25 @@ def _game_escape(pq):
     """Escape probe of a game in u, at the unit w = e1."""
     w = np.eye(pq.w_dim, 1)[:, 0]
     return _escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
+
+
+def _maxmin_escape(pq, lam):
+    """Check of an infinite maxmin answer, the w-side twin of
+    ``_escape_probe``.  g(w) = min over u of L(u, w, lam), from the
+    oracle's exact inner minimum, is 1/2 w'(S - lam I)w + r'w + const.
+    With S = Q diag(s) Q' and r from the game's reduction, g rises
+    without bound along q_i or -q_i quadratically where s_i > lam, and
+    linearly where s_i = lam (as at lam = ||S||) and r'q_i != 0.  The
+    check takes a step of 1e6 along each +-q_i and passes when the
+    largest rise exceeds 1e6 times the tolerance of the solvers' range
+    test on r, so the bound scales with the data.  A bounded g falls
+    along every +-q_i unless its maximizer lies beyond the step."""
+    sec = game.schur_reduction(pq).secular
+    w = 1e6 * np.vstack([np.zeros(pq.w_dim), sec.q.T, -sec.q.T])
+    g = oracle._inner_min(pq, w, symmetric_split(pq.m11))
+    g -= 0.5 * lam * np.einsum("ij,ij->i", w, w)
+    rise = float(np.max(g[1:]) - g[0])
+    return math.nan, rise, rise > 1e6 * sec.range_tol
 
 
 def _grid_tol(pq, scale, direction=None):
@@ -259,7 +278,8 @@ def _solve_saddle(pq, prob):
 
 def _check_saddle(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return math.nan, math.nan, True
+        form = quadratic.QuadraticForm(pq.assembled(), pq.d)
+        return _escape_probe(form.hessian, form.linear, form.evaluate)
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = float(doc["value"])
@@ -298,7 +318,7 @@ def _check_lagrangian(pq, prob, doc, code, cfg, scale):
         return _game_escape(pq)
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
-        return math.nan, math.nan, True
+        return _maxmin_escape(pq, doc["lambda"])
     # The dimension caps are the grid oracle's, so only its path has them.
     tol = _grid_tol(pq, scale)
     value = _scalar(prob, "expected_value", xm["value"])
@@ -402,8 +422,11 @@ def _fmt(x) -> str:
 
 def _write(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ProblemError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -416,10 +439,6 @@ def run_solve(args) -> int:
 
 def run_curve(args) -> int:
     prob = load_problem(args.input)
-    if args.lambda_min >= args.lambda_max:
-        raise ProblemError("--lambda-min must be smaller than --lambda-max")
-    if args.steps < 2:
-        raise ProblemError("--steps must be at least 2")
     entry = KINDS[prob["kind"]]
     if entry.curve is None:
         kinds = " and ".join(repr(k) for k, e in KINDS.items() if e.curve)

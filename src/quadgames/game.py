@@ -29,13 +29,12 @@ from .linalg import (
     is_nsd,
     is_psd,
     nonnegative_spectrum,
-    pinv,
     spectral_norm,
     symmetric_split,
     symmetrize,
 )
 from .quadratic import QuadraticForm, _blocks
-from .sphere import Secular
+from .sphere import Secular, _lambda_grid
 
 
 @dataclass(frozen=True)
@@ -176,14 +175,17 @@ def verify_saddle(
 
 
 def minmax_threshold(pq: PartitionedQuadratic) -> float:
-    """Smallest lambda at which min-max of L is finite: ||M22||."""
+    """Smallest lambda at which min-max of L is finite: ||M22||, from
+    one ``eigvalsh``."""
     return spectral_norm(pq.m22)
 
 
 def maxmin_threshold(pq: PartitionedQuadratic) -> float:
-    """Smallest lambda at which max-min of L is finite:
-    ||M22 - M12' pinv(M11) M12||."""
-    return spectral_norm(pq.m22 - pq.m12.T @ pinv(pq.m11) @ pq.m12)
+    """Smallest lambda at which max-min of L is finite: ||S|| with
+    S = M22 - M12' pinv(M11) M12, from one ``eigh`` of M11 and one
+    ``eigvalsh`` of S.  It asks nothing of the signs of the blocks."""
+    schur = pq.m22 - pq.m12.T @ symmetric_split(pq.m11).solve(pq.m12)
+    return spectral_norm(0.5 * (schur + schur.T))
 
 
 @dataclass(frozen=True)
@@ -234,8 +236,7 @@ class SchurReduction:
 def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     """Factor M11 and S once each.  The assembled matrix is PSD iff
     M11 >= 0, R(M12) lies in R(M11) and S >= 0; that test reads the two
-    eigendecompositions and raises otherwise (``is_psd_partitioned``
-    returns its outcome)."""
+    eigendecompositions and raises ValueError(PSD_MESSAGE) otherwise."""
     f11 = symmetric_split(pq.m11, psd=True)
     if f11 is None:
         raise ValueError(PSD_MESSAGE)
@@ -256,20 +257,6 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
         raise ValueError(PSD_MESSAGE)
     bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= TOL * np.linalg.norm(pq.d))
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
-
-
-def is_psd_partitioned(m11, m12, m22) -> bool:
-    """PSD test for the assembled block matrix, block by block: the test
-    ``schur_reduction`` applies.  Agrees with ``is_psd`` on the
-    assembled matrix."""
-    m12 = as_matrix(m12, "M12")
-    zeros = np.zeros(m12.shape[0]), np.zeros(m12.shape[1])
-    pq = PartitionedQuadratic(m11, m12, m22, *zeros)
-    try:
-        schur_reduction(pq)
-    except ValueError:
-        return False
-    return True
 
 
 def _m22(pq: PartitionedQuadratic) -> Secular:
@@ -369,15 +356,11 @@ def lambda_curve(
     from there on.  The whole grid is one array pass over a (steps x n)
     response matrix.
     """
-    if not lambda_min < lambda_max:
-        raise ValueError("lambda_min must be smaller than lambda_max")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    lams = _lambda_grid(lambda_min, lambda_max, steps)
     red = schur_reduction(pq)
     sec = red.secular
     s22 = np.linalg.eigvalsh(pq.m22)  # only ||M22|| is read
     norm22 = float(s22[-1]) if s22.size else 0.0
-    lams = np.linspace(lambda_min, lambda_max, steps)
     if not red.bounded:
         mm = np.where(lams < norm22 - sec.tol, math.inf, -math.inf)
         xm = np.full(steps, -math.inf)

@@ -1,11 +1,12 @@
 """Dense matrix primitives.
 
 Everything downstream is built on the rank-revealing split computed
-here: pseudoinverses, null/range bases, affine solution sets of linear
-systems, semidefiniteness tests, and Schur complements of partitioned
-symmetric matrices.  A symmetric matrix is split by one ``eigh``
-(``symmetric_split``, which can run the PSD test on the same
-eigenvalues); the SVD is for rectangular A (``solve_linear``).
+here: pseudoinverse solves, null/range bases, affine solution sets of
+linear systems, semidefiniteness tests, and Schur complements of
+partitioned symmetric matrices.  Every symmetric matrix is split by one
+``eigh`` (``symmetric_split``, which can run the PSD test on the same
+eigenvalues) or read by ``eigvalsh`` (``spectral_norm``, ``is_psd``);
+the SVD is for rectangular A alone (``solve_linear``).
 
 Matrices are plain ``numpy.ndarray`` values, validated (2-d, finite) at
 the function boundary.  All functions are pure and all returned values
@@ -123,18 +124,11 @@ def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
     )
 
 
-def pinv(a) -> np.ndarray:
-    """Moore-Penrose pseudoinverse V1 diag(1/sigma) U1' of ``a``."""
-    f = svd(a)
-    return (f.v1 / f.sigma) @ f.u1.T
-
-
-def spectral_norm(a) -> float:
-    """Largest singular value; 0 for the zero or empty matrix."""
-    a = as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def spectral_norm(m) -> float:
+    """Largest |eigenvalue| of symmetric ``m``, its spectral norm; 0 for
+    the zero or empty matrix."""
+    s = np.linalg.eigvalsh(as_matrix(m))
+    return float(max(-s[0], s[-1])) if s.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -274,6 +268,6 @@ def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
             f"{m11.shape} and {m22.shape}"
         )
     m22l = m22 - lam * np.eye(m22.shape[0])
-    s11 = m22l - m12.T @ pinv(m11) @ m12
-    s22 = m11 - m12 @ pinv(m22l) @ m12.T
+    s11 = m22l - m12.T @ symmetric_split(m11).solve(m12)
+    s22 = m11 - m12 @ symmetric_split(m22l).solve(m12.T)
     return SchurPair(0.5 * (s11 + s11.T), 0.5 * (s22 + s22.T))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import PartitionedQuadratic
-from .linalg import TOL, as_vector, pinv, spectral_norm, svd, symmetric_split
+from .linalg import TOL, as_vector, spectral_norm, symmetric_split
 from .minmax import Direction
 from .quadratic import QuadraticForm, _blocks
 
@@ -90,8 +90,8 @@ def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
 
 
 def _auto_box(pq: PartitionedQuadratic) -> float:
-    d = pq.d
-    return 2.0 * (1.0 + float(np.linalg.norm(pinv(pq.assembled()) @ d)))
+    step = symmetric_split(pq.assembled()).solve(pq.d)
+    return 2.0 * (1.0 + float(np.linalg.norm(step)))
 
 
 def _check_dims(pq: PartitionedQuadratic, direction: Direction | None = None):
@@ -126,7 +126,7 @@ def grid_minmax(
     count = 2 if n == 1 else max(cfg.samples, 4)
 
     if direction is Direction.MAXMIN:
-        f11 = svd(pq.m11)
+        f11 = symmetric_split(pq.m11)
         best = -math.inf
         for start, stop in _blocks(count):
             w_rows = _w_candidates(n, count, start, stop)
@@ -200,11 +200,12 @@ def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, fl
 
 def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     """min over u of V(u, w) for each row w, solved exactly (a convex
-    quadratic in u; f11 is ``svd(M11)``); -inf where M11 u = -(M12 w + d1)
-    has no solution.  The right-hand side is formed by cancellation, so
-    its residual off the range of M11 is read against TOL (||M12 w|| +
-    ||d||): the norm of M12 w it is formed from, and the scale the
-    solvers' range test reads d1 against."""
+    quadratic in u; f11 is ``symmetric_split(M11)``, with no PSD
+    clipping, so it splits M11 as its SVD would); -inf where
+    M11 u = -(M12 w + d1) has no solution.  The right-hand side is
+    formed by cancellation, so its residual off the range of M11 is read
+    against TOL (||M12 w|| + ||d||): the norm of M12 w it is formed
+    from, and the scale the solvers' range test reads d1 against."""
     cross = w_rows @ pq.m12.T
     rhs = cross + pq.d1
     residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
@@ -229,7 +230,7 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     else:
         w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
     penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_grid, w_grid))
-    return float(np.max(_inner_min(pq, w_grid, svd(pq.m11)) + penalty))
+    return float(np.max(_inner_min(pq, w_grid, symmetric_split(pq.m11)) + penalty))
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

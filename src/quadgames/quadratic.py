@@ -64,10 +64,9 @@ class QuadraticForm:
         return QuadraticForm(-self.hessian, -self.linear, -self.constant)
 
 
-def _blocks(count: int, width: int = 1):
+def _blocks(count: int):
     """Consecutive (start, stop) row ranges that cover range(count), of
-    max(2, BLOCK // width) rows each, for oracle passes whose rows hold
-    ``width`` numbers; a lone last row joins the block before it.
+    ``BLOCK`` rows each; a lone last row joins the block before it.
 
     numpy hands a one-row product to another BLAS routine than a taller
     one, and the two round differently; with no one-row block (unless
@@ -76,10 +75,9 @@ def _blocks(count: int, width: int = 1):
     (``rng.standard_normal((stop - start, dim))``) are the rows of one
     draw of ``count`` rows.
     """
-    size = max(2, BLOCK // width)
     start = 0
     while start < count:
-        stop = start + size
+        stop = start + BLOCK
         if stop >= count - 1:
             stop = count
         yield start, stop

@@ -270,25 +270,15 @@ def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
     return d_mat, d_vec, sec
 
 
-def companion_matrix(d_mat, d_vec) -> np.ndarray:
-    """The 2n x 2n block matrix [[D, I], [dd', D]]."""
-    d_mat, d_vec, _ = _check_inputs(d_mat, d_vec)
-    n = d_mat.shape[0]
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, :n] = d_mat
-    p[:n, n:] = np.eye(n)
-    p[n:, :n] = np.outer(d_vec, d_vec)
-    p[n:, n:] = d_mat
-    return p
-
-
 def lambda_p(d_mat, d_vec) -> float:
-    """Largest real eigenvalue of the companion matrix.
+    """Largest real eigenvalue of the 2n x 2n companion matrix
+    [[D, I], [dd', D]].
 
     A real eigenvalue >= ||D|| always exists for PSD D; its absence
     signals an eigensolver failure and is surfaced as a RuntimeError.
     """
-    p = companion_matrix(d_mat, d_vec)
+    d_mat, d_vec, _ = _check_inputs(d_mat, d_vec)
+    p = np.block([[d_mat, np.eye(d_vec.shape[0])], [np.outer(d_vec, d_vec), d_mat]])
     try:
         eigs = np.linalg.eigvals(p)
     except np.linalg.LinAlgError as exc:
@@ -297,6 +287,16 @@ def lambda_p(d_mat, d_vec) -> float:
     if real.size == 0:
         raise RuntimeError("no real eigenvalue found in the companion matrix")
     return float(real.real.max())
+
+
+def _lambda_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
+    """The uniform grid of a curve, ``steps`` >= 2 points from
+    ``lambda_min`` < ``lambda_max``; ValueError otherwise."""
+    if not lambda_min < lambda_max:
+        raise ValueError("lambda_min must be smaller than lambda_max")
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    return np.linspace(lambda_min, lambda_max, steps)
 
 
 def solve_trust_region(d_mat, d_vec) -> TrustRegionSolution:
@@ -332,11 +332,7 @@ def dual_curve(
     array pass over a (steps x n) response matrix.
     """
     _, _, sec = _check_inputs(d_mat, d_vec)
-    if not lambda_min < lambda_max:
-        raise ValueError("lambda_min must be smaller than lambda_max")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
-    lams = np.linspace(lambda_min, lambda_max, steps)
+    lams = _lambda_grid(lambda_min, lambda_max, steps)
     c = sec.response(lams)
     values = sec.value(lams, c)
     slopes = 0.5 * (1.0 - np.vecdot(c, c))

@@ -23,18 +23,17 @@ from quadgames import (
     maxmin_threshold,
     minmax_at_lambda,
     minmax_threshold,
-    pinv,
     schur_complements,
     solve_linear_term,
     solve_saddle,
     solve_trust_region,
     sphere_max,
-    spectral_norm,
 )
 from quadgames.cli import main as cli_main
+from quadgames.linalg import spectral_norm
 from quadgames.sphere import Secular
 
-from util import random_partitioned, random_psd
+from util import pinv, random_partitioned, random_psd
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

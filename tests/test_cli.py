@@ -10,7 +10,9 @@ import pytest
 
 from quadgames import cli, minmax, quadratic
 from quadgames.cli import main
-from quadgames.game import DualityReport
+from quadgames.game import DualityReport, LambdaSolve
+
+from util import count_factorizations
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -313,10 +315,14 @@ def test_check_wide_u_without_a_u_grid(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
-def test_check_every_fixture(name, capsys):
+def test_check_every_fixture(name, capsys, monkeypatch):
+    # The SVD is for the rectangular A of a linear_solve alone.
+    counts = count_factorizations(monkeypatch)
     code, out, _ = run(capsys, "check", str(FIXTURES / name))
     assert code == (3 if name == "check_corrupted.json" else 0)
     assert out.splitlines()[-1] == ("result: FAIL" if code == 3 else "result: PASS")
+    kind = json.loads((FIXTURES / name).read_text())["kind"]
+    assert counts["svd"] == (1 if kind == "linear_solve" else 0)
 
 
 UNBOUNDED_GAME = {
@@ -384,6 +390,55 @@ def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, d
     path = write_problem(tmp_path, doc)
     code, out, _ = run(capsys, "check", path)
     assert (code, out.splitlines()[-1]) == (3, "result: FAIL")
+
+
+ONE_BY_ONE = {"M11": [[1.0]], "M12": [[1.0]], "M22": [[1.0]], "d1": [0.0]}
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-3, 1.0, 1e8])
+@pytest.mark.parametrize("doc", [
+    {"kind": "lagrangian", "lambda": -0.5, **ONE_BY_ONE, "d2": [0.0]},
+    {"kind": "lagrangian", "lambda": 0.0, **ONE_BY_ONE, "d2": [1.0]},
+    {"kind": "lagrangian", "lambda": 0.5, "M11": [[1.0]], "M12": [[0.0, 0.0, 0.0]],
+     "M22": np.eye(3).tolist(), "d1": [0.0], "d2": [0.0, 0.0, 0.0]},
+    {"kind": "saddle", "M11": [[1.0]], "M12": [[0.0]], "M22": [[0.0]],
+     "d1": [0.0], "d2": [1.0]},
+], ids=["quadratic-rise", "linear-rise-at-norm-s", "wide-w", "saddle"])
+def test_check_probes_infinite_and_unsolvable_answers(tmp_path, capsys, doc, c):
+    # Correct both_infinite and no_solution answers pass by a probe that
+    # prints a finite value: min over u of L rises along some w
+    # (quadratically below ||S||, linearly at lambda = ||S|| = 0 with
+    # d2 off R(S)), and V falls along the null space of the saddle's M.
+    path = write_problem(tmp_path, _scaled(doc, c))
+    code, out, _ = run(capsys, "solve", path)
+    assert code == 2
+    code, out, _ = run(capsys, "check", path)
+    lines = out.splitlines()
+    assert (code, lines[-1]) == (0, "result: PASS"), out
+    assert math.isfinite(float(lines[2].split(": ")[1])), out
+
+
+@pytest.mark.parametrize("name", ["fig_duality_gap.json", "saddle_bilinear.json"])
+def test_check_refutes_a_wrong_infinite_or_unsolvable_answer(monkeypatch, capsys, name):
+    def both_infinite(pq, lam):
+        return DualityReport("both_infinite", None, *[LambdaSolve(lam, False)] * 2)
+
+    monkeypatch.setattr(cli.game, "duality_report", both_infinite)
+    monkeypatch.setattr(cli.game, "solve_saddle", lambda pq: None)
+    code, out, _ = run(capsys, "check", str(FIXTURES / name))
+    assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
+
+
+@pytest.mark.parametrize("command", [
+    ["solve"], ["curve", "--lambda-min", "0", "--lambda-max", "2", "--steps", "3"],
+])
+def test_output_into_a_missing_directory_is_an_error_line(tmp_path, capsys, command):
+    target = str(tmp_path / "missing" / "out")
+    name, *options = command
+    path = str(FIXTURES / "fig_duality_gap.json")
+    code, _, err = run(capsys, name, path, *options, "--output", target)
+    assert code == 1
+    assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
 # A 3-d w (the oracles sample w on a circle at most) and a 5-d u (the

@@ -389,6 +389,28 @@ def test_lambda_family_factorization_count(monkeypatch):
     assert counts["svd"] == 0 and sum(counts.values()) <= 3
 
 
+def test_threshold_factorization_count(monkeypatch):
+    # ||M22|| is read by one eigvalsh; ||S|| by one eigh of M11, whose
+    # split forms S, and one eigvalsh of S.
+    pq = random_partitioned(np.random.default_rng(71), 4, 3)
+    counts = count_factorizations(monkeypatch)
+    minmax_threshold(pq)
+    assert counts == {"eigvalsh": 1}
+    counts.clear()
+    maxmin_threshold(pq)
+    assert counts == {"eigh": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("grid", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1)])
+def test_curves_reject_an_invalid_grid(grid):
+    # Both curves validate their grid with one rule.
+    one = np.array([[1.0]])
+    with pytest.raises(ValueError, match="lambda_min|steps"):
+        lambda_curve(gap_instance(), *grid)
+    with pytest.raises(ValueError, match="lambda_min|steps"):
+        dual_curve(one, np.ones(1), *grid)
+
+
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
 @pytest.mark.parametrize("vanishes", [True, False])
 def test_lambda_curve_rows_match_pointwise_evaluations(c, vanishes):

@@ -7,20 +7,34 @@ from quadgames import (
     PartitionedQuadratic,
     QuadraticForm,
     is_psd,
-    is_psd_partitioned,
     maximize,
     minimize,
-    pinv,
     schur_complements,
     solve_linear,
     solve_linear_term,
     solve_saddle,
-    spectral_norm,
-    svd,
 )
-from quadgames.linalg import RANK_EPS, TOL, is_nsd, symmetrize
+from quadgames.game import PSD_MESSAGE, schur_reduction
+from quadgames.linalg import RANK_EPS, TOL, is_nsd, spectral_norm, svd, symmetrize
 
 from util import random_psd
+
+
+def svd_pinv(a):
+    """The pseudoinverse as the library applies it: svd(a).solve."""
+    return svd(a).solve(np.eye(a.shape[0]))
+
+
+def psd_by_blocks(m11, m12, m22) -> bool:
+    """Whether ``schur_reduction`` accepts the blocks as a PSD matrix;
+    it raises PSD_MESSAGE when it does not."""
+    zeros = np.zeros(m12.shape[0]), np.zeros(m12.shape[1])
+    try:
+        schur_reduction(PartitionedQuadratic(m11, m12, m22, *zeros))
+    except ValueError as exc:
+        assert str(exc) == PSD_MESSAGE
+        return False
+    return True
 
 
 def test_svd_identity():
@@ -47,10 +61,10 @@ def test_svd_rank_one_diag():
 
 
 def test_pinv_examples():
-    np.testing.assert_allclose(pinv(np.eye(3)), np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(pinv(np.zeros((2, 3))), np.zeros((3, 2)))
+    np.testing.assert_allclose(svd_pinv(np.eye(3)), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(svd_pinv(np.zeros((2, 3))), np.zeros((3, 2)))
     np.testing.assert_allclose(
-        pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14
+        svd_pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]), atol=1e-14
     )
 
 
@@ -61,7 +75,7 @@ def test_moore_penrose_identities_random():
         n = int(rng.integers(1, 7))
         r = int(rng.integers(0, min(m, n) + 1))
         a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-        p = pinv(a)
+        p = svd_pinv(a)
         np.testing.assert_allclose(a @ p @ a, a, atol=1e-8)
         np.testing.assert_allclose(p @ a @ p, p, atol=1e-8)
         np.testing.assert_allclose(a @ p, (a @ p).T, atol=1e-8)
@@ -73,8 +87,8 @@ def test_projector_identities():
     for _ in range(20):
         a = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 5))
         f = svd(a)
-        np.testing.assert_allclose(a @ pinv(a), f.u1 @ f.u1.T, atol=1e-9)
-        np.testing.assert_allclose(pinv(a) @ a, f.v1 @ f.v1.T, atol=1e-9)
+        np.testing.assert_allclose(a @ svd_pinv(a), f.u1 @ f.u1.T, atol=1e-9)
+        np.testing.assert_allclose(svd_pinv(a) @ a, f.v1 @ f.v1.T, atol=1e-9)
         u = np.hstack([f.u1, f.u2])
         np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
         v = np.hstack([f.v1, f.v2])
@@ -208,7 +222,7 @@ def test_partitioned_psd_matches_assembled():
             big = rng.standard_normal((m + n, m + n))
             big = 0.5 * (big + big.T)
         direct = is_psd(big)
-        split = is_psd_partitioned(big[:m, :m], big[:m, m:], big[m:, m:])
+        split = psd_by_blocks(big[:m, :m], big[:m, m:], big[m:, m:])
         assert direct == split
         agree += 1
     assert agree == 200
@@ -218,7 +232,7 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         solve_linear(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
-        pinv(np.array([np.nan]).reshape(1, 1))
+        svd(np.array([np.nan]).reshape(1, 1))
     with pytest.raises(ValueError):
         AffineSolutionSet(np.zeros(2), np.zeros((3, 1)))
 
@@ -232,12 +246,12 @@ def test_partitioned_psd_matches_assembled_at_every_scale():
         n = int(rng.integers(1, 3))
         big = 10.0**k * random_psd(rng, m + n, rank=int(rng.integers(1, m + n)))
         assert is_psd(big)
-        assert is_psd_partitioned(big[:m, :m], big[:m, m:], big[m:, m:])
+        assert psd_by_blocks(big[:m, :m], big[:m, m:], big[m:, m:])
     m11 = np.array([[3840693.2215381153, 4047219.655953346],
                     [4047219.655953346, 4264851.681378312]])
     m12 = np.array([[25085958.44322859], [26434911.158877615]])
     m22 = np.array([[1.6385201178951976e08]])
-    assert is_psd_partitioned(m11, m12, m22)
+    assert psd_by_blocks(m11, m12, m22)
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-10, 1.0, 1e8])
@@ -265,7 +279,7 @@ def test_eigenvalues_the_psd_test_tolerates_count_as_zero(c):
     assert is_psd(m11)
     m12, m22 = c * np.array([[0.0], [1.0]]), c * np.eye(1)
     assert not is_psd(np.block([[m11, m12], [m12.T, m22]]))
-    assert not is_psd_partitioned(m11, m12, m22)
+    assert not psd_by_blocks(m11, m12, m22)
     e2 = c * np.array([0.0, 1.0])
     assert minimize(QuadraticForm(m11, e2)) is None
     pq = PartitionedQuadratic(m11, np.zeros((2, 1)), m22, e2, np.zeros(1))

@@ -13,7 +13,6 @@ from quadgames import (
     maxmin_threshold,
     minmax_at_lambda,
     minmax_threshold,
-    pinv,
     solve_homogeneous,
     solve_linear_term,
     solve_trust_region,
@@ -21,7 +20,7 @@ from quadgames import (
 
 from quadgames.sphere import Secular
 
-from util import random_partitioned, random_psd
+from util import pinv, random_partitioned, random_psd
 
 
 def gap_instance(d1=0.0, d2=0.0):

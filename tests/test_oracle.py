@@ -20,7 +20,7 @@ from quadgames import quadratic
 from quadgames.cli import _sampled_min
 from quadgames.oracle import _convex_min, _w_candidates, grid_lagrangian, unit_samples
 
-from util import random_partitioned
+from util import count_factorizations, random_partitioned
 
 
 def test_config_validation():
@@ -104,18 +104,20 @@ def test_grid_minmax_examples():
 
 
 def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
-    # The search box is an input of the MINMAX branch alone.
+    # The search box is an input of the MINMAX branch alone: MAXMIN
+    # makes one eigh, of the 1 x 1 M11, and no other factorization.
     one = np.array([[1.0]])
     pq = PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0]))
+    counts = count_factorizations(monkeypatch)
     shapes = []
 
-    def counted(a, *args, _real=np.linalg.svd, **kwargs):
+    def shaped(a, *args, _counted=np.linalg.eigh, **kwargs):
         shapes.append(np.shape(a))
-        return _real(a, *args, **kwargs)
+        return _counted(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigh", shaped)
     grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN)
-    assert shapes == [(1, 1)]
+    assert shapes == [(1, 1)] and counts == {"eigh": 1}
 
 
 def test_grid_minmax_deterministic():

@@ -7,7 +7,6 @@ from quadgames import (
     AffineSolutionSet,
     OracleConfig,
     QuadraticForm,
-    companion_matrix,
     dual_curve,
     lambda_p,
     solve_trust_region,
@@ -18,17 +17,6 @@ from quadgames import (
 from quadgames.sphere import Secular
 
 from util import random_psd, rotation
-
-
-def test_companion_matrix_structure():
-    d_mat = np.diag([2.0, 1.0])
-    d_vec = np.array([0.0, 0.5])
-    p = companion_matrix(d_mat, d_vec)
-    assert p.shape == (4, 4)
-    np.testing.assert_allclose(p[:2, :2], d_mat)
-    np.testing.assert_allclose(p[:2, 2:], np.eye(2))
-    np.testing.assert_allclose(p[2:, :2], np.outer(d_vec, d_vec))
-    np.testing.assert_allclose(p[2:, 2:], d_mat)
 
 
 def test_lambda_p_examples():

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 
 from quadgames import PartitionedQuadratic
+from quadgames.linalg import RANK_EPS
 
 
 def random_psd(rng, n, rank=None, scale=1.0):
@@ -13,6 +14,12 @@ def random_psd(rng, n, rank=None, scale=1.0):
     b = rng.standard_normal((r, n)) * scale
     m = b.T @ b
     return 0.5 * (m + m.T)
+
+
+def pinv(a):
+    """Reference pseudoinverse with the library's rank rule: singular
+    values up to RANK_EPS sigma_max max(rows, cols) count as zero."""
+    return np.linalg.pinv(a, rtol=RANK_EPS * max(a.shape))
 
 
 def rotation(theta):
