@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class ProblemError(Exception):
     """Malformed or inconsistent problem file."""
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(NamedTuple):
     """One kind: ``read(prob) -> data`` parses the file into the solver's
     input, ``solve(data, prob) -> (doc without kind, exit code)``,
     ``check(data, prob, doc, code, cfg, scale) -> (value, oracle_value,
@@ -140,10 +139,7 @@ def _oracle_config(prob: dict, samples=None, seed=None) -> oracle.OracleConfig:
 
 
 def _aset_doc(aset: AffineSolutionSet) -> dict:
-    return {
-        "particular": aset.particular.tolist(),
-        "basis": aset.basis.tolist(),
-    }
+    return {name: array.tolist() for name, array in aset._asdict().items()}
 
 
 def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:

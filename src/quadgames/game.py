@@ -11,19 +11,24 @@ lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
 from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
 every lambda, and ``lambda_curve`` evaluates a whole grid in one array
 pass, reading only the eigenvalues of M22.  Threshold tests are
-relative to the data S is computed from.
+relative to the data S is computed from.  An empty w block sets no
+threshold: both values are min over u of V plus lambda/2 at every
+lambda (``minmax_threshold`` and ``maxmin_threshold`` still read 0.0,
+the norm of an empty matrix).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     TOL,
     AffineSolutionSet,
+    Validated,
     as_matrix,
     as_vector,
     is_nsd,
@@ -37,22 +42,19 @@ from .quadratic import QuadraticForm, _blocks
 from .sphere import Secular, _lambda_grid
 
 
-@dataclass(frozen=True)
-class PartitionedQuadratic:
+class PartitionedQuadratic(
+    Validated, namedtuple("PartitionedQuadratic", "m11 m12 m22 d1 d2")
+):
     """V(u, w) = 1/2 [u; w]' [[M11, M12], [M12', M22]] [u; w] + u'd1 + w'd2."""
 
-    m11: np.ndarray
-    m12: np.ndarray
-    m22: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        m11 = symmetrize(self.m11, "M11")
-        m22 = symmetrize(self.m22, "M22")
-        m12 = as_matrix(self.m12, "M12")
-        d1 = as_vector(self.d1, "d1")
-        d2 = as_vector(self.d2, "d2")
+    def __new__(cls, m11, m12, m22, d1, d2):
+        m11 = symmetrize(m11, "M11")
+        m22 = symmetrize(m22, "M22")
+        m12 = as_matrix(m12, "M12")
+        d1 = as_vector(d1, "d1")
+        d2 = as_vector(d2, "d2")
         p, n = m11.shape[0], m22.shape[0]
         if m12.shape != (p, n):
             raise ValueError(
@@ -61,11 +63,7 @@ class PartitionedQuadratic:
             )
         if d1.shape[0] != p or d2.shape[0] != n:
             raise ValueError("linear terms inconsistent with block dimensions")
-        object.__setattr__(self, "m11", m11)
-        object.__setattr__(self, "m12", m12)
-        object.__setattr__(self, "m22", m22)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
+        return super().__new__(cls, m11, m12, m22, d1, d2)
 
     @property
     def u_dim(self) -> int:
@@ -98,8 +96,7 @@ class PartitionedQuadratic:
         return float(0.5 * z @ self.assembled() @ z + z @ self.d)
 
 
-@dataclass(frozen=True)
-class SaddleSolution:
+class SaddleSolution(NamedTuple):
     """Joint saddle-point set over the stacked (u, w) vector.
 
     The set is stored jointly because the null space of M couples the
@@ -176,20 +173,20 @@ def verify_saddle(
 
 def minmax_threshold(pq: PartitionedQuadratic) -> float:
     """Smallest lambda at which min-max of L is finite: ||M22||, from
-    one ``eigvalsh``."""
+    one ``eigvalsh``; 0.0 for an empty w block, finite at every lambda."""
     return spectral_norm(pq.m22)
 
 
 def maxmin_threshold(pq: PartitionedQuadratic) -> float:
     """Smallest lambda at which max-min of L is finite: ||S|| with
     S = M22 - M12' pinv(M11) M12, from one ``eigh`` of M11 and one
-    ``eigvalsh`` of S.  It asks nothing of the signs of the blocks."""
+    ``eigvalsh`` of S.  It asks nothing of the signs of the blocks.
+    0.0 for an empty w block, finite at every lambda."""
     schur = pq.m22 - pq.m12.T @ symmetric_split(pq.m11).solve(pq.m12)
     return spectral_norm(0.5 * (schur + schur.T))
 
 
-@dataclass(frozen=True)
-class LambdaSolve:
+class LambdaSolve(NamedTuple):
     """One evaluation of the parameterized game at a fixed lambda.
 
     ``finite`` is False below the existence threshold; the value and the
@@ -206,8 +203,7 @@ class LambdaSolve:
 PSD_MESSAGE = "the assembled block matrix must be positive semidefinite"
 
 
-@dataclass(frozen=True)
-class SchurReduction:
+class SchurReduction(NamedTuple):
     """The game reduced to a trust region on the Schur complement of M11.
 
     With X = pinv(M11) [M12, d1]: S = M22 - M12' X12, r = d2 - M12' x1
@@ -307,8 +303,7 @@ def maxmin_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None
     return _lambda_solve(red, float(lam))
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Joint status of the two value functions at one lambda.
 
     status is "strong_duality" (both finite, equal value),
@@ -360,7 +355,7 @@ def lambda_curve(
     red = schur_reduction(pq)
     sec = red.secular
     s22 = np.linalg.eigvalsh(pq.m22)  # only ||M22|| is read
-    norm22 = float(s22[-1]) if s22.size else 0.0
+    norm22 = float(s22[-1]) if s22.size else -math.inf  # as ``Secular.smax``
     if not red.bounded:
         mm = np.where(lams < norm22 - sec.tol, math.inf, -math.inf)
         xm = np.full(steps, -math.inf)

@@ -15,7 +15,8 @@ should be treated as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class SvdFactors:
+class SvdFactors(NamedTuple):
     """Rank-revealing SVD split A = U1 diag(sigma) V1', from ``svd`` or,
     for symmetric A, from one ``eigh`` (``symmetric_split``).
 
@@ -131,8 +131,19 @@ def spectral_norm(m) -> float:
     return float(max(-s[0], s[-1])) if s.size else 0.0
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class Validated:
+    """Mixin for a validating namedtuple subclass: ``_make``, and with it
+    ``_replace``, builds through the class, so its ``__new__`` checks
+    the new fields too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class AffineSolutionSet(Validated, namedtuple("AffineSolutionSet", "particular basis")):
     """An affine set x0 + span(basis columns).
 
     ``particular`` is the minimum-norm representative and is orthogonal
@@ -141,19 +152,17 @@ class AffineSolutionSet:
     point).
     """
 
-    particular: np.ndarray
-    basis: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        particular = as_vector(self.particular, "particular")
-        basis = as_matrix(self.basis, "basis")
+    def __new__(cls, particular, basis):
+        particular = as_vector(particular, "particular")
+        basis = as_matrix(basis, "basis")
         if basis.shape[0] != particular.shape[0]:
             raise ValueError(
                 f"basis rows {basis.shape[0]} do not match the particular "
                 f"point length {particular.shape[0]}"
             )
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "basis", basis)
+        return super().__new__(cls, particular, basis)
 
     @property
     def dim(self) -> int:
@@ -167,8 +176,7 @@ class AffineSolutionSet:
         return self.particular + self.basis @ coeffs
 
 
-@dataclass(frozen=True)
-class LinearSolve:
+class LinearSolve(NamedTuple):
     """Outcome of solving A x = b.
 
     When ``consistent`` the set solves the system exactly; otherwise it
@@ -243,8 +251,7 @@ def is_nsd(m) -> bool:
     return is_psd(-as_matrix(m))
 
 
-@dataclass(frozen=True)
-class SchurPair:
+class SchurPair(NamedTuple):
     """The two lambda-dependent Schur complements of a partitioned matrix.
 
     ``schur11`` = (M22 - lambda I) - M12' pinv(M11) M12 is the complement

@@ -22,7 +22,7 @@ None.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class Direction(enum.Enum):
     MAXMIN = "maxmin"
 
 
-@dataclass(frozen=True)
-class ConstrainedGameSolution:
+class ConstrainedGameSolution(NamedTuple):
     """Value, multiplier, and per-player optimizer sets.
 
     The w set lives on the unit sphere; its representatives have unit
@@ -53,7 +52,7 @@ class ConstrainedGameSolution:
     u_set: AffineSolutionSet
     w_set: SphereSolutionSet
     direction: Direction
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def solve_homogeneous(

@@ -13,12 +13,12 @@ OracleConfig, so identical configurations give identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .game import PartitionedQuadratic
-from .linalg import TOL, as_vector, spectral_norm, symmetric_split
+from .linalg import TOL, Validated, as_vector, spectral_norm, symmetric_split
 from .minmax import Direction
 from .quadratic import QuadraticForm, _blocks
 
@@ -28,19 +28,21 @@ POLISH_STEPS = 100
 _MAX_CUTS = 10_000
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    seed: int = 0
-    samples: int = 100_000
-    grid_points: int = 2000
+class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
+    """``seed`` of every random draw, ``samples`` draws or circle points,
+    and ``grid_points`` per axis of the ``grid_lagrangian`` w grid (<= 400)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, seed=0, samples=100_000, grid_points=2000):
+        self = super().__new__(cls, seed, samples, grid_points)
         for name, least in (("seed", 0), ("samples", 1), ("grid_points", 2)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{name} must be at least {least}")
+        return self
 
 
 def unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -87,11 +89,6 @@ def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
         return np.array([[-1.0], [1.0]])[start:stop]
     theta = np.arange(start, stop) * (2.0 * math.pi / count)
     return np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-def _auto_box(pq: PartitionedQuadratic) -> float:
-    step = symmetric_split(pq.assembled()).solve(pq.d)
-    return 2.0 * (1.0 + float(np.linalg.norm(step)))
 
 
 def _check_dims(pq: PartitionedQuadratic, direction: Direction | None = None):
@@ -222,7 +219,10 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     the inner minimum over u solved exactly."""
     _check_dims(pq)
     n = pq.w_dim
-    box = _auto_box(pq)
+    # The box holds the w part of the stationary point -pinv(M(lam)) d,
+    # a maximizer wherever the maxmin value is finite.
+    step = symmetric_split(pq.assembled(lam)).solve(pq.d)
+    box = 2.0 * (1.0 + float(np.linalg.norm(step)))
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
     if n == 0:
         # An empty w block: the grid is the one point of R^0.

@@ -9,11 +9,12 @@ pinv(D), the range test and null(D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import AffineSolutionSet, as_vector, symmetric_split, symmetrize
+from .linalg import AffineSolutionSet, Validated, as_vector, symmetric_split, symmetrize
 
 # Most rows one array pass of a sampling oracle holds: the oracles draw
 # and evaluate their candidates in blocks of this many rows, so their
@@ -21,25 +22,20 @@ from .linalg import AffineSolutionSet, as_vector, symmetric_split, symmetrize
 BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Validated, namedtuple("QuadraticForm", "hessian linear constant")):
     """V(u) = 1/2 u'hessian u + u'linear + constant."""
 
-    hessian: np.ndarray
-    linear: np.ndarray
-    constant: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        h = symmetrize(self.hessian, "hessian")
-        lin = as_vector(self.linear, "linear")
+    def __new__(cls, hessian, linear, constant=0.0):
+        h = symmetrize(hessian, "hessian")
+        lin = as_vector(linear, "linear")
         if lin.shape[0] != h.shape[0]:
             raise ValueError(
                 f"linear term has length {lin.shape[0]} but the quadratic "
                 f"term is {h.shape[0]}x{h.shape[0]}"
             )
-        object.__setattr__(self, "hessian", h)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "constant", float(self.constant))
+        return super().__new__(cls, h, lin, float(constant))
 
     @property
     def dim(self) -> int:
@@ -84,8 +80,7 @@ def _blocks(count: int):
         start = stop
 
 
-@dataclass(frozen=True)
-class QuadOptimum:
+class QuadOptimum(NamedTuple):
     """Optimizer set and optimal value of a bounded quadratic problem."""
 
     points: AffineSolutionSet

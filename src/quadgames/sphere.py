@@ -25,7 +25,7 @@ secular root (Adachi, Iwata, Nakatsukasa & Takeda 2017 relate the two).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ HARD_CASE_BAND = 1e-6
 NEWTON_STEPS = 100
 
 
-@dataclass(frozen=True)
-class SphereSolutionSet:
+class SphereSolutionSet(NamedTuple):
     """Intersection of an affine set with the unit sphere.
 
     ``particular`` is the minimum-norm point of the affine set (norm at
@@ -84,8 +83,7 @@ def sphere_intersect(aset: AffineSolutionSet) -> SphereSolutionSet:
     return SphereSolutionSet(aset.particular, aset.basis, residual)
 
 
-@dataclass(frozen=True)
-class TrustRegionSolution:
+class TrustRegionSolution(NamedTuple):
     """Solution of max of a convex quadratic over the unit sphere.
 
     ``boundary`` records whether the optimal multiplier equals ||D||
@@ -102,8 +100,7 @@ class TrustRegionSolution:
     near_hard_case: bool = False
 
 
-@dataclass(frozen=True)
-class Secular:
+class Secular(NamedTuple):
     """A trust region (D, d) in the eigenbasis of D = Q diag(s) Q'.
 
     ``s`` ascends, ``r`` = Q'd, and ``tol`` = TOL (||D|| + ||d||) is
@@ -138,7 +135,9 @@ class Secular:
 
     @property
     def smax(self) -> float:
-        return float(self.s[-1]) if self.s.size else 0.0
+        """||D|| for PSD D; -inf for a 0 x 0 D, whose empty spectrum sets
+        no threshold, so every lambda is above it."""
+        return float(self.s[-1]) if self.s.size else -math.inf
 
     @property
     def top(self) -> np.ndarray:
@@ -223,7 +222,7 @@ class Secular:
         basis = sset.basis
         if vv > 0.0:
             basis = basis - np.outer(basis @ v, (2.0 / vv) * v)
-        turned = SphereSolutionSet(sset.particular, basis, sset.radius_residual)
+        turned = sset._replace(basis=basis)
         return turned, value + sset.radius_residual * norm
 
 

@@ -547,3 +547,23 @@ def test_solve_and_curve_leave_numpy_random_out():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("doc", [
+    # d lies in null(M) here, so pinv(M) d = 0, but at lambda = 0.5 the
+    # maxmin maximizer is w = r/lambda = -4, with value 3.75.
+    {"kind": "lagrangian", "lambda": 0.5, "M11": [[1.0]], "M12": [[1.0]],
+     "M22": [[1.0]], "d1": [1.0], "d2": [-1.0]},
+    # M12 = M11 C and M22 = C'M11 C, so S = 0; r = (0.6, 0.8) puts the
+    # maximizer at r/lambda = (2.4, 3.2), ||w*|| = 4, with value 2.11,
+    # while pinv(M) d has norm 0.26.
+    {"kind": "lagrangian", "lambda": 0.25, "M11": [[2.0, 0.0], [0.0, 1.0]],
+     "M12": [[1.0, 0.4], [0.0, 0.3]], "M22": [[0.5, 0.2], [0.2, 0.17]],
+     "d1": [0.2, -0.1], "d2": [0.7, 0.81]},
+], ids=["1-d-w", "2-d-w"])
+def test_check_lagrangian_sizes_its_w_box_at_lambda(tmp_path, capsys, doc):
+    # The oracle's w box comes from pinv(M(lambda)) d; sized at lambda =
+    # 0 it would leave the maximizer out and refuse the right answer.
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert code == 0, out
+    assert "result: PASS" in out

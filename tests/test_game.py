@@ -513,3 +513,37 @@ def test_saddle_factorization_count(monkeypatch):
     counts = count_factorizations(monkeypatch)
     assert solve_saddle(pq) is not None
     assert counts == Counter(eigh=1, eigvalsh=2)
+
+
+def empty_w(m11: float, d1: float) -> PartitionedQuadratic:
+    return PartitionedQuadratic(
+        np.array([[m11]]), np.zeros((1, 0)), np.zeros((0, 0)),
+        np.array([d1]), np.zeros(0),
+    )
+
+
+def test_empty_w_block_sets_no_threshold():
+    # With no w, max over w of min over u of L is min over u of V plus
+    # lam/2 at every lambda: -0.125 + lam/2 for V(u) = u^2/2 + u/2.
+    pq = empty_w(1.0, 0.5)
+    lams = [-1.0, 0.0, 1.0]
+    expected = [-0.625, -0.125, 0.375]
+    for lam, value in zip(lams, expected):
+        report = duality_report(pq, lam)
+        assert report.status == "strong_duality"
+        assert report.value == pytest.approx(value, abs=1e-12)
+        for solve in (minmax_at_lambda(pq, lam), maxmin_at_lambda(pq, lam)):
+            assert solve.finite and solve.value == pytest.approx(value, abs=1e-12)
+            assert solve.u_set.particular == pytest.approx([-0.5])
+    assert lambda_curve(pq, -1.0, 1.0, 3) == [
+        (lam, value, value) for lam, value in zip(lams, expected)
+    ]
+    # The thresholds read the norm of the empty matrix.
+    assert minmax_threshold(pq) == maxmin_threshold(pq) == 0.0
+
+
+def test_empty_w_block_unbounded_below_at_every_lambda():
+    # d1 off R(M11) = {0}: with no w to raise it, minmax is -inf too.
+    assert lambda_curve(empty_w(0.0, 1.0), -1.0, 1.0, 3) == [
+        (lam, -math.inf, -math.inf) for lam in (-1.0, 0.0, 1.0)
+    ]

@@ -1,4 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 import quadgames
+from quadgames import cli, game, linalg, sphere
 
 
 def test_public_names():
@@ -18,3 +27,69 @@ def test_public_names():
         "sphere_max", "verify_saddle",
     ]
     assert all(hasattr(quadgames, name) for name in quadgames.__all__)
+
+
+def _one_of_each_record() -> list:
+    """An instance of every record type the package builds."""
+    eye = np.eye(2)
+    pq = quadgames.PartitionedQuadratic(eye, eye, 2.0 * eye, np.ones(2), np.ones(2))
+    saddle = quadgames.PartitionedQuadratic(eye, eye, -eye, np.ones(2), np.ones(2))
+    form = quadgames.QuadraticForm(eye, np.ones(2))
+    trust = quadgames.solve_trust_region(eye, np.ones(2))
+    report = quadgames.duality_report(pq, 3.0)
+    linear = quadgames.solve_linear(eye, np.ones(2))
+    return [
+        linalg.svd(eye), linear, linear.solutions,
+        quadgames.schur_complements(eye, eye, 2.0 * eye),
+        form, quadgames.minimize(form),
+        trust.w_star, trust, sphere.Secular.of(eye, np.ones(2)),
+        pq, quadgames.solve_saddle(saddle), report.minmax,
+        game.schur_reduction(pq), report,
+        quadgames.solve_linear_term(pq, quadgames.Direction.MINMAX),
+        quadgames.OracleConfig(), cli.KINDS["quad_min"],
+    ]
+
+
+def test_records_are_immutable_tuples():
+    records = _one_of_each_record()
+    assert len({type(r) for r in records}) == 17
+    for record in records:
+        assert isinstance(record, tuple), type(record)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_replace_validates_the_inputs():
+    # ``_replace`` builds through the constructor, so it checks what it
+    # is given as the constructor does.
+    form = quadgames.QuadraticForm(np.eye(2), np.ones(2))
+    assert form._replace(constant=2).constant == 2.0
+    with pytest.raises(ValueError, match="linear term has length 3"):
+        form._replace(linear=np.ones(3))
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        quadgames.OracleConfig()._replace(samples=2.5)
+
+
+def test_cold_cli_import_leaves_dataclasses_out():
+    # The records are namedtuples; a frozen dataclass costs about 0.8 ms
+    # of import time per class, so the CLI's start-up keeps them out.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def loads_dataclasses(imports: str) -> bool:
+        probe = f"import sys\n{imports}\nprint('dataclasses' in sys.modules)\n"
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return out.strip() == "True"
+
+    if loads_dataclasses("import numpy, argparse, json"):
+        pytest.skip("numpy, argparse or json already imports dataclasses here")
+    assert not loads_dataclasses("import quadgames.cli")
