@@ -28,7 +28,7 @@ import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
 from .linalg import TOL, AffineSolutionSet, solve_linear, symmetric_split
-from .quadratic import _blocks
+from .quadratic import _blocks, _gaussian_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -199,13 +199,12 @@ def _grid_tol(pq, scale, direction=None):
 
 def _sampled_min(objective, x0, cfg, value, scale):
     """Smallest objective over Gaussian draws around x0 (row 0 is x0),
-    drawn and evaluated in blocks of ``BLOCK`` rows; the solver
-    value must not exceed it."""
-    rng = np.random.default_rng(cfg.seed)
+    drawn from ``cfg.seed`` and evaluated in blocks of ``BLOCK`` rows;
+    the solver value must not exceed it."""
     spread = 1.0 + np.linalg.norm(x0)
     oracle_value = math.inf
     for start, stop in _blocks(cfg.samples):
-        candidates = x0 + rng.standard_normal((stop - start, x0.shape[0])) * spread
+        candidates = x0 + _gaussian_rows(cfg.seed, x0.shape[0], start, stop) * spread
         if start == 0:
             candidates[0] = x0
         oracle_value = np.minimum(oracle_value, np.min(objective(candidates)))

@@ -31,6 +31,7 @@ from .linalg import (
     Validated,
     as_matrix,
     as_vector,
+    check_integer,
     is_nsd,
     is_psd,
     nonnegative_spectrum,
@@ -38,7 +39,7 @@ from .linalg import (
     symmetric_split,
     symmetrize,
 )
-from .quadratic import QuadraticForm, _blocks
+from .quadratic import QuadraticForm, _blocks, _gaussian_rows
 from .sphere import Secular, _lambda_grid
 
 
@@ -148,10 +149,13 @@ def verify_saddle(
     """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
 
     Draws ``samples`` Gaussian perturbations around the candidate point
-    (row i: the u part moves u*, the w part moves w*) and evaluates them
-    in blocks of ``BLOCK`` rows; a probabilistic refutation
-    test, not a certificate.
+    from ``seed`` (row i: the u part moves u*, the w part moves w*) and
+    evaluates them in blocks of ``BLOCK`` rows; a probabilistic
+    refutation test, not a certificate.  ``samples`` must be an integer
+    >= 1 and ``seed`` one >= 0, as in ``oracle.OracleConfig``.
     """
+    check_integer(seed, "seed", 0)
+    check_integer(samples, "samples", 1)
     u_star = as_vector(u_star, "u_star")
     w_star = as_vector(w_star, "w_star")
     p = pq.u_dim
@@ -159,9 +163,8 @@ def verify_saddle(
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
     form = QuadraticForm(pq.assembled(), pq.d)
     point = np.concatenate([u_star, w_star])
-    rng = np.random.default_rng(seed)
     for start, stop in _blocks(samples):
-        g = scale * rng.standard_normal((stop - start, p + pq.w_dim))
+        g = scale * _gaussian_rows(seed, p + pq.w_dim, start, stop)
         z = np.tile(point, (2, stop - start, 1))
         z[0, :, p:] += g[:, p:]  # rows (u*, w)
         z[1, :, :p] += g[:, :p]  # rows (u, w*)

@@ -52,6 +52,15 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     return v
 
 
+def check_integer(value, name: str, least: int) -> None:
+    """Refuse a ``value`` that is not an integer (a bool is not one) or is
+    below ``least``: TypeError, ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 class SvdFactors(NamedTuple):
     """Rank-revealing SVD split A = U1 diag(sigma) V1', from ``svd`` or,
     for symmetric A, from one ``eigh`` (``symmetric_split``).

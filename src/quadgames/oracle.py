@@ -7,7 +7,9 @@ minimum over u exactly, MINMAX brackets the outer minimum over u by
 central cuts, with no random starts.  These are desk-scale bounds, not
 certificates: a w of up to 2 dimensions, a MINMAX u of up to 4 (any u
 otherwise), spheres of up to 4.  All randomness flows from the seed in
-OracleConfig, so identical configurations give identical outputs.
+OracleConfig through the counter-based ``quadratic._gaussian_rows``, so
+identical configurations give identical outputs, however the draws are
+blocked.
 """
 
 from __future__ import annotations
@@ -18,9 +20,16 @@ from collections import namedtuple
 import numpy as np
 
 from .game import PartitionedQuadratic
-from .linalg import TOL, Validated, as_vector, spectral_norm, symmetric_split
+from .linalg import (
+    TOL,
+    Validated,
+    as_vector,
+    check_integer,
+    spectral_norm,
+    symmetric_split,
+)
 from .minmax import Direction
-from .quadratic import QuadraticForm, _blocks
+from .quadratic import QuadraticForm, _blocks, _gaussian_rows
 
 POLISH_STEPS = 100
 # The MINMAX cuts stop on their bracket after a few hundred steps for a
@@ -35,37 +44,32 @@ class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_poin
     __slots__ = ()
 
     def __new__(cls, seed=0, samples=100_000, grid_points=2000):
-        self = super().__new__(cls, seed, samples, grid_points)
-        for name, least in (("seed", 0), ("samples", 1), ("grid_points", 2)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}")
-        return self
+        check_integer(seed, "seed", 0)
+        check_integer(samples, "samples", 1)
+        check_integer(grid_points, "grid_points", 2)
+        return super().__new__(cls, seed, samples, grid_points)
 
 
-def unit_samples(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """Uniform points on the unit sphere via normalized Gaussian draws."""
-    g = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return g / norms
+def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of the uniform points on the unit sphere that
+    ``seed`` draws: its Gaussian rows (``quadratic._gaussian_rows``,
+    never zero), normalized."""
+    g = _gaussian_rows(seed, dim, start, stop)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
     """Best sampled value of q on the unit sphere, with a polish step.
 
     The best of ``cfg.samples`` uniform unit vectors, drawn and evaluated
-    in blocks of ``BLOCK`` rows, is refined by projected gradient
-    ascent (fixed step 1/(||D|| + 1)).
+    in blocks of ``BLOCK`` rows (``unit_samples`` of ``cfg.seed``), is
+    refined by projected gradient ascent (fixed step 1/(||D|| + 1)).
     """
     if q.dim < 1:
         raise ValueError("dimension must be at least 1")
-    rng = np.random.default_rng(cfg.seed)
     best, w = -math.inf, None
     for start, stop in _blocks(cfg.samples):
-        candidates = unit_samples(rng, stop - start, q.dim)
+        candidates = unit_samples(cfg.seed, q.dim, start, stop)
         values = q._evaluate_rows(candidates)
         i = int(np.argmax(values))
         if w is None or values[i] > best:

@@ -549,6 +549,41 @@ def test_solve_and_curve_leave_numpy_random_out():
     assert out.strip() == "False"
 
 
+def test_check_leaves_numpy_random_and_hashlib_out():
+    # The oracles draw from their own counter-based sampler: a cold
+    # `check` imports neither numpy.random nor, through it, hashlib and
+    # OpenSSL.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    probe = (
+        "import contextlib, io, pathlib, sys\n"
+        "from quadgames.cli import main\n"
+        "for f in sorted(pathlib.Path(sys.argv[1]).glob('*.json')):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(main(['check', str(f)]), file=sys.stderr)\n"
+        "print([m for m in ('numpy.random', 'hashlib') if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, str(FIXTURES)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert len(done.stderr.split()) == len(list(FIXTURES.glob("*.json")))
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551615", "1180591620717411303424"])
+@pytest.mark.parametrize(
+    "name", ["quad_min.json", "saddle_bilinear.json", "fig_trust_blue.json"]
+)
+def test_check_takes_seeds_of_any_size(capsys, name, seed):
+    code, out, _ = run(capsys, "check", str(FIXTURES / name), "--seed", seed)
+    assert code == 0
+    assert "result: PASS" in out
+
+
 @pytest.mark.parametrize("doc", [
     # d lies in null(M) here, so pinv(M) d = 0, but at lambda = 0.5 the
     # maxmin maximizer is w = r/lambda = -4, with value 3.75.

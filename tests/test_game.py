@@ -18,6 +18,7 @@ from quadgames import (
     solve_saddle,
     verify_saddle,
 )
+from quadgames.quadratic import _gaussian_rows
 
 from util import (
     count_factorizations,
@@ -148,14 +149,39 @@ def test_verify_saddle_accepts_and_refutes():
     assert verify_saddle(zero, np.zeros(1), np.zeros(1))
 
 
+def test_verify_saddle_refuses_no_samples_and_bad_seeds():
+    # (5, 5) is no saddle point of u^2/2 - w^2/2; with no draws there was
+    # nothing to refute it, so the check passed.
+    pq = PartitionedQuadratic(
+        np.eye(1), np.zeros((1, 1)), -np.eye(1), np.zeros(1), np.zeros(1)
+    )
+    five = np.array([5.0])
+    assert not verify_saddle(pq, five, five, samples=200)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            verify_saddle(pq, five, five, samples=samples)
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        verify_saddle(pq, five, five, seed=-1)
+    for bad in ({"samples": 2.0}, {"samples": True}, {"seed": 1.5},
+                {"seed": False}, {"seed": "1"}):
+        with pytest.raises(TypeError, match="must be an integer"):
+            verify_saddle(pq, five, five, **bad)
+    # Integer types numpy hands out, and seeds of 2**64 and above, work.
+    for seed in (np.int64(3), np.uint64(2**64 - 1), 2**64, 2**70):
+        assert not verify_saddle(pq, five, five, samples=np.int32(50), seed=seed)
+    assert verify_saddle(pq, np.zeros(1), np.zeros(1), seed=2**70)
+
+
 def _verify_saddle_loop(pq, u_star, w_star, samples, seed, tol):
-    """Per-sample reference for the array pass of ``verify_saddle``."""
-    rng = np.random.default_rng(seed)
+    """Per-sample reference for the array pass of ``verify_saddle``:
+    sample i moves u* by the first u_dim entries of draw row i and w* by
+    the rest."""
     center = pq.evaluate(u_star, w_star)
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
-    for _ in range(samples):
-        u = u_star + scale * rng.standard_normal(pq.u_dim)
-        w = w_star + scale * rng.standard_normal(pq.w_dim)
+    for i in range(samples):
+        g = scale * _gaussian_rows(seed, pq.u_dim + pq.w_dim, i, i + 1)[0]
+        u = u_star + g[: pq.u_dim]
+        w = w_star + g[pq.u_dim :]
         if pq.evaluate(u_star, w) > center + tol:
             return False
         if pq.evaluate(u, w_star) < center - tol:

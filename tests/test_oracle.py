@@ -37,9 +37,30 @@ def test_config_validation():
     assert OracleConfig(seed=np.int64(3), samples=1, grid_points=2).seed == 3
 
 
+def test_seeds_of_any_size_and_integer_type_draw():
+    # Each integer >= 0 is a seed, whatever its type or size; equal
+    # seeds draw alike and distinct seeds draw apart (the sampled
+    # minimum of a convex form around a point off its minimizer reads
+    # the draws).
+    x0 = np.zeros(4)
+    oracle_values = {}
+    for seed in (0, 1, np.int64(1), np.uint64(2**64 - 1), 2**64 - 1, 2**64, 2**70):
+        cfg = OracleConfig(seed=seed, samples=np.int64(50))
+        _, oracle_value, _ = _sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0)
+        oracle_values.setdefault(int(seed), set()).add(oracle_value)
+    assert all(len(v) == 1 for v in oracle_values.values())
+    assert len(set.union(*oracle_values.values())) == len(oracle_values) == 5
+
+
 def test_unit_samples_on_sphere():
-    rng = np.random.default_rng(0)
-    pts = unit_samples(rng, 500, 3)
+    pts = unit_samples(0, 3, 0, 500)
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_every_unit_sample_has_unit_norm(dim):
+    # No Gaussian draw is zero, so no row is 0/0.
+    pts = unit_samples(11, dim, 0, 100_000)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
 
@@ -76,7 +97,7 @@ def test_sphere_max_never_exceeded_by_samples():
         b = rng.standard_normal((n, n))
         q = QuadraticForm(b.T @ b, rng.standard_normal(n))
         val, _ = sphere_max(q, cfg)
-        fresh = unit_samples(np.random.default_rng(1234), 2000, n)
+        fresh = unit_samples(1234, n, 0, 2000)
         sampled = (
             0.5 * np.einsum("ij,ij->i", fresh @ q.hessian, fresh)
             + fresh @ q.linear

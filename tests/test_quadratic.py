@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadgames import QuadraticForm, fd_gradient, is_psd, maximize, minimize
+from quadgames.quadratic import _gaussian_rows
 
 from util import count_factorizations, random_psd
 
@@ -139,3 +140,50 @@ def test_factorization_count(monkeypatch):
     counts.clear()
     assert maximize(concave) is not None
     assert counts == Counter(eigh=1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_gaussian_rows_are_standard_normal(seed, dim):
+    g = _gaussian_rows(seed, dim, 0, 100_000 // dim)
+    assert g.shape == (100_000 // dim, dim) and g.dtype == np.float64
+    assert abs(g.mean()) <= 0.02
+    assert abs(g.var() - 1.0) <= 0.02
+
+
+def test_gaussian_rows_drawn_in_blocks_are_one_draw():
+    for dim in (1, 2, 5):
+        whole = _gaussian_rows(3, dim, 0, 1000)
+        for size in (1, 2, 7, 64):
+            parts = [_gaussian_rows(3, dim, start, min(start + size, 1000))
+                     for start in range(0, 1000, size)]
+            np.testing.assert_array_equal(np.vstack(parts), whole)
+    assert _gaussian_rows(3, 0, 0, 4).shape == (4, 0)
+    assert _gaussian_rows(3, 2, 5, 5).shape == (0, 2)
+
+
+# Pairs that a seed folded into 64 bits, or added to the counter, would
+# send into one stream.
+SEEDS = [0, 1, 2, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**65,
+         2**70, 2**128, 0x9E3779B97F4A7C15, 2**64 - 0x9E3779B97F4A7C15]
+
+
+def test_distinct_seeds_draw_distinct_rows():
+    draws = [_gaussian_rows(seed, 2, 0, 4).ravel() for seed in SEEDS]
+    values = np.concatenate(draws)
+    assert np.unique(values).size == values.size
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64])
+def test_no_row_count_reaches_another_seeds_stream(dim):
+    # Rows far along one seed's counter, where a counter of
+    # seed * 2**k + row (or row * dim + column) would run into the next
+    # seed's rows, share no value with the first rows of the other seeds.
+    firsts = np.concatenate([_gaussian_rows(s, dim, 0, 4).ravel() for s in SEEDS[1:5]])
+    for start in (4, 2**32 - 2, 2**32 // dim, 2**63 - 2, 2**64 // dim - 4, 2**64 - 4):
+        far = _gaussian_rows(0, dim, start, start + 4)
+        assert np.intersect1d(far, firsts).size == 0
+    # A wider row does not run into the next row.
+    two = _gaussian_rows(5, dim, 0, 2).ravel()
+    wide = _gaussian_rows(5, 2 * dim, 0, 1).ravel()
+    assert np.intersect1d(two[dim:], wide).size == 0
