@@ -14,9 +14,7 @@ from .game import (
     SaddleSolution,
     duality_report,
     lambda_curve,
-    maxmin_at_lambda,
     maxmin_threshold,
-    minmax_at_lambda,
     minmax_threshold,
     solve_saddle,
     verify_saddle,
@@ -35,7 +33,7 @@ from .minmax import (
     solve_linear_term,
 )
 from .oracle import OracleConfig, fd_gradient, grid_minmax, sphere_max
-from .quadratic import QuadOptimum, QuadraticForm, maximize, minimize
+from .quadratic import QuadOptimum, QuadraticForm, minimize
 from .sphere import (
     SphereSolutionSet,
     TrustRegionSolution,
@@ -66,11 +64,8 @@ __all__ = [
     "is_psd",
     "lambda_curve",
     "lambda_p",
-    "maximize",
-    "maxmin_at_lambda",
     "maxmin_threshold",
     "minimize",
-    "minmax_at_lambda",
     "minmax_threshold",
     "schur_complements",
     "solve_homogeneous",

@@ -32,7 +32,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     check_integer,
-    is_nsd,
     is_psd,
     nonnegative_spectrum,
     spectral_norm,
@@ -127,7 +126,7 @@ def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
     """
     if not is_psd(pq.m11):
         raise ValueError("solve_saddle requires M11 positive semidefinite")
-    if not is_nsd(pq.m22):
+    if not is_psd(-pq.m22):
         raise ValueError("solve_saddle requires M22 negative semidefinite")
     f = symmetric_split(pq.assembled())
     d = pq.d
@@ -281,31 +280,6 @@ def _lambda_solve(
     return LambdaSolve(lam, True, value, red.u_set(sec.q @ c), w_set)
 
 
-def minmax_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
-    """min over u of max over w of L at a fixed lambda.
-
-    Infinite below ||M22||; None when the game is unbounded below
-    (d1 outside the range of M11).  The returned w set is the inner
-    best response at the particular u.
-    """
-    red = schur_reduction(pq)
-    if not red.bounded:
-        return None
-    return _lambda_solve(red, float(lam), _m22(pq))
-
-
-def maxmin_at_lambda(pq: PartitionedQuadratic, lam: float) -> LambdaSolve | None:
-    """max over w of min over u of L at a fixed lambda.
-
-    Infinite below ||S||; None when the game is unbounded below.  The
-    returned u set is the inner best response at the particular w.
-    """
-    red = schur_reduction(pq)
-    if not red.bounded:
-        return None
-    return _lambda_solve(red, float(lam))
-
-
 class DualityReport(NamedTuple):
     """Joint status of the two value functions at one lambda.
 
@@ -323,7 +297,13 @@ class DualityReport(NamedTuple):
 
 def duality_report(pq: PartitionedQuadratic, lam: float) -> DualityReport:
     """Both value functions at lam from one reduction and one
-    factorization of M22."""
+    factorization of M22.
+
+    ``minmax`` is min over u of max over w of L, infinite below ||M22||;
+    its w set is the inner best response at the particular u.
+    ``maxmin`` is max over w of min over u of L, infinite below ||S||;
+    its u set is the inner best response at the particular w.
+    """
     red = schur_reduction(pq)
     if not red.bounded:
         return DualityReport("unbounded_below")
@@ -347,7 +327,7 @@ def lambda_curve(
 
     Returns (lambda, minmax value, maxmin value) triples ordered by
     lambda; infinite branches are encoded as math.inf, and the
-    finiteness rule is that of ``minmax_at_lambda``/``maxmin_at_lambda``.
+    finiteness rule is that of ``duality_report``.
     Where finite, both equal lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i)
     over the eigenpairs of S.  When the game is unbounded below, maxmin
     is -inf at every lambda, and minmax is +inf below ||M22|| and -inf

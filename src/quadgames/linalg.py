@@ -255,11 +255,6 @@ def nonnegative_spectrum(w: np.ndarray, scale: float | None = None) -> bool:
     return bool(w[0] >= -TOL * scale)
 
 
-def is_nsd(m) -> bool:
-    """Whether ``m`` is symmetric negative semidefinite."""
-    return is_psd(-as_matrix(m))
-
-
 class SchurPair(NamedTuple):
     """The two lambda-dependent Schur complements of a partitioned matrix.
 

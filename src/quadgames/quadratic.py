@@ -60,9 +60,6 @@ class QuadraticForm(Validated, namedtuple("QuadraticForm", "hessian linear const
         u = as_vector(u, "u")
         return self.hessian @ u + self.linear
 
-    def negated(self) -> "QuadraticForm":
-        return QuadraticForm(-self.hessian, -self.linear, -self.constant)
-
 
 def _blocks(count: int):
     """Consecutive (start, stop) row ranges that cover range(count), of
@@ -136,28 +133,12 @@ def minimize(q: QuadraticForm) -> QuadOptimum | None:
     """Global minimum of a convex quadratic form.
 
     Returns None when the form is unbounded below (linear term not in the
-    range of the hessian).  Raises for non-convex input; maximize the
-    negation instead.
+    range of the hessian).  Raises for non-convex input; the maximum of
+    a concave form is minus the minimum of its negation.
     """
-    return _minimum(q, "minimize requires a convex form (PSD quadratic term)")
-
-
-def maximize(q: QuadraticForm) -> QuadOptimum | None:
-    """Global maximum of a concave quadratic form, by negation.
-
-    Returns None when unbounded above.
-    """
-    opt = _minimum(q.negated(), "maximize requires a concave form (NSD quadratic term)")
-    if opt is None:
-        return None
-    return QuadOptimum(opt.points, -opt.value)
-
-
-def _minimum(q: QuadraticForm, not_convex: str) -> QuadOptimum | None:
-    """``minimize``, raising ValueError(not_convex) for non-convex q."""
     f = symmetric_split(q.hessian, psd=True)
     if f is None:
-        raise ValueError(not_convex)
+        raise ValueError("minimize requires a convex form (PSD quadratic term)")
     if not f.in_range(q.linear):
         return None
     step = f.solve(q.linear)

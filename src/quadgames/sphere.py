@@ -275,6 +275,11 @@ def lambda_p(d_mat, d_vec) -> float:
 
     A real eigenvalue >= ||D|| always exists for PSD D; its absence
     signals an eigensolver failure and is surfaced as a RuntimeError.
+    Off the hard case it matches the secular multiplier to rounding.
+    In the hard case the multiplier ||D|| is a defective eigenvalue of
+    this matrix, and ``eigvals`` resolves it only to about sqrt(eps):
+    gaps up to about 2e-8 relative on random hard cases of dimension
+    2-4.
     """
     d_mat, d_vec, _ = _check_inputs(d_mat, d_vec)
     p = np.block([[d_mat, np.eye(d_vec.shape[0])], [np.outer(d_vec, d_vec), d_mat]])

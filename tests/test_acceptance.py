@@ -17,11 +17,10 @@ from quadgames import (
     PartitionedQuadratic,
     QuadraticForm,
     dual_curve,
+    duality_report,
     grid_minmax,
     lambda_p,
-    maxmin_at_lambda,
     maxmin_threshold,
-    minmax_at_lambda,
     minmax_threshold,
     schur_complements,
     solve_linear_term,
@@ -82,11 +81,12 @@ def test_criterion_3_duality_gap_reproduction():
         one = np.array([[1.0]])
         pq = PartitionedQuadratic(one, one, one, np.zeros(1), np.zeros(1))
         for lam in (0.0, 0.25, 0.5, 0.75, 0.99):
-            assert not minmax_at_lambda(pq, lam).finite
-            assert maxmin_at_lambda(pq, lam).finite
+            rep = duality_report(pq, lam)
+            assert not rep.minmax.finite
+            assert rep.maxmin.finite
         for lam in (1.0, 1.5, 2.0):
-            mm = minmax_at_lambda(pq, lam)
-            xm = maxmin_at_lambda(pq, lam)
+            rep = duality_report(pq, lam)
+            mm, xm = rep.minmax, rep.maxmin
             assert mm.finite and xm.finite
             assert abs(mm.value - xm.value) <= 1e-9
 
@@ -203,8 +203,8 @@ def test_criterion_8_weak_duality():
             lo = maxmin_threshold(pq)
             hi = minmax_threshold(pq) + 2.0
             for lam in np.linspace(lo, hi, 6):
-                mm = minmax_at_lambda(pq, float(lam))
-                xm = maxmin_at_lambda(pq, float(lam))
+                rep = duality_report(pq, float(lam))
+                mm, xm = rep.minmax, rep.maxmin
                 if mm.finite and xm.finite:
                     assert xm.value <= mm.value + 1e-9
 

@@ -10,9 +10,7 @@ from quadgames import (
     dual_curve,
     duality_report,
     lambda_curve,
-    maxmin_at_lambda,
     maxmin_threshold,
-    minmax_at_lambda,
     minmax_threshold,
     solve_linear_term,
     solve_saddle,
@@ -266,7 +264,7 @@ def test_minmax_at_lambda_separable():
         np.array([[1.0]]), np.zeros((1, 1)), np.zeros((1, 1)),
         np.array([1.0]), np.array([2.0]),
     )
-    ls = minmax_at_lambda(pq, 2.0)
+    ls = duality_report(pq, 2.0).minmax
     assert ls.finite
     assert ls.value == pytest.approx(1.5, abs=1e-12)
     np.testing.assert_allclose(ls.u_set.particular, [-1.0], atol=1e-12)
@@ -275,12 +273,13 @@ def test_minmax_at_lambda_separable():
 
 def test_lambda_solves_on_gap_instance():
     pq = gap_instance()
-    assert not minmax_at_lambda(pq, 0.5).finite
-    xm = maxmin_at_lambda(pq, 0.5)
+    rep = duality_report(pq, 0.5)
+    assert not rep.minmax.finite
+    xm = rep.maxmin
     assert xm.finite and xm.value == pytest.approx(0.25, abs=1e-12)
-    mm = minmax_at_lambda(pq, 1.5)
+    mm = duality_report(pq, 1.5).minmax
     assert mm.finite and mm.value == pytest.approx(0.75, abs=1e-12)
-    assert not maxmin_at_lambda(pq, -0.5).finite
+    assert not duality_report(pq, -0.5).maxmin.finite
 
 
 def test_duality_report_statuses():
@@ -334,8 +333,8 @@ def test_weak_and_strong_duality_random():
         thr_max = maxmin_threshold(pq)
         thr_min = minmax_threshold(pq)
         for lam in np.linspace(thr_max, thr_min + 2.0, 7):
-            mm = minmax_at_lambda(pq, float(lam))
-            xm = maxmin_at_lambda(pq, float(lam))
+            rep = duality_report(pq, float(lam))
+            mm, xm = rep.minmax, rep.maxmin
             lo = xm.value if xm.finite else -math.inf
             hi = mm.value if mm.finite else math.inf
             assert lo <= hi + 1e-9
@@ -349,7 +348,7 @@ def test_inner_response_containment():
     for _ in range(30):
         pq = random_partitioned(rng, 2, 2, linear_scale=0.3)
         lam = minmax_threshold(pq) + float(rng.uniform(0.1, 2.0))
-        mm = minmax_at_lambda(pq, lam)
+        mm = duality_report(pq, lam).minmax
         assert mm.finite
         u0, w0 = mm.u_set.particular, mm.w_set.particular
         m22l = pq.m22 - lam * np.eye(pq.w_dim)
@@ -367,9 +366,9 @@ def test_threshold_edge_agrees_with_dual_curve():
     # as on the trust region (S, r) itself.
     one = np.array([[1.0]])
     pq = PartitionedQuadratic(one, np.zeros((1, 1)), one, np.zeros(1), one[0])
-    assert not maxmin_at_lambda(pq, 1.0).finite
-    assert not minmax_at_lambda(pq, 1.0).finite
     rep = duality_report(pq, 1.0)
+    assert not rep.maxmin.finite
+    assert not rep.minmax.finite
     assert rep.status == "both_infinite" and rep.value is None
     rows = lambda_curve(pq, 0.0, 2.0, 3)
     dual = dual_curve(one, one[0], 0.0, 2.0, 3)
@@ -380,9 +379,9 @@ def test_threshold_edge_agrees_with_dual_curve():
 
 def test_unbounded_game_lambda_family():
     pq = unbounded_instance()
-    assert minmax_at_lambda(pq, 2.0) is None
-    assert maxmin_at_lambda(pq, 2.0) is None
     rep = duality_report(pq, 2.0)
+    assert rep.minmax is None
+    assert rep.maxmin is None
     assert rep.status == "unbounded_below" and rep.value is None
     assert lambda_curve(pq, 0.0, 2.0, 3) == [
         (0.0, math.inf, -math.inf),
@@ -449,7 +448,8 @@ def test_lambda_curve_rows_match_pointwise_evaluations(c, vanishes):
     assert edges[0][1] == math.inf and math.isfinite(edges[0][2]) == vanishes
     assert math.isfinite(edges[-1][1]) and math.isfinite(edges[-1][2])
     for lam, mm, xm in rows:
-        for got, at in ((mm, minmax_at_lambda(pq, lam)), (xm, maxmin_at_lambda(pq, lam))):
+        rep = duality_report(pq, lam)
+        for got, at in ((mm, rep.minmax), (xm, rep.maxmin)):
             assert got == (pytest.approx(at.value, rel=1e-12) if at.finite else math.inf)
 
 
@@ -474,7 +474,7 @@ def test_schur_complement_formed_by_cancellation(c):
         c * np.diag([2.0, 3.0]), c * np.diag(np.sqrt([2.0, 3.0])) @ q,
         c * q.T @ q, np.zeros(2), np.zeros(2),
     )
-    xm = maxmin_at_lambda(pq, 0.0)
+    xm = duality_report(pq, 0.0).maxmin
     assert xm.finite and xm.value == pytest.approx(0.0, abs=1e-12 * c)
     assert xm.w_set.dim == 2
     sol = solve_linear_term(pq, Direction.MAXMIN)
@@ -497,7 +497,7 @@ def test_schur_vector_formed_by_cancellation():
         d1 = 10.0**k * np.array([1.0, -2.0])
         pq = PartitionedQuadratic(m11, m12, m22, d1, m12.T @ np.linalg.solve(m11, d1))
         norm_s = maxmin_threshold(pq)
-        xm = maxmin_at_lambda(pq, norm_s)
+        xm = duality_report(pq, norm_s).maxmin
         assert xm.finite, k
         c0 = 0.5 * d1 @ np.linalg.solve(m11, d1)
         assert xm.value == pytest.approx(0.5 * norm_s - c0, rel=1e-9)
@@ -509,9 +509,9 @@ def test_large_vector_data_leaves_the_thresholds_on_the_matrix_scale():
     # and ||M22|| = 2 must not.
     one = np.ones((1, 1))
     pq = PartitionedQuadratic(one, one, 2 * one, np.array([1e13]), np.array([1e13 + 1]))
-    assert not maxmin_at_lambda(pq, 0.5).finite
-    assert not minmax_at_lambda(pq, 1.5).finite
-    assert minmax_at_lambda(pq, 2.5).finite
+    assert not duality_report(pq, 0.5).maxmin.finite
+    assert not duality_report(pq, 1.5).minmax.finite
+    assert duality_report(pq, 2.5).minmax.finite
     rows = lambda_curve(pq, 0.0, 4.0, 9)
     assert [row[2] == math.inf for row in rows[:2]] == [True, True]
     assert [row[1] == math.inf for row in rows[:4]] == [True] * 4
@@ -532,6 +532,15 @@ def test_saddle_keeps_small_curvature_of_the_other_player(c):
     assert sol.solutions.dim == 0
     np.testing.assert_allclose(sol.solutions.particular, [0.0, 1.0], atol=1e-12)
     assert sol.value == pytest.approx(0.5e-10 * c, rel=1e-12)
+
+
+def test_saddle_requires_m22_negative_semidefinite():
+    # M22 <= 0 is tested as -M22 >= 0, with the same tolerance as M11.
+    eye = np.eye(2)
+    pq = PartitionedQuadratic(eye, np.zeros((2, 2)), -eye, np.zeros(2), np.zeros(2))
+    assert solve_saddle(pq) is not None
+    with pytest.raises(ValueError, match="M22 negative semidefinite"):
+        solve_saddle(pq._replace(m22=np.diag([1.0, -1.0])))
 
 
 def test_saddle_factorization_count(monkeypatch):
@@ -558,7 +567,7 @@ def test_empty_w_block_sets_no_threshold():
         report = duality_report(pq, lam)
         assert report.status == "strong_duality"
         assert report.value == pytest.approx(value, abs=1e-12)
-        for solve in (minmax_at_lambda(pq, lam), maxmin_at_lambda(pq, lam)):
+        for solve in (report.minmax, report.maxmin):
             assert solve.finite and solve.value == pytest.approx(value, abs=1e-12)
             assert solve.u_set.particular == pytest.approx([-0.5])
     assert lambda_curve(pq, -1.0, 1.0, 3) == [

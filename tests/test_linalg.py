@@ -7,7 +7,6 @@ from quadgames import (
     PartitionedQuadratic,
     QuadraticForm,
     is_psd,
-    maximize,
     minimize,
     schur_complements,
     solve_linear,
@@ -15,7 +14,7 @@ from quadgames import (
     solve_saddle,
 )
 from quadgames.game import PSD_MESSAGE, schur_reduction
-from quadgames.linalg import RANK_EPS, TOL, is_nsd, spectral_norm, svd, symmetrize
+from quadgames.linalg import RANK_EPS, TOL, spectral_norm, svd, symmetrize
 
 from util import random_psd
 
@@ -181,8 +180,6 @@ def test_is_psd_examples():
     assert is_psd(np.zeros((3, 3)))
     assert not is_psd(np.diag([1.0, -1.0]))
     assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert is_nsd(-np.eye(2))
-    assert not is_nsd(np.diag([1.0, -1.0]))
 
 
 def test_schur_complements_scalar():
@@ -300,9 +297,10 @@ def svd_reference(m, d):
 
 @pytest.mark.parametrize("k", range(-8, 9))
 def test_symmetric_solvers_match_the_svd_reference(k):
-    # minimize, maximize and solve_saddle split their matrix with one
-    # eigh; on rank-deficient data at scale 10^k they must give the
-    # SVD's answer: same status, same null dimension, same point/value.
+    # minimize and solve_saddle split their matrix with one eigh; on
+    # rank-deficient data at scale 10^k they must give the SVD's answer:
+    # same status, same null dimension, same point/value.  The concave
+    # kind "max" is minimized in its negation, whose value is negated.
     rng = np.random.default_rng(150 + k)
     c = 10.0**k
     for _ in range(12):
@@ -323,9 +321,12 @@ def test_symmetric_solvers_match_the_svd_reference(k):
                     m[:p, :p], m[:p, p:], m[p:, p:], d[:p], d[p:]
                 ))
                 got = sol and (sol.solutions, sol.value)
-            else:
-                opt = (minimize if kind == "min" else maximize)(QuadraticForm(m, d))
+            elif kind == "min":
+                opt = minimize(QuadraticForm(m, d))
                 got = opt and (opt.points, opt.value)
+            else:
+                opt = minimize(QuadraticForm(-m, -d))
+                got = opt and (opt.points, -opt.value)
             ref = svd_reference(m, d)
             assert (got is None) == (ref is None)
             if ref is None:

@@ -6,12 +6,11 @@ from quadgames import (
     OracleConfig,
     PartitionedQuadratic,
     dual_curve,
+    duality_report,
     grid_minmax,
     lambda_curve,
     lambda_p,
-    maxmin_at_lambda,
     maxmin_threshold,
-    minmax_at_lambda,
     minmax_threshold,
     solve_homogeneous,
     solve_linear_term,
@@ -20,7 +19,7 @@ from quadgames import (
 
 from quadgames.sphere import Secular
 
-from util import pinv, random_partitioned, random_psd
+from util import hard_case_instance, pinv, random_partitioned, random_psd
 
 
 def gap_instance(d1=0.0, d2=0.0):
@@ -202,23 +201,9 @@ def test_empty_w_block_is_an_input_error():
     for direction in Direction:
         with pytest.raises(ValueError, match="w block is empty"):
             solve_homogeneous(zero, direction)
-    assert minmax_at_lambda(pq, 1.0).value == pytest.approx(0.0)
-    assert maxmin_at_lambda(pq, 1.0).value == pytest.approx(0.0)
-
-
-def hard_case_instance(rng, n, norm):
-    """D with top eigenvalue 2 (repeated when ``rng`` says so) and d in
-    R(D - 2I) whose response pinv(D - 2I) d has norm ``norm``."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    s = np.sort(rng.uniform(0.0, 2.0, n))
-    s[-1] = 2.0
-    if n > 2 and rng.uniform() < 0.5:
-        s[-2] = 2.0
-    c = np.where(s < 2.0, rng.standard_normal(n), 0.0)
-    if np.any(c):
-        c *= norm / np.linalg.norm(c)
-    d_mat = q @ np.diag(s) @ q.T
-    return 0.5 * (d_mat + d_mat.T), q @ ((2.0 - s) * c)
+    report = duality_report(pq, 1.0)
+    assert report.minmax.value == pytest.approx(0.0)
+    assert report.maxmin.value == pytest.approx(0.0)
 
 
 def test_trust_region_embedding_matches_direct_solver():
@@ -253,6 +238,23 @@ def test_trust_region_embedding_matches_direct_solver():
             maxmin = [row[2] for row in lambda_curve(pq, lo, hi, 5)]
             dual = [row[1] for row in dual_curve(d_mat, d_vec, lo, hi, 5)]
             assert maxmin == dual
+
+
+@pytest.mark.xfail(
+    reason="Secular.range_tol reads r against ||d2|| + ||M12' pinv(M11) d1|| "
+    "= 2e13, so it counts r = 1 as zero on S's top eigenspace",
+    strict=True,
+)
+def test_maxmin_keeps_an_exact_vector_term_beside_large_data():
+    # S = 1 and r = d2 - d1 = 1, both exact, so the trust region on
+    # (S, r) has its root at lambda = 2 with the one maximizer w = +1.
+    one = np.ones((1, 1))
+    pq = PartitionedQuadratic(one, one, 2 * one, np.array([1e13]), np.array([1e13 + 1]))
+    sol = solve_linear_term(pq, Direction.MAXMIN)
+    assert sol.lambda0 == pytest.approx(2.0, rel=1e-12)
+    assert sol.diagnostics["mode"] == "interior"
+    assert sol.w_set.basis.shape[1] == 0
+    np.testing.assert_allclose(sol.w_set.particular, [1.0], rtol=1e-12)
 
 
 def test_rejects_indefinite_assembled_matrix():

@@ -1,13 +1,21 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quadgames
-from quadgames import cli, game, linalg, sphere
+from quadgames import Direction, cli, game, linalg, sphere
+
+from util import (
+    count_factorizations,
+    random_partitioned,
+    random_psd,
+    random_saddle_instance,
+)
 
 
 def test_public_names():
@@ -19,14 +27,55 @@ def test_public_names():
         "PartitionedQuadratic", "QuadOptimum", "QuadraticForm",
         "SaddleSolution", "SphereSolutionSet", "TrustRegionSolution",
         "dual_curve", "duality_report", "fd_gradient", "grid_minmax",
-        "is_psd", "lambda_curve", "lambda_p", "maximize",
-        "maxmin_at_lambda", "maxmin_threshold", "minimize",
-        "minmax_at_lambda", "minmax_threshold", "schur_complements",
+        "is_psd", "lambda_curve", "lambda_p", "maxmin_threshold",
+        "minimize", "minmax_threshold", "schur_complements",
         "solve_homogeneous", "solve_linear", "solve_linear_term",
         "solve_saddle", "solve_trust_region", "sphere_intersect",
         "sphere_max", "verify_saddle",
     ]
     assert all(hasattr(quadgames, name) for name in quadgames.__all__)
+
+
+def _solver_calls() -> list:
+    """One call of each solver kind the benchmark runs, on nonempty
+    blocks, with the factorizations it makes."""
+    qg = quadgames
+    rng = np.random.default_rng(79)
+    a, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
+    form = qg.QuadraticForm(random_psd(rng, 4), rng.standard_normal(4))
+    saddle = random_saddle_instance(rng, 4, 3)
+    pq = random_partitioned(rng, 4, 3)
+    lam = qg.minmax_threshold(pq) + 1.0
+    homogeneous = pq._replace(d1=np.zeros(4), d2=np.zeros(3))
+    d_mat, d_vec = random_psd(rng, 4), rng.standard_normal(4)
+    calls = {
+        "solve_linear": (lambda: qg.solve_linear(a, b), Counter(svd=1)),
+        "minimize": (lambda: qg.minimize(form), Counter(eigh=1)),
+        "solve_saddle": (lambda: qg.solve_saddle(saddle), Counter(eigh=1, eigvalsh=2)),
+        "duality_report": (lambda: qg.duality_report(pq, lam), Counter(eigh=3)),
+        "solve_trust_region": (
+            lambda: qg.solve_trust_region(d_mat, d_vec), Counter(eigh=1)
+        ),
+        "solve_homogeneous-maxmin": (
+            lambda: qg.solve_homogeneous(homogeneous, Direction.MAXMIN), Counter(eigh=2)
+        ),
+        "solve_linear_term-minmax": (
+            lambda: qg.solve_linear_term(pq, Direction.MINMAX), Counter(eigh=3)
+        ),
+        "solve_linear_term-maxmin": (
+            lambda: qg.solve_linear_term(pq, Direction.MAXMIN), Counter(eigh=2)
+        ),
+    }
+    return [pytest.param(*call, id=kind) for kind, call in calls.items()]
+
+
+@pytest.mark.parametrize("solve, expected", _solver_calls())
+def test_factorizations_per_solve(monkeypatch, solve, expected):
+    # The factorization count of a solve does not depend on the machine,
+    # so it gates the cost of each kind where wall times cannot.
+    counts = count_factorizations(monkeypatch)
+    assert solve() is not None
+    assert counts == expected
 
 
 def _one_of_each_record() -> list:

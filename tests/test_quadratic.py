@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgames import QuadraticForm, fd_gradient, is_psd, maximize, minimize
+from quadgames import QuadraticForm, fd_gradient, is_psd, minimize
 from quadgames.quadratic import _gaussian_rows
 
 from util import count_factorizations, random_psd
@@ -56,17 +56,19 @@ def test_minimize_rejects_nonconvex():
     q = QuadraticForm(np.diag([1.0, -1.0]), np.zeros(2))
     with pytest.raises(ValueError, match="convex"):
         minimize(q)
-    with pytest.raises(ValueError, match="concave"):
-        maximize(q)
+    with pytest.raises(ValueError, match="convex"):
+        minimize(QuadraticForm(-q.hessian, -q.linear))
 
 
-def test_maximize_mirrors_minimize():
-    q = QuadraticForm(-np.eye(2), np.array([2.0, 0.0]), constant=1.0)
-    opt = maximize(q)
+def test_minimize_negated_concave_form():
+    # The maximum of the concave form -|x|^2/2 + 2 x1 + 1 is minus the
+    # minimum of its negation, attained at the same point.
+    q = QuadraticForm(np.eye(2), np.array([-2.0, 0.0]), constant=-1.0)
+    opt = minimize(q)
     assert opt is not None
     np.testing.assert_allclose(opt.points.particular, [2.0, 0.0], atol=1e-12)
-    assert opt.value == pytest.approx(3.0, abs=1e-12)
-    assert maximize(QuadraticForm(np.zeros((1, 1)), np.array([1.0]))) is None
+    assert -opt.value == pytest.approx(3.0, abs=1e-12)
+    assert minimize(QuadraticForm(np.zeros((1, 1)), np.array([-1.0]))) is None
 
 
 def test_gradient_matches_finite_differences():
@@ -133,12 +135,8 @@ def test_factorization_count(monkeypatch):
     rng = np.random.default_rng(17)
     d_mat = random_psd(rng, 5, rank=3)
     convex = QuadraticForm(d_mat, d_mat @ rng.standard_normal(5))
-    concave = convex.negated()
     counts = count_factorizations(monkeypatch)
     assert minimize(convex) is not None
-    assert counts == Counter(eigh=1)
-    counts.clear()
-    assert maximize(concave) is not None
     assert counts == Counter(eigh=1)
 
 

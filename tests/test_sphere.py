@@ -16,7 +16,7 @@ from quadgames import (
 
 from quadgames.sphere import Secular
 
-from util import random_psd, rotation
+from util import hard_case_instance, random_psd, rotation
 
 
 def test_lambda_p_examples():
@@ -211,6 +211,19 @@ def test_lambda_p_matches_secular_root():
                 hi = mid
         root = 0.5 * (lo + hi)
         assert sol.lambda_p == pytest.approx(root, rel=1e-8, abs=1e-10)
+
+
+def test_lambda_p_in_the_hard_case():
+    # With d in R(D - ||D|| I) and a response of norm at most 1 the
+    # multiplier is ||D|| = 2, a defective eigenvalue of the companion
+    # matrix: ``eigvals`` resolves it only to about sqrt(eps), not to
+    # the 1e-8 that holds off the hard case.
+    rng = np.random.default_rng(89)
+    for i in range(60):
+        n = int(rng.integers(2, 5))
+        d_mat, d_vec = hard_case_instance(rng, n, (0.5, 1.0)[i % 2])
+        sol = solve_trust_region(d_mat, d_vec)
+        assert lambda_p(d_mat, d_vec) == pytest.approx(sol.lambda_p, rel=1e-7)
 
 
 def test_sphere_intersect_cases():

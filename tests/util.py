@@ -28,6 +28,21 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]])
 
 
+def hard_case_instance(rng, n, norm):
+    """D with top eigenvalue 2 (repeated when ``rng`` says so) and d in
+    R(D - 2I) whose response pinv(D - 2I) d has norm ``norm``."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.sort(rng.uniform(0.0, 2.0, n))
+    s[-1] = 2.0
+    if n > 2 and rng.uniform() < 0.5:
+        s[-2] = 2.0
+    c = np.where(s < 2.0, rng.standard_normal(n), 0.0)
+    if np.any(c):
+        c *= norm / np.linalg.norm(c)
+    d_mat = q @ np.diag(s) @ q.T
+    return 0.5 * (d_mat + d_mat.T), q @ ((2.0 - s) * c)
+
+
 def random_partitioned(rng, m, n, linear_scale=1.0):
     """PartitionedQuadratic whose assembled block matrix is PSD."""
     big = random_psd(rng, m + n)
