@@ -30,6 +30,7 @@ from .linalg import (
     AffineSolutionSet,
     Validated,
     as_matrix,
+    as_scalar,
     as_vector,
     check_integer,
     is_psd,
@@ -262,22 +263,24 @@ def _m22(pq: PartitionedQuadratic) -> Secular:
     return Secular.of(pq.m22, np.zeros(pq.w_dim))
 
 
-def _lambda_solve(
-    red: SchurReduction, lam: float, m22: Secular | None = None
-) -> LambdaSolve:
-    """The family at lam, read off the reduction: maxmin when ``m22`` is
-    None, minmax when it is ``_m22(pq)``.  With B = S or M22, the
-    threshold is ||B||, the w set is the joint stationary point w0
-    (coordinates r_i / (lam - s_i) in S's eigenbasis) plus
-    null(B - lam I), and the u set is ``red.u_set(w0)``.
+def _lambda_solve(red: SchurReduction, lam: float, *bs: Secular) -> list[LambdaSolve]:
+    """The family at lam, read off the reduction, one evaluation per
+    threshold matrix B in ``bs``: S (``red.secular``) for maxmin, M22
+    (``_m22(pq)``) for minmax.  Both share the joint stationary point w0
+    (coordinates r_i / (lam - s_i) in S's eigenbasis), its value and the
+    u set ``red.u_set(w0)``; the threshold is ||B||, and the w set is w0
+    plus null(B - lam I).
     """
     sec = red.secular
-    b = sec if m22 is None else m22
-    if not sec.finite(lam, b.smax):
-        return LambdaSolve(lam, False)
-    c, w_set = sec.at(lam, b)
-    value = float(sec.value(lam, c)) - red.c0
-    return LambdaSolve(lam, True, value, red.u_set(sec.q @ c), w_set)
+    c = sec.response(lam)
+    w0 = sec.q @ c
+    value, u_set = float(sec.value(lam, c)) - red.c0, red.u_set(w0)
+    return [
+        LambdaSolve(lam, True, value, u_set, b.at(lam, w0))
+        if sec.finite(lam, b.smax)
+        else LambdaSolve(lam, False)
+        for b in bs
+    ]
 
 
 class DualityReport(NamedTuple):
@@ -302,14 +305,14 @@ def duality_report(pq: PartitionedQuadratic, lam: float) -> DualityReport:
     ``minmax`` is min over u of max over w of L, infinite below ||M22||;
     its w set is the inner best response at the particular u.
     ``maxmin`` is max over w of min over u of L, infinite below ||S||;
-    its u set is the inner best response at the particular w.
+    its u set is the inner best response at the particular w.  A lam
+    that is NaN or infinite is an input error (ValueError).
     """
+    lam = as_scalar(lam, "lambda")
     red = schur_reduction(pq)
     if not red.bounded:
         return DualityReport("unbounded_below")
-    lam = float(lam)
-    mm = _lambda_solve(red, lam, _m22(pq))
-    xm = _lambda_solve(red, lam)
+    mm, xm = _lambda_solve(red, lam, _m22(pq), red.secular)
     if not xm.finite:
         return DualityReport("both_infinite", None, mm, xm)
     if not mm.finite:

@@ -9,8 +9,8 @@ eigenvalues) or read by ``eigvalsh`` (``spectral_norm``, ``is_psd``);
 the SVD is for rectangular A alone (``solve_linear``).
 
 Matrices are plain ``numpy.ndarray`` values, validated (2-d, finite) at
-the function boundary.  All functions are pure and all returned values
-should be treated as immutable.
+the function boundary, as vectors and scalars are.  All functions are
+pure and all returned values should be treated as immutable.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     if v.size and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def as_scalar(x, name: str = "number") -> float:
+    """Validate and convert ``x`` to a finite float."""
+    value = float(x)
+    if not np.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def check_integer(value, name: str, least: int) -> None:

@@ -95,7 +95,7 @@ def solve_linear_term(
             # stationary point there, and the maximizers over w at u*
             # are that point's best-response set on the sphere, oriented
             # as in the trust region by the inner linear term M12'u* + d2.
-            at = game._lambda_solve(red, m22.smax, m22)
+            (at,) = game._lambda_solve(red, m22.smax, m22)
             lam0, boundary, u_set = at.lam, True, at.u_set
             inner = m22.q.T @ (pq.m12.T @ u_set.particular + pq.d2)
             w_set, value = m22.orient(sphere_intersect(at.w_set), lam0, at.value, inner)

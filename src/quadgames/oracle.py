@@ -39,11 +39,12 @@ _MAX_CUTS = 10_000
 
 class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
     """``seed`` of every random draw, ``samples`` draws or circle points,
-    and ``grid_points`` per axis of the ``grid_lagrangian`` w grid (<= 400)."""
+    and ``grid_points`` per axis of the ``grid_lagrangian`` w grid; that
+    grid takes at most 400, which is also the default."""
 
     __slots__ = ()
 
-    def __new__(cls, seed=0, samples=100_000, grid_points=2000):
+    def __new__(cls, seed=0, samples=100_000, grid_points=400):
         check_integer(seed, "seed", 0)
         check_integer(samples, "samples", 1)
         check_integer(grid_points, "grid_points", 2)

@@ -14,7 +14,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import AffineSolutionSet, Validated, as_vector, symmetric_split, symmetrize
+from .linalg import (
+    AffineSolutionSet, Validated, as_scalar, as_vector, symmetric_split, symmetrize
+)
 
 # Most rows one array pass of a sampling oracle holds: the oracles draw
 # and evaluate their candidates in blocks of this many rows, so their
@@ -39,7 +41,7 @@ class QuadraticForm(Validated, namedtuple("QuadraticForm", "hessian linear const
                 f"linear term has length {lin.shape[0]} but the quadratic "
                 f"term is {h.shape[0]}x{h.shape[0]}"
             )
-        return super().__new__(cls, h, lin, float(constant))
+        return super().__new__(cls, h, lin, as_scalar(constant, "constant"))
 
     @property
     def dim(self) -> int:

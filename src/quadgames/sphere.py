@@ -29,7 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import TOL, AffineSolutionSet, as_vector, nonnegative_spectrum, symmetrize
+from .linalg import (
+    TOL, AffineSolutionSet, as_scalar, as_vector, nonnegative_spectrum, symmetrize
+)
 
 # An eigenvalue counts as real when |Im| <= IMAG_TOL * (1 + |Re|);
 # nonsymmetric eigensolvers return complex pairs with rounding noise.
@@ -107,9 +109,15 @@ class Secular(NamedTuple):
     the scale of the eigenvalue tests (top eigenspace, gaps lam - s_i).
     ``range_tol`` is that of the test that r vanishes on the top
     eigenspace; it equals ``tol`` unless d was computed from larger data.
-    One instance serves the solve, the dual curve and the lambda-family
-    of a game, which all decide their branches by ``range_holds``,
-    ``finite`` and ``at``.
+    ``smax`` is ||D|| for PSD D, and -inf for a 0 x 0 D, whose empty
+    spectrum sets no threshold, so every lambda is above it.  ``top``
+    masks the top eigenspace (s_i within tol of ``smax``), and
+    ``range_holds`` says whether d lies in R(D - ||D|| I): r vanishes on
+    that eigenspace, up to ``range_tol``.  Only ``of`` builds an
+    instance, as it derives these three from the others; a ``_replace``
+    would leave them stale.  One instance serves the solve, the dual
+    curve and the lambda-family of a game, which all decide their
+    branches by ``range_holds``, ``finite`` and ``at``.
     """
 
     s: np.ndarray
@@ -117,6 +125,9 @@ class Secular(NamedTuple):
     r: np.ndarray
     tol: float
     range_tol: float
+    smax: float
+    top: np.ndarray
+    range_holds: bool
 
     @classmethod
     def of(
@@ -131,18 +142,11 @@ class Secular(NamedTuple):
             scale = float(np.max(np.abs(s))) if s.size else 0.0
         tol = TOL * (scale + float(np.linalg.norm(d_vec)))
         range_tol = tol if d_scale is None else TOL * (scale + d_scale)
-        return cls(s, q, q.T @ d_vec, tol, range_tol)
-
-    @property
-    def smax(self) -> float:
-        """||D|| for PSD D; -inf for a 0 x 0 D, whose empty spectrum sets
-        no threshold, so every lambda is above it."""
-        return float(self.s[-1]) if self.s.size else -math.inf
-
-    @property
-    def top(self) -> np.ndarray:
-        """Mask of the top eigenspace: s_i within tol of s_max."""
-        return self.s >= self.smax - self.tol
+        r = q.T @ d_vec
+        smax = float(s[-1]) if s.size else -math.inf
+        top = s >= smax - tol
+        range_holds = bool(np.linalg.norm(r[top]) <= range_tol)
+        return cls(s, q, r, tol, range_tol, smax, top, range_holds)
 
     def response(self, lam: float | np.ndarray) -> np.ndarray:
         """Coordinates r_i / (lam - s_i) of the stationary point at lam,
@@ -156,12 +160,6 @@ class Secular(NamedTuple):
         """Dual value lam/2 + 1/2 r'c per row of response coordinates c."""
         return 0.5 * np.asarray(lam) + 0.5 * np.vecdot(c, self.r)
 
-    @property
-    def range_holds(self) -> bool:
-        """Whether d lies in R(D - ||D|| I): r vanishes on the top
-        eigenspace, up to ``range_tol``."""
-        return bool(np.linalg.norm(self.r[self.top]) <= self.range_tol)
-
     def finite(self, lam: float | np.ndarray, thr: float | None = None):
         """Whether the dual value at lam is finite, elementwise: from the
         threshold ``thr`` (default ||D||) less tol on, except within tol
@@ -170,33 +168,28 @@ class Secular(NamedTuple):
         above = lam > self.smax + self.tol
         return (lam >= thr - self.tol) & (above | self.range_holds)
 
-    def at(self, lam: float, b: Secular | None = None):
-        """Response coordinates c at lam and the stationary set
-        w0 + null(B - lam I), w0 = Qc, held by its minimum-norm point.
-        B is D unless the eigenpairs ``b`` of another matrix (M22) are
-        given."""
-        b = self if b is None else b
-        c = self.response(lam)
-        w0 = self.q @ c
-        null = b.q[:, np.abs(b.s - lam) <= b.tol]
-        return c, AffineSolutionSet(w0 - null @ (null.T @ w0), null)
+    def at(self, lam: float, w0: np.ndarray) -> AffineSolutionSet:
+        """The stationary set w0 + null(D - lam I) at lam, held by its
+        minimum-norm point."""
+        null = self.q[:, np.abs(self.s - lam) <= self.tol]
+        return AffineSolutionSet(w0 - null @ (null.T @ w0), null)
 
     def solve(self) -> tuple[TrustRegionSolution, int]:
         """The maximizer set and value, plus the Newton step count."""
-        response_norm = float(np.linalg.norm(self.response(self.smax)))
-        range_holds = self.range_holds
-        boundary = range_holds and response_norm <= 1.0
+        c = self.response(self.smax)
+        response_norm = float(np.linalg.norm(c))
+        boundary = self.range_holds and response_norm <= 1.0
         if boundary:
             lam, steps = self.smax, 0
-            c, aset = self.at(lam)
             value = float(self.value(lam, c))
+            aset = self.at(lam, self.q @ c)
             w_star, value = self.orient(sphere_intersect(aset), lam, value)
         else:
             mu, c, steps = _secular_root(np.maximum(self.smax - self.s, 0.0), self.r)
             lam = self.smax + mu
             w_star = SphereSolutionSet(self.q @ c, np.zeros((c.shape[0], 0)), 0.0)
             value = float(self.value(lam, c))
-        near_hard = range_holds and abs(response_norm - 1.0) < HARD_CASE_BAND
+        near_hard = self.range_holds and abs(response_norm - 1.0) < HARD_CASE_BAND
         return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
 
     def orient(
@@ -294,8 +287,10 @@ def lambda_p(d_mat, d_vec) -> float:
 
 
 def _lambda_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
-    """The uniform grid of a curve, ``steps`` >= 2 points from
+    """The uniform grid of a curve, ``steps`` >= 2 points from finite
     ``lambda_min`` < ``lambda_max``; ValueError otherwise."""
+    lambda_min = as_scalar(lambda_min, "lambda_min")
+    lambda_max = as_scalar(lambda_max, "lambda_max")
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
     if steps < 2:

@@ -483,6 +483,11 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
      {**TRUST_REGION, "D": [[1.0, 1.0], [0.0, 1.0]]}),
     ("curve --lambda-min 0 --lambda-max 2 --steps 3", {**TRUST_REGION, "d": [0.5]}),
     ("curve --lambda-min 0 --lambda-max 2 --steps 3", {**LAGRANGIAN, "M22": [[-1.0]]}),
+    ("curve --lambda-min 1 --lambda-max inf --steps 3", TRUST_REGION),
+    ("curve --lambda-min=-inf --lambda-max 2 --steps 3", LAGRANGIAN),
+    ("solve", {**LAGRANGIAN, "lambda": math.nan}),
+    ("solve", {**LAGRANGIAN, "lambda": "inf"}),
+    ("solve", {**QUAD_MIN, "c": math.nan}),
 ], ids=[
     "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
@@ -490,7 +495,9 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
     "bool-samples", "negative-seed", "negative-seed-option",
     "curve-non-psd-D", "curve-non-symmetric-D", "curve-short-d",
-    "curve-non-psd-lagrangian",
+    "curve-non-psd-lagrangian", "curve-infinite-lambda-max",
+    "curve-infinite-lambda-min", "solve-nan-lambda", "solve-string-inf-lambda",
+    "solve-nan-c",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     name, *options = command.split()

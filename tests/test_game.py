@@ -7,6 +7,7 @@ import pytest
 from quadgames import (
     Direction,
     PartitionedQuadratic,
+    QuadraticForm,
     dual_curve,
     duality_report,
     lambda_curve,
@@ -17,6 +18,7 @@ from quadgames import (
     verify_saddle,
 )
 from quadgames.quadratic import _gaussian_rows
+from quadgames.sphere import Secular
 
 from util import (
     count_factorizations,
@@ -289,6 +291,39 @@ def test_duality_report_statuses():
     rep = duality_report(pq, 1.5)
     assert rep.status == "strong_duality"
     assert rep.value == pytest.approx(0.75, abs=1e-12)
+
+
+def test_duality_report_evaluates_the_family_once(monkeypatch):
+    # One response at lam serves both orders, and they share its u set.
+    calls = []
+    response = Secular.response
+
+    def counted(self, lam):
+        calls.append(lam)
+        return response(self, lam)
+
+    monkeypatch.setattr(Secular, "response", counted)
+    pq = random_partitioned(np.random.default_rng(5), 3, 2)
+    rep = duality_report(pq, minmax_threshold(pq) + 1.0)
+    assert rep.status == "strong_duality" and len(calls) == 1
+    assert rep.minmax.u_set is rep.maxmin.u_set
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scalars_are_input_errors(bad):
+    # As non-finite array entries are: bad input is never an answer.
+    one, pq = np.array([[1.0]]), gap_instance()
+    for call in (
+        lambda: duality_report(pq, bad),
+        lambda: duality_report(unbounded_instance(), bad),
+        lambda: lambda_curve(pq, bad, 2.0, 5),
+        lambda: lambda_curve(pq, 0.0, bad, 5),
+        lambda: dual_curve(one, np.ones(1), bad, 2.0, 5),
+        lambda: dual_curve(one, np.ones(1), 0.0, bad, 5),
+        lambda: QuadraticForm(one, np.ones(1), bad),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            call()
 
 
 def test_lambda_curve_gap_instance():

@@ -50,6 +50,19 @@ def test_range_and_response_norm_examples():
     assert response_norm(sec) == pytest.approx(3.0, abs=1e-12)
 
 
+def test_finite_reads_the_stored_branch_facts(monkeypatch):
+    # ``of`` computes ||D||, the top eigenspace and the range verdict
+    # once; ``finite`` reads them and takes no norm per call.
+    sec = Secular.of(np.diag([2.0, 1.0]), np.array([1.0, 1.0]))
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("Secular.finite computed a norm")
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    assert not sec.finite(2.0) and sec.finite(2.5)
+    assert sec.finite(np.array([1.0, 2.0, 3.0])).tolist() == [False, False, True]
+
+
 def test_trust_region_boundary_example():
     sol = solve_trust_region(np.diag([2.0, 1.0]), np.array([0.0, 0.5]))
     assert sol.boundary
