@@ -22,7 +22,6 @@ from .game import (
 from .linalg import (
     AffineSolutionSet,
     LinearSolve,
-    is_psd,
     schur_complements,
     solve_linear,
 )
@@ -40,7 +39,6 @@ from .sphere import (
     dual_curve,
     lambda_p,
     solve_trust_region,
-    sphere_intersect,
 )
 
 __all__ = [
@@ -61,7 +59,6 @@ __all__ = [
     "dual_curve",
     "fd_gradient",
     "grid_minmax",
-    "is_psd",
     "lambda_curve",
     "lambda_p",
     "maxmin_threshold",
@@ -73,7 +70,6 @@ __all__ = [
     "solve_linear_term",
     "solve_saddle",
     "solve_trust_region",
-    "sphere_intersect",
     "sphere_max",
     "verify_saddle",
 ]

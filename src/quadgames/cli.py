@@ -10,8 +10,9 @@ round-trip losslessly; curves are emitted as CSV with the literal tokens
 input once, solves it, checks the result document with an oracle and,
 for ``lagrangian`` and ``trust_region``, draws the curve.
 
-Exit codes: 0 solved / check passed, 1 input error, 2 well-posed
-"no solution / unbounded" outcomes, 3 check failed.
+Exit codes: 0 solved / check passed, 1 input error (a malformed command
+line included), 2 well-posed "no solution / unbounded" outcomes, 3 check
+failed.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def _tol_scale() -> float:
         scale = float(raw)
     except ValueError as exc:
         raise ProblemError(f"QG_TOL_OVERRIDE is not a number: {raw!r}") from exc
-    if not scale > 0:
-        raise ProblemError("QG_TOL_OVERRIDE must be positive")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ProblemError(f"QG_TOL_OVERRIDE must be a positive finite number: {raw!r}")
     return scale
 
 
@@ -104,9 +105,12 @@ def _scalar(prob: dict, key: str, default=None) -> float:
     if key not in prob and default is None:
         raise ProblemError(f"missing required number field {key!r}")
     try:
-        return float(prob.get(key, default))
+        value = float(prob.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ProblemError(f"field {key!r} is not a number") from exc
+    if key in prob and not math.isfinite(value):
+        raise ProblemError(f"field {key!r} must be finite, got {value!r}")
+    return value
 
 
 def _form(prob: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -190,10 +194,8 @@ def _maxmin_escape(pq, lam):
     return math.nan, rise, rise > 1e6 * sec.range_tol
 
 
-def _grid_tol(pq, scale, direction=None):
-    """Tolerance of the grid oracles; refuses the blocks they cannot
-    take (a w beyond 2-d, a MINMAX u beyond 4-d)."""
-    oracle._check_dims(pq, direction)
+def _grid_tol(pq, scale):
+    """Tolerance of the grid oracles."""
     return (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
 
 
@@ -314,11 +316,11 @@ def _check_lagrangian(pq, prob, doc, code, cfg, scale):
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
         return _maxmin_escape(pq, doc["lambda"])
-    # The dimension caps are the grid oracle's, so only its path has them.
-    tol = _grid_tol(pq, scale)
-    value = _scalar(prob, "expected_value", xm["value"])
+    # The oracle refuses the blocks it cannot take before the file's
+    # claimed value is read, so only its path has the dimension caps.
     oracle_value = oracle.grid_lagrangian(pq, doc["lambda"], cfg)
-    passed = abs(oracle_value - value) <= tol
+    value = _scalar(prob, "expected_value", xm["value"])
+    passed = abs(oracle_value - value) <= _grid_tol(pq, scale)
     if mm["finite"]:
         passed = passed and xm["value"] <= mm["value"] + 1e-9 * scale
     return value, oracle_value, passed
@@ -341,11 +343,9 @@ def _solve_sphere_game(pq, prob):
 def _check_sphere_game(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
         return _game_escape(pq)
-    direction = minmax.Direction(prob["kind"])
-    tol = _grid_tol(pq, scale, direction)
+    oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction(prob["kind"]))
     value = _scalar(prob, "expected_value", doc["value"])
-    oracle_value = oracle.grid_minmax(pq, cfg, direction)
-    passed = abs(value - oracle_value) <= tol
+    passed = abs(value - oracle_value) <= _grid_tol(pq, scale)
     return value, oracle_value, passed
 
 
@@ -459,8 +459,16 @@ def run_check(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is bad input (exit 1): argparse's exit 2 is
+    the code of a well-posed "no solution" answer.  Subparsers share it."""
+
+    def error(self, message):
+        raise ProblemError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadgames",
         description="Solvers for quadratic games, trust-region problems, "
         "and parametric Lagrangian duality.",
@@ -490,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ProblemError, ValueError, RuntimeError) as exc:
         # A ValueError is a solver or oracle refusing the data (not PSD,

@@ -190,13 +190,12 @@ def maxmin_threshold(pq: PartitionedQuadratic) -> float:
 
 
 class LambdaSolve(NamedTuple):
-    """One evaluation of the parameterized game at a fixed lambda.
+    """One evaluation of the parameterized game at the caller's lambda.
 
     ``finite`` is False below the existence threshold; the value and the
     per-player optimizer sets are populated only when finite.
     """
 
-    lam: float
     finite: bool
     value: float | None = None
     u_set: AffineSolutionSet | None = None
@@ -276,9 +275,9 @@ def _lambda_solve(red: SchurReduction, lam: float, *bs: Secular) -> list[LambdaS
     w0 = sec.q @ c
     value, u_set = float(sec.value(lam, c)) - red.c0, red.u_set(w0)
     return [
-        LambdaSolve(lam, True, value, u_set, b.at(lam, w0))
+        LambdaSolve(True, value, u_set, b.at(lam, w0))
         if sec.finite(lam, b.smax)
-        else LambdaSolve(lam, False)
+        else LambdaSolve(False)
         for b in bs
     ]
 

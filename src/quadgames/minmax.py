@@ -51,7 +51,6 @@ class ConstrainedGameSolution(NamedTuple):
     lambda0: float
     u_set: AffineSolutionSet
     w_set: SphereSolutionSet
-    direction: Direction
     diagnostics: dict
 
 
@@ -96,7 +95,7 @@ def solve_linear_term(
             # are that point's best-response set on the sphere, oriented
             # as in the trust region by the inner linear term M12'u* + d2.
             (at,) = game._lambda_solve(red, m22.smax, m22)
-            lam0, boundary, u_set = at.lam, True, at.u_set
+            lam0, boundary, u_set = m22.smax, True, at.u_set
             inner = m22.q.T @ (pq.m12.T @ u_set.particular + pq.d2)
             w_set, value = m22.orient(sphere_intersect(at.w_set), lam0, at.value, inner)
     mode = "boundary" if boundary else "interior"
@@ -107,6 +106,5 @@ def solve_linear_term(
         lambda0=lam0,
         u_set=u_set,
         w_set=w_set,
-        direction=direction,
         diagnostics={"mode": mode, "iterations": steps},
     )

@@ -221,7 +221,9 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
 def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> float:
     """Brute-force max over w of min over u of L(u, w, lam) = V(u, w)
     - lam/2 (w'w - 1): a grid over a box of w (dimensions up to 2) with
-    the inner minimum over u solved exactly."""
+    the inner minimum over u solved exactly, swept in blocks of ``BLOCK``
+    rows in meshgrid's order (first axis fastest); an empty w block has
+    the one row of R^0."""
     _check_dims(pq)
     n = pq.w_dim
     # The box holds the w part of the stationary point -pinv(M(lam)) d,
@@ -229,13 +231,13 @@ def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> 
     step = symmetric_split(pq.assembled(lam)).solve(pq.d)
     box = 2.0 * (1.0 + float(np.linalg.norm(step)))
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
-    if n == 0:
-        # An empty w block: the grid is the one point of R^0.
-        w_grid = np.zeros((1, 0))
-    else:
-        w_grid = np.stack(np.meshgrid(*([points] * n)), axis=-1).reshape(-1, n)
-    penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_grid, w_grid))
-    return float(np.max(_inner_min(pq, w_grid, symmetric_split(pq.m11)) + penalty))
+    k, f11 = points.shape[0], symmetric_split(pq.m11)
+    best = -math.inf
+    for start, stop in _blocks(k**n):
+        w_rows = points[np.arange(start, stop)[:, None] // k ** np.arange(n) % k]
+        penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_rows, w_rows))
+        best = np.maximum(best, np.max(_inner_min(pq, w_rows, f11) + penalty))
+    return float(best)
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

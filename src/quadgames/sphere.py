@@ -110,14 +110,14 @@ class Secular(NamedTuple):
     ``range_tol`` is that of the test that r vanishes on the top
     eigenspace; it equals ``tol`` unless d was computed from larger data.
     ``smax`` is ||D|| for PSD D, and -inf for a 0 x 0 D, whose empty
-    spectrum sets no threshold, so every lambda is above it.  ``top``
-    masks the top eigenspace (s_i within tol of ``smax``), and
+    spectrum sets no threshold, so every lambda is above it.
     ``range_holds`` says whether d lies in R(D - ||D|| I): r vanishes on
-    that eigenspace, up to ``range_tol``.  Only ``of`` builds an
-    instance, as it derives these three from the others; a ``_replace``
-    would leave them stale.  One instance serves the solve, the dual
-    curve and the lambda-family of a game, which all decide their
-    branches by ``range_holds``, ``finite`` and ``at``.
+    the top eigenspace (s_i within tol of ``smax``), up to
+    ``range_tol``.  Only ``of`` builds an instance, as it derives these
+    two from the others; a ``_replace`` would leave them stale.  One
+    instance serves the solve, the dual curve and the lambda-family of a
+    game, which all decide their branches by ``range_holds``, ``finite``
+    and ``at``.
     """
 
     s: np.ndarray
@@ -126,7 +126,6 @@ class Secular(NamedTuple):
     tol: float
     range_tol: float
     smax: float
-    top: np.ndarray
     range_holds: bool
 
     @classmethod
@@ -144,9 +143,8 @@ class Secular(NamedTuple):
         range_tol = tol if d_scale is None else TOL * (scale + d_scale)
         r = q.T @ d_vec
         smax = float(s[-1]) if s.size else -math.inf
-        top = s >= smax - tol
-        range_holds = bool(np.linalg.norm(r[top]) <= range_tol)
-        return cls(s, q, r, tol, range_tol, smax, top, range_holds)
+        range_holds = bool(np.linalg.norm(r[s >= smax - tol]) <= range_tol)
+        return cls(s, q, r, tol, range_tol, smax, range_holds)
 
     def response(self, lam: float | np.ndarray) -> np.ndarray:
         """Coordinates r_i / (lam - s_i) of the stationary point at lam,

@@ -421,7 +421,7 @@ def test_check_probes_infinite_and_unsolvable_answers(tmp_path, capsys, doc, c):
 @pytest.mark.parametrize("name", ["fig_duality_gap.json", "saddle_bilinear.json"])
 def test_check_refutes_a_wrong_infinite_or_unsolvable_answer(monkeypatch, capsys, name):
     def both_infinite(pq, lam):
-        return DualityReport("both_infinite", None, *[LambdaSolve(lam, False)] * 2)
+        return DualityReport("both_infinite", None, *[LambdaSolve(False)] * 2)
 
     monkeypatch.setattr(cli.game, "duality_report", both_infinite)
     monkeypatch.setattr(cli.game, "solve_saddle", lambda pq: None)
@@ -488,6 +488,9 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     ("solve", {**LAGRANGIAN, "lambda": math.nan}),
     ("solve", {**LAGRANGIAN, "lambda": "inf"}),
     ("solve", {**QUAD_MIN, "c": math.nan}),
+    ("check", {**QUAD_MIN, "expected_value": math.nan}),
+    ("check", {**QUAD_MIN, "expected_value": -math.inf}),
+    ("check", {**LAGRANGIAN, "lambda": 1.5, "expected_value": math.inf}),
 ], ids=[
     "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
@@ -497,7 +500,8 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     "curve-non-psd-D", "curve-non-symmetric-D", "curve-short-d",
     "curve-non-psd-lagrangian", "curve-infinite-lambda-max",
     "curve-infinite-lambda-min", "solve-nan-lambda", "solve-string-inf-lambda",
-    "solve-nan-c",
+    "solve-nan-c", "check-nan-expected", "check-infinite-expected",
+    "check-infinite-expected-lagrangian",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     name, *options = command.split()
@@ -505,6 +509,26 @@ def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_bad_environment_and_command_lines_are_error_lines(capsys, monkeypatch):
+    # argparse alone would exit 2, the code of a well-posed "no solution"
+    # answer; an infinite QG_TOL_OVERRIDE would pass any answer.
+    curve = ["curve", str(FIXTURES / "fig_trust_blue.json"), "--lambda-max", "2"]
+    for argv in (
+        [*curve, "--lambda-min", "0", "--steps", "x"],
+        [*curve, "--lambda-min", "-inf", "--steps", "3"],
+        ["solve"],
+        [],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error: quadgames"), argv
+    monkeypatch.setenv("QG_TOL_OVERRIDE", "inf")
+    code, out, err = run(capsys, "check", str(FIXTURES / "check_corrupted.json"))
+    assert (code, out) == (1, "") and err.startswith("error: QG_TOL_OVERRIDE"), err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("name", ["fig_duality_gap.json", "fig_trust_blue.json"])

@@ -2,6 +2,8 @@
 the paper derives the sphere games for: min over u of max over ||w|| <= 1
 of J = (Ax + Bu + Gw)'P(Ax + Bu + Gw) + u'Ru is a ``minmax`` game."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,16 @@ def test_robust_cost_agrees_with_the_grid_oracle():
     sol = solve_linear_term(pq, Direction.MINMAX)
     oracle = grid_minmax(pq, OracleConfig(samples=20_000), Direction.MINMAX)
     assert 0.0 <= sol.value - oracle <= 1e-8
+
+
+def test_robust_cost_matches_the_40_digit_reference():
+    # J(x) = 2 V* + x'A'PAx, with V* the 40-digit MINMAX value of the
+    # float game data, on a 5 x 5 grid of x through the origin.
+    pytest.importorskip("mpmath")
+    import mpref
+
+    for x in itertools.product(np.linspace(-2.0, 2.0, 5), repeat=2):
+        x = np.array(x)
+        robust, _ = robust_cost(x)
+        value, _ = mpref.sphere_game(control_game(A, B, G, P, R, x), minmax=True)
+        assert robust == pytest.approx(2.0 * value + x @ A.T @ P @ A @ x, rel=1e-10)

@@ -6,7 +6,6 @@ from quadgames import (
     Direction,
     PartitionedQuadratic,
     QuadraticForm,
-    is_psd,
     minimize,
     schur_complements,
     solve_linear,
@@ -14,7 +13,7 @@ from quadgames import (
     solve_saddle,
 )
 from quadgames.game import PSD_MESSAGE, schur_reduction
-from quadgames.linalg import RANK_EPS, TOL, spectral_norm, svd, symmetrize
+from quadgames.linalg import RANK_EPS, TOL, is_psd, spectral_norm, svd, symmetrize
 
 from util import random_psd
 

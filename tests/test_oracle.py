@@ -210,7 +210,8 @@ def _random_data(seed: int):
 
 
 def _blocked_oracles(samples: int) -> list:
-    cfg = OracleConfig(seed=4, samples=samples)
+    # grid_points only sizes the grid_lagrangian w grid: 9 to 576 rows.
+    cfg = OracleConfig(seed=4, samples=samples, grid_points=samples + 2)
     value, point = sphere_max(SPHERE_FORM, cfg)
     x0 = np.array([-1.0, 0.5, 0.0, -0.5])
     u, w = np.linalg.solve(SADDLE_GAME.assembled(), -SADDLE_GAME.d).reshape(2, 2)
@@ -221,6 +222,7 @@ def _blocked_oracles(samples: int) -> list:
         verify_saddle(SADDLE_GAME, u, w, samples=samples, seed=4),
         verify_saddle(SADDLE_GAME, u + 1.0, w, samples=samples, seed=4),
         grid_minmax(MAXMIN_GAME, cfg, Direction.MAXMIN),
+        grid_lagrangian(MAXMIN_GAME, 2.0, cfg),
     ]
     # On these draws a lone row evaluated by itself rounds differently
     # from the same row inside a taller block (numpy hands one-row
@@ -264,6 +266,16 @@ def test_blocked_oracle_memory_is_flat_in_samples(oracle):
     assert _traced_peak(lambda: oracle(many)) <= _traced_peak(
         lambda: oracle(few)
     ) + 2**20
+
+
+def test_lagrangian_grid_memory_is_flat_in_grid_points():
+    # 400^2 = 160 000 grid rows, swept in blocks, take no more memory
+    # than 91^2 = 8281.
+    def oracle(k):
+        return grid_lagrangian(MAXMIN_GAME, 2.0, OracleConfig(grid_points=k))
+
+    oracle(91)  # first-call imports and caches stay out of the peaks
+    assert _traced_peak(lambda: oracle(400)) <= _traced_peak(lambda: oracle(91)) + 2**20
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-3, 1.0, 1e8])

@@ -27,11 +27,10 @@ def test_public_names():
         "PartitionedQuadratic", "QuadOptimum", "QuadraticForm",
         "SaddleSolution", "SphereSolutionSet", "TrustRegionSolution",
         "dual_curve", "duality_report", "fd_gradient", "grid_minmax",
-        "is_psd", "lambda_curve", "lambda_p", "maxmin_threshold",
-        "minimize", "minmax_threshold", "schur_complements",
-        "solve_homogeneous", "solve_linear", "solve_linear_term",
-        "solve_saddle", "solve_trust_region", "sphere_intersect",
-        "sphere_max", "verify_saddle",
+        "lambda_curve", "lambda_p", "maxmin_threshold", "minimize",
+        "minmax_threshold", "schur_complements", "solve_homogeneous",
+        "solve_linear", "solve_linear_term", "solve_saddle",
+        "solve_trust_region", "sphere_max", "verify_saddle",
     ]
     assert all(hasattr(quadgames, name) for name in quadgames.__all__)
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadgames import QuadraticForm, fd_gradient, is_psd, minimize
+from quadgames import QuadraticForm, fd_gradient, minimize
+from quadgames.linalg import is_psd
 from quadgames.quadratic import _gaussian_rows
 
 from util import count_factorizations, random_psd

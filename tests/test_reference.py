@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from quadgames import solve_trust_region
+from quadgames import (
+    Direction,
+    PartitionedQuadratic,
+    duality_report,
+    maxmin_threshold,
+    minmax_threshold,
+    solve_linear_term,
+    solve_trust_region,
+)
 
 from util import hard_case_instance, random_psd
 
@@ -46,3 +54,83 @@ def test_trust_region_matches_the_40_digit_reference():
         value, lam = mpref.trust_region(d_mat, d_vec)
         assert sol.value == pytest.approx(value, rel=1e-10)
         assert sol.lambda_p == pytest.approx(lam, rel=1e-10)
+
+
+def _m11(rng, p, zeros):
+    """M11 = Q diag(e) Q' with e in [1e-2, 1e2] (condition at most 1e4),
+    or, when ``zeros``, diagonal with exact zeros where the mask is set:
+    a float matrix singular only to rounding would be full rank in 40
+    digits, with another pinv than the solver's."""
+    e = 10.0 ** rng.uniform(-2.0, 2.0, p)
+    if zeros is not None:
+        return np.diag(np.where(zeros, 0.0, e))
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    m = q @ np.diag(e) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def games(rng):
+    """40 desk games (p, n <= 3) with M >= 0 and d1 in R(M11), at scales
+    1e-8..1e8: M22 = M12' pinv(M11) M12 + W with W >= 0 of random rank,
+    so S is W to rounding; the first 10 have a diagonal M11 with exact
+    zeros (M12 and d1 vanish on them), the last 10 M12 = 0 and (M22, d2)
+    from ``hard_case_instance`` with a response norm at ||M22|| within
+    1e-8..1 of 1, on either side."""
+    for i in range(40):
+        c = 10.0 ** rng.uniform(-8.0, 8.0)
+        p, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        zeros = rng.uniform(size=p) < 0.5 if i < 10 else None
+        m11 = _m11(rng, p, zeros)
+        d1 = rng.standard_normal(p)
+        if i < 30:
+            m12 = rng.standard_normal((p, n))
+            if zeros is not None:
+                m12[zeros], d1[zeros] = 0.0, 0.0
+            w = random_psd(rng, n, int(rng.integers(0, n + 1)))
+            m22 = m12.T @ np.linalg.pinv(m11) @ m12 + w
+            d2 = rng.standard_normal(n)
+        else:
+            n = int(rng.integers(2, 4))
+            norm = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, 0.0)
+            m12 = np.zeros((p, n))
+            m22, d2 = hard_case_instance(rng, n, norm)
+        yield PartitionedQuadratic(c * m11, c * m12, c * (0.5 * (m22 + m22.T)), c * d1, c * d2)
+
+
+def test_sphere_games_match_the_40_digit_reference():
+    # MINMAX sits at ||M22|| where that exceeds the trust-region
+    # multiplier of (S, r), and at the multiplier otherwise; both occur.
+    above = set()
+    for pq in games(np.random.default_rng(103)):
+        lams = {}
+        for direction in Direction:
+            sol = solve_linear_term(pq, direction)
+            value, lam = mpref.sphere_game(pq, direction is Direction.MINMAX)
+            assert sol.value == pytest.approx(value, rel=1e-10)
+            assert sol.lambda0 == pytest.approx(lam, rel=1e-10)
+            lams[direction] = lam
+        above.add(lams[Direction.MINMAX] > lams[Direction.MAXMIN])
+    assert above == {False, True}
+
+
+def test_lambda_family_matches_the_40_digit_reference():
+    # Below ||S||, between the thresholds, and above ||M22||, at lambdas
+    # at least 1e-6 ||M22|| away from either threshold.
+    seen = set()
+    for pq in games(np.random.default_rng(107)):
+        norm_s, norm22 = maxmin_threshold(pq), minmax_threshold(pq)
+        grid = [
+            norm_s - 0.1 * norm22, norm_s + 1e-3 * norm22, 0.5 * (norm_s + norm22),
+            norm22 * (1.0 + 1e-3), 2.0 * norm22,
+        ]
+        for lam in grid:
+            if min(abs(lam - norm_s), abs(lam - norm22)) <= 1e-6 * norm22:
+                continue
+            report = duality_report(pq, lam)
+            expected = mpref.lambda_family(pq, lam)
+            for got, value in zip((report.minmax, report.maxmin), expected):
+                assert got.finite is (value is not None)
+                if value is not None:
+                    assert got.value == pytest.approx(value, rel=1e-10)
+            seen.add(report.status)
+    assert seen == {"both_infinite", "infinite_gap", "strong_duality"}

@@ -10,11 +10,10 @@ from quadgames import (
     dual_curve,
     lambda_p,
     solve_trust_region,
-    sphere_intersect,
     sphere_max,
 )
 
-from quadgames.sphere import Secular
+from quadgames.sphere import Secular, sphere_intersect
 
 from util import hard_case_instance, random_psd, rotation
 
