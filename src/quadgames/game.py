@@ -10,7 +10,8 @@ duality gap is infinite.  Where finite, both equal
 lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
 from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
 every lambda, and ``lambda_curve`` evaluates a whole grid in one array
-pass, reading only the eigenvalues of M22.  Threshold tests are
+pass, reading only the eigenvalues of M22; past those factorizations
+its Python work does not grow with the grid.  Threshold tests are
 relative to the data S is computed from.  An empty w block sets no
 threshold: both values are min over u of V plus lambda/2 at every
 lambda (``minmax_threshold`` and ``maxmin_threshold`` still read 0.0,
@@ -29,6 +30,7 @@ from .linalg import (
     TOL,
     AffineSolutionSet,
     Validated,
+    _norm,
     as_matrix,
     as_scalar,
     as_vector,
@@ -239,21 +241,21 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     if f11 is None:
         raise ValueError(PSD_MESSAGE)
     null11 = f11.v2
-    if np.linalg.norm(null11.T @ pq.m12) > TOL * np.linalg.norm(pq.m12):
+    if null11.size and _norm(null11.T @ pq.m12) > TOL * _norm(pq.m12):
         raise ValueError(PSD_MESSAGE)
-    x = f11.solve(np.column_stack([pq.m12, pq.d1]))
+    x = f11.solve(np.concatenate((pq.m12, pq.d1[:, None]), axis=1))
     x12, x1 = x[:, :-1], x[:, -1]
     coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
     schur = pq.m22 - coupling
     # S and r are differences of two terms; their rounding follows the
     # size of those terms, so the PSD and eigenvalue tests read the scale
     # of S's terms and the test that r vanishes that of r's.
-    scale = float(np.linalg.norm(pq.m22) + np.linalg.norm(coupling))
-    d_scale = float(np.linalg.norm(pq.d2) + np.linalg.norm(shift))
+    scale = _norm(pq.m22) + _norm(coupling)
+    d_scale = _norm(pq.d2) + _norm(shift)
     secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, scale, d_scale)
     if not nonnegative_spectrum(secular.s, scale):
         raise ValueError(PSD_MESSAGE)
-    bounded = bool(np.linalg.norm(null11.T @ pq.d1) <= TOL * np.linalg.norm(pq.d))
+    bounded = not null11.size or _norm(null11.T @ pq.d1) <= TOL * _norm(pq.d)
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
 
 
@@ -346,7 +348,6 @@ def lambda_curve(
         xm = np.full(steps, -math.inf)
     else:
         values = sec.value(lams, sec.response(lams)) - red.c0
-        mm, xm = (
-            np.where(sec.finite(lams, thr), values, math.inf) for thr in (norm22, None)
-        )
+        mm = np.where(sec.finite(lams, norm22), values, math.inf)
+        xm = np.where(sec.finite(lams), values, math.inf)
     return list(zip(lams.tolist(), mm.tolist(), xm.tolist()))

@@ -15,6 +15,7 @@ pure and all returned values should be treated as immutable.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -47,7 +48,7 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     v = np.asarray(b, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {v.shape}")
-    if v.size and not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
 
@@ -55,7 +56,7 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
 def as_scalar(x, name: str = "number") -> float:
     """Validate and convert ``x`` to a finite float."""
     value = float(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
@@ -96,8 +97,7 @@ class SvdFactors(NamedTuple):
     def in_range(self, b: np.ndarray) -> bool:
         """Whether b lies in the range of A (relative residual test)."""
         b = as_vector(b)
-        resid = np.linalg.norm(self.u2.T @ b)
-        return resid <= TOL * np.linalg.norm(b)
+        return _norm(self.u2.T @ b) <= TOL * _norm(b)
 
 
 def svd(a) -> SvdFactors:
@@ -116,12 +116,14 @@ def symmetric_split(m: np.ndarray, psd: bool = False) -> SvdFactors | None:
     A caller that requires M >= 0 passes ``psd``: the split is None when
     M fails the PSD test of ``is_psd``, and the negative eigenvalues
     that test tolerates are rounding, so they are split as zeros (null
-    space, not inverted by ``solve``).  Otherwise every |s_i| is kept."""
+    space, not inverted by ``solve``); the clipped spectrum is then its
+    own |s| with U = V, sorted already: ``eigh``'s order read backwards.
+    Otherwise every |s_i| is kept."""
     s, v = np.linalg.eigh(m)
     if psd:
         if not nonnegative_spectrum(s):
             return None
-        s = np.maximum(s, 0.0)
+        return _split(v[:, ::-1], np.maximum(s[::-1], 0.0), v[:, ::-1])
     order = np.argsort(-np.abs(s), kind="stable")
     v = v[:, order]
     return _split(v * np.copysign(1.0, s[order]), np.abs(s[order]), v)
@@ -130,7 +132,7 @@ def symmetric_split(m: np.ndarray, psd: bool = False) -> SvdFactors | None:
 def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
     """Split U diag(s) V' (s descending) at the numerical rank."""
     smax = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > RANK_EPS * smax * max(u.shape[0], v.shape[0], 1)))
+    rank = np.count_nonzero(s > RANK_EPS * smax * max(u.shape[0], v.shape[0], 1))
     return SvdFactors(
         u1=u[:, :rank],
         u2=u[:, rank:],
@@ -139,6 +141,12 @@ def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
         sigma=s[:rank].copy(),
         rank=rank,
     )
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||, Frobenius for a matrix, summed as ``np.linalg.norm`` does."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def spectral_norm(m) -> float:
@@ -219,8 +227,8 @@ def solve_linear(a, b) -> LinearSolve:
         raise ValueError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
     f = svd(a)
     x = f.solve(b)
-    residual = float(np.linalg.norm(f.u2.T @ b))
-    consistent = residual <= TOL * float(np.linalg.norm(b))
+    residual = _norm(f.u2.T @ b)
+    consistent = residual <= TOL * _norm(b)
     return LinearSolve(AffineSolutionSet(x, f.v2), residual, consistent)
 
 
@@ -229,8 +237,8 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    asym = np.linalg.norm(m - m.T)
-    if asym > TOL * np.linalg.norm(m):
+    asym = _norm(m - m.T)
+    if asym > TOL * _norm(m):
         raise ValueError(f"{name} is not symmetric (asymmetry {asym:g})")
     return 0.5 * (m + m.T)
 
@@ -246,7 +254,7 @@ def is_psd(m) -> bool:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     if m.size == 0:
         return True
-    if np.linalg.norm(m - m.T) > TOL * np.linalg.norm(m):
+    if _norm(m - m.T) > TOL * _norm(m):
         return False
     return nonnegative_spectrum(np.linalg.eigvalsh(0.5 * (m + m.T)))
 
@@ -259,7 +267,7 @@ def nonnegative_spectrum(w: np.ndarray, scale: float | None = None) -> bool:
     if w.size == 0:
         return True
     if scale is None:
-        scale = float(np.max(np.abs(w)))
+        scale = max(-w[0], w[-1])
     return bool(w[0] >= -TOL * scale)
 
 

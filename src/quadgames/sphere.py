@@ -14,7 +14,8 @@ response plus the top eigenspace, intersected with the sphere; the part
 of r on that eigenspace, zero up to the range test, still points the
 representative at the best member.
 One ``Secular`` rule decides each branch for the solve, the dual curve
-(one array pass over a lambda grid) and the games of ``game``.
+(one ``eigh``, then whole-array steps whose count does not grow with
+its lambda grid) and the games of ``game``.
 
 The paper's certificate for the multiplier, the largest real eigenvalue
 of the 2n x 2n companion matrix [[D, I], [dd', D]], is kept as
@@ -30,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    TOL, AffineSolutionSet, as_scalar, as_vector, nonnegative_spectrum, symmetrize
+    TOL, AffineSolutionSet, _norm, as_scalar, as_vector, check_integer,
+    nonnegative_spectrum, symmetrize,
 )
 
 # An eigenvalue counts as real when |Im| <= IMAG_TOL * (1 + |Re|);
@@ -71,7 +73,7 @@ def sphere_intersect(aset: AffineSolutionSet) -> SphereSolutionSet:
     (orthogonal to the basis).  Raises when the intersection is empty,
     which on trust-region solution sets signals a numerical breakdown.
     """
-    p_norm = float(np.linalg.norm(aset.particular))
+    p_norm = _norm(aset.particular)
     if p_norm > 1.0 + TOL:
         raise ValueError(
             f"affine set does not reach the unit sphere (min norm {p_norm!r})"
@@ -138,12 +140,12 @@ class Secular(NamedTuple):
         likewise stands in for ||d|| in ``range_tol``."""
         s, q = np.linalg.eigh(d_mat)
         if scale is None:
-            scale = float(np.max(np.abs(s))) if s.size else 0.0
-        tol = TOL * (scale + float(np.linalg.norm(d_vec)))
+            scale = float(max(-s[0], s[-1])) if s.size else 0.0
+        tol = TOL * (scale + _norm(d_vec))
         range_tol = tol if d_scale is None else TOL * (scale + d_scale)
         r = q.T @ d_vec
         smax = float(s[-1]) if s.size else -math.inf
-        range_holds = bool(np.linalg.norm(r[s >= smax - tol]) <= range_tol)
+        range_holds = _norm(r[s >= smax - tol]) <= range_tol
         return cls(s, q, r, tol, range_tol, smax, range_holds)
 
     def response(self, lam: float | np.ndarray) -> np.ndarray:
@@ -151,8 +153,8 @@ class Secular(NamedTuple):
         leaving out directions with lam - s_i <= tol (the pseudoinverse
         at the top of the spectrum).  A scalar lam gives one row, a 1-D
         array of multipliers one row per entry."""
-        gap = np.subtract.outer(lam, self.s)
-        return np.divide(self.r, gap, out=np.zeros_like(gap), where=gap > self.tol)
+        gap = np.asarray(lam)[..., None] - self.s
+        return np.divide(self.r, gap, out=np.zeros(gap.shape), where=gap > self.tol)
 
     def value(self, lam: float | np.ndarray, c: np.ndarray) -> float | np.ndarray:
         """Dual value lam/2 + 1/2 r'c per row of response coordinates c."""
@@ -175,7 +177,7 @@ class Secular(NamedTuple):
     def solve(self) -> tuple[TrustRegionSolution, int]:
         """The maximizer set and value, plus the Newton step count."""
         c = self.response(self.smax)
-        response_norm = float(np.linalg.norm(c))
+        response_norm = _norm(c)
         boundary = self.range_holds and response_norm <= 1.0
         if boundary:
             lam, steps = self.smax, 0
@@ -202,7 +204,7 @@ class Secular(NamedTuple):
         the set.  When it is exactly 0 both come back as they are."""
         r = self.r if r is None else r
         part = r[np.abs(self.s - lam) <= self.tol]
-        norm = float(np.linalg.norm(part))
+        norm = _norm(part)
         if norm == 0.0:
             return sset, value
         # A Householder reflection maps the first coordinate axis to the
@@ -286,13 +288,13 @@ def lambda_p(d_mat, d_vec) -> float:
 
 def _lambda_grid(lambda_min: float, lambda_max: float, steps: int) -> np.ndarray:
     """The uniform grid of a curve, ``steps`` >= 2 points from finite
-    ``lambda_min`` < ``lambda_max``; ValueError otherwise."""
+    ``lambda_min`` < ``lambda_max``; ValueError otherwise (TypeError for
+    a ``steps`` that is no integer)."""
     lambda_min = as_scalar(lambda_min, "lambda_min")
     lambda_max = as_scalar(lambda_max, "lambda_max")
     if not lambda_min < lambda_max:
         raise ValueError("lambda_min must be smaller than lambda_max")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    check_integer(steps, "steps", 2)
     return np.linspace(lambda_min, lambda_max, steps)
 
 
@@ -331,12 +333,7 @@ def dual_curve(
     _, _, sec = _check_inputs(d_mat, d_vec)
     lams = _lambda_grid(lambda_min, lambda_max, steps)
     c = sec.response(lams)
-    values = sec.value(lams, c)
-    slopes = 0.5 * (1.0 - np.vecdot(c, c))
     finite = sec.finite(lams)
-    return [
-        (lam, value, slope) if ok else (lam, math.inf, None)
-        for lam, value, slope, ok in zip(
-            lams.tolist(), values.tolist(), slopes.tolist(), finite.tolist()
-        )
-    ]
+    values = np.where(finite, sec.value(lams, c), math.inf)
+    slopes = np.where(finite, 0.5 * (1.0 - np.vecdot(c, c)), None)
+    return list(zip(lams.tolist(), values.tolist(), slopes.tolist()))

@@ -25,6 +25,12 @@ pinv(M11) drops the eigenvalues of M11 within ``ZERO`` of zero, so M11
 must be full rank with a moderate condition number, or exactly singular
 (a float matrix that is singular only to rounding is full rank here).
 
+``pinv_problem(M, d)`` is the reference for ``minimize`` (PSD M) and
+``solve_saddle`` (M11 >= 0, M22 <= 0): the stationary set
+-pinv(M) d + null(M) and the value -1/2 d' pinv(M) d, or None when d
+has a part outside R(M); the same rule on ``ZERO`` decides the rank of
+M and that range test, so M obeys the same condition as M11.
+
 The tests import this module behind ``pytest.importorskip("mpmath")``.
 """
 
@@ -104,6 +110,24 @@ def _reduce(pq):
     r = _coords(qs, [d2[a] - g[a][n] for a in range(n)])
     c0 = mpmath.fsum(d1[k] * x[n][k] for k in range(p)) / 2
     return s, r, c0, max(_eig(m22)[0])
+
+
+def pinv_problem(m, d) -> tuple[float, list[float], int] | None:
+    """(-1/2 d' pinv(M) d, -pinv(M) d, dim null(M)) for symmetric M,
+    rounded to float; None when the part of d on null(M) exceeds
+    ``ZERO`` ||d||."""
+    with mpmath.workdps(DIGITS):
+        e, q = _eig(m.tolist())
+        zero = ZERO * max(abs(x) for x in e)
+        kept = [abs(x) > zero for x in e]
+        y = _coords(q, d.tolist())
+        outside = mpmath.norm([yi for yi, k in zip(y, kept) if not k] or [0])
+        if outside > ZERO * mpmath.norm(d.tolist()):
+            return None
+        z = [yi / x if k else 0 for yi, x, k in zip(y, e, kept)]
+        x = [mpmath.fsum(q[j, i] * z[i] for i in range(len(z))) for j in range(len(z))]
+        value = -mpmath.fsum(di * xi for di, xi in zip(d.tolist(), x)) / 2
+        return float(value), [-float(xi) for xi in x], len(e) - sum(kept)
 
 
 def sphere_game(pq, minmax: bool) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -461,13 +462,19 @@ def test_threshold_factorization_count(monkeypatch):
     assert counts == {"eigh": 1, "eigvalsh": 1}
 
 
-@pytest.mark.parametrize("grid", [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1)])
+@pytest.mark.parametrize(
+    "grid",
+    [(1.0, 1.0, 5), (2.0, 1.0, 5), (0.0, 1.0, 1), (0.0, 1.0, 3.0), (0.0, 1.0, True)],
+)
 def test_curves_reject_an_invalid_grid(grid):
-    # Both curves validate their grid with one rule.
+    # Both curves validate their grid with one rule; a ``steps`` that is
+    # no integer is a TypeError, as for ``verify_saddle``, not numpy's
+    # error for a float or a bool read as 1.
+    error = TypeError if isinstance(grid[2], (bool, float)) else ValueError
     one = np.array([[1.0]])
-    with pytest.raises(ValueError, match="lambda_min|steps"):
+    with pytest.raises(error, match="lambda_min|steps"):
         lambda_curve(gap_instance(), *grid)
-    with pytest.raises(ValueError, match="lambda_min|steps"):
+    with pytest.raises(error, match="lambda_min|steps"):
         dual_curve(one, np.ones(1), *grid)
 
 
@@ -497,6 +504,47 @@ def test_curve_factorization_count_does_not_grow_with_steps(monkeypatch, steps):
     counts.clear()
     assert len(dual_curve(pq.m22, pq.d2, 0.0, 5.0, steps)) == steps
     assert counts == Counter(eigh=1)
+
+
+def _python_calls(fn) -> int:
+    """The Python and C function calls fn() makes, counted by
+    ``sys.setprofile`` (its "call" and "c_call" events)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+# One lambda_curve plus one dual_curve on the p = n = 20 game below make
+# 255 calls with numpy 2.4.  The bound leaves room for numpy's own
+# wrappers to change, and stays below the 369 calls the same curves make
+# through np.linalg.norm, np.all and a sorted split of the spectrum.
+CURVE_CALLS = 310
+
+
+@pytest.mark.parametrize("steps", [2, 2000])
+def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
+    # A machine-independent cost count: the Python work of a curve is a
+    # fixed number of calls around its factorizations, whatever its grid.
+    pq = random_partitioned(np.random.default_rng(79), 20, 20)
+
+    def curves(k):
+        return lambda: (
+            lambda_curve(pq, 0.0, 150.0, k), dual_curve(pq.m22, pq.d2, 0.0, 150.0, k)
+        )
+
+    calls = _python_calls(curves(steps))
+    assert calls <= CURVE_CALLS
+    assert calls == _python_calls(curves(100))
 
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])

@@ -1,0 +1,143 @@
+"""Metamorphic tests of the lambda curves: answers that must not move, or
+must move in a known way, when the data is rescaled or rotated."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadgames import (
+    PartitionedQuadratic,
+    dual_curve,
+    lambda_curve,
+    maxmin_threshold,
+    minmax_threshold,
+)
+from quadgames.linalg import spectral_norm
+
+from util import random_psd
+
+
+def orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def grid_off(thresholds, lo, hi, steps):
+    """lo..hi shifted by a fifth of a step at a time until every grid
+    point lies at least a tenth of a step from each threshold, so that
+    rounding cannot move a point across one.  Each threshold rules out
+    at most one of the five shifts."""
+    h = (hi - lo) / (steps - 1)
+    for shift in (0.0, 0.2, 0.4, 0.6, 0.8):
+        points = lo + (shift + np.arange(steps)) * h
+        if all(np.min(np.abs(points - t)) >= 0.1 * h for t in thresholds):
+            return lo + shift * h, hi + shift * h
+    raise AssertionError("no shift clears the thresholds")
+
+
+def random_trust_region(rng):
+    """A PSD D (of random rank) and d of dimension 1-5, and a grid that
+    reaches below and above ||D||, clear of it."""
+    n = int(rng.integers(1, 6))
+    d_mat = random_psd(rng, n, int(rng.integers(0, n + 1)))
+    d_vec = rng.standard_normal(n)
+    norm = spectral_norm(d_mat)
+    width = 1.0 + norm + float(np.linalg.norm(d_vec))
+    steps = int(rng.integers(2, 12))
+    lo = norm - rng.uniform(0.1, 1.0) * width
+    lo, hi = grid_off([norm], lo, norm + rng.uniform(0.1, 2.0) * width, steps)
+    return d_mat, d_vec, lo, hi, steps
+
+
+def random_game(rng):
+    """A game with M >= 0 and p <= 3, 1 <= n <= 4: M11 well conditioned
+    or diagonal with exact zeros (where d1 may stay nonzero, so the game
+    is unbounded below), M22 = M12' pinv(M11) M12 + W with W >= 0; and a
+    grid from below ||S|| to above ||M22||, clear of both."""
+    p, n = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+    e = 10.0 ** rng.uniform(-1.0, 1.0, p)
+    if rng.uniform() < 0.5:
+        m11 = np.diag(np.where(rng.uniform(size=p) < 0.5, 0.0, e))
+    else:
+        q = orthogonal(rng, p)
+        m11 = q @ np.diag(e) @ q.T
+    m11 = 0.5 * (m11 + m11.T)
+    m12 = rng.standard_normal((p, n))
+    zero = np.diag(m11) == 0.0 if p else np.zeros(0, bool)
+    m12[zero] = 0.0
+    d1 = rng.standard_normal(p)
+    if rng.uniform() < 0.7:
+        d1[zero] = 0.0
+    m22 = m12.T @ np.linalg.pinv(m11) @ m12 + random_psd(rng, n, int(rng.integers(0, n + 1)))
+    pq = PartitionedQuadratic(m11, m12, 0.5 * (m22 + m22.T), d1, rng.standard_normal(n))
+    norm_s, norm22 = maxmin_threshold(pq), minmax_threshold(pq)
+    width = 1.0 + norm22 + float(np.linalg.norm(pq.d2))
+    steps = int(rng.integers(2, 12))
+    lo, hi = grid_off(
+        [norm_s, norm22], norm_s - rng.uniform(0.1, 1.0) * width,
+        norm22 + rng.uniform(0.1, 2.0) * width, steps,
+    )
+    return pq, lo, hi, steps
+
+
+def close(got, want, tol, ref):
+    """Equal infinities, or finite values within tol relative to ref."""
+    if not (math.isfinite(got) and math.isfinite(want)):
+        return got == want
+    return abs(got - want) <= tol * ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8.0, 8.0))
+def test_dual_curve_scales_with_the_data(seed, exponent):
+    # Scaling D, d and lambda by c scales the dual value by c and leaves
+    # its slope sum r_i^2 / (lambda - s_i)^2 and its finite points alone.
+    d_mat, d_vec, lo, hi, steps = random_trust_region(np.random.default_rng(seed))
+    c = 10.0**exponent
+    base = dual_curve(d_mat, d_vec, lo, hi, steps)
+    scaled = dual_curve(c * d_mat, c * d_vec, c * lo, c * hi, steps)
+    ref = max((abs(v) for _, v, _ in base if math.isfinite(v)), default=1.0)
+    for (lam, value, slope), (c_lam, c_value, c_slope) in zip(base, scaled):
+        assert c_lam == pytest.approx(c * lam, rel=1e-14, abs=1e-14 * c * abs(hi - lo))
+        assert (c_slope is None) == (slope is None) == (value == math.inf)
+        assert close(c_value, c * value, 1e-12, c * ref)
+        if slope is not None:
+            assert close(c_slope, slope, 1e-12, 1.0 + abs(slope))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dual_curve_is_invariant_under_rotation(seed):
+    rng = np.random.default_rng(seed)
+    d_mat, d_vec, lo, hi, steps = random_trust_region(rng)
+    q = orthogonal(rng, d_vec.shape[0])
+    base = dual_curve(d_mat, d_vec, lo, hi, steps)
+    turned = dual_curve(q @ d_mat @ q.T, q @ d_vec, lo, hi, steps)
+    ref = max((abs(v) for _, v, _ in base if math.isfinite(v)), default=1.0)
+    for (lam, value, slope), (t_lam, t_value, t_slope) in zip(base, turned):
+        assert t_lam == lam and (t_slope is None) == (slope is None)
+        assert close(t_value, value, 1e-12, ref)
+        if slope is not None:
+            assert close(t_slope, slope, 1e-12, 1.0 + abs(slope))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lambda_curve_is_invariant_under_a_rotation_of_w(seed):
+    # w -> Q w maps the game to one with M12 Q', Q M22 Q' and Q d2; both
+    # value functions, and the thresholds, stay where they are.
+    rng = np.random.default_rng(seed)
+    pq, lo, hi, steps = random_game(rng)
+    q = orthogonal(rng, pq.w_dim)
+    m22 = q @ pq.m22 @ q.T
+    turned = PartitionedQuadratic(pq.m11, pq.m12 @ q.T, 0.5 * (m22 + m22.T), pq.d1, q @ pq.d2)
+    base = lambda_curve(pq, lo, hi, steps)
+    rows = lambda_curve(turned, lo, hi, steps)
+    finite = [abs(v) for row in base for v in row[1:] if math.isfinite(v)]
+    ref = max(finite, default=1.0)
+    for (lam, mm, xm), (t_lam, t_mm, t_xm) in zip(base, rows):
+        assert t_lam == lam
+        assert close(t_mm, mm, 1e-12, ref) and close(t_xm, xm, 1e-12, ref)

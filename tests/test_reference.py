@@ -4,14 +4,17 @@ import pytest
 from quadgames import (
     Direction,
     PartitionedQuadratic,
+    QuadraticForm,
     duality_report,
     maxmin_threshold,
     minmax_threshold,
+    minimize,
     solve_linear_term,
+    solve_saddle,
     solve_trust_region,
 )
 
-from util import hard_case_instance, random_psd
+from util import hard_case_instance, random_psd, random_saddle_instance
 
 pytest.importorskip("mpmath")
 import mpref  # noqa: E402
@@ -134,3 +137,110 @@ def test_lambda_family_matches_the_40_digit_reference():
                     assert got.value == pytest.approx(value, rel=1e-10)
             seen.add(report.status)
     assert seen == {"both_infinite", "infinite_gap", "strong_duality"}
+
+
+def _orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def _integer_gram(rng, rows, n):
+    """B'B for an integer rows x n matrix B with entries in -3..3: a PSD
+    matrix that float arithmetic forms exactly, of rank below n when rows
+    is, so it is singular in 40 digits too."""
+    b = rng.integers(-3, 4, (rows, n)).astype(float)
+    return b.T @ b, b
+
+
+def convex_forms(rng):
+    """40 desk forms (n <= 4): the first 20 rotated, Q diag(e) Q' with e in
+    [1e-2, 1e2] at scales 1e-8..1e8; the last 20 exactly rank deficient,
+    integer B'B of rank below n at scales 2^-26..2^26 (a power of two
+    keeps them exact), half with d = D y in R(D) and half with a random
+    d, whose part on null(D) makes the form unbounded below."""
+    for i in range(40):
+        n = int(rng.integers(1, 5))
+        if i < 20:
+            c = 10.0 ** rng.uniform(-8.0, 8.0)
+            q = _orthogonal(rng, n)
+            d_mat = q @ np.diag(10.0 ** rng.uniform(-2.0, 2.0, n)) @ q.T
+            d_vec = rng.standard_normal(n)
+        else:
+            c = 2.0 ** int(rng.integers(-26, 27))
+            d_mat, _ = _integer_gram(rng, int(rng.integers(0, n)), n)
+            if i % 2:
+                d_vec = d_mat @ rng.integers(-3, 4, n).astype(float)
+            else:
+                d_vec = rng.standard_normal(n)
+        yield QuadraticForm(c * (0.5 * (d_mat + d_mat.T)), c * d_vec, c * rng.standard_normal())
+
+
+def saddle_games(rng):
+    """40 desk saddle problems (p, n <= 3, M11 >= 0 >= M22): the first 20
+    definite, with both blocks rotated, at scales 1e-8..1e8; the last 20
+    from integer blocks M11 = B'B, M12 = B'E, M22 = -C'C, singular when
+    B has fewer rows than columns, at scales 2^-26..2^26, half with
+    d = M y in R(M) and half with a random d."""
+    for i in range(40):
+        p, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if i < 20:
+            c = 10.0 ** rng.uniform(-8.0, 8.0)
+            pq = random_saddle_instance(rng, p, n, definite=True)
+            q1, q2 = _orthogonal(rng, p), _orthogonal(rng, n)
+            m11, m22 = q1 @ pq.m11 @ q1.T, q2 @ pq.m22 @ q2.T
+            blocks = (m11, q1 @ pq.m12 @ q2.T, m22, q1 @ pq.d1, q2 @ pq.d2)
+        else:
+            c = 2.0 ** int(rng.integers(-26, 27))
+            m11, b = _integer_gram(rng, int(rng.integers(0, p + 1)), p)
+            m12 = b.T @ rng.integers(-3, 4, (b.shape[0], n)).astype(float)
+            m22 = -_integer_gram(rng, int(rng.integers(0, n + 1)), n)[0]
+            m = np.block([[m11, m12], [m12.T, m22]])
+            if i % 2:
+                d = m @ rng.integers(-3, 4, p + n).astype(float)
+            else:
+                d = rng.standard_normal(p + n)
+            blocks = (m11, m12, m22, d[:p], d[p:])
+        m11, m12, m22, d1, d2 = (c * x for x in blocks)
+        yield PartitionedQuadratic(0.5 * (m11 + m11.T), m12, 0.5 * (m22 + m22.T), d1, d2)
+
+
+def _matches(points, value, expected):
+    """An optimizer set and value against ``mpref.pinv_problem``: value
+    and minimum-norm point within 1e-10 relative, and the same null
+    space dimension."""
+    ref_value, ref_point, null_dim = expected
+    gap = np.linalg.norm(points.particular - np.array(ref_point))
+    assert gap <= 1e-10 * np.linalg.norm(ref_point)
+    assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+    assert points.dim == null_dim
+
+
+def test_minimize_matches_the_40_digit_reference():
+    # Both branches, bounded and unbounded below, are decided in 40
+    # digits; the rank-deficient forms are singular there too.
+    seen = set()
+    for q in convex_forms(np.random.default_rng(109)):
+        opt = minimize(q)
+        expected = mpref.pinv_problem(q.hessian, q.linear)
+        assert (opt is None) == (expected is None)
+        if opt is not None:
+            value, point, null_dim = expected
+            _matches(opt.points, opt.value, (value + q.constant, point, null_dim))
+            seen.add(null_dim > 0)
+        else:
+            seen.add(None)
+    assert seen == {None, False, True}
+
+
+def test_solve_saddle_matches_the_40_digit_reference():
+    seen = set()
+    for pq in saddle_games(np.random.default_rng(113)):
+        sol = solve_saddle(pq)
+        expected = mpref.pinv_problem(pq.assembled(), pq.d)
+        assert (sol is None) == (expected is None)
+        if sol is not None:
+            _matches(sol.solutions, sol.value, expected)
+            seen.add(expected[2] > 0)
+        else:
+            seen.add(None)
+    assert seen == {None, False, True}
