@@ -17,7 +17,6 @@ from .game import (
     maxmin_threshold,
     minmax_threshold,
     solve_saddle,
-    verify_saddle,
 )
 from .linalg import (
     AffineSolutionSet,
@@ -31,7 +30,7 @@ from .minmax import (
     solve_homogeneous,
     solve_linear_term,
 )
-from .oracle import OracleConfig, fd_gradient, grid_minmax, sphere_max
+from .oracle import OracleConfig, fd_gradient, grid_minmax, sphere_max, verify_saddle
 from .quadratic import QuadOptimum, QuadraticForm, minimize
 from .sphere import (
     SphereSolutionSet,

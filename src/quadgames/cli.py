@@ -28,8 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
-from .linalg import TOL, AffineSolutionSet, solve_linear, symmetric_split
-from .quadratic import _blocks, _gaussian_rows
+from .linalg import AffineSolutionSet, solve_linear
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -155,64 +154,9 @@ def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:
     }
 
 
-def _escape_probe(h, d, evaluate):
-    """Check of an unbounded_below answer: with P the projector onto
-    null(h), a step of 1e6 along -P d / ||P d|| lowers the objective by
-    1e6 ||P d||.  It passes when that drop exceeds 1e6 TOL ||d||, as the
-    solvers' range test calls d unbounded once ||P d|| > TOL ||d||; the
-    bound is scale-free and fails at P d = 0 (d = 0 or d in range)."""
-    f = symmetric_split(h)
-    escape = -(f.v2 @ (f.v2.T @ d))
-    norm = float(np.linalg.norm(escape))
-    step = escape * (1e6 / norm) if norm > 0 else escape
-    probe = evaluate(step) - evaluate(np.zeros_like(d))
-    return math.nan, probe, probe < -1e6 * TOL * np.linalg.norm(d)
-
-
-def _game_escape(pq):
-    """Escape probe of a game in u, at the unit w = e1."""
-    w = np.eye(pq.w_dim, 1)[:, 0]
-    return _escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
-
-
-def _maxmin_escape(pq, lam):
-    """Check of an infinite maxmin answer, the w-side twin of
-    ``_escape_probe``.  g(w) = min over u of L(u, w, lam), from the
-    oracle's exact inner minimum, is 1/2 w'(S - lam I)w + r'w + const.
-    With S = Q diag(s) Q' and r from the game's reduction, g rises
-    without bound along q_i or -q_i quadratically where s_i > lam, and
-    linearly where s_i = lam (as at lam = ||S||) and r'q_i != 0.  The
-    check takes a step of 1e6 along each +-q_i and passes when the
-    largest rise exceeds 1e6 times the tolerance of the solvers' range
-    test on r, so the bound scales with the data.  A bounded g falls
-    along every +-q_i unless its maximizer lies beyond the step."""
-    sec = game.schur_reduction(pq).secular
-    w = 1e6 * np.vstack([np.zeros(pq.w_dim), sec.q.T, -sec.q.T])
-    g = oracle._inner_min(pq, w, symmetric_split(pq.m11))
-    g -= 0.5 * lam * np.einsum("ij,ij->i", w, w)
-    rise = float(np.max(g[1:]) - g[0])
-    return math.nan, rise, rise > 1e6 * sec.range_tol
-
-
 def _grid_tol(pq, scale):
     """Tolerance of the grid oracles."""
     return (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
-
-
-def _sampled_min(objective, x0, cfg, value, scale):
-    """Smallest objective over Gaussian draws around x0 (row 0 is x0),
-    drawn from ``cfg.seed`` and evaluated in blocks of ``BLOCK`` rows;
-    the solver value must not exceed it."""
-    spread = 1.0 + np.linalg.norm(x0)
-    oracle_value = math.inf
-    for start, stop in _blocks(cfg.samples):
-        candidates = x0 + _gaussian_rows(cfg.seed, x0.shape[0], start, stop) * spread
-        if start == 0:
-            candidates[0] = x0
-        oracle_value = np.minimum(oracle_value, np.min(objective(candidates)))
-    oracle_value = float(oracle_value)
-    passed = -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
-    return value, oracle_value, passed
 
 
 def _linear_system(prob):
@@ -232,7 +176,7 @@ def _check_linear_system(data, prob, doc, code, cfg, scale):
     a, b = data
     residual = _scalar(prob, "expected_value", doc["residual"])
     x0 = np.asarray(doc["solutions"]["particular"])
-    return _sampled_min(
+    return oracle.sampled_min(
         lambda x: np.linalg.norm(x @ a.T - b, axis=1), x0, cfg, residual, scale
     )
 
@@ -254,10 +198,10 @@ def _solve_quad_min(form, prob):
 
 def _check_quad_min(form, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return _escape_probe(form.hessian, form.linear, form.evaluate)
+        return oracle.escape_probe(form.hessian, form.linear, form.evaluate)
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    return _sampled_min(form._evaluate_rows, x0, cfg, value, scale)
+    return oracle.sampled_min(form._evaluate_rows, x0, cfg, value, scale)
 
 
 def _solve_saddle(pq, prob):
@@ -276,12 +220,12 @@ def _solve_saddle(pq, prob):
 def _check_saddle(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
         form = quadratic.QuadraticForm(pq.assembled(), pq.d)
-        return _escape_probe(form.hessian, form.linear, form.evaluate)
+        return oracle.escape_probe(form.hessian, form.linear, form.evaluate)
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = float(doc["value"])
     samples = min(cfg.samples, 2000)
-    passed = game.verify_saddle(
+    passed = oracle.verify_saddle(
         pq, u_star, w_star, samples=samples, seed=cfg.seed, tol=1e-9 * scale
     )
     expected = _scalar(prob, "expected_value", value)
@@ -312,10 +256,10 @@ def _solve_lagrangian(pq, prob):
 
 def _check_lagrangian(pq, prob, doc, code, cfg, scale):
     if doc["status"] == "unbounded_below":
-        return _game_escape(pq)
+        return oracle.game_escape(pq)
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
-        return _maxmin_escape(pq, doc["lambda"])
+        return oracle.maxmin_escape(pq, doc["lambda"])
     # The oracle refuses the blocks it cannot take before the file's
     # claimed value is read, so only its path has the dimension caps.
     oracle_value = oracle.grid_lagrangian(pq, doc["lambda"], cfg)
@@ -342,7 +286,7 @@ def _solve_sphere_game(pq, prob):
 
 def _check_sphere_game(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return _game_escape(pq)
+        return oracle.game_escape(pq)
     oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction(prob["kind"]))
     value = _scalar(prob, "expected_value", doc["value"])
     passed = abs(value - oracle_value) <= _grid_tol(pq, scale)

@@ -1,8 +1,9 @@
 """Two-player quadratic games.
 
 Covers the unconstrained saddle-point problem for
-V(u, w) = 1/2 [u; w]' M [u; w] + [u; w]' d with M11 >= 0 and M22 <= 0,
-a sampled saddle-point verifier, and the lambda-parameterized family
+V(u, w) = 1/2 [u; w]' M [u; w] + [u; w]' d with M11 >= 0 and M22 <= 0
+(its sampled verifier is ``oracle.verify_saddle``), and the
+lambda-parameterized family
 L(u, w, lambda) = V(u, w) - lambda/2 (w'w - 1) with M >= 0.  Its minmax
 value is finite from ||M22|| on and its maxmin value from ||S|| on,
 where S = M22 - M12' pinv(M11) M12; between those two thresholds the
@@ -31,17 +32,16 @@ from .linalg import (
     AffineSolutionSet,
     Validated,
     _norm,
+    _schur,
     as_matrix,
     as_scalar,
     as_vector,
-    check_integer,
     is_psd,
     nonnegative_spectrum,
     spectral_norm,
     symmetric_split,
     symmetrize,
 )
-from .quadratic import QuadraticForm, _blocks, _gaussian_rows
 from .sphere import Secular, _lambda_grid
 
 
@@ -140,42 +140,6 @@ def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
     return SaddleSolution(AffineSolutionSet(-step, f.v2), value, pq.u_dim)
 
 
-def verify_saddle(
-    pq: PartitionedQuadratic,
-    u_star,
-    w_star,
-    samples: int = 200,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> bool:
-    """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
-
-    Draws ``samples`` Gaussian perturbations around the candidate point
-    from ``seed`` (row i: the u part moves u*, the w part moves w*) and
-    evaluates them in blocks of ``BLOCK`` rows; a probabilistic
-    refutation test, not a certificate.  ``samples`` must be an integer
-    >= 1 and ``seed`` one >= 0, as in ``oracle.OracleConfig``.
-    """
-    check_integer(seed, "seed", 0)
-    check_integer(samples, "samples", 1)
-    u_star = as_vector(u_star, "u_star")
-    w_star = as_vector(w_star, "w_star")
-    p = pq.u_dim
-    center = pq.evaluate(u_star, w_star)
-    scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
-    form = QuadraticForm(pq.assembled(), pq.d)
-    point = np.concatenate([u_star, w_star])
-    for start, stop in _blocks(samples):
-        g = scale * _gaussian_rows(seed, p + pq.w_dim, start, stop)
-        z = np.tile(point, (2, stop - start, 1))
-        z[0, :, p:] += g[:, p:]  # rows (u*, w)
-        z[1, :, :p] += g[:, :p]  # rows (u, w*)
-        v = form._evaluate_rows(z)
-        if not (np.all(v[0] <= center + tol) and np.all(v[1] >= center - tol)):
-            return False
-    return True
-
-
 def minmax_threshold(pq: PartitionedQuadratic) -> float:
     """Smallest lambda at which min-max of L is finite: ||M22||, from
     one ``eigvalsh``; 0.0 for an empty w block, finite at every lambda."""
@@ -187,8 +151,7 @@ def maxmin_threshold(pq: PartitionedQuadratic) -> float:
     S = M22 - M12' pinv(M11) M12, from one ``eigh`` of M11 and one
     ``eigvalsh`` of S.  It asks nothing of the signs of the blocks.
     0.0 for an empty w block, finite at every lambda."""
-    schur = pq.m22 - pq.m12.T @ symmetric_split(pq.m11).solve(pq.m12)
-    return spectral_norm(0.5 * (schur + schur.T))
+    return spectral_norm(_schur(pq.m11, pq.m12, pq.m22))
 
 
 class LambdaSolve(NamedTuple):

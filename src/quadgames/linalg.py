@@ -295,6 +295,10 @@ def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
             f"{m11.shape} and {m22.shape}"
         )
     m22l = m22 - lam * np.eye(m22.shape[0])
-    s11 = m22l - m12.T @ symmetric_split(m11).solve(m12)
-    s22 = m11 - m12 @ symmetric_split(m22l).solve(m12.T)
-    return SchurPair(0.5 * (s11 + s11.T), 0.5 * (s22 + s22.T))
+    return SchurPair(_schur(m11, m12, m22l), _schur(m22l, m12.T, m11))
+
+
+def _schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """C - B' pinv(A) B for symmetric A and C, symmetrized; one ``eigh`` of A."""
+    s = c - b.T @ symmetric_split(a).solve(b)
+    return 0.5 * (s + s.T)

@@ -1,25 +1,26 @@
-"""Brute-force verifiers, independent of the closed-form solvers.
+"""Brute-force verifiers, independent of the solvers: no solver imports them.
 
-Sphere sampling for constrained maximization, finite-difference
-gradients, and for the small sphere games a deterministic grid of w
-(2 points or a circle): MAXMIN and the Lagrangian solve the inner
-minimum over u exactly, MINMAX brackets the outer minimum over u by
-central cuts, with no random starts.  These are desk-scale bounds, not
+Gaussian draws around a candidate, sphere sampling, escape probes of
+unbounded and infinite answers, finite differences, and for the small
+sphere games a grid of w (2 points or a circle): MAXMIN and the
+Lagrangian solve the inner minimum over u exactly, MINMAX brackets the
+outer minimum over u by central cuts.  These are desk-scale bounds, not
 certificates: a w of up to 2 dimensions, a MINMAX u of up to 4 (any u
-otherwise), spheres of up to 4.  All randomness flows from the seed in
-OracleConfig through the counter-based ``quadratic._gaussian_rows``, so
-identical configurations give identical outputs, however the draws are
-blocked.
+otherwise), spheres of up to 4.  All draws come from one seed through
+the counter-based ``_gaussian_rows``, and every best row from one
+``_sweep`` in blocks, so a configuration gives one output, however the
+rows are blocked.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 
 import numpy as np
 
-from .game import PartitionedQuadratic
+from .game import PartitionedQuadratic, schur_reduction
 from .linalg import (
     TOL,
     Validated,
@@ -29,12 +30,20 @@ from .linalg import (
     symmetric_split,
 )
 from .minmax import Direction
-from .quadratic import QuadraticForm, _blocks, _gaussian_rows
+from .quadratic import QuadraticForm
 
 POLISH_STEPS = 100
 # The MINMAX cuts stop on their bracket after a few hundred steps for a
 # u of up to 4 dimensions; the cap only guards against a stalled bracket.
 _MAX_CUTS = 10_000
+# Most rows one array pass of a sampling oracle holds: the oracles draw
+# and evaluate their candidates in blocks of this many rows, so their
+# memory does not grow with the sample count.  At the desk dimensions
+# (up to 4 per row) one block's temporaries stay under about 1 MB.
+BLOCK = 2048
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
@@ -51,30 +60,183 @@ class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_poin
         return super().__new__(cls, seed, samples, grid_points)
 
 
+def _sweep(count: int, rows, score):
+    """The largest score over rows 0..count-1 and its row, the first row
+    on ties.  ``rows(start, stop)`` makes the rows of one block of up to
+    ``BLOCK`` and ``score`` rates them, so one block is held at a time.
+
+    A lone last row joins the block before it: numpy hands a one-row
+    product to another BLAS routine than a taller one, and the two round
+    differently; with no one-row block (unless count is 1) a row gets
+    the same numbers in any block as in one pass over all rows.  Draws
+    made block by block (``_gaussian_rows(seed, dim, start, stop)``) are
+    the rows of one draw of ``count`` rows.
+    """
+    best, arg, start = -math.inf, None, 0
+    while start < count:
+        stop = start + BLOCK
+        if stop >= count - 1:
+            stop = count
+        x = rows(start, stop)
+        values = score(x)
+        i = int(np.argmax(values))
+        if arg is None or values[i] > best:
+            best, arg = values[i], x[i]
+        start = stop
+    return best, arg
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014): a
+    bijection of uint64 arrays that scatters every input bit."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _gaussian_rows(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of the standard normal draws of ``seed`` (an
+    integer >= 0 of any size), ``dim`` per row.
+
+    A counter-based generator (Salmon et al., SC 2011): row i is a
+    function of (seed, i) alone, so rows drawn block by block are the
+    rows of one draw.  The row counter i is keyed by each 64-bit word w_j
+    of the seed in turn, low word first, through the round
+    x -> mix(mix(x ^ k) + k) with k = w_j + (j + 1) gamma (mod 2**64).
+    A round is a bijection of x for each key, so no two of a seed's
+    first 2**64 rows share a state, and the seed enters as a key, never
+    as an offset of the counter, so no row count runs one seed's stream
+    into another's.  The row's state x then seeds a SplitMix64 stream
+    mix(x + m gamma), m = 1, 2, ...: the top 52 bits of each output give
+    a uniform in the open interval (0, 1), and Box-Muller turns each
+    pair (a, b) into r cos t and r sin t, r = sqrt(-2 ln a), t = 2 pi b.
+    No draw is zero: r >= 1.4e-8, and |cos t|, |sin t| >= 6e-17 at
+    every float t in (0, 2 pi).
+    """
+    x = np.arange(start, stop, dtype=np.uint64)
+    seed = int(seed)
+    for j, shift in enumerate(range(0, max(seed.bit_length(), 1), 64), 1):
+        k = np.uint64((((seed >> shift) & _MASK) + j * _GOLDEN) & _MASK)
+        x = _mix(_mix(x ^ k) + k)
+    pairs = (dim + 1) // 2
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    uniform = ((_mix(x[:, None] + steps) >> np.uint64(12)) + 0.5) * 2.0**-52
+    r = np.sqrt(-2.0 * np.log(uniform[:, 0::2]))
+    t = (2.0 * np.pi) * uniform[:, 1::2]
+    z = np.stack((r * np.cos(t), r * np.sin(t)), axis=-1)
+    return z.reshape(x.shape[0], 2 * pairs)[:, :dim]
+
+
 def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of the uniform points on the unit sphere that
-    ``seed`` draws: its Gaussian rows (``quadratic._gaussian_rows``,
-    never zero), normalized."""
+    ``seed`` draws: its Gaussian rows (``_gaussian_rows``, never zero),
+    normalized."""
     g = _gaussian_rows(seed, dim, start, stop)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def sampled_min(objective, x0, cfg: OracleConfig, value: float, scale: float):
+    """Smallest objective over ``cfg.samples`` Gaussian draws around x0
+    (row 0 is x0), spread by 1 + ||x0||; the solver value must not exceed
+    it: (value, oracle value, passed)."""
+    spread = 1.0 + np.linalg.norm(x0)
+
+    def draws(start, stop):
+        x = x0 + _gaussian_rows(cfg.seed, x0.shape[0], start, stop) * spread
+        if start == 0:
+            x[0] = x0
+        return x
+
+    oracle_value = -float(_sweep(cfg.samples, draws, lambda x: -objective(x))[0])
+    passed = -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
+    return value, oracle_value, passed
+
+
+def verify_saddle(
+    pq: PartitionedQuadratic,
+    u_star,
+    w_star,
+    samples: int = 200,
+    seed: int = 0,
+    tol: float = 1e-9,
+) -> bool:
+    """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
+
+    Draws ``samples`` Gaussian perturbations around the candidate point
+    from ``seed`` (row i: the u part moves u*, the w part moves w*) and
+    sweeps them for a row that breaks either inequality; a probabilistic
+    refutation test, not a certificate.  ``samples`` must be an integer
+    >= 1 and ``seed`` one >= 0, as in ``OracleConfig``.
+    """
+    OracleConfig(seed, samples)  # refuses what the config refuses
+    u_star = as_vector(u_star, "u_star")
+    w_star = as_vector(w_star, "w_star")
+    p = pq.u_dim
+    center = pq.evaluate(u_star, w_star)
+    scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
+    form = QuadraticForm(pq.assembled(), pq.d)
+    point = np.concatenate([u_star, w_star])
+
+    def broken(g):
+        z = np.tile(point, (2, g.shape[0], 1))
+        z[0, :, p:] += scale * g[:, p:]  # rows (u*, w)
+        z[1, :, :p] += scale * g[:, :p]  # rows (u, w*)
+        v = form._evaluate_rows(z)
+        return ~((v[0] <= center + tol) & (v[1] >= center - tol))
+
+    return not _sweep(samples, partial(_gaussian_rows, seed, p + pq.w_dim), broken)[0]
+
+
+def escape_probe(h, d, evaluate):
+    """Check of an unbounded_below answer: with P the projector onto
+    null(h), a step of 1e6 along -P d / ||P d|| lowers the objective by
+    1e6 ||P d||.  It passes when that drop exceeds 1e6 TOL ||d||, as the
+    solvers' range test calls d unbounded once ||P d|| > TOL ||d||; the
+    bound is scale-free and fails at P d = 0 (d = 0 or d in range)."""
+    f = symmetric_split(h)
+    escape = -(f.v2 @ (f.v2.T @ d))
+    norm = float(np.linalg.norm(escape))
+    step = escape * (1e6 / norm) if norm > 0 else escape
+    probe = evaluate(step) - evaluate(np.zeros_like(d))
+    return math.nan, probe, probe < -1e6 * TOL * np.linalg.norm(d)
+
+
+def game_escape(pq: PartitionedQuadratic):
+    """``escape_probe`` of a game in u, at the unit w = e1."""
+    w = np.eye(pq.w_dim, 1)[:, 0]
+    return escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
+
+
+def maxmin_escape(pq: PartitionedQuadratic, lam: float):
+    """Check of an infinite maxmin answer, the w-side twin of
+    ``escape_probe``.  g(w) = min over u of L(u, w, lam), from the exact
+    ``_inner_min``, is 1/2 w'(S - lam I)w + r'w + const.  S = Q diag(s) Q'
+    and r are read from the solvers' ``game.schur_reduction``: g rises
+    without bound along q_i or -q_i quadratically where s_i > lam, and
+    linearly where s_i = lam (as at lam = ||S||) and r'q_i != 0.  The
+    check takes a step of 1e6 along each +-q_i and passes when the
+    largest rise exceeds 1e6 times the tolerance of the solvers' range
+    test on r, so the bound scales with the data.  A bounded g falls
+    along every +-q_i unless its maximizer lies beyond the step."""
+    sec = schur_reduction(pq).secular
+    w = 1e6 * np.vstack([np.zeros(pq.w_dim), sec.q.T, -sec.q.T])
+    g = _inner_min(pq, w, symmetric_split(pq.m11))
+    g -= 0.5 * lam * np.einsum("ij,ij->i", w, w)
+    rise = float(np.max(g[1:]) - g[0])
+    return math.nan, rise, rise > 1e6 * sec.range_tol
 
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
     """Best sampled value of q on the unit sphere, with a polish step.
 
-    The best of ``cfg.samples`` uniform unit vectors, drawn and evaluated
-    in blocks of ``BLOCK`` rows (``unit_samples`` of ``cfg.seed``), is
-    refined by projected gradient ascent (fixed step 1/(||D|| + 1)).
+    The best of ``cfg.samples`` uniform unit vectors (``unit_samples`` of
+    ``cfg.seed``, swept by ``_sweep``) is refined by projected gradient
+    ascent (fixed step 1/(||D|| + 1)).
     """
     if q.dim < 1:
         raise ValueError("dimension must be at least 1")
-    best, w = -math.inf, None
-    for start, stop in _blocks(cfg.samples):
-        candidates = unit_samples(cfg.seed, q.dim, start, stop)
-        values = q._evaluate_rows(candidates)
-        i = int(np.argmax(values))
-        if w is None or values[i] > best:
-            best, w = values[i], candidates[i]
+    rows = partial(unit_samples, cfg.seed, q.dim)
+    best, w = _sweep(cfg.samples, rows, q._evaluate_rows)
     sampled = w
     step = 1.0 / (spectral_norm(q.hessian) + 1.0)
     for _ in range(POLISH_STEPS):
@@ -119,21 +281,17 @@ def grid_minmax(
     minimized by central cuts (``_convex_min``), deterministic and
     with no random starts, for a u of up to 4 dimensions; the value is
     f at the best point found.
-    MAXMIN: outer maximum over the candidates, swept in blocks of
-    ``BLOCK`` rows, with the inner minimum over u solved exactly
-    (``_inner_min``), for a u of any dimension.
+    MAXMIN: outer maximum over the candidates, swept by ``_sweep``, with
+    the inner minimum over u solved exactly (``_inner_min``), for a u of
+    any dimension.
     """
     _check_dims(pq, direction)
     n = pq.w_dim
     count = 2 if n == 1 else max(cfg.samples, 4)
 
     if direction is Direction.MAXMIN:
-        f11 = symmetric_split(pq.m11)
-        best = -math.inf
-        for start, stop in _blocks(count):
-            w_rows = _w_candidates(n, count, start, stop)
-            best = np.maximum(best, np.max(_inner_min(pq, w_rows, f11)))
-        return float(best)
+        score = partial(_inner_min, pq, f11=symmetric_split(pq.m11))
+        return float(_sweep(count, partial(_w_candidates, n, count), score)[0])
     return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
 
 
@@ -221,23 +379,23 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
 def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> float:
     """Brute-force max over w of min over u of L(u, w, lam) = V(u, w)
     - lam/2 (w'w - 1): a grid over a box of w (dimensions up to 2) with
-    the inner minimum over u solved exactly, swept in blocks of ``BLOCK``
-    rows in meshgrid's order (first axis fastest); an empty w block has
-    the one row of R^0."""
+    the inner minimum over u solved exactly, swept by ``_sweep`` in
+    meshgrid's order (first axis fastest); an empty w block has the one
+    row of R^0."""
     _check_dims(pq)
     n = pq.w_dim
     # The box holds the w part of the stationary point -pinv(M(lam)) d,
     # a maximizer wherever the maxmin value is finite.
     step = symmetric_split(pq.assembled(lam)).solve(pq.d)
-    box = 2.0 * (1.0 + float(np.linalg.norm(step)))
+    box = 2.0 * (1.0 + float(np.linalg.norm(step[pq.u_dim :])))
     points = np.linspace(-box, box, min(cfg.grid_points, 400))
     k, f11 = points.shape[0], symmetric_split(pq.m11)
-    best = -math.inf
-    for start, stop in _blocks(k**n):
-        w_rows = points[np.arange(start, stop)[:, None] // k ** np.arange(n) % k]
-        penalty = 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w_rows, w_rows))
-        best = np.maximum(best, np.max(_inner_min(pq, w_rows, f11) + penalty))
-    return float(best)
+
+    def lagrangian(index):
+        w = points[index[:, None] // k ** np.arange(n) % k]
+        return _inner_min(pq, w, f11) + 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w, w))
+
+    return float(_sweep(k**n, np.arange, lagrangian)[0])
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

@@ -10,7 +10,12 @@ import pytest
 
 from quadgames import cli, minmax, quadratic
 from quadgames.cli import main
-from quadgames.game import DualityReport, LambdaSolve
+from quadgames.game import (
+    DualityReport,
+    LambdaSolve,
+    PartitionedQuadratic,
+    schur_reduction,
+)
 
 from util import count_factorizations
 
@@ -491,6 +496,9 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     ("check", {**QUAD_MIN, "expected_value": math.nan}),
     ("check", {**QUAD_MIN, "expected_value": -math.inf}),
     ("check", {**LAGRANGIAN, "lambda": 1.5, "expected_value": math.inf}),
+    ("check", {**TRUST_REGION, "D": np.eye(5).tolist(), "d": [0.1] * 5}),
+    ("solve", [QUAD_MIN]),
+    ("solve", LAGRANGIAN),
 ], ids=[
     "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
@@ -501,7 +509,8 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     "curve-non-psd-lagrangian", "curve-infinite-lambda-max",
     "curve-infinite-lambda-min", "solve-nan-lambda", "solve-string-inf-lambda",
     "solve-nan-c", "check-nan-expected", "check-infinite-expected",
-    "check-infinite-expected-lagrangian",
+    "check-infinite-expected-lagrangian", "check-trust-region-5x5",
+    "solve-top-level-array", "solve-no-lambda",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
     name, *options = command.split()
@@ -633,3 +642,32 @@ def test_check_lagrangian_sizes_its_w_box_at_lambda(tmp_path, capsys, doc):
     code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
     assert code == 0, out
     assert "result: PASS" in out
+
+
+def test_check_lagrangian_box_reads_only_the_w_part(tmp_path, capsys):
+    # A 50-d u puts most of pinv(M(lambda)) d (norm 52.3) in u, while the
+    # w maximizer has norm 2.08.  A box sized by the whole point had a
+    # grid step of 0.53 and refuted the right answer by a gap of 0.0517.
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((52, 52))
+    m = a @ a.T
+    m11, m12, m22 = m[:50, :50], m[:50, 50:], m[50:, 50:]
+    d1, d2 = rng.standard_normal(50), rng.standard_normal(2)
+    lam = schur_reduction(PartitionedQuadratic(m11, m12, m22, d1, d2)).secular.smax
+    doc = {
+        "kind": "lagrangian", "lambda": lam + 1.0, "M11": m11.tolist(),
+        "M12": m12.tolist(), "M22": m22.tolist(), "d1": d1.tolist(), "d2": d2.tolist(),
+    }
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+    assert abs(float(out.splitlines()[3].split(": ")[1])) <= 1e-3, out
+
+
+def test_check_samples_option_overrides_the_file(tmp_path, capsys):
+    path = write_problem(tmp_path, {**QUAD_MIN, "oracle": {"samples": 1.5}})
+    assert run(capsys, "check", path)[0] == 1
+    code, out, _ = run(capsys, "check", path, "--samples", "5")
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+    code, _, err = run(capsys, "check", path, "--samples", "0")
+    assert code == 1 and "samples must be at least 1" in err, err
+

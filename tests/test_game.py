@@ -18,7 +18,7 @@ from quadgames import (
     solve_saddle,
     verify_saddle,
 )
-from quadgames.quadratic import _gaussian_rows
+from quadgames.oracle import _gaussian_rows
 from quadgames.sphere import Secular
 
 from util import (

@@ -128,6 +128,15 @@ def test_solve_zero_system():
     np.testing.assert_allclose(b.T @ b, np.eye(2), atol=1e-14)
 
 
+def test_solve_with_no_equations():
+    # A 0 x 3 A constrains nothing: every x solves it, and the
+    # minimum-norm solution is 0.
+    res = solve_linear(np.zeros((0, 3)), np.zeros(0))
+    assert res.consistent and res.residual == 0.0
+    np.testing.assert_array_equal(res.solutions.particular, np.zeros(3))
+    np.testing.assert_array_equal(res.solutions.basis, np.eye(3))
+
+
 def test_solution_set_parameterizes_solutions():
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -16,9 +16,14 @@ from quadgames import (
     sphere_max,
     verify_saddle,
 )
-from quadgames import quadratic
-from quadgames.cli import _sampled_min
-from quadgames.oracle import _convex_min, _w_candidates, grid_lagrangian, unit_samples
+from quadgames.oracle import (
+    BLOCK,
+    _convex_min,
+    _w_candidates,
+    grid_lagrangian,
+    sampled_min,
+    unit_samples,
+)
 
 from util import count_factorizations, random_partitioned
 
@@ -46,7 +51,7 @@ def test_seeds_of_any_size_and_integer_type_draw():
     oracle_values = {}
     for seed in (0, 1, np.int64(1), np.uint64(2**64 - 1), 2**64 - 1, 2**64, 2**70):
         cfg = OracleConfig(seed=seed, samples=np.int64(50))
-        _, oracle_value, _ = _sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0)
+        _, oracle_value, _ = sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0)
         oracle_values.setdefault(int(seed), set()).add(oracle_value)
     assert all(len(v) == 1 for v in oracle_values.values())
     assert len(set.union(*oracle_values.values())) == len(oracle_values) == 5
@@ -168,6 +173,18 @@ def test_grid_minmax_dimension_limit():
             grid_minmax(wide_w, cfg, direction)
 
 
+def test_minmax_grid_with_a_zero_u_block():
+    # R(M11) = {0} leaves the cuts no u to search: the value is f(0), the
+    # best of w = +-1 of w^2/2 + w, as the solver finds.
+    z = np.zeros((1, 1))
+    pq = PartitionedQuadratic(z, z, np.eye(1), np.zeros(1), np.ones(1))
+    assert grid_minmax(pq, OracleConfig(), Direction.MINMAX) == 1.5
+    assert solve_linear_term(pq, Direction.MINMAX).value == pytest.approx(1.5)
+    # The cuts need the coupling inside R(M11); M12 = 1 is not.
+    with pytest.raises(ValueError, match=r"R\(M12\) in R\(M11\)"):
+        grid_minmax(pq._replace(m12=np.ones((1, 1))), OracleConfig(), Direction.MINMAX)
+
+
 def test_fd_gradient_examples():
     grad = fd_gradient(lambda x: float(x @ x), np.array([1.0, -2.0]), 1e-5)
     np.testing.assert_allclose(grad, [2.0, -4.0], atol=1e-8)
@@ -218,7 +235,7 @@ def _blocked_oracles(samples: int) -> list:
     answers = [
         value,
         point.tolist(),
-        _sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0),
+        sampled_min(CONVEX_FORM._evaluate_rows, x0, cfg, 0.0, 1.0),
         verify_saddle(SADDLE_GAME, u, w, samples=samples, seed=4),
         verify_saddle(SADDLE_GAME, u + 1.0, w, samples=samples, seed=4),
         grid_minmax(MAXMIN_GAME, cfg, Direction.MAXMIN),
@@ -229,7 +246,7 @@ def _blocked_oracles(samples: int) -> list:
     # products to other BLAS routines), at 8 or 22 samples.
     for seed in (1, 159):
         objective, center, game = _random_data(seed)
-        answers.append(_sampled_min(objective, center, cfg, 0.0, 1.0))
+        answers.append(sampled_min(objective, center, cfg, 0.0, 1.0))
         answers.append(grid_minmax(game, cfg, Direction.MAXMIN))
     return answers
 
@@ -239,7 +256,7 @@ def test_blocks_give_the_one_pass_answers(monkeypatch, samples):
     # Draws and evaluations made in blocks of 7 rows give exactly the
     # answers of the default block size, which holds every row at once.
     whole = _blocked_oracles(samples)
-    monkeypatch.setattr(quadratic, "BLOCK", 7)
+    monkeypatch.setattr("quadgames.oracle.BLOCK", 7)
     assert _blocked_oracles(samples) == whole
 
 
@@ -254,14 +271,14 @@ def _traced_peak(run) -> int:
 
 @pytest.mark.parametrize("oracle", [
     lambda n: sphere_max(SPHERE_FORM, OracleConfig(samples=n)),
-    lambda n: _sampled_min(
+    lambda n: sampled_min(
         CONVEX_FORM._evaluate_rows, np.zeros(4), OracleConfig(samples=n), 0.0, 1.0
     ),
     lambda n: verify_saddle(SADDLE_GAME, np.zeros(2), np.zeros(2), samples=n),
     lambda n: grid_minmax(MAXMIN_GAME, OracleConfig(samples=n), Direction.MAXMIN),
 ], ids=["sphere_max", "sampled_min", "verify_saddle", "maxmin_grid"])
 def test_blocked_oracle_memory_is_flat_in_samples(oracle):
-    few, many = 4 * quadratic.BLOCK, 40 * quadratic.BLOCK
+    few, many = 4 * BLOCK, 40 * BLOCK
     oracle(few)  # first-call imports and caches stay out of the peaks
     assert _traced_peak(lambda: oracle(many)) <= _traced_peak(
         lambda: oracle(few)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -141,3 +142,61 @@ def test_cold_cli_import_leaves_dataclasses_out():
     if loads_dataclasses("import numpy, argparse, json"):
         pytest.skip("numpy, argparse or json already imports dataclasses here")
     assert not loads_dataclasses("import quadgames.cli")
+
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text())
+    for path in Path(quadgames.__file__).parent.glob("*.py")
+}
+SOLVERS = ("linalg", "quadratic", "sphere", "game", "minmax")
+
+
+def _imports(tree) -> list:
+    """(module, name) for each name a module imports, module relative
+    to the package ("" for ``from . import name``)."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("quadgames").lstrip(".")
+            pairs += [(module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(alias.name.removeprefix("quadgames."), "") for alias in node.names]
+    return pairs
+
+
+def _names(tree) -> set:
+    """Every name a module defines, reads, imports or looks up on an object."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def test_oracle_owns_every_draw_sweep_and_refutation():
+    # The sampler, the block sweep and the exact inner minimum live in
+    # ``oracle`` alone, and no solver imports it.
+    for name in ("BLOCK", "_sweep", "_gaussian_rows", "_inner_min"):
+        users = {module for module, tree in SOURCES.items() if name in _names(tree)}
+        assert users == {"oracle"}, name
+    for module in SOLVERS:
+        imported = _imports(SOURCES[module])
+        assert not [pair for pair in imported if "oracle" in pair], module
+    # The command line calls the oracles by their public names.
+    private = [
+        (module, name) for module, name in _imports(SOURCES["cli"])
+        if module in SOURCES and name.startswith("_")
+    ]
+    modules = {name for module, name in _imports(SOURCES["cli"]) if name in SOURCES}
+    private += [
+        (node.value.id, node.attr) for node in ast.walk(SOURCES["cli"])
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert private == []

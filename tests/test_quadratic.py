@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from quadgames import QuadraticForm, fd_gradient, minimize
 from quadgames.linalg import is_psd
-from quadgames.quadratic import _gaussian_rows
+from quadgames.oracle import _gaussian_rows
 
 from util import count_factorizations, random_psd
 
