@@ -2,14 +2,14 @@
 
 Gaussian draws around a candidate, sphere sampling, escape probes of
 unbounded and infinite answers, finite differences, and for the small
-sphere games a grid of w (2 points or a circle): MAXMIN and the
-Lagrangian solve the inner minimum over u exactly, MINMAX brackets the
-outer minimum over u by central cuts.  These are desk-scale bounds, not
-certificates: a w of up to 2 dimensions, a MINMAX u of up to 4 (any u
-otherwise), spheres of up to 4.  All draws come from one seed through
-the counter-based ``_gaussian_rows``, and every best row from one
-``_sweep`` in blocks, so a configuration gives one output, however the
-rows are blocked.
+sphere games a grid of w (2 points or a circle).  MAXMIN and the lambda
+family solve the inner minimum over u exactly; one engine of central
+cuts brackets the MINMAX outer minimum over u and the lambda family's
+maximum over w.  These are desk-scale bounds, not certificates: a w of
+up to 2 dimensions, a MINMAX u of up to 4 (any u otherwise), spheres of
+up to 4.  All draws come from one seed through the counter-based
+``_gaussian_rows``, and every best row from one ``_sweep`` in blocks,
+so a configuration gives one output, however the rows are blocked.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .minmax import Direction
 from .quadratic import QuadraticForm
 
 POLISH_STEPS = 100
-# The MINMAX cuts stop on their bracket after a few hundred steps for a
-# u of up to 4 dimensions; the cap only guards against a stalled bracket.
+# The cuts close their bracket in a few hundred steps at the desk
+# dimensions; the cap only guards against a stalled bracket.
 _MAX_CUTS = 10_000
 # Most rows one array pass of a sampling oracle holds: the oracles draw
 # and evaluate their candidates in blocks of this many rows, so their
@@ -47,9 +47,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
-    """``seed`` of every random draw, ``samples`` draws or circle points,
-    and ``grid_points`` per axis of the ``grid_lagrangian`` w grid; that
-    grid takes at most 400, which is also the default."""
+    """``seed`` of every random draw and ``samples`` draws or circle
+    points.  ``grid_points`` (an integer >= 2) is accepted and validated
+    for callers that still pass it, but no oracle reads it."""
 
     __slots__ = ()
 
@@ -135,10 +135,12 @@ def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def sampled_min(objective, x0, cfg: OracleConfig, value: float, scale: float):
+def sampled_min(objective, x0, cfg: OracleConfig, value: float, size: float):
     """Smallest objective over ``cfg.samples`` Gaussian draws around x0
-    (row 0 is x0), spread by 1 + ||x0||; the solver value must not exceed
-    it: (value, oracle value, passed)."""
+    (row 0 is x0), spread by 1 + ||x0||: (value, oracle value, passed).
+    It passes when the two values differ by at most 1e-12 ``size``, the
+    size of the objective's terms at x0: their rounding, a few n eps size,
+    is all by which a draw may beat the value or x0 miss it."""
     spread = 1.0 + np.linalg.norm(x0)
 
     def draws(start, stop):
@@ -148,8 +150,7 @@ def sampled_min(objective, x0, cfg: OracleConfig, value: float, scale: float):
         return x
 
     oracle_value = -float(_sweep(cfg.samples, draws, lambda x: -objective(x))[0])
-    passed = -1e-9 * scale <= oracle_value - value <= 1e-6 * scale
-    return value, oracle_value, passed
+    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * size
 
 
 def verify_saddle(
@@ -231,10 +232,12 @@ def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
 
     The best of ``cfg.samples`` uniform unit vectors (``unit_samples`` of
     ``cfg.seed``, swept by ``_sweep``) is refined by projected gradient
-    ascent (fixed step 1/(||D|| + 1)).
+    ascent (fixed step 1/(||D|| + 1)), for spheres of up to 4 dimensions.
     """
     if q.dim < 1:
         raise ValueError("dimension must be at least 1")
+    if q.dim > 4:
+        raise ValueError("sphere oracle supports dimensions up to 4")
     rows = partial(unit_samples, cfg.seed, q.dim)
     best, w = _sweep(cfg.samples, rows, q._evaluate_rows)
     sampled = w
@@ -259,11 +262,10 @@ def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
 
 
 def _check_dims(pq: PartitionedQuadratic, direction: Direction | None = None):
-    """Refuse blocks the grid oracles cannot take.  They sample w, on a
-    circle at most (2-d); MINMAX also searches u, by cuts whose count
-    grows with the square of dim u, up to 4-d.  MAXMIN and
-    ``grid_lagrangian`` solve the inner minimum over u exactly, for any
-    dim u."""
+    """Refuse blocks the game oracles cannot take.  They search w, on a
+    circle or by cuts, up to 2-d; MINMAX also searches u, by cuts whose
+    count grows with the square of dim u, up to 4-d.  MAXMIN and
+    ``lagrangian_bracket`` solve the inner minimum over u exactly."""
     if pq.w_dim > 2:
         raise ValueError("grid oracle supports w dimensions up to 2")
     if direction is Direction.MINMAX and pq.u_dim > 4:
@@ -297,20 +299,15 @@ def grid_minmax(
 
 def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, float]:
     """Bracket (lower, upper) on the minimum over u of the convex
-    f(u) = max over the rows w of ``w_cand`` of V(u, w), by central cuts
-    (the ellipsoid method; bisection when the search space is 1-d).
+    f(u) = max over the rows w of ``w_cand`` of V(u, w), by ``_cuts``.
 
     f is constant along null(M11) when M >= 0 and d1 is in R(M11), so
     the search runs over u = V1 x in R(M11); with d1 outside R(M11)
     (beyond TOL ||d||) f is unbounded below and both ends are -inf.  As
     the rows are unit vectors, f(V1 x) >= f(0) - a ||x|| +
     sigma_min ||x||^2 / 2 with a = ||V1' d1|| + ||V1' M12||_F, so every
-    minimizer lies in the first ellipsoid, the ball ||x|| <= 2a / sigma_min.
-    Each ellipsoid E = {x + By : ||y|| <= 1} is cut at its center x along
-    the subgradient g = V1'(M11 u + d1 + M12 w*), w* the best row.  E
-    keeps a minimizer, so f(x) - ||B'g||, the least value on E of the
-    cut's linear bound, is a lower end; upper is the least f(x) seen.
-    The cuts stop when upper - lower <= 1e-10 (1 + |upper|).
+    minimizer lies in the ball ||x|| <= 2a / sigma_min.  The subgradient
+    at x is V1'(M11 u + d1 + M12 w*), w* the best row.
     """
     f11 = symmetric_split(pq.m11, psd=True)
     m12_off = np.linalg.norm(f11.v2.T @ pq.m12) if f11 is not None else math.inf
@@ -329,6 +326,19 @@ def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, fl
         value = inner[j] + (0.5 * sigma * x + lin) @ x
         return float(value), sigma * x + lin + cross[:, j]
 
+    a = float(np.linalg.norm(lin) + np.linalg.norm(coupling))
+    return _cuts(at, k, 2.0 * a / sigma[-1] if k else 0.0)
+
+
+def _cuts(at, k: int, radius: float) -> tuple[float, float]:
+    """Bracket (lower, upper) on the minimum of a convex f over R^k by
+    central cuts (the ellipsoid method; bisection for k = 1): ``at(x)``
+    gives f(x) and a subgradient g, and the ball ||x|| <= radius holds a
+    minimizer.  Each ellipsoid E = {x + By : ||y|| <= 1}, cut at its
+    center x along g, keeps one, so f(x) - ||B'g||, the least value on E
+    of the cut's linear bound, is a lower end; upper is the least f(x)
+    seen.  The cuts stop when upper - lower <= 1e-10 (1 + |upper|), or
+    after ``_MAX_CUTS``.  R^0 has the one point x = ()."""
     x = np.zeros(k)
     if k == 0:
         value, _ = at(x)
@@ -338,7 +348,6 @@ def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, fl
     # -Bp / (k+1) and maps B to B (alpha (I - pp') + gamma pp'), the
     # update P <- k^2/(k^2-1) (P - 2/(k+1) Pgg'P / g'Pg) in factored form.
     # For k = 1 it halves B: bisection.
-    radius = 2.0 * float(np.linalg.norm(lin) + np.linalg.norm(coupling)) / sigma[-1]
     b = radius * np.eye(k)
     alpha = k / math.sqrt(k * k - 1.0) if k > 1 else 0.0
     gamma = k / (k + 1.0)
@@ -376,26 +385,29 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     return np.where(feasible, inner + outer, -math.inf)
 
 
-def grid_lagrangian(pq: PartitionedQuadratic, lam: float, cfg: OracleConfig) -> float:
-    """Brute-force max over w of min over u of L(u, w, lam) = V(u, w)
-    - lam/2 (w'w - 1): a grid over a box of w (dimensions up to 2) with
-    the inner minimum over u solved exactly, swept by ``_sweep`` in
-    meshgrid's order (first axis fastest); an empty w block has the one
-    row of R^0."""
+def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, float]:
+    """Bracket (lower, upper) on the lambda family's maxmin value, max over
+    w of the concave g(w) = min over u of V(u, w) - lam/2 (w'w - 1): the
+    ``_cuts`` of -g, g from ``_inner_min``, along its exact gradient
+    M12'u* + M22 w + d2 - lam w, u* = -pinv(M11)(M12 w + d1), from the
+    ball of radius 2 (1 + ||w0||), w0 the w part of -pinv(M(lam)) d.  That
+    assumes w0 is a maximizer, as it is wherever the maxmin value is
+    finite.  An empty w block is the single point of R^0.  g is read in
+    units of min(1, ||M||_F + ||d|| + |lam|): the cuts stop relative to
+    small data too."""
     _check_dims(pq)
-    n = pq.w_dim
-    # The box holds the w part of the stationary point -pinv(M(lam)) d,
-    # a maximizer wherever the maxmin value is finite.
-    step = symmetric_split(pq.assembled(lam)).solve(pq.d)
-    box = 2.0 * (1.0 + float(np.linalg.norm(step[pq.u_dim :])))
-    points = np.linspace(-box, box, min(cfg.grid_points, 400))
-    k, f11 = points.shape[0], symmetric_split(pq.m11)
+    f11 = symmetric_split(pq.m11)
+    w0 = symmetric_split(pq.assembled(lam)).solve(pq.d)[pq.u_dim :]
+    size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam))
+    unit = min(1.0, size) or 1.0  # on all-zero data g is 0 in any unit
 
-    def lagrangian(index):
-        w = points[index[:, None] // k ** np.arange(n) % k]
-        return _inner_min(pq, w, f11) + 0.5 * lam * (1.0 - np.einsum("ij,ij->i", w, w))
+    def at(w: np.ndarray) -> tuple[float, np.ndarray]:
+        g = _inner_min(pq, w[None, :], f11)[0] + 0.5 * lam * (1.0 - w @ w)
+        u = -f11.solve(pq.m12 @ w + pq.d1)
+        return -float(g) / unit, (lam * w - pq.m12.T @ u - pq.m22 @ w - pq.d2) / unit
 
-    return float(_sweep(k**n, np.arange, lagrangian)[0])
+    lower, upper = _cuts(at, pq.w_dim, 2.0 * (1.0 + float(np.linalg.norm(w0))))
+    return -upper * unit, -lower * unit
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

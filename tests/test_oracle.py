@@ -20,7 +20,7 @@ from quadgames.oracle import (
     BLOCK,
     _convex_min,
     _w_candidates,
-    grid_lagrangian,
+    lagrangian_bracket,
     sampled_min,
     unit_samples,
 )
@@ -227,8 +227,7 @@ def _random_data(seed: int):
 
 
 def _blocked_oracles(samples: int) -> list:
-    # grid_points only sizes the grid_lagrangian w grid: 9 to 576 rows.
-    cfg = OracleConfig(seed=4, samples=samples, grid_points=samples + 2)
+    cfg = OracleConfig(seed=4, samples=samples)
     value, point = sphere_max(SPHERE_FORM, cfg)
     x0 = np.array([-1.0, 0.5, 0.0, -0.5])
     u, w = np.linalg.solve(SADDLE_GAME.assembled(), -SADDLE_GAME.d).reshape(2, 2)
@@ -239,7 +238,6 @@ def _blocked_oracles(samples: int) -> list:
         verify_saddle(SADDLE_GAME, u, w, samples=samples, seed=4),
         verify_saddle(SADDLE_GAME, u + 1.0, w, samples=samples, seed=4),
         grid_minmax(MAXMIN_GAME, cfg, Direction.MAXMIN),
-        grid_lagrangian(MAXMIN_GAME, 2.0, cfg),
     ]
     # On these draws a lone row evaluated by itself rounds differently
     # from the same row inside a taller block (numpy hands one-row
@@ -283,16 +281,6 @@ def test_blocked_oracle_memory_is_flat_in_samples(oracle):
     assert _traced_peak(lambda: oracle(many)) <= _traced_peak(
         lambda: oracle(few)
     ) + 2**20
-
-
-def test_lagrangian_grid_memory_is_flat_in_grid_points():
-    # 400^2 = 160 000 grid rows, swept in blocks, take no more memory
-    # than 91^2 = 8281.
-    def oracle(k):
-        return grid_lagrangian(MAXMIN_GAME, 2.0, OracleConfig(grid_points=k))
-
-    oracle(91)  # first-call imports and caches stay out of the peaks
-    assert _traced_peak(lambda: oracle(400)) <= _traced_peak(lambda: oracle(91)) + 2**20
 
 
 @pytest.mark.parametrize("c", [1e-12, 1e-3, 1.0, 1e8])
@@ -414,12 +402,20 @@ def test_minmax_bracket_with_a_singular_m11(null_part):
     assert grid_minmax(pq, OracleConfig(), Direction.MINMAX) == upper
 
 
-def test_grid_lagrangian_with_an_empty_w_block():
-    # R^0 holds one w, the empty one, so the oracle's value is
+def test_lagrangian_bracket_with_an_empty_w_block():
+    # R^0 holds one w, the empty one, so both ends of the bracket are
     # min over u of V(u) + lam/2: -0.125 + 0.5 here.
     pq = PartitionedQuadratic(
         np.eye(1), np.zeros((1, 0)), np.zeros((0, 0)), np.array([0.5]), np.zeros(0)
     )
     report = duality_report(pq, 1.0)
     assert report.status == "strong_duality"
-    assert abs(grid_lagrangian(pq, 1.0, OracleConfig()) - report.value) <= 1e-3
+    delta = 1e-8 * (1.0 + 0.5 + 1.0 + abs(report.value))
+    for end in lagrangian_bracket(pq, 1.0):
+        assert abs(end - report.value) <= delta
+
+
+def test_sphere_oracle_caps_the_dimension():
+    form = QuadraticForm(np.eye(5), np.full(5, 0.1))
+    with pytest.raises(ValueError, match="sphere oracle supports dimensions up to 4"):
+        sphere_max(form, OracleConfig(samples=10))

@@ -200,3 +200,17 @@ def test_oracle_owns_every_draw_sweep_and_refutation():
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert private == []
+
+
+def test_oracle_has_one_cut_engine_and_no_w_grid():
+    # Both searches by central cuts, MINMAX over u and the lambda family
+    # over w, run the one loop of ``_cuts``; no grid over w is left.
+    tree = SOURCES["oracle"]
+    functions = {
+        node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+    }
+    loops = {name for name, node in functions.items() if "_MAX_CUTS" in _names(node)}
+    callers = {name for name, node in functions.items() if "_cuts" in _names(node)}
+    assert loops == {"_cuts"}
+    assert callers == {"_cuts", "_convex_min", "lagrangian_bracket"}
+    assert "linspace" not in _names(tree) and "grid_lagrangian" not in _names(tree)

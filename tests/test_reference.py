@@ -13,6 +13,7 @@ from quadgames import (
     solve_saddle,
     solve_trust_region,
 )
+from quadgames.oracle import lagrangian_bracket
 
 from util import hard_case_instance, random_psd, random_saddle_instance
 
@@ -137,6 +138,31 @@ def test_lambda_family_matches_the_40_digit_reference():
                     assert got.value == pytest.approx(value, rel=1e-10)
             seen.add(report.status)
     assert seen == {"both_infinite", "infinite_gap", "strong_duality"}
+
+
+def test_lagrangian_bracket_holds_the_40_digit_reference():
+    # The cut oracle's bracket on the maxmin value is at most 1e-10 wide
+    # and, at every scale, as narrow as `check` asks (delta); it holds the
+    # reference within delta, for a w of 1 or 2 dimensions, and of none:
+    # a game with a 3-d w is checked without it (its w block dropped),
+    # where the value is lam/2 - 1/2 d1' pinv(M11) d1.
+    seen = set()
+    for pq in games(np.random.default_rng(109)):
+        if pq.w_dim == 3:
+            pq = PartitionedQuadratic(pq.m11, pq.m12[:, :0], pq.m22[:0, :0], pq.d1, pq.d2[:0])
+        size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+        for t in (1e-3, 0.1, 1.0):
+            lam = maxmin_threshold(pq) + t * size
+            if pq.w_dim:
+                expected = mpref.lambda_family(pq, lam)[1]
+            else:
+                expected = lam / 2.0 + mpref.pinv_problem(pq.m11, pq.d1)[0]
+            lower, upper = lagrangian_bracket(pq, lam)
+            delta = 1e-8 * (size + abs(lam) + abs(expected))
+            assert upper - lower <= min(delta, 1e-10 * (1.0 + abs(upper))), (lower, upper)
+            assert lower - delta <= expected <= upper + delta, (lower, upper, expected)
+        seen.add(pq.w_dim)
+    assert seen == {0, 1, 2}
 
 
 def _orthogonal(rng, n):
