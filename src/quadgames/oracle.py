@@ -1,13 +1,14 @@
 """Brute-force verifiers, independent of the solvers: no solver imports them.
 
-Gaussian draws around a candidate, sphere sampling, escape probes of
-unbounded and infinite answers, finite differences, and for the small
-sphere games a grid of w (2 points or a circle).  MAXMIN and the lambda
-family solve the inner minimum over u exactly; one engine of central
-cuts brackets the MINMAX outer minimum over u and the lambda family's
-maximum over w.  These are desk-scale bounds, not certificates: a w of
-up to 2 dimensions, a MINMAX u of up to 4 (any u otherwise), spheres of
-up to 4.  All draws come from one seed through the counter-based
+Gaussian draws around a candidate, escape probes of unbounded and
+infinite answers, finite differences, one sampled and polished search of
+the sphere (``_ascend``) for the trust region and the MAXMIN w, and a
+grid of MINMAX's w (2 points or a circle).  MAXMIN and the lambda family
+solve the inner minimum over u exactly; one engine of central cuts
+brackets the MINMAX outer minimum over u and the lambda family's maximum
+over w.  These are desk-scale bounds, not certificates: spheres and w
+blocks of up to 4 dimensions, but a MINMAX w of up to 2 and u of up to 4.
+All draws come from one seed through the counter-based
 ``_gaussian_rows``, and every best row from one ``_sweep`` in blocks,
 so a configuration gives one output, however the rows are blocked.
 """
@@ -47,9 +48,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
-    """``seed`` of every random draw and ``samples`` draws or circle
-    points.  ``grid_points`` (an integer >= 2) is accepted and validated
-    for callers that still pass it, but no oracle reads it."""
+    """``seed`` of every random draw and ``samples`` sphere draws (trust
+    region, MAXMIN) or circle points (MINMAX).  ``grid_points`` (an integer
+    >= 2) is validated for callers that still pass it; no oracle reads it."""
 
     __slots__ = ()
 
@@ -227,73 +228,83 @@ def maxmin_escape(pq: PartitionedQuadratic, lam: float):
     return math.nan, rise, rise > 1e6 * sec.range_tol
 
 
-def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
-    """Best sampled value of q on the unit sphere, with a polish step.
-
-    The best of ``cfg.samples`` uniform unit vectors (``unit_samples`` of
-    ``cfg.seed``, swept by ``_sweep``) is refined by projected gradient
-    ascent (fixed step 1/(||D|| + 1)), for spheres of up to 4 dimensions.
-    """
-    if q.dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if q.dim > 4:
-        raise ValueError("sphere oracle supports dimensions up to 4")
-    rows = partial(unit_samples, cfg.seed, q.dim)
-    best, w = _sweep(cfg.samples, rows, q._evaluate_rows)
+def _ascend(rows_value, gradient, dim: int, bound: float, cfg: OracleConfig):
+    """(value, point) of the best point found on the unit sphere in R^dim
+    for an objective rated on stacked rows by ``rows_value``, with gradient
+    ``gradient`` and curvature at most ``bound``: the best of +-1 (dim 1),
+    else of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``, or its polish
+    by ``POLISH_STEPS`` of projected ascent, whichever is better.  A
+    quadratic has at most one local maximizer on the sphere that is not
+    global (Martinez, SIAM J. Optim. 1994): the polish starts at the best."""
+    if dim == 1:
+        count, rows = 2, partial(_w_candidates, 1, 2)
+    else:
+        count, rows = cfg.samples, partial(unit_samples, cfg.seed, dim)
+    best, w = _sweep(count, rows, rows_value)
     sampled = w
-    step = 1.0 / (spectral_norm(q.hessian) + 1.0)
+    # 1/(bound + 1) from a bound of 1 on; below, where a fixed +1 stalls the
+    # polish, 1/(2 bound) or, at bound 0, 1/||gradient||: scale-free.
+    step = 1.0 / (bound + min(bound, 1.0) or np.linalg.norm(gradient(w)) or 1.0)
     for _ in range(POLISH_STEPS):
-        w = w + step * q.gradient(w)
+        w = w + step * gradient(w)
         w = w / np.linalg.norm(w)
-    polished = q.evaluate(w)
+    polished = rows_value(w[None, :])[0]
     if polished >= best:
         return float(polished), w
     return float(best), sampled
 
 
+def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
+    """Best value of q on the unit sphere and its point (``_ascend``)."""
+    _check_dims(q.dim)
+    return _ascend(q._evaluate_rows, q.gradient, q.dim, spectral_norm(q.hessian), cfg)
+
+
 def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of the ``count`` w candidates: +-1 in 1-d (count
-    2), else a deterministic circle grid, dense enough that the
-    discretization error is negligible next to the oracle tolerance."""
+    """Rows start:stop of MINMAX's ``count`` w candidates: +-1 in 1-d
+    (count 2; ``_ascend``'s 0-sphere too), else a deterministic circle
+    grid, dense enough that the discretization error is negligible next
+    to the oracle tolerance."""
     if dim == 1:
         return np.array([[-1.0], [1.0]])[start:stop]
     theta = np.arange(start, stop) * (2.0 * math.pi / count)
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def _check_dims(pq: PartitionedQuadratic, direction: Direction | None = None):
-    """Refuse blocks the game oracles cannot take.  They search w, on a
-    circle or by cuts, up to 2-d; MINMAX also searches u, by cuts whose
-    count grows with the square of dim u, up to 4-d.  MAXMIN and
-    ``lagrangian_bracket`` solve the inner minimum over u exactly."""
-    if pq.w_dim > 2:
-        raise ValueError("grid oracle supports w dimensions up to 2")
-    if direction is Direction.MINMAX and pq.u_dim > 4:
-        raise ValueError("MINMAX grid oracle supports u dimensions up to 4")
+def _check_dims(w_dim: int, u_dim: int = 0, direction: Direction | None = None):
+    """Refuse what the oracles cannot take: a sphere (the trust region's,
+    a game's w) of 1 to 4 dimensions, with any u (the inner minimum over u
+    is exact); for MINMAX, a w of up to 2, read on a circle, and a u of up
+    to 4, searched by cuts whose count grows with the square of dim u."""
+    if w_dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if w_dim > 4:
+        raise ValueError("sphere oracle supports dimensions up to 4")
+    if direction is Direction.MINMAX and (w_dim > 2 or u_dim > 4):
+        raise ValueError("MINMAX grid oracle supports w dimensions up to 2, u up to 4")
 
 
 def grid_minmax(
     pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction
 ) -> float:
-    """Nested brute-force value of the sphere-constrained game, with the
-    maximum over w taken over candidates: +-1 for a 1-d w, else
-    ``cfg.samples`` points of a deterministic circle grid.
+    """Nested brute-force value of the sphere-constrained game.
 
-    MINMAX: the convex f(u) = max over the candidates of V(u, w) is
-    minimized by central cuts (``_convex_min``), deterministic and
-    with no random starts, for a u of up to 4 dimensions; the value is
-    f at the best point found.
-    MAXMIN: outer maximum over the candidates, swept by ``_sweep``, with
-    the inner minimum over u solved exactly (``_inner_min``), for a u of
-    any dimension.
+    MINMAX: the convex f(u) = max of V(u, w) over w candidates, +-1 for a
+    1-d w, else ``cfg.samples`` points of a deterministic circle grid, is
+    minimized by central cuts (``_convex_min``), deterministic and with no
+    random starts; the value is f at the best point found.
+    MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
+    is maximized by the sphere search of ``_ascend``, along g's exact
+    gradient (``_inner_gradient``) with the curvature bound ||M22||.
     """
-    _check_dims(pq, direction)
+    _check_dims(pq.w_dim, pq.u_dim, direction)
     n = pq.w_dim
-    count = 2 if n == 1 else max(cfg.samples, 4)
-
     if direction is Direction.MAXMIN:
-        score = partial(_inner_min, pq, f11=symmetric_split(pq.m11))
-        return float(_sweep(count, partial(_w_candidates, n, count), score)[0])
+        f11 = symmetric_split(pq.m11)
+        score = partial(_inner_min, pq, f11=f11)
+        gradient = partial(_inner_gradient, pq, f11=f11)
+        return _ascend(score, gradient, n, spectral_norm(pq.m22), cfg)[0]
+    count = 2 if n == 1 else max(cfg.samples, 4)
     return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
 
 
@@ -385,17 +396,24 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     return np.where(feasible, inner + outer, -math.inf)
 
 
+def _inner_gradient(pq: PartitionedQuadratic, w: np.ndarray, f11) -> np.ndarray:
+    """The exact gradient M22 w + d2 + M12'u* of g(w) = min over u of V(u, w)
+    where finite, u* = -pinv(M11)(M12 w + d1) (f11 as in ``_inner_min``)."""
+    u = -f11.solve(pq.m12 @ w + pq.d1)
+    return pq.m22 @ w + pq.d2 + pq.m12.T @ u
+
+
 def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, float]:
     """Bracket (lower, upper) on the lambda family's maxmin value, max over
     w of the concave g(w) = min over u of V(u, w) - lam/2 (w'w - 1): the
     ``_cuts`` of -g, g from ``_inner_min``, along its exact gradient
-    M12'u* + M22 w + d2 - lam w, u* = -pinv(M11)(M12 w + d1), from the
-    ball of radius 2 (1 + ||w0||), w0 the w part of -pinv(M(lam)) d.  That
-    assumes w0 is a maximizer, as it is wherever the maxmin value is
-    finite.  An empty w block is the single point of R^0.  g is read in
+    (``_inner_gradient`` less lam w), from the ball of radius 2 (1 + ||w0||),
+    w0 the w part of -pinv(M(lam)) d.  That assumes w0 is a maximizer, as
+    it is wherever the maxmin value is finite.  An empty w block is the single point of R^0.  g is read in
     units of min(1, ||M||_F + ||d|| + |lam|): the cuts stop relative to
     small data too."""
-    _check_dims(pq)
+    if pq.w_dim:  # R^0, the one point of an empty w block, needs no cap
+        _check_dims(pq.w_dim)
     f11 = symmetric_split(pq.m11)
     w0 = symmetric_split(pq.assembled(lam)).solve(pq.d)[pq.u_dim :]
     size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam))
@@ -403,8 +421,7 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
 
     def at(w: np.ndarray) -> tuple[float, np.ndarray]:
         g = _inner_min(pq, w[None, :], f11)[0] + 0.5 * lam * (1.0 - w @ w)
-        u = -f11.solve(pq.m12 @ w + pq.d1)
-        return -float(g) / unit, (lam * w - pq.m12.T @ u - pq.m22 @ w - pq.d2) / unit
+        return -float(g) / unit, (lam * w - _inner_gradient(pq, w, f11)) / unit
 
     lower, upper = _cuts(at, pq.w_dim, 2.0 * (1.0 + float(np.linalg.norm(w0))))
     return -upper * unit, -lower * unit

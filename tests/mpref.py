@@ -144,7 +144,13 @@ def sphere_game(pq, minmax: bool) -> tuple[float, float]:
 def lambda_family(pq, lam) -> tuple[float | None, float | None]:
     """(minmax, maxmin) values of the lambda family at ``lam``, rounded to
     float, None where infinite.  d1 must lie in R(M11), and lam must not
-    be a threshold (||S|| or ||M22||)."""
+    be a threshold (||S|| or ||M22||).  An empty w block leaves
+    lam/2 + min over u of V(u), finite at every lam (None with d1 off
+    R(M11))."""
+    if pq.w_dim == 0:
+        inner = pinv_problem(pq.m11, pq.d1)
+        value = None if inner is None else lam / 2.0 + inner[0]
+        return value, value
     with mpmath.workdps(DIGITS):
         s, r, c0, norm22 = _reduce(pq)
         value = float(_dual(mpmath.mpf(lam), zip(r, s)) - c0) if lam > max(s) else None

@@ -457,6 +457,10 @@ FIVE_BY_FIVE = {
     "M11": np.eye(5).tolist(), "M12": [[0.0]] * 5, "M22": [[1.0]],
     "d1": [0.0] * 5, "d2": [0.0],
 }
+FIVE_W = {
+    "M11": [[1.0]], "M12": [[0.0] * 5], "M22": np.eye(5).tolist(),
+    "d1": [0.0], "d2": [0.0] * 5,
+}
 LAGRANGIAN = {"kind": "lagrangian", "M11": [[1.0]], "M12": [[1.0]], "M22": [[1.0]]}
 QUAD_MIN = {"kind": "quad_min", "D": [[1.0]], "d": [1.0]}
 TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.5]}
@@ -464,8 +468,8 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
 
 @pytest.mark.parametrize("command,doc", [
     ("check", {"kind": "minmax", **THREE_BY_THREE}),
-    ("check", {"kind": "maxmin", **THREE_BY_THREE}),
-    ("check", {"kind": "lagrangian", "lambda": 2.0, **THREE_BY_THREE}),
+    ("check", {"kind": "maxmin", **FIVE_W}),
+    ("check", {"kind": "lagrangian", "lambda": 2.0, **FIVE_W}),
     ("check", {"kind": "minmax", **FIVE_BY_FIVE}),
     ("solve", {**LAGRANGIAN, "lambda": None}),
     ("check", {**LAGRANGIAN, "lambda": None}),
@@ -501,7 +505,7 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     ("solve", [QUAD_MIN]),
     ("solve", LAGRANGIAN),
 ], ids=[
-    "minmax-3x3", "maxmin-3x3", "lagrangian-3x3", "minmax-5x5",
+    "minmax-3x3", "maxmin-1x5", "lagrangian-1x5", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
     "object-expected", "string-expected", "number-oracle", "list-oracle",
     "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
@@ -724,9 +728,11 @@ def test_check_sampled_minimum_is_relative_to_the_data(tmp_path, capsys, c):
         assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), seed
 
 
-@pytest.mark.parametrize("c", [1.0, 1e6])
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
 def test_check_sphere_games_of_rng5(tmp_path, capsys, c):
-    for kind in ("maxmin", "minmax"):
+    # MAXMIN's polished sphere search holds at c = 1e8 too (gap -6e-8,
+    # where a circle grid gave 0.25); MINMAX's there is the xfail below.
+    for kind in ("maxmin", "minmax") if c < 1e8 else ("maxmin",):
         doc = {"kind": kind, **_rng5_game(c)}
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
         assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
@@ -734,10 +740,69 @@ def test_check_sphere_games_of_rng5(tmp_path, capsys, c):
 
 @pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 2: the sphere-game bound 5e-3 is absolute; at c = 1e8 the "
-    "circle grid's error, about 2.5e-9 of the data, exceeds it"
+    "MINMAX circle grid's error (gap 0.007) exceeds it"
 ))
 def test_check_sphere_games_of_rng5_at_large_scale(tmp_path, capsys):
-    for kind in ("maxmin", "minmax"):
-        doc = {"kind": kind, **_rng5_game(1e8)}
+    doc = {"kind": "minmax", **_rng5_game(1e8)}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
+def _trust_region(seed, c):
+    """A trust region of dimension 2 + seed % 3 from ``default_rng(seed)``:
+    D = c aa', d = c times a Gaussian draw."""
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 3
+    a = rng.standard_normal((n, n))
+    return {
+        "kind": "trust_region", "D": (c * a @ a.T).tolist(),
+        "d": (c * rng.standard_normal(n)).tolist(), "oracle": {"samples": 20000},
+    }
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e4, 1e8])
+def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
+    # The oracle may beat a right value by rounding only, 1e-12 of
+    # ||D||_F + ||d||: seeds 2-5, 9 and 11 were refuted at c = 1e8 by an
+    # absolute -1e-9, which at c = 1e-8 let a value lowered by 1e-6 pass;
+    # there the polish step must scale with the data to reach the value.
+    for seed in range(12):
+        doc = _trust_region(seed, c)
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
-        assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+        if (seed, c) != (7, 1e8):  # the xfail below
+            assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (seed, out)
+        value = float(out.splitlines()[1].split(": ")[1])
+        lowered = {**doc, "expected_value": value - 1e-6 * abs(value)}
+        assert run(capsys, "check", write_problem(tmp_path, lowered))[0] == 3, seed
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the trust-region upper bound 5e-3 is absolute; at c = 1e8 "
+    "the polish leaves seed 7 a gap of 1.12 (2.9e-9 relative)"
+))
+def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, _trust_region(7, 1e8)))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
+def _wide_w_game(n):
+    """A game with a 2-d u and an n-d w, M = aa' from ``default_rng(n)``."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((2 + n, 2 + n))
+    m, d = a @ a.T, rng.standard_normal(2 + n)
+    return {
+        "M11": m[:2, :2].tolist(), "M12": m[:2, 2:].tolist(),
+        "M22": m[2:, 2:].tolist(), "d1": d[:2].tolist(), "d2": d[2:].tolist(),
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_a_w_of_3_or_4(tmp_path, capsys, n):
+    # MAXMIN's sphere search and the lambda family's cuts take a w of up
+    # to 4; a lagrangian value moved by 1e-6 relative fails.
+    game = _wide_w_game(n)
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, {"kind": "maxmin", **game}))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+    pq = PartitionedQuadratic(**{k.lower(): np.array(v) for k, v in game.items()})
+    doc = {"kind": "lagrangian", "lambda": 2.0 * maxmin_threshold(pq) + 0.1, **game}
+    assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3])

@@ -131,7 +131,8 @@ def test_grid_minmax_examples():
 
 def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
     # The search box is an input of the MINMAX branch alone: MAXMIN
-    # makes one eigh, of the 1 x 1 M11, and no other factorization.
+    # makes one eigh, of the 1 x 1 M11, and for the polish step one
+    # eigvalsh, of M22 (its norm), and no other factorization.
     one = np.array([[1.0]])
     pq = PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0]))
     counts = count_factorizations(monkeypatch)
@@ -143,7 +144,7 @@ def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", shaped)
     grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN)
-    assert shapes == [(1, 1)] and counts == {"eigh": 1}
+    assert shapes == [(1, 1)] and counts == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_grid_minmax_deterministic():
@@ -156,8 +157,9 @@ def test_grid_minmax_deterministic():
 
 
 def test_grid_minmax_dimension_limit():
-    # Only w is sampled: MINMAX searches a u of up to 4 dimensions by
-    # cuts, MAXMIN solves the inner minimum over any u exactly.
+    # MINMAX searches a u of up to 4 dimensions by cuts and reads a w of
+    # up to 2 on a circle; MAXMIN solves the inner minimum over any u
+    # exactly and samples a w of up to 4 on its sphere.
     cfg = OracleConfig(samples=100)
     wide_u = PartitionedQuadratic(
         np.eye(5), np.zeros((5, 1)), np.zeros((1, 1)), np.zeros(5), np.zeros(1)
@@ -166,11 +168,18 @@ def test_grid_minmax_dimension_limit():
         grid_minmax(wide_u, cfg, Direction.MINMAX)
     assert grid_minmax(wide_u, cfg, Direction.MAXMIN) == 0.0
     wide_w = PartitionedQuadratic(
-        np.eye(1), np.zeros((1, 3)), np.eye(3), np.zeros(1), np.zeros(3)
+        np.eye(1), np.zeros((1, 3)), np.diag([3.0, 2.0, 1.0]), np.zeros(1), np.zeros(3)
+    )
+    with pytest.raises(ValueError, match="w dimensions up to 2"):
+        grid_minmax(wide_w, cfg, Direction.MINMAX)
+    value = solve_linear_term(wide_w, Direction.MAXMIN).value
+    assert grid_minmax(wide_w, cfg, Direction.MAXMIN) == pytest.approx(value, abs=1e-12)
+    wider_w = PartitionedQuadratic(
+        np.eye(1), np.zeros((1, 5)), np.eye(5), np.zeros(1), np.zeros(5)
     )
     for direction in Direction:
-        with pytest.raises(ValueError):
-            grid_minmax(wide_w, cfg, direction)
+        with pytest.raises(ValueError, match="dimensions up to 4"):
+            grid_minmax(wider_w, cfg, direction)
 
 
 def test_minmax_grid_with_a_zero_u_block():

@@ -214,3 +214,26 @@ def test_oracle_has_one_cut_engine_and_no_w_grid():
     assert loops == {"_cuts"}
     assert callers == {"_cuts", "_convex_min", "lagrangian_bracket"}
     assert "linspace" not in _names(tree) and "grid_lagrangian" not in _names(tree)
+
+
+def test_oracle_has_one_sphere_search_and_one_cap_table():
+    # The trust region and MAXMIN share one sample-and-polish routine,
+    # MAXMIN's polish and the lambda family's cuts one gradient of
+    # g(w) = min over u of V, and every dimension cap is in _check_dims.
+    functions = {
+        node.name: node for node in SOURCES["oracle"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def readers(name):
+        return {f for f, node in functions.items() if name in _names(node)} - {name}
+
+    assert readers("POLISH_STEPS") == {"_ascend"}
+    assert readers("unit_samples") == {"_ascend"}
+    assert readers("_ascend") == {"sphere_max", "grid_minmax"}
+    assert readers("_inner_gradient") == {"grid_minmax", "lagrangian_bracket"}
+    capped = {
+        f for f, node in functions.items() for c in ast.walk(node)
+        if isinstance(c, ast.Constant) and "dimension" in str(c.value)
+    }
+    assert capped == {"_check_dims"}

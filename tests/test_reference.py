@@ -13,7 +13,7 @@ from quadgames import (
     solve_saddle,
     solve_trust_region,
 )
-from quadgames.oracle import lagrangian_bracket
+from quadgames.oracle import OracleConfig, grid_minmax, lagrangian_bracket
 
 from util import hard_case_instance, random_psd, random_saddle_instance
 
@@ -140,29 +140,76 @@ def test_lambda_family_matches_the_40_digit_reference():
     assert seen == {"both_infinite", "infinite_gap", "strong_duality"}
 
 
+def _bracket_holds_the_reference(pq):
+    """The cut oracle's bracket on the maxmin value is at most 1e-10 wide
+    and, at every scale, as narrow as `check` asks (delta); it holds the
+    reference within delta."""
+    size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+    for t in (1e-3, 0.1, 1.0):
+        lam = maxmin_threshold(pq) + t * size
+        expected = mpref.lambda_family(pq, lam)[1]
+        lower, upper = lagrangian_bracket(pq, lam)
+        delta = 1e-8 * (size + abs(lam) + abs(expected))
+        assert upper - lower <= min(delta, 1e-10 * (1.0 + abs(upper))), (lower, upper)
+        assert lower - delta <= expected <= upper + delta, (lower, upper, expected)
+
+
 def test_lagrangian_bracket_holds_the_40_digit_reference():
-    # The cut oracle's bracket on the maxmin value is at most 1e-10 wide
-    # and, at every scale, as narrow as `check` asks (delta); it holds the
-    # reference within delta, for a w of 1 or 2 dimensions, and of none:
-    # a game with a 3-d w is checked without it (its w block dropped),
-    # where the value is lam/2 - 1/2 d1' pinv(M11) d1.
+    # A w of 1 to 3 dimensions, and of none: each game again with its w
+    # block dropped, where the value is lam/2 - 1/2 d1' pinv(M11) d1.
     seen = set()
-    for pq in games(np.random.default_rng(109)):
-        if pq.w_dim == 3:
-            pq = PartitionedQuadratic(pq.m11, pq.m12[:, :0], pq.m22[:0, :0], pq.d1, pq.d2[:0])
-        size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
-        for t in (1e-3, 0.1, 1.0):
-            lam = maxmin_threshold(pq) + t * size
-            if pq.w_dim:
-                expected = mpref.lambda_family(pq, lam)[1]
-            else:
-                expected = lam / 2.0 + mpref.pinv_problem(pq.m11, pq.d1)[0]
-            lower, upper = lagrangian_bracket(pq, lam)
-            delta = 1e-8 * (size + abs(lam) + abs(expected))
-            assert upper - lower <= min(delta, 1e-10 * (1.0 + abs(upper))), (lower, upper)
-            assert lower - delta <= expected <= upper + delta, (lower, upper, expected)
-        seen.add(pq.w_dim)
-    assert seen == {0, 1, 2}
+    for game in games(np.random.default_rng(109)):
+        empty = PartitionedQuadratic(
+            game.m11, game.m12[:, :0], game.m22[:0, :0], game.d1, game.d2[:0]
+        )
+        for pq in (game, empty):
+            _bracket_holds_the_reference(pq)
+            seen.add(pq.w_dim)
+    assert seen == {0, 1, 2, 3}
+
+
+def wide_games(rng, n, count):
+    """``count`` unit-scale games with an n-d w and a u of 1 to 3 built as
+    the first 30 of ``games``: M >= 0, d1 in R(M11), and every other M11
+    diagonal with exact zeros (rank-deficient where the mask is set)."""
+    for i in range(count):
+        p = int(rng.integers(1, 4))
+        zeros = rng.uniform(size=p) < 0.5 if i % 2 else None
+        m11 = _m11(rng, p, zeros)
+        m12, d1 = rng.standard_normal((p, n)), rng.standard_normal(p)
+        if zeros is not None:
+            m12[zeros], d1[zeros] = 0.0, 0.0
+        m22 = m12.T @ np.linalg.pinv(m11) @ m12
+        m22 += random_psd(rng, n, int(rng.integers(0, n + 1)))
+        yield PartitionedQuadratic(m11, m12, 0.5 * (m22 + m22.T), d1, rng.standard_normal(n))
+
+
+def _scaled(pq, c):
+    return PartitionedQuadratic(*(c * block for block in pq))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lagrangian_bracket_holds_the_40_digit_reference_at_a_w_of_3_or_4(n):
+    # Six games at scales 1e-4, 1e-2, 1, 1e2, 1e4 and 1e-4.
+    for i, game in enumerate(wide_games(np.random.default_rng(110 + n), n, 6)):
+        _bracket_holds_the_reference(_scaled(game, 10.0 ** (2 * (i % 5) - 4)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_maxmin_oracle_holds_the_40_digit_reference(n):
+    # The polished sphere search comes within the check's bound of the
+    # MAXMIN value, relative to the data at every scale (5e-3 c, 1e-3 c
+    # for 1 x 1 blocks), and never exceeds it by more than rounding: its
+    # points lie on the sphere, and the inner minimum is exact.
+    for game in wide_games(np.random.default_rng(120 + n), n, 6):
+        bound = 1e-3 if max(game.u_dim, n) <= 1 else 5e-3
+        for c in (1e-4, 1.0, 1e4):
+            pq = _scaled(game, c)
+            size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+            expected = mpref.sphere_game(pq, minmax=False)[0]
+            value = grid_minmax(pq, OracleConfig(samples=20_000), Direction.MAXMIN)
+            assert value <= expected + 1e-12 * size, (c, value, expected)
+            assert expected - value <= bound * c, (c, value, expected)
 
 
 def _orthogonal(rng, n):
