@@ -1,12 +1,13 @@
 """Brute-force verifiers, independent of the solvers: no solver imports them.
 
-Gaussian draws around a candidate, escape probes of unbounded and
-infinite answers, finite differences, one sampled and polished search of
-the sphere (``_ascend``) for the trust region and the MAXMIN w, and a
-grid of MINMAX's w (2 points or a circle).  MAXMIN and the lambda family
-solve the inner minimum over u exactly; one engine of central cuts
-brackets the MINMAX outer minimum over u and the lambda family's maximum
-over w.  These are desk-scale bounds, not certificates: spheres and w
+A "no answer" gets a step-free certificate at any dimension (``off_range``,
+``infinite_maxmin``); an answer gets Gaussian draws around a candidate,
+finite differences, one sampled and polished search of the sphere
+(``_ascend``) for the trust region and the MAXMIN w, and a grid of
+MINMAX's w (2 points or a circle).  MAXMIN and the lambda family solve
+the inner minimum over u exactly; one engine of central cuts brackets
+the MINMAX outer minimum over u and the lambda family's maximum over w.
+These searches are desk-scale bounds, not certificates: spheres and w
 blocks of up to 4 dimensions, but a MINMAX w of up to 2 and u of up to 4.
 All draws come from one seed through the counter-based
 ``_gaussian_rows``, and every best row from one ``_sweep`` in blocks,
@@ -189,58 +190,52 @@ def verify_saddle(
     return not _sweep(samples, partial(_gaussian_rows, seed, p + pq.w_dim), broken)[0]
 
 
-def escape_probe(h, d, evaluate):
-    """Check of an unbounded_below answer: with P the projector onto
-    null(h), a step of 1e6 along -P d / ||P d|| lowers the objective by
-    1e6 ||P d||.  It passes when that drop exceeds 1e6 TOL ||d||, as the
-    solvers' range test calls d unbounded once ||P d|| > TOL ||d||; the
-    bound is scale-free and fails at P d = 0 (d = 0 or d in range)."""
+def off_range(h, d):
+    """Certificate of an unbounded or unsolvable answer of 1/2 z'hz + d'z:
+    along -P d, P the projector onto null(h), the objective has no
+    curvature and falls at the rate ||P d||, with no step to choose (for
+    h >= 0 a recession direction; Rockafellar, Convex Analysis, 1970,
+    section 8).  (nan, ||P d||, passed): it passes when ||P d|| > TOL ||d||,
+    the solvers' range test, and so fails at d = 0 or d in range."""
     f = symmetric_split(h)
-    escape = -(f.v2 @ (f.v2.T @ d))
-    norm = float(np.linalg.norm(escape))
-    step = escape * (1e6 / norm) if norm > 0 else escape
-    probe = evaluate(step) - evaluate(np.zeros_like(d))
-    return math.nan, probe, probe < -1e6 * TOL * np.linalg.norm(d)
+    norm = float(np.linalg.norm(f.v2.T @ d))
+    return math.nan, norm, norm > TOL * np.linalg.norm(d)
 
 
-def game_escape(pq: PartitionedQuadratic):
-    """``escape_probe`` of a game in u, at the unit w = e1."""
-    w = np.eye(pq.w_dim, 1)[:, 0]
-    return escape_probe(pq.m11, pq.d1, lambda u: pq.evaluate(u, w))
-
-
-def maxmin_escape(pq: PartitionedQuadratic, lam: float):
-    """Check of an infinite maxmin answer, the w-side twin of
-    ``escape_probe``.  g(w) = min over u of L(u, w, lam), from the exact
-    ``_inner_min``, is 1/2 w'(S - lam I)w + r'w + const.  S = Q diag(s) Q'
-    and r are read from the solvers' ``game.schur_reduction``: g rises
-    without bound along q_i or -q_i quadratically where s_i > lam, and
-    linearly where s_i = lam (as at lam = ||S||) and r'q_i != 0.  The
-    check takes a step of 1e6 along each +-q_i and passes when the
-    largest rise exceeds 1e6 times the tolerance of the solvers' range
-    test on r, so the bound scales with the data.  A bounded g falls
-    along every +-q_i unless its maximizer lies beyond the step."""
+def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
+    """Certificate of an infinite maxmin answer at lam: g(w) = min over u
+    of L(u, w, lam) is 1/2 w'(S - lam I)w + r'w + const.  Along each
+    eigenvector q_i of S (from the solvers' ``game.schur_reduction``) the
+    exact ``_inner_gradient`` gives g's slope r'q_i at w = 0 and, in the
+    game with d1 = d2 = 0, so that no d term cancels, its curvature
+    q_i'(S - lam I)q_i.  (nan, rise, passed): it passes when the largest
+    curvature, the rise, exceeds the reduction's ``tol``, or else when the
+    rise, the norm of the slopes along curvatures within ``tol`` of 0,
+    exceeds its ``range_tol`` (r off R(S - lam I), as at lam = ||S||)."""
     sec = schur_reduction(pq).secular
-    w = 1e6 * np.vstack([np.zeros(pq.w_dim), sec.q.T, -sec.q.T])
-    g = _inner_min(pq, w, symmetric_split(pq.m11))
-    g -= 0.5 * lam * np.einsum("ij,ij->i", w, w)
-    rise = float(np.max(g[1:]) - g[0])
-    return math.nan, rise, rise > 1e6 * sec.range_tol
+    f11 = symmetric_split(pq.m11)
+    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
+    curvature = np.array([q @ _inner_gradient(flat, q, f11) for q in sec.q.T]) - lam
+    if np.max(curvature) > sec.tol:
+        return math.nan, float(np.max(curvature)), True
+    slope = sec.q.T @ _inner_gradient(pq, np.zeros(pq.w_dim), f11)
+    rise = float(np.linalg.norm(slope[np.abs(curvature) <= sec.tol]))
+    return math.nan, rise, rise > sec.range_tol
 
 
 def _ascend(rows_value, gradient, dim: int, bound: float, cfg: OracleConfig):
     """(value, point) of the best point found on the unit sphere in R^dim
     for an objective rated on stacked rows by ``rows_value``, with gradient
-    ``gradient`` and curvature at most ``bound``: the best of +-1 (dim 1),
-    else of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``, or its polish
-    by ``POLISH_STEPS`` of projected ascent, whichever is better.  A
-    quadratic has at most one local maximizer on the sphere that is not
-    global (Martinez, SIAM J. Optim. 1994): the polish starts at the best."""
+    ``gradient`` and curvature at most ``bound``: the better of +-1, the
+    whole 0-sphere (dim 1), else the best of ``cfg.samples`` ``unit_samples``
+    of ``cfg.seed`` or its polish by ``POLISH_STEPS`` of projected ascent,
+    whichever is better.  A quadratic has at most one local maximizer on
+    the sphere that is not global (Martinez, SIAM J. Optim. 1994): the
+    polish starts at the best."""
     if dim == 1:
-        count, rows = 2, partial(_w_candidates, 1, 2)
-    else:
-        count, rows = cfg.samples, partial(unit_samples, cfg.seed, dim)
-    best, w = _sweep(count, rows, rows_value)
+        best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
+        return float(best), w
+    best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, dim), rows_value)
     sampled = w
     # 1/(bound + 1) from a bound of 1 on; below, where a fixed +1 stalls the
     # polish, 1/(2 bound) or, at bound 0, 1/||gradient||: scale-free.

@@ -18,7 +18,7 @@ from quadgames.game import (
     schur_reduction,
 )
 
-from util import count_factorizations
+from util import count_factorizations, rotation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -336,10 +336,19 @@ UNBOUNDED_GAME = {
     "d1": [0.0, 1.0], "d2": [0.3],
 }
 # The same kind of game with a 3-d w, beyond the grid oracles, which
-# the escape probe does not use.
+# the certificates do not use.
 WIDE_W_UNBOUNDED = {
     "M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.1, 0.0, 0.0], [0.0, 0.0, 0.0]],
     "M22": np.eye(3).tolist(), "d1": [0.0, 1.0], "d2": [0.1, 0.2, 0.3],
+}
+# D = R diag(1e14, 0) R' and d = R (0, 1), R the rotation by 0.3 rad: a
+# fixed step of 1e6 along the null-space part of -d refuted these, its
+# rounding, in ||D||, outgrowing its drop, in ||d||.
+SKEWED_D = rotation(0.3) @ np.diag([1e14, 0.0]) @ rotation(0.3).T
+SKEWED_d = rotation(0.3) @ [0.0, 1.0]
+SKEWED_GAME = {
+    "M11": SKEWED_D.tolist(), "M12": [[0.0], [0.0]], "M22": [[1.0]],
+    "d1": SKEWED_d.tolist(), "d2": [0.0],
 }
 
 
@@ -354,7 +363,8 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
     # d (d1) with a null-space part only, and mixed with a range part
     # 1e3 and 1e8 times larger; the solvers call the last unbounded
     # because its null-space part exceeds TOL ||d||.  The dimension caps
-    # are the grid oracles', so a game with a 3-d w is checked too.
+    # are the grid oracles', so a game with a 3-d w is checked too, and
+    # ||D|| / ||d|| = 1e14 needs no step length.
     docs = []
     for d in ([0.0, 1.0], [1000.0, 1.0], [1.0, 1e-8]):
         game = {**UNBOUNDED_GAME, "d1": d}
@@ -367,11 +377,17 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
     docs += [
         {"kind": "minmax", **WIDE_W_UNBOUNDED},
         {"kind": "lagrangian", "lambda": 2.0, **WIDE_W_UNBOUNDED},
+        {"kind": "quad_min", "D": SKEWED_D.tolist(), "d": SKEWED_d.tolist()},
+        {"kind": "minmax", **SKEWED_GAME},
+        {"kind": "maxmin", **SKEWED_GAME},
+        {"kind": "lagrangian", "lambda": 2.0, **SKEWED_GAME},
+        {"kind": "saddle", **SKEWED_GAME, "M22": [[-1.0]]},
     ]
     for doc in docs:
         path = write_problem(tmp_path, _scaled(doc, c))
         code, out, _ = run(capsys, "solve", path)
-        assert code == 2 and json.loads(out)["status"] == "unbounded_below"
+        status = "no_solution" if doc["kind"] == "saddle" else "unbounded_below"
+        assert code == 2 and json.loads(out)["status"] == status
         code, out, _ = run(capsys, "check", path)
         assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (doc["kind"], out)
 
@@ -726,6 +742,19 @@ def test_check_sampled_minimum_is_relative_to_the_data(tmp_path, capsys, c):
         doc = {"kind": "linear_solve", "A": (c * a).tolist(), "b": (c * b).tolist(),
                "oracle": {"samples": 5000}}
         assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), seed
+        # A 2 x 2 saddle, M11 = aa' and M22 = -bb': an absolute 1e-9
+        # passed a moved value at c = 1e-8 on every seed.
+        a, b, m12 = rng.standard_normal((3, 2, 2))
+        d = c * rng.standard_normal(4)
+        doc = {"kind": "saddle", "M11": (c * a @ a.T).tolist(),
+               "M12": (c * m12).tolist(), "M22": (-c * b @ b.T).tolist(),
+               "d1": d[:2].tolist(), "d2": d[2:].tolist()}
+        assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), seed
+    # A bilinear saddle with ||(u*, w*)|| = 6e-6: the draws around it,
+    # spread about 1, round by eps ||d||, beyond 1e-12 of V's terms at it.
+    doc = {"kind": "saddle", "M11": [[0.0]], "M12": [[c]], "M22": [[0.0]],
+           "d1": [3e-6 * c], "d2": [5e-6 * c]}
+    assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3])
 
 
 @pytest.mark.parametrize("c", [1.0, 1e6, 1e8])

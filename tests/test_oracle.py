@@ -12,15 +12,21 @@ from quadgames import (
     duality_report,
     fd_gradient,
     grid_minmax,
+    maxmin_threshold,
+    minimize,
+    oracle,
     solve_linear_term,
     sphere_max,
     verify_saddle,
 )
+from quadgames.game import schur_reduction
 from quadgames.oracle import (
     BLOCK,
     _convex_min,
     _w_candidates,
+    infinite_maxmin,
     lagrangian_bracket,
+    off_range,
     sampled_min,
     unit_samples,
 )
@@ -428,3 +434,75 @@ def test_sphere_oracle_caps_the_dimension():
     form = QuadraticForm(np.eye(5), np.full(5, 0.1))
     with pytest.raises(ValueError, match="sphere oracle supports dimensions up to 4"):
         sphere_max(form, OracleConfig(samples=10))
+
+
+def test_the_0_sphere_is_not_polished(monkeypatch):
+    # +-1 is the whole 0-sphere: a 1-d MAXMIN and a 1-d trust region
+    # take the better of the two and call no gradient.
+    def no_gradient(*args, **kwargs):
+        raise AssertionError("the 0-sphere needs no polish")
+
+    monkeypatch.setattr(oracle, "_inner_gradient", no_gradient)
+    monkeypatch.setattr(QuadraticForm, "gradient", no_gradient)
+    one = np.array([[1.0]])
+    pq = PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0]))
+    value = grid_minmax(pq, OracleConfig(), Direction.MAXMIN)
+    assert value == pq.evaluate([-1.5], [1.0])  # u* = -(M12 w + d1) / M11 at w = 1
+    value, point = sphere_max(QuadraticForm(-one, np.array([0.5])), OracleConfig())
+    assert (value, point.tolist()) == (0.0, [1.0])
+
+
+def _skewed_unbounded(seed):
+    """An unbounded quad_min of dimension 2..4 from ``default_rng(seed)``:
+    D = Q diag(s) Q' with 1..n-1 eigenvalues in [1e6, 1e14], the rest 0,
+    and a unit d, off R(D)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.zeros(n)
+    k = int(rng.integers(1, n))
+    s[:k] = 10.0 ** rng.uniform(6, 14, k)
+    d = rng.standard_normal(n)
+    return (q * s) @ q.T, d / np.linalg.norm(d)
+
+
+def test_off_range_certifies_skewed_unbounded_answers():
+    # ||D|| / ||d|| up to 1e14: a step of 1e6 along -P d refuted 47 of
+    # these 200 (seeds 1, 4, 7, ...), its rounding term in ||D|| beating
+    # its drop of 1e6 ||P d||.  Reading ||P d|| itself needs no step.
+    for seed in range(200):
+        h, d = _skewed_unbounded(seed)
+        assert minimize(QuadraticForm(h, d)) is None, seed
+        assert off_range(h, d)[2], seed
+        assert not off_range(h, h @ d)[2], seed  # d in range
+
+
+def test_infinite_maxmin_agrees_with_the_solver():
+    # The certificate passes exactly where ``duality_report`` calls the
+    # maxmin value infinite: below ||S||, at it with r on or off
+    # R(S - ||S|| I), 1e-3 on either side, and above it, at scales
+    # 1e-6..1e6 and with a rank-deficient M.
+    rng = np.random.default_rng(2026)
+    statuses = set()
+    for k in range(200):
+        p, n = (int(x) for x in rng.integers(1, 4, 2))
+        a = rng.standard_normal((p + n, int(rng.integers(1, p + n + 1))))
+        c = 10.0 ** rng.uniform(-6, 6)
+        m = c * (a @ a.T)
+        d1 = m[:p, :p] @ rng.standard_normal(p)  # bounded below
+        pq = PartitionedQuadratic(m[:p, :p], m[:p, p:], m[p:, p:], d1, np.zeros(n))
+        if k % 3 == 0:
+            pq = pq._replace(d2=c * rng.standard_normal(n))
+        elif k % 3 == 1:
+            pq = pq._replace(d1=np.zeros(p))
+        else:  # r = d2 - M12' x1 orthogonal to the top eigenvector of S
+            red = schur_reduction(pq)
+            r, top = c * rng.standard_normal(n), red.secular.q[:, -1]
+            pq = pq._replace(d2=r - top * (top @ r) + pq.m12.T @ red.x1)
+        s = maxmin_threshold(pq)
+        for lam in (-c, s - 0.5 * (s + c), s - 1e-3 * (s + c), s,
+                    s + 1e-3 * (s + c), s + 2.0 * (s + c)):
+            report = duality_report(pq, lam)
+            statuses.add(report.status)
+            assert infinite_maxmin(pq, lam)[2] == (not report.maxmin.finite), (k, lam)
+    assert statuses == {"both_infinite", "infinite_gap", "strong_duality"}

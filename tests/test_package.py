@@ -200,6 +200,21 @@ def test_oracle_owns_every_draw_sweep_and_refutation():
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert private == []
+    # A "no answer" is certified with no step: no escape probe, no 1e6
+    # step, and every checker of one reads ``off_range``.
+    for module in ("oracle", "cli"):
+        tree = SOURCES[module]
+        assert not [n for n in _names(tree) if "escape" in n.lower()], module
+        assert not [
+            c for c in ast.walk(tree) if isinstance(c, ast.Constant) and c.value == 1e6
+        ], module
+    checkers = {
+        node.name: node for node in SOURCES["cli"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("_check_quad_min", "_check_saddle", "_check_lagrangian",
+                 "_check_sphere_game"):
+        assert "off_range" in _names(checkers[name]), name
 
 
 def test_oracle_has_one_cut_engine_and_no_w_grid():
@@ -218,8 +233,9 @@ def test_oracle_has_one_cut_engine_and_no_w_grid():
 
 def test_oracle_has_one_sphere_search_and_one_cap_table():
     # The trust region and MAXMIN share one sample-and-polish routine,
-    # MAXMIN's polish and the lambda family's cuts one gradient of
-    # g(w) = min over u of V, and every dimension cap is in _check_dims.
+    # MAXMIN's polish, the lambda family's cuts and the infinite-maxmin
+    # certificate one gradient of g(w) = min over u of V, and every
+    # dimension cap is in _check_dims.
     functions = {
         node.name: node for node in SOURCES["oracle"].body
         if isinstance(node, ast.FunctionDef)
@@ -231,7 +247,9 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("POLISH_STEPS") == {"_ascend"}
     assert readers("unit_samples") == {"_ascend"}
     assert readers("_ascend") == {"sphere_max", "grid_minmax"}
-    assert readers("_inner_gradient") == {"grid_minmax", "lagrangian_bracket"}
+    assert readers("_inner_gradient") == {
+        "grid_minmax", "lagrangian_bracket", "infinite_maxmin"
+    }
     capped = {
         f for f, node in functions.items() for c in ast.walk(node)
         if isinstance(c, ast.Constant) and "dimension" in str(c.value)
