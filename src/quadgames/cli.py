@@ -199,7 +199,7 @@ def _solve_quad_min(form, prob):
 
 def _check_quad_min(form, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return oracle.off_range(form.hessian, form.linear)
+        return oracle.off_range(form.hessian, form.linear, np.linalg.norm(form.linear))
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
     norm = np.linalg.norm(x0)
@@ -223,7 +223,7 @@ def _solve_saddle(pq, prob):
 
 def _check_saddle(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return oracle.off_range(pq.assembled(), pq.d)
+        return oracle.off_range(pq.assembled(), pq.d, np.linalg.norm(pq.d))
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = float(doc["value"])
@@ -264,7 +264,7 @@ def _solve_lagrangian(pq, prob):
 
 def _check_lagrangian(pq, prob, doc, code, cfg, scale):
     if doc["status"] == "unbounded_below":
-        return oracle.off_range(pq.m11, pq.d1)
+        return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
         return oracle.infinite_maxmin(pq, doc["lambda"])
@@ -296,7 +296,7 @@ def _solve_sphere_game(pq, prob):
 
 def _check_sphere_game(pq, prob, doc, code, cfg, scale):
     if code == EXIT_NO_SOLUTION:
-        return oracle.off_range(pq.m11, pq.d1)
+        return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction(prob["kind"]))
     value = _scalar(prob, "expected_value", doc["value"])
     passed = abs(value - oracle_value) <= _grid_tol(pq, scale)

@@ -28,7 +28,6 @@ from .linalg import (
     Validated,
     as_vector,
     check_integer,
-    spectral_norm,
     symmetric_split,
 )
 from .minmax import Direction
@@ -190,16 +189,16 @@ def verify_saddle(
     return not _sweep(samples, partial(_gaussian_rows, seed, p + pq.w_dim), broken)[0]
 
 
-def off_range(h, d):
+def off_range(h, d, size: float):
     """Certificate of an unbounded or unsolvable answer of 1/2 z'hz + d'z:
     along -P d, P the projector onto null(h), the objective has no
     curvature and falls at the rate ||P d||, with no step to choose (for
     h >= 0 a recession direction; Rockafellar, Convex Analysis, 1970,
-    section 8).  (nan, ||P d||, passed): it passes when ||P d|| > TOL ||d||,
-    the solvers' range test, and so fails at d = 0 or d in range."""
+    section 8).  (nan, ||P d||, passed): it passes when ||P d|| > TOL size,
+    the solvers' range test (size ||d||; ||(d1, d2)|| for a game's d1)."""
     f = symmetric_split(h)
     norm = float(np.linalg.norm(f.v2.T @ d))
-    return math.nan, norm, norm > TOL * np.linalg.norm(d)
+    return math.nan, norm, norm > TOL * size
 
 
 def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
@@ -223,36 +222,36 @@ def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     return math.nan, rise, rise > sec.range_tol
 
 
-def _ascend(rows_value, gradient, dim: int, bound: float, cfg: OracleConfig):
+def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
     """(value, point) of the best point found on the unit sphere in R^dim
     for an objective rated on stacked rows by ``rows_value``, with gradient
-    ``gradient`` and curvature at most ``bound``: the better of +-1, the
-    whole 0-sphere (dim 1), else the best of ``cfg.samples`` ``unit_samples``
-    of ``cfg.seed`` or its polish by ``POLISH_STEPS`` of projected ascent,
-    whichever is better.  A quadratic has at most one local maximizer on
-    the sphere that is not global (Martinez, SIAM J. Optim. 1994): the
-    polish starts at the best."""
+    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else of
+    the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed`` and its
+    polish by ``POLISH_STEPS`` power steps w <- g / ||g|| (g the gradient
+    at w; they stop at g = 0).  On a convex objective each step rises with
+    no step length, at any scale (Journee, Nesterov, Richtarik & Sepulchre,
+    JMLR 2010, section 3); starting at the best sample avoids a quadratic's
+    one non-global local maximizer (Martinez, SIAM J. Optim. 1994)."""
     if dim == 1:
         best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
         return float(best), w
     best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, dim), rows_value)
     sampled = w
-    # 1/(bound + 1) from a bound of 1 on; below, where a fixed +1 stalls the
-    # polish, 1/(2 bound) or, at bound 0, 1/||gradient||: scale-free.
-    step = 1.0 / (bound + min(bound, 1.0) or np.linalg.norm(gradient(w)) or 1.0)
     for _ in range(POLISH_STEPS):
-        w = w + step * gradient(w)
-        w = w / np.linalg.norm(w)
+        g = gradient(w)
+        norm = np.linalg.norm(g)
+        if not norm:
+            break
+        w = g / norm
     polished = rows_value(w[None, :])[0]
-    if polished >= best:
-        return float(polished), w
-    return float(best), sampled
+    return (float(polished), w) if polished >= best else (float(best), sampled)
 
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
-    """Best value of q on the unit sphere and its point (``_ascend``)."""
+    """Best value of q on the unit sphere and its point (``_ascend``), with
+    no factorization: the power-step polish needs no curvature bound."""
     _check_dims(q.dim)
-    return _ascend(q._evaluate_rows, q.gradient, q.dim, spectral_norm(q.hessian), cfg)
+    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg)
 
 
 def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
@@ -290,7 +289,7 @@ def grid_minmax(
     random starts; the value is f at the best point found.
     MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
     is maximized by the sphere search of ``_ascend``, along g's exact
-    gradient (``_inner_gradient``) with the curvature bound ||M22||.
+    gradient (``_inner_gradient``); its one factorization is M11's eigh.
     """
     _check_dims(pq.w_dim, pq.u_dim, direction)
     n = pq.w_dim
@@ -298,7 +297,7 @@ def grid_minmax(
         f11 = symmetric_split(pq.m11)
         score = partial(_inner_min, pq, f11=f11)
         gradient = partial(_inner_gradient, pq, f11=f11)
-        return _ascend(score, gradient, n, spectral_norm(pq.m22), cfg)[0]
+        return _ascend(score, gradient, n, cfg)[0]
     count = 2 if n == 1 else max(cfg.samples, 4)
     return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
 

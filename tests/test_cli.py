@@ -392,6 +392,12 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
         assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (doc["kind"], out)
 
 
+# d1's part off R(M11), 5e-9, is within TOL ||(d1, d2)|| = 1e-8, the
+# solvers' range test, so the game is bounded; TOL ||d1|| is 1e-9.
+D1_IN_BAND = {"M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.0], [0.0]], "M22": [[1.0]],
+              "d1": [1.0, 5e-9], "d2": [10.0]}
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "quad_min", "D": [[1.0]], "d": [0.0], "c": -1000.0},
     {"kind": "quad_min", "D": [[1.0]], "d": [1.0]},
@@ -399,17 +405,24 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
     {"kind": "minmax", "M11": [[1.0]], "M12": [[0.0]], "M22": [[1.0]],
      "d1": [0.0], "d2": [-1000.0]},
     {"kind": "lagrangian", "lambda": 2.0, **WIDE_W_UNBOUNDED, "d1": [1.0, 0.0]},
+    {"kind": "minmax", **D1_IN_BAND},
+    {"kind": "maxmin", **D1_IN_BAND},
+    {"kind": "lagrangian", "lambda": 2.0, **D1_IN_BAND},
 ], ids=[
     "quad-min-zero-d", "quad-min-d-in-range", "quad-min-rounding-null-part",
-    "minmax-zero-d1", "lagrangian-wide-w-d1-in-range",
+    "minmax-zero-d1", "lagrangian-wide-w-d1-in-range", "minmax-d1-in-band",
+    "maxmin-d1-in-band", "lagrangian-d1-in-band",
 ])
 def test_check_refutes_a_wrong_unbounded_answer(tmp_path, capsys, monkeypatch, doc):
+    # Each file's right answer passes; called unbounded, it fails.
+    path = write_problem(tmp_path, doc)
+    code, out, _ = run(capsys, "check", path)
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
     monkeypatch.setattr(quadratic, "minimize", lambda form: None)
     monkeypatch.setattr(minmax, "solve_linear_term", lambda pq, direction: None)
     monkeypatch.setattr(
         cli.game, "duality_report", lambda pq, lam: DualityReport("unbounded_below")
     )
-    path = write_problem(tmp_path, doc)
     code, out, _ = run(capsys, "check", path)
     assert (code, out.splitlines()[-1]) == (3, "result: FAIL")
 
@@ -798,18 +811,16 @@ def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
     for seed in range(12):
         doc = _trust_region(seed, c)
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
-        if (seed, c) != (7, 1e8):  # the xfail below
-            assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (seed, out)
+        assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (seed, out)
         value = float(out.splitlines()[1].split(": ")[1])
         lowered = {**doc, "expected_value": value - 1e-6 * abs(value)}
         assert run(capsys, "check", write_problem(tmp_path, lowered))[0] == 3, seed
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the trust-region upper bound 5e-3 is absolute; at c = 1e8 "
-    "the polish leaves seed 7 a gap of 1.12 (2.9e-9 relative)"
-))
 def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):
+    # Near the hard case a polish damped by a curvature bound left seed 7
+    # a gap of 1.12 at c = 1e8, beyond the absolute 5e-3; the power step
+    # closes it.
     code, out, _ = run(capsys, "check", write_problem(tmp_path, _trust_region(7, 1e8)))
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 

@@ -16,6 +16,7 @@ from quadgames import (
     minimize,
     oracle,
     solve_linear_term,
+    solve_trust_region,
     sphere_max,
     verify_saddle,
 )
@@ -136,21 +137,38 @@ def test_grid_minmax_examples():
 
 
 def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
-    # The search box is an input of the MINMAX branch alone: MAXMIN
-    # makes one eigh, of the 1 x 1 M11, and for the polish step one
-    # eigvalsh, of M22 (its norm), and no other factorization.
+    # The search box is an input of the MINMAX branch alone, and the
+    # polish takes no step length: MAXMIN makes one eigh, of M11, and no
+    # other factorization, for a 1-d w and for a 3-d one.
     one = np.array([[1.0]])
-    pq = PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0]))
+    wide = random_partitioned(np.random.default_rng(3), 2, 3)
+    games = [
+        PartitionedQuadratic(one, 0.5 * one, one, np.array([1.0]), np.array([2.0])),
+        wide._replace(d1=wide.m11 @ np.array([0.5, -1.0])),
+    ]
+    for pq in games:
+        counts = count_factorizations(monkeypatch)
+        shapes = []
+
+        def shaped(a, *args, _counted=np.linalg.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _counted(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", shaped)
+        grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN)
+        assert shapes == [pq.m11.shape] and counts == {"eigh": 1}
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sphere_max_makes_no_factorization(monkeypatch, dim):
+    # Neither the sampled start nor the power-step polish needs a
+    # spectrum: no curvature bound, no step length.
+    b = np.random.default_rng(dim).standard_normal((dim, dim))
+    form = QuadraticForm(b @ b.T, np.ones(dim))
     counts = count_factorizations(monkeypatch)
-    shapes = []
-
-    def shaped(a, *args, _counted=np.linalg.eigh, **kwargs):
-        shapes.append(np.shape(a))
-        return _counted(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", shaped)
-    grid_minmax(pq, OracleConfig(samples=100), Direction.MAXMIN)
-    assert shapes == [(1, 1)] and counts == {"eigh": 1, "eigvalsh": 1}
+    sphere_max(form, OracleConfig(samples=100))
+    assert counts == {}
 
 
 def test_grid_minmax_deterministic():
@@ -473,8 +491,8 @@ def test_off_range_certifies_skewed_unbounded_answers():
     for seed in range(200):
         h, d = _skewed_unbounded(seed)
         assert minimize(QuadraticForm(h, d)) is None, seed
-        assert off_range(h, d)[2], seed
-        assert not off_range(h, h @ d)[2], seed  # d in range
+        assert off_range(h, d, np.linalg.norm(d))[2], seed
+        assert not off_range(h, h @ d, np.linalg.norm(h @ d))[2], seed  # d in range
 
 
 def test_infinite_maxmin_agrees_with_the_solver():
@@ -506,3 +524,53 @@ def test_infinite_maxmin_agrees_with_the_solver():
             statuses.add(report.status)
             assert infinite_maxmin(pq, lam)[2] == (not report.maxmin.finite), (k, lam)
     assert statuses == {"both_infinite", "infinite_gap", "strong_duality"}
+
+
+def _maxmin_games(seed):
+    """A MAXMIN game from ``default_rng(seed)`` with a u of 1..3 and a w of
+    2..4, M = aa' >= 0 with M11 of rank p - 1 and d1 in R(M11), and its
+    hard-case copy: r = d2 - M12' pinv(M11) d1 zeroed on the top
+    eigenvector of S, with the response pinv(||S|| I - S) r of norm 0.5."""
+    rng = np.random.default_rng(seed)
+    p, n = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    a = rng.standard_normal((p + n, p + n))
+    a[:p] = rng.standard_normal((p, p - 1)) @ rng.standard_normal((p - 1, p + n))
+    m = a @ a.T
+    d = np.concatenate((m[:p, :p] @ rng.standard_normal(p), rng.standard_normal(n)))
+    pq = PartitionedQuadratic(m[:p, :p], m[:p, p:], m[p:, p:], d[:p], d[p:])
+    red = schur_reduction(pq)
+    s, q = red.secular.s, red.secular.q
+    c = rng.standard_normal(n)
+    c[-1] = 0.0
+    c *= 0.5 / np.linalg.norm(c)
+    return pq, pq._replace(d2=q @ ((s[-1] - s) * c) + pq.m12.T @ red.x1)
+
+
+def test_the_polish_converges_at_any_scale():
+    # The power step reaches the solvers' values to rounding, near the
+    # hard case too, and scaling the data by c scales the oracle value by
+    # c.  A step damped by a curvature bound left trust-region gaps of up
+    # to 1.5e-7 of ||D||_F + ||d|| (MAXMIN 1.5e-11), and scaling moved
+    # its value by up to 1.2e-7 of the data (MAXMIN 1.9e-9).
+    cfg = OracleConfig(samples=20000)
+    for seed in range(40):  # the trust regions of the CLI tests
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((2 + seed % 3, 2 + seed % 3))
+        d_mat, d_vec = a @ a.T, rng.standard_normal(a.shape[0])
+        size = np.linalg.norm(d_mat) + np.linalg.norm(d_vec)
+        value = sphere_max(QuadraticForm(d_mat, d_vec), cfg)[0]
+        solver = solve_trust_region(d_mat, d_vec).value
+        assert abs(value - solver) <= 1e-10 * size, seed
+        for c in (1e-8, 1e8):
+            scaled = sphere_max(QuadraticForm(c * d_mat, c * d_vec), cfg)[0] / c
+            assert abs(scaled - value) <= 1e-14 * size, (seed, c)
+    for seed in range(48):
+        for pq in _maxmin_games(seed):
+            size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+            value = grid_minmax(pq, cfg, Direction.MAXMIN)
+            solver = solve_linear_term(pq, Direction.MAXMIN).value
+            assert abs(value - solver) <= 1e-12 * size, seed
+            for c in (1e-8, 1e8):
+                scaled = PartitionedQuadratic(*(c * x for x in pq))
+                scaled = grid_minmax(scaled, cfg, Direction.MAXMIN) / c
+                assert abs(scaled - value) <= 1e-14 * size, (seed, c)

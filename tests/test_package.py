@@ -233,9 +233,10 @@ def test_oracle_has_one_cut_engine_and_no_w_grid():
 
 def test_oracle_has_one_sphere_search_and_one_cap_table():
     # The trust region and MAXMIN share one sample-and-polish routine,
-    # MAXMIN's polish, the lambda family's cuts and the infinite-maxmin
-    # certificate one gradient of g(w) = min over u of V, and every
-    # dimension cap is in _check_dims.
+    # whose power step needs no curvature bound, so no function reads a
+    # spectral norm; MAXMIN's polish, the lambda family's cuts and the
+    # infinite-maxmin certificate share one gradient of g(w) = min over u
+    # of V, and every dimension cap is in _check_dims.
     functions = {
         node.name: node for node in SOURCES["oracle"].body
         if isinstance(node, ast.FunctionDef)
@@ -247,6 +248,8 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("POLISH_STEPS") == {"_ascend"}
     assert readers("unit_samples") == {"_ascend"}
     assert readers("_ascend") == {"sphere_max", "grid_minmax"}
+    assert readers("spectral_norm") == set()
+    assert "spectral_norm" not in _names(SOURCES["oracle"])
     assert readers("_inner_gradient") == {
         "grid_minmax", "lagrangian_bracket", "infinite_maxmin"
     }
