@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections.abc import Callable
 from typing import NamedTuple
@@ -43,27 +42,16 @@ class ProblemError(Exception):
 class _Kind(NamedTuple):
     """One kind: ``read(prob) -> data`` parses the file into the solver's
     input, ``solve(data, prob) -> (doc without kind, exit code)``,
-    ``check(data, prob, doc, code, cfg, scale) -> (value, oracle_value,
-    passed)``, and ``curve(data, lo, hi, steps)`` gives the CSV rows
-    under ``header``.  ``prob`` is passed on for the fields that only
-    one command reads (``lambda``, ``expected_value``)."""
+    ``check(data, prob, doc, code, cfg) -> (value, oracle_value, passed)``
+    and ``curve(data, lo, hi, steps)`` gives the CSV rows under ``header``.
+    ``prob`` is passed on for the fields that only one command reads
+    (``lambda``, ``expected_value``)."""
 
     read: Callable
     solve: Callable
     check: Callable
     curve: Callable | None = None
     header: str = ""
-
-
-def _tol_scale() -> float:
-    raw = os.environ.get("QG_TOL_OVERRIDE", "1")
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ProblemError(f"QG_TOL_OVERRIDE is not a number: {raw!r}") from exc
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ProblemError(f"QG_TOL_OVERRIDE must be a positive finite number: {raw!r}")
-    return scale
 
 
 def load_problem(path: str) -> dict:
@@ -154,9 +142,9 @@ def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:
     }
 
 
-def _grid_tol(pq, scale):
-    """Tolerance of the sphere-game grid oracles."""
-    return (1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3) * scale
+def _size(m, d, r):
+    """Size ||m||_F r^2 + ||d|| r of the terms of 1/2 z'mz + d'z at ||z|| = r."""
+    return np.linalg.norm(m) * r**2 + np.linalg.norm(d) * r
 
 
 def _linear_system(prob):
@@ -172,13 +160,13 @@ def _solve_linear_system(data, prob):
     }, EXIT_OK
 
 
-def _check_linear_system(data, prob, doc, code, cfg, scale):
+def _check_linear_system(data, prob, doc, code, cfg):
     a, b = data
     residual = _scalar(prob, "expected_value", doc["residual"])
     x0 = np.asarray(doc["solutions"]["particular"])
     size = np.linalg.norm(a) * np.linalg.norm(x0) + np.linalg.norm(b)
     return oracle.sampled_min(
-        lambda x: np.linalg.norm(x @ a.T - b, axis=1), x0, cfg, residual, size * scale
+        lambda x: np.linalg.norm(x @ a.T - b, axis=1), x0, cfg, residual, size
     )
 
 
@@ -197,15 +185,13 @@ def _solve_quad_min(form, prob):
     }, EXIT_OK
 
 
-def _check_quad_min(form, prob, doc, code, cfg, scale):
+def _check_quad_min(form, prob, doc, code, cfg):
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(form.hessian, form.linear, np.linalg.norm(form.linear))
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    norm = np.linalg.norm(x0)
-    size = np.linalg.norm(form.hessian) * norm**2 + np.linalg.norm(form.linear) * norm
-    size += abs(form.constant)
-    return oracle.sampled_min(form._evaluate_rows, x0, cfg, value, size * scale)
+    size = _size(form.hessian, form.linear, np.linalg.norm(x0)) + abs(form.constant)
+    return oracle.sampled_min(form._evaluate_rows, x0, cfg, value, size)
 
 
 def _solve_saddle(pq, prob):
@@ -221,24 +207,22 @@ def _solve_saddle(pq, prob):
     }, EXIT_OK
 
 
-def _check_saddle(pq, prob, doc, code, cfg, scale):
+def _check_saddle(pq, prob, doc, code, cfg):
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.assembled(), pq.d, np.linalg.norm(pq.d))
     u_star = np.asarray(doc["u_star"], dtype=float)
     w_star = np.asarray(doc["w_star"], dtype=float)
-    value = float(doc["value"])
+    value = _scalar(prob, "expected_value", doc["value"])
+    at = pq.evaluate(u_star, w_star)
     # 1e-12 of the size of V's terms, as for sampled_min: at z = (u*, w*)
     # for the value, and for the draws at their spread 1 + ||u*|| + ||w*||,
     # which on a bilinear V with ||z|| < 1e-4 outgrows ||z||.
-    m, d = np.linalg.norm(pq.assembled()), np.linalg.norm(pq.d)
     norm = math.hypot(np.linalg.norm(u_star), np.linalg.norm(w_star))
     spread = 1.0 + np.linalg.norm(u_star) + np.linalg.norm(w_star)
-    delta, tol = (1e-12 * (m * r**2 + d * r) * scale for r in (norm, spread))
+    delta, tol = (1e-12 * _size(pq.assembled(), pq.d, r) for r in (norm, spread))
     samples = min(cfg.samples, 2000)
     passed = oracle.verify_saddle(pq, u_star, w_star, samples, cfg.seed, tol)
-    expected = _scalar(prob, "expected_value", value)
-    passed = passed and abs(expected - value) <= delta
-    return value, pq.evaluate(u_star, w_star), passed
+    return value, at, passed and abs(at - value) <= delta
 
 
 def _solve_lagrangian(pq, prob):
@@ -262,21 +246,25 @@ def _solve_lagrangian(pq, prob):
     return doc, code
 
 
-def _check_lagrangian(pq, prob, doc, code, cfg, scale):
+def _check_lagrangian(pq, prob, doc, code, cfg):
     if doc["status"] == "unbounded_below":
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     mm, xm = doc["minmax"], doc["maxmin"]
     if not xm["finite"]:
-        return oracle.infinite_maxmin(pq, doc["lambda"])
+        # minmax >= maxmin, so an infinite maxmin makes minmax infinite.
+        value, rise, passed = oracle.infinite_maxmin(pq, doc["lambda"])
+        return value, rise, passed and not mm["finite"]
     # The oracle refuses the blocks it cannot take before the file's
     # claimed value is read, so only its path has the dimension caps.
     lower, upper = oracle.lagrangian_bracket(pq, doc["lambda"])
     value = _scalar(prob, "expected_value", xm["value"])
     size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(doc["lambda"])
-    delta = 1e-8 * (size + abs(value)) * scale
+    delta = 1e-8 * (size + abs(value))
     passed = upper - lower <= delta and lower - delta <= value <= upper + delta
     if mm["finite"]:
         passed = passed and xm["value"] <= mm["value"] + delta
+    else:
+        passed = passed and oracle.infinite_minmax(pq, doc["lambda"])[2]
     return value, lower, passed
 
 
@@ -294,13 +282,24 @@ def _solve_sphere_game(pq, prob):
     }, EXIT_OK
 
 
-def _check_sphere_game(pq, prob, doc, code, cfg, scale):
+def _check_sphere_game(pq, prob, doc, code, cfg):
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
-    oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction(prob["kind"]))
+    direction = minmax.Direction(prob["kind"])
     value = _scalar(prob, "expected_value", doc["value"])
-    passed = abs(value - oracle_value) <= _grid_tol(pq, scale)
-    return value, oracle_value, passed
+    u = np.asarray(doc["u_set"]["particular"], dtype=float)
+    w = np.asarray(doc["w_set"]["representative"], dtype=float)
+    norm = math.hypot(np.linalg.norm(u), np.linalg.norm(w))
+    delta = 1e-12 * _size(pq.assembled(), pq.d, norm)
+    if direction is minmax.Direction.MAXMIN:  # the search reads the claimed w too
+        oracle_value = oracle.grid_minmax(pq, cfg, direction, w)
+        return value, oracle_value, abs(oracle_value - value) <= delta
+    # MINMAX: V at the claimed point gives the value exactly; the circle
+    # grid bounds it, by an absolute tolerance (ROADMAP item 6).
+    oracle_value = oracle.grid_minmax(pq, cfg, direction)
+    grid_tol = 1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3
+    passed = abs(value - oracle_value) <= grid_tol
+    return value, oracle_value, passed and abs(pq.evaluate(u, w) - value) <= delta
 
 
 def _solve_trust_region(data, prob):
@@ -315,14 +314,13 @@ def _solve_trust_region(data, prob):
     }, EXIT_OK
 
 
-def _check_trust_region(data, prob, doc, code, cfg, scale):
-    # The oracle may beat a right value by rounding: 1e-12 of its terms' size.
+def _check_trust_region(data, prob, doc, code, cfg):
+    # The sphere search reads the claimed point too, so it beats or misses
+    # a right value by rounding only: 1e-12 of its terms' size at ||w|| = 1.
     value = _scalar(prob, "expected_value", doc["value"])
-    oracle_value, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg)
-    gap = value - oracle_value
-    size = np.linalg.norm(data[0]) + np.linalg.norm(data[1])
-    passed = -1e-12 * size * scale <= gap <= 5e-3 * scale
-    return value, oracle_value, passed
+    w = np.asarray(doc["w_star"]["representative"], dtype=float)
+    oracle_value, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg, w)
+    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * _size(*data, 1.0)
 
 
 # The curves look the library functions up at call time, so that a
@@ -399,11 +397,10 @@ def run_curve(args) -> int:
 
 def run_check(args) -> int:
     prob = load_problem(args.input)
-    scale = _tol_scale()
     cfg = _oracle_config(prob, samples=args.samples, seed=args.seed)
     data, doc, code = solve_document(prob)
     check = KINDS[prob["kind"]].check
-    value, oracle_value, passed = check(data, prob, doc, code, cfg, scale)
+    value, oracle_value, passed = check(data, prob, doc, code, cfg)
     print(f"kind: {prob['kind']}")
     print(f"solver value: {_fmt(value)}")
     print(f"oracle value: {_fmt(oracle_value)}")

@@ -294,7 +294,7 @@ def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
             f"M12 shape {m12.shape} inconsistent with blocks "
             f"{m11.shape} and {m22.shape}"
         )
-    m22l = m22 - lam * np.eye(m22.shape[0])
+    m22l = m22 - as_scalar(lam, "lambda") * np.eye(m22.shape[0])
     return SchurPair(_schur(m11, m12, m22l), _schur(m22l, m12.T, m11))
 
 

@@ -1,12 +1,13 @@
 """Brute-force verifiers, independent of the solvers: no solver imports them.
 
 A "no answer" gets a step-free certificate at any dimension (``off_range``,
-``infinite_maxmin``); an answer gets Gaussian draws around a candidate,
-finite differences, one sampled and polished search of the sphere
-(``_ascend``) for the trust region and the MAXMIN w, and a grid of
-MINMAX's w (2 points or a circle).  MAXMIN and the lambda family solve
-the inner minimum over u exactly; one engine of central cuts brackets
-the MINMAX outer minimum over u and the lambda family's maximum over w.
+``infinite_maxmin``, ``infinite_minmax``); an answer gets Gaussian draws
+around a candidate, finite differences, one sampled and polished search
+of the sphere (``_ascend``, from the claimed point too) for the trust
+region and the MAXMIN w, and a grid of MINMAX's w (2 points or a circle).
+MAXMIN and the lambda family solve the inner minimum over u exactly; one
+engine of central cuts brackets the MINMAX outer minimum over u and the
+lambda family's maximum over w.
 These searches are desk-scale bounds, not certificates: spheres and w
 blocks of up to 4 dimensions, but a MINMAX w of up to 2 and u of up to 4.
 All draws come from one seed through the counter-based
@@ -222,20 +223,37 @@ def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     return math.nan, rise, rise > sec.range_tol
 
 
-def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
+def infinite_minmax(pq: PartitionedQuadratic, lam: float):
+    """Certificate of an infinite minmax answer at lam: along the top
+    eigenvector of M22, L(u, ., lam) has the curvature s_max - lam for
+    every u.  (nan, s_max - lam, passed), from one ``eigvalsh``: it passes
+    when that exceeds TOL ||M22||, the solvers' threshold test."""
+    s = np.linalg.eigvalsh(pq.m22)
+    rise = float(s[-1]) - lam if s.size else -math.inf
+    return math.nan, rise, rise > TOL * np.max(np.abs(s), initial=0.0)
+
+
+def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig, x0=None):
     """(value, point) of the best point found on the unit sphere in R^dim
     for an objective rated on stacked rows by ``rows_value``, with gradient
-    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else of
-    the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed`` and its
-    polish by ``POLISH_STEPS`` power steps w <- g / ||g|| (g the gradient
-    at w; they stop at g = 0).  On a convex objective each step rises with
-    no step length, at any scale (Journee, Nesterov, Richtarik & Sepulchre,
-    JMLR 2010, section 3); starting at the best sample avoids a quadratic's
-    one non-global local maximizer (Martinez, SIAM J. Optim. 1994)."""
+    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else of a
+    start, the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed`` or a
+    claimed point x0, and its polish by ``POLISH_STEPS`` power steps
+    w <- g / ||g|| (g the gradient at w; they stop at g = 0).  On a convex
+    objective each step rises with no step length, at any scale (Journee,
+    Nesterov, Richtarik & Sepulchre, JMLR 2010, section 3), but contracts by
+    about ||D|| / lambda, so near ||D|| the polish can stop short of x0; the
+    best sample avoids a quadratic's one non-global local maximizer
+    (Martinez, SIAM J. Optim. 1994)."""
     if dim == 1:
         best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
         return float(best), w
     best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, dim), rows_value)
+    if x0 is not None:
+        x0 = as_vector(x0, "x0") / np.linalg.norm(x0)
+        claimed = rows_value(x0[None, :])[0]
+        if claimed > best:
+            best, w = claimed, x0
     sampled = w
     for _ in range(POLISH_STEPS):
         g = gradient(w)
@@ -247,11 +265,11 @@ def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
     return (float(polished), w) if polished >= best else (float(best), sampled)
 
 
-def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
-    """Best value of q on the unit sphere and its point (``_ascend``), with
-    no factorization: the power-step polish needs no curvature bound."""
+def sphere_max(q: QuadraticForm, cfg: OracleConfig, x0=None) -> tuple[float, np.ndarray]:
+    """Best value of q on the unit sphere and its point (``_ascend``, from
+    x0 too), with no factorization: the power step needs no curvature bound."""
     _check_dims(q.dim)
-    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg)
+    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg, x0)
 
 
 def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
@@ -279,7 +297,7 @@ def _check_dims(w_dim: int, u_dim: int = 0, direction: Direction | None = None):
 
 
 def grid_minmax(
-    pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction
+    pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction, x0=None
 ) -> float:
     """Nested brute-force value of the sphere-constrained game.
 
@@ -288,8 +306,9 @@ def grid_minmax(
     minimized by central cuts (``_convex_min``), deterministic and with no
     random starts; the value is f at the best point found.
     MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
-    is maximized by the sphere search of ``_ascend``, along g's exact
-    gradient (``_inner_gradient``); its one factorization is M11's eigh.
+    is maximized by the sphere search of ``_ascend`` from a claimed w x0
+    too (MINMAX reads none), along g's exact gradient (``_inner_gradient``);
+    its one factorization is M11's eigh.
     """
     _check_dims(pq.w_dim, pq.u_dim, direction)
     n = pq.w_dim
@@ -297,7 +316,7 @@ def grid_minmax(
         f11 = symmetric_split(pq.m11)
         score = partial(_inner_min, pq, f11=f11)
         gradient = partial(_inner_gradient, pq, f11=f11)
-        return _ascend(score, gradient, n, cfg)[0]
+        return _ascend(score, gradient, n, cfg, x0)[0]
     count = 2 if n == 1 else max(cfg.samples, 4)
     return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
 

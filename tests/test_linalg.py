@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,10 @@ from quadgames import (
     solve_saddle,
 )
 from quadgames.game import PSD_MESSAGE, schur_reduction
-from quadgames.linalg import RANK_EPS, TOL, is_psd, spectral_norm, svd, symmetrize
+from quadgames.linalg import (
+    RANK_EPS, TOL, as_matrix, as_vector, is_psd, spectral_norm, svd, symmetrize
+)
+from quadgames.oracle import OracleConfig, sphere_max
 
 from util import random_psd
 
@@ -206,6 +212,50 @@ def test_schur_complements_norms_equal_instance():
     np.testing.assert_allclose(s.schur11, np.diag([0.0, 1.0]), atol=1e-12)
     assert spectral_norm(m22) == pytest.approx(1.0, abs=1e-12)
     assert spectral_norm(s.schur11) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_schur_complements_refuses_a_non_finite_lambda(lam):
+    # NaN gave NaN matrices and inf a schur11 of -inf and NaN, silently,
+    # as duality_report and the curves refuse such a lambda.
+    one = np.eye(1)
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        schur_complements(one, one, one, lam=lam)
+
+
+ONE, ROW = np.eye(1), np.ones((1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PartitionedQuadratic(ONE, ROW, ONE, [0.0], [0.0]),
+     "M12 shape (1, 2) inconsistent with blocks (1, 1) and (1, 1)"),
+    (lambda: PartitionedQuadratic(ONE, ONE, ONE, [0.0, 0.0], [0.0]),
+     "linear terms inconsistent with block dimensions"),
+    (lambda: PartitionedQuadratic(ONE, ONE, ONE, [0.0], [0.0, 0.0]),
+     "linear terms inconsistent with block dimensions"),
+    (lambda: PartitionedQuadratic(ONE, ONE, ONE, [0.0], [0.0]).evaluate([0.0, 0.0], [0.0]),
+     "argument dimensions do not match the blocks"),
+    (lambda: PartitionedQuadratic(ONE, ONE, ONE, [0.0], [0.0]).evaluate([0.0], [0.0, 0.0]),
+     "argument dimensions do not match the blocks"),
+    (lambda: as_matrix([1.0, 2.0]), "matrix must be 2-dimensional, got shape (2,)"),
+    (lambda: as_vector(ONE), "vector must be 1-dimensional, got shape (1, 1)"),
+    (lambda: as_vector([1.0, math.inf]), "vector contains non-finite entries"),
+    (lambda: symmetrize(ROW), "matrix must be square, got shape (1, 2)"),
+    (lambda: is_psd(ROW), "square matrix required, got shape (1, 2)"),
+    (lambda: schur_complements(ONE, ROW, ONE),
+     "M12 shape (1, 2) inconsistent with blocks (1, 1) and (1, 1)"),
+    (lambda: QuadraticForm(np.eye(2), [0.0, 0.0]).evaluate([0.0]),
+     "expected a vector of length 2"),
+    (lambda: sphere_max(QuadraticForm(np.zeros((0, 0)), []), OracleConfig()),
+     "dimension must be at least 1"),
+], ids=[
+    "M12-shape", "d1-length", "d2-length", "evaluate-u", "evaluate-w",
+    "as-matrix-1d", "as-vector-2d", "as-vector-inf", "symmetrize-non-square",
+    "is-psd-non-square", "schur-M12-shape", "form-evaluate", "sphere-max-0x0",
+])
+def test_malformed_input_raises_its_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_assemble_blocks():

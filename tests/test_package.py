@@ -200,6 +200,8 @@ def test_oracle_owns_every_draw_sweep_and_refutation():
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert private == []
+    # `check` reads no environment variable: no knob scales its bounds.
+    assert not {"os", "environ", "getenv"} & _names(SOURCES["cli"])
     # A "no answer" is certified with no step: no escape probe, no 1e6
     # step, and every checker of one reads ``off_range``.
     for module in ("oracle", "cli"):
