@@ -262,10 +262,8 @@ def _check_lagrangian(pq, prob, doc, code, cfg):
     delta = 1e-8 * (size + abs(value))
     passed = upper - lower <= delta and lower - delta <= value <= upper + delta
     if mm["finite"]:
-        passed = passed and xm["value"] <= mm["value"] + delta
-    else:
-        passed = passed and oracle.infinite_minmax(pq, doc["lambda"])[2]
-    return value, lower, passed
+        return value, lower, passed and xm["value"] <= mm["value"] + delta
+    return value, lower, passed and oracle.infinite_minmax(pq, doc["lambda"])
 
 
 def _solve_sphere_game(pq, prob):

@@ -3,8 +3,8 @@
 A "no answer" gets a step-free certificate at any dimension (``off_range``,
 ``infinite_maxmin``, ``infinite_minmax``); an answer gets Gaussian draws
 around a candidate, finite differences, one sampled and polished search
-of the sphere (``_ascend``, from the claimed point too) for the trust
-region and the MAXMIN w, and a grid of MINMAX's w (2 points or a circle).
+of the sphere (``_ascend``, which weighs the claimed point too) for the
+trust region and the MAXMIN w, and a grid of MINMAX's w (2 points or a circle).
 MAXMIN and the lambda family solve the inner minimum over u exactly; one
 engine of central cuts brackets the MINMAX outer minimum over u and the
 lambda family's maximum over w.
@@ -223,37 +223,31 @@ def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     return math.nan, rise, rise > sec.range_tol
 
 
-def infinite_minmax(pq: PartitionedQuadratic, lam: float):
+def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
     """Certificate of an infinite minmax answer at lam: along the top
-    eigenvector of M22, L(u, ., lam) has the curvature s_max - lam for
-    every u.  (nan, s_max - lam, passed), from one ``eigvalsh``: it passes
-    when that exceeds TOL ||M22||, the solvers' threshold test."""
+    eigenvector of M22 (one ``eigvalsh``), L(u, ., lam) has the curvature
+    s_max - lam for every u.  It passes when that exceeds the ``tol`` of
+    ``game.schur_reduction``, the solvers' threshold test."""
     s = np.linalg.eigvalsh(pq.m22)
-    rise = float(s[-1]) - lam if s.size else -math.inf
-    return math.nan, rise, rise > TOL * np.max(np.abs(s), initial=0.0)
+    return bool(s.size) and float(s[-1]) - lam > schur_reduction(pq).secular.tol
 
 
 def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig, x0=None):
     """(value, point) of the best point found on the unit sphere in R^dim
     for an objective rated on stacked rows by ``rows_value``, with gradient
-    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else of a
-    start, the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed`` or a
-    claimed point x0, and its polish by ``POLISH_STEPS`` power steps
-    w <- g / ||g|| (g the gradient at w; they stop at g = 0).  On a convex
-    objective each step rises with no step length, at any scale (Journee,
-    Nesterov, Richtarik & Sepulchre, JMLR 2010, section 3), but contracts by
-    about ||D|| / lambda, so near ||D|| the polish can stop short of x0; the
-    best sample avoids a quadratic's one non-global local maximizer
-    (Martinez, SIAM J. Optim. 1994)."""
+    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else the
+    best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``, its polish by
+    ``POLISH_STEPS`` power steps w <- g / ||g|| (g the gradient at w; they
+    stop at g = 0) and a claimed point x0, normalized.  On a convex
+    objective each step rises with no step length (Journee, Nesterov,
+    Richtarik & Sepulchre, JMLR 2010, section 3) but contracts by about
+    ||D|| / lambda, so near ||D|| it stops short of x0.  Only the best
+    sample starts it: a wrong x0 may sit at a quadratic's one non-global
+    local maximizer (Martinez, SIAM J. Optim. 1994), a fixed point of it."""
     if dim == 1:
         best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
         return float(best), w
     best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, dim), rows_value)
-    if x0 is not None:
-        x0 = as_vector(x0, "x0") / np.linalg.norm(x0)
-        claimed = rows_value(x0[None, :])[0]
-        if claimed > best:
-            best, w = claimed, x0
     sampled = w
     for _ in range(POLISH_STEPS):
         g = gradient(w)
@@ -262,7 +256,12 @@ def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig, x0=None):
             break
         w = g / norm
     polished = rows_value(w[None, :])[0]
-    return (float(polished), w) if polished >= best else (float(best), sampled)
+    value, w = (polished, w) if polished >= best else (best, sampled)
+    if x0 is not None:
+        x0 = as_vector(x0, "x0") / np.linalg.norm(x0)
+        claimed = rows_value(x0[None, :])[0]
+        value, w = (claimed, x0) if claimed > value else (value, w)
+    return float(value), w
 
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig, x0=None) -> tuple[float, np.ndarray]:
@@ -306,11 +305,13 @@ def grid_minmax(
     minimized by central cuts (``_convex_min``), deterministic and with no
     random starts; the value is f at the best point found.
     MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
-    is maximized by the sphere search of ``_ascend`` from a claimed w x0
-    too (MINMAX reads none), along g's exact gradient (``_inner_gradient``);
-    its one factorization is M11's eigh.
+    is maximized by the sphere search of ``_ascend``, which reads a
+    claimed w x0 too (MINMAX refuses one), along g's exact gradient
+    (``_inner_gradient``); its one factorization is M11's eigh.
     """
     _check_dims(pq.w_dim, pq.u_dim, direction)
+    if x0 is not None and direction is Direction.MINMAX:
+        raise ValueError("the MINMAX oracle reads no claimed w")
     n = pq.w_dim
     if direction is Direction.MAXMIN:
         f11 = symmetric_split(pq.m11)

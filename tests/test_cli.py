@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadgames import cli, minmax, quadratic
+from quadgames import cli, minmax, oracle, quadratic
 from quadgames.cli import main
 from quadgames.game import (
     DualityReport,
@@ -813,8 +813,8 @@ NEAR_NORM_d = [1e6, 1e5, 6e5, -1e5]
      "d1": [0.0], "d2": NEAR_NORM_d},
 ], ids=["trust_region", "maxmin"])
 def test_check_a_polish_that_stops_short_refutes_no_right_answer(tmp_path, capsys, doc):
-    # The sphere search starts from the claimed point when it is better
-    # than the best sample, so a right value passes, and a moved one fails.
+    # The sphere search weighs the claimed point beside its polished best
+    # sample, so a right value passes, and a moved one fails.
     for seed in ("0", "1", "7"):
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc), "--seed", seed)
         assert (code, out.splitlines()[1]) == (0, "solver value: 51006817.19099077"), out
@@ -859,6 +859,50 @@ def test_check_refutes_a_saddle_value_off_its_point(monkeypatch, capsys):
     assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
 
 
+# D = diag(2, 1, 1, 1), d = 1e-5 e1: -e1 is the one non-global local
+# maximizer on the sphere, value 1 - 1e-5, against 1 + 1e-5 at e1, and
+# above the best of 20000 samples.  It is a fixed point of the power
+# step, so a polish started there would keep the wrong value; a solver
+# that picks the wrong secular root near the hard case reports it.
+LOCAL_MAX_D = np.diag([2.0, 1.0, 1.0, 1.0])
+LOCAL_MAX_d = np.array([1e-5, 0.0, 0.0, 0.0])
+
+
+def test_check_refutes_a_non_global_local_maximizer(tmp_path, monkeypatch, capsys):
+    # The claimed point is a candidate, never the polish's start: the
+    # answer fails at every seed whose polished best sample finds the
+    # global maximum (the search alone, without the claimed point).  At
+    # the others the best sample lies in -e1's basin and the search
+    # cannot tell the two apart.
+    at_local_max = cli.sphere.SphereSolutionSet(-np.eye(4)[0], np.zeros((4, 0)), 0.0)
+    solve_trust_region = cli.sphere.solve_trust_region
+    solve_linear_term = cli.minmax.solve_linear_term
+    monkeypatch.setattr(
+        cli.sphere, "solve_trust_region",
+        lambda *data: solve_trust_region(*data)._replace(
+            value=1.0 - 1e-5, w_star=at_local_max),
+    )
+    monkeypatch.setattr(
+        cli.minmax, "solve_linear_term",
+        lambda pq, direction: solve_linear_term(pq, direction)._replace(
+            value=1.0 - 1e-5, w_set=at_local_max),
+    )
+    form = quadratic.QuadraticForm(LOCAL_MAX_D, LOCAL_MAX_d)
+    tr = {"kind": "trust_region", "D": LOCAL_MAX_D.tolist(), "d": LOCAL_MAX_d.tolist()}
+    game = {"kind": "maxmin", "M11": [[1.0]], "M12": [[0.0] * 4], "d1": [0.0],
+            "M22": tr["D"], "d2": tr["d"]}
+    refuted = 0
+    for seed in range(12):
+        cfg = oracle.OracleConfig(seed=seed, samples=20000)
+        found = oracle.sphere_max(form, cfg)[0] > 1.0
+        refuted += found
+        for doc in (tr, game):  # min over u of the game is the form itself
+            argv = ["check", write_problem(tmp_path, doc), "--samples", "20000"]
+            code, out, _ = run(capsys, *argv, "--seed", str(seed))
+            assert code == (3 if found else 0), (seed, doc["kind"], out)
+    assert refuted >= 3
+
+
 def test_check_certifies_an_infinite_minmax(tmp_path, monkeypatch, capsys):
     # Beside a finite maxmin, an infinite minmax value needs the top
     # eigenvalue of M22 above lambda: at lambda = 0.5 < ||M22|| = 1 it is,
@@ -879,8 +923,14 @@ def test_check_certifies_an_infinite_minmax(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli.game, "duality_report", infinite_gap)
     lie = {**honest, "M11": [[2.0]], "d1": [1.0], "d2": [0.5], "lambda": 3.0}
-    code, out, _ = run(capsys, "check", write_problem(tmp_path, lie))
-    assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
+    # The certificate reads the solvers' threshold test: lambda = 2 - 5e-8
+    # is below ||M22|| = 2 by more than TOL ||M22||, but not by more than
+    # the solvers' tol, TOL (||M22|| + ||M12' pinv(M11) M12|| + ||r||),
+    # here 1.03e-7, so they call minmax finite there.
+    band = {**honest, "M22": [[2.0]], "d2": [100.0], "lambda": 2.0 - 5e-8}
+    for doc in (lie, band):
+        code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+        assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
 
 
 def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):

@@ -216,6 +216,9 @@ def test_minmax_grid_with_a_zero_u_block():
     # The cuts need the coupling inside R(M11); M12 = 1 is not.
     with pytest.raises(ValueError, match=r"R\(M12\) in R\(M11\)"):
         grid_minmax(pq._replace(m12=np.ones((1, 1))), OracleConfig(), Direction.MINMAX)
+    # Only MAXMIN's sphere search reads a claimed w; MINMAX refuses one.
+    with pytest.raises(ValueError, match="MINMAX oracle reads no claimed w"):
+        grid_minmax(pq, OracleConfig(), Direction.MINMAX, np.ones(1))
 
 
 def test_fd_gradient_examples():
