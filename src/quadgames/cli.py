@@ -142,9 +142,20 @@ def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:
     }
 
 
-def _size(m, d, r):
-    """Size ||m||_F r^2 + ||d|| r of the terms of 1/2 z'mz + d'z at ||z|| = r."""
-    return np.linalg.norm(m) * r**2 + np.linalg.norm(d) * r
+def _size(m, d, z):
+    """Size 1/2 |z|'|m||z| + |d|'|z| of the terms of 1/2 z'mz + d'z at z:
+    over n eps, the a-priori bound on its rounding (Higham 2002, ch. 3)."""
+    z = np.abs(z)
+    return 0.5 * z @ np.abs(m) @ z + np.abs(d) @ z
+
+
+def _bracketed(pq, lower, upper, value, lam=0.0):
+    """(passed, delta) of the cut-engine checks, ``lagrangian`` and MINMAX:
+    with delta = 1e-8 (||M||_F + ||d|| + |lam| + |value|), the oracle's
+    bracket is at most delta wide and holds the value to within delta."""
+    size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam)
+    delta = 1e-8 * (size + abs(value))
+    return upper - lower <= delta and lower - delta <= value <= upper + delta, delta
 
 
 def _linear_system(prob):
@@ -190,7 +201,7 @@ def _check_quad_min(form, prob, doc, code, cfg):
         return oracle.off_range(form.hessian, form.linear, np.linalg.norm(form.linear))
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    size = _size(form.hessian, form.linear, np.linalg.norm(x0)) + abs(form.constant)
+    size = _size(form.hessian, form.linear, x0) + abs(form.constant)
     return oracle.sampled_min(form._evaluate_rows, x0, cfg, value, size)
 
 
@@ -215,11 +226,12 @@ def _check_saddle(pq, prob, doc, code, cfg):
     value = _scalar(prob, "expected_value", doc["value"])
     at = pq.evaluate(u_star, w_star)
     # 1e-12 of the size of V's terms, as for sampled_min: at z = (u*, w*)
-    # for the value, and for the draws at their spread 1 + ||u*|| + ||w*||,
-    # which on a bilinear V with ||z|| < 1e-4 outgrows ||z||.
-    norm = math.hypot(np.linalg.norm(u_star), np.linalg.norm(w_star))
-    spread = 1.0 + np.linalg.norm(u_star) + np.linalg.norm(w_star)
-    delta, tol = (1e-12 * _size(pq.assembled(), pq.d, r) for r in (norm, spread))
+    # for the value, and ||M||_F r^2 + ||d|| r for the draws at their spread
+    # r = 1 + ||u*|| + ||w*||, which on a bilinear V outgrows ||z|| < 1e-4.
+    m = pq.assembled()
+    delta = 1e-12 * _size(m, pq.d, np.concatenate([u_star, w_star]))
+    r = 1.0 + np.linalg.norm(u_star) + np.linalg.norm(w_star)
+    tol = 1e-12 * (np.linalg.norm(m) * r**2 + np.linalg.norm(pq.d) * r)
     samples = min(cfg.samples, 2000)
     passed = oracle.verify_saddle(pq, u_star, w_star, samples, cfg.seed, tol)
     return value, at, passed and abs(at - value) <= delta
@@ -258,9 +270,7 @@ def _check_lagrangian(pq, prob, doc, code, cfg):
     # claimed value is read, so only its path has the dimension caps.
     lower, upper = oracle.lagrangian_bracket(pq, doc["lambda"])
     value = _scalar(prob, "expected_value", xm["value"])
-    size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(doc["lambda"])
-    delta = 1e-8 * (size + abs(value))
-    passed = upper - lower <= delta and lower - delta <= value <= upper + delta
+    passed, delta = _bracketed(pq, lower, upper, value, doc["lambda"])
     if mm["finite"]:
         return value, lower, passed and xm["value"] <= mm["value"] + delta
     return value, lower, passed and oracle.infinite_minmax(pq, doc["lambda"])
@@ -283,21 +293,18 @@ def _solve_sphere_game(pq, prob):
 def _check_sphere_game(pq, prob, doc, code, cfg):
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
-    direction = minmax.Direction(prob["kind"])
     value = _scalar(prob, "expected_value", doc["value"])
     u = np.asarray(doc["u_set"]["particular"], dtype=float)
     w = np.asarray(doc["w_set"]["representative"], dtype=float)
-    norm = math.hypot(np.linalg.norm(u), np.linalg.norm(w))
-    delta = 1e-12 * _size(pq.assembled(), pq.d, norm)
-    if direction is minmax.Direction.MAXMIN:  # the search reads the claimed w too
-        oracle_value = oracle.grid_minmax(pq, cfg, direction, w)
+    delta = 1e-12 * _size(pq.assembled(), pq.d, np.concatenate([u, w]))
+    if prob["kind"] == "maxmin":  # the search reads the claimed w too
+        oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN, w)
         return value, oracle_value, abs(oracle_value - value) <= delta
-    # MINMAX: V at the claimed point gives the value exactly; the circle
-    # grid bounds it, by an absolute tolerance (ROADMAP item 6).
-    oracle_value = oracle.grid_minmax(pq, cfg, direction)
-    grid_tol = 1e-3 if max(pq.u_dim, pq.w_dim) <= 1 else 5e-3
-    passed = abs(value - oracle_value) <= grid_tol
-    return value, oracle_value, passed and abs(pq.evaluate(u, w) - value) <= delta
+    # MINMAX: V at the claimed point gives the value exactly, and the
+    # oracle's bracket holds it by the rule of ``lagrangian``.
+    lower, upper = oracle.minmax_bracket(pq, cfg)
+    passed = _bracketed(pq, lower, upper, value)[0]
+    return value, upper, passed and abs(pq.evaluate(u, w) - value) <= delta
 
 
 def _solve_trust_region(data, prob):
@@ -314,11 +321,11 @@ def _solve_trust_region(data, prob):
 
 def _check_trust_region(data, prob, doc, code, cfg):
     # The sphere search reads the claimed point too, so it beats or misses
-    # a right value by rounding only: 1e-12 of its terms' size at ||w|| = 1.
+    # a right value by rounding only: 1e-12 of its terms' size at w.
     value = _scalar(prob, "expected_value", doc["value"])
     w = np.asarray(doc["w_star"]["representative"], dtype=float)
     oracle_value, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg, w)
-    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * _size(*data, 1.0)
+    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * _size(*data, w)
 
 
 # The curves look the library functions up at call time, so that a

@@ -6,10 +6,11 @@ around a candidate, finite differences, one sampled and polished search
 of the sphere (``_ascend``, which weighs the claimed point too) for the
 trust region and the MAXMIN w, and a grid of MINMAX's w (2 points or a circle).
 MAXMIN and the lambda family solve the inner minimum over u exactly; one
-engine of central cuts brackets the MINMAX outer minimum over u and the
-lambda family's maximum over w.
-These searches are desk-scale bounds, not certificates: spheres and w
-blocks of up to 4 dimensions, but a MINMAX w of up to 2 and u of up to 4.
+engine of central cuts, stopped relative to the data, brackets the MINMAX
+outer minimum over u (widened by the circle's error) and the lambda
+family's maximum over w.  These searches are desk-scale bounds, not
+certificates: spheres and w blocks of up to 4 dimensions, but a MINMAX w
+of up to 2 and u of up to 4.
 All draws come from one seed through the counter-based
 ``_gaussian_rows``, and every best row from one ``_sweep`` in blocks,
 so a configuration gives one output, however the rows are blocked.
@@ -274,8 +275,7 @@ def sphere_max(q: QuadraticForm, cfg: OracleConfig, x0=None) -> tuple[float, np.
 def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
     """Rows start:stop of MINMAX's ``count`` w candidates: +-1 in 1-d
     (count 2; ``_ascend``'s 0-sphere too), else a deterministic circle
-    grid, dense enough that the discretization error is negligible next
-    to the oracle tolerance."""
+    grid, whose error ``minmax_bracket`` bounds."""
     if dim == 1:
         return np.array([[-1.0], [1.0]])[start:stop]
     theta = np.arange(start, stop) * (2.0 * math.pi / count)
@@ -312,19 +312,29 @@ def grid_minmax(
     _check_dims(pq.w_dim, pq.u_dim, direction)
     if x0 is not None and direction is Direction.MINMAX:
         raise ValueError("the MINMAX oracle reads no claimed w")
-    n = pq.w_dim
     if direction is Direction.MAXMIN:
         f11 = symmetric_split(pq.m11)
         score = partial(_inner_min, pq, f11=f11)
         gradient = partial(_inner_gradient, pq, f11=f11)
-        return _ascend(score, gradient, n, cfg, x0)[0]
-    count = 2 if n == 1 else max(cfg.samples, 4)
-    return _convex_min(pq, _w_candidates(n, count, 0, count))[1]
+        return _ascend(score, gradient, pq.w_dim, cfg, x0)[0]
+    return _convex_min(pq, cfg)[1]
 
 
-def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, float]:
-    """Bracket (lower, upper) on the minimum over u of the convex
-    f(u) = max over the rows w of ``w_cand`` of V(u, w), by ``_cuts``.
+def minmax_bracket(pq: PartitionedQuadratic, cfg: OracleConfig) -> tuple[float, float]:
+    """Bracket (lower, upper) on the MINMAX value: ``_convex_min``'s, its
+    upper end widened by the circle grid's error.  On N points h = 2 pi / N
+    apart, V(u, w) at angle t has a second derivative of at most kappa =
+    (s1 - s2) + ||M12'u + d2||, s1 - s2 M22's eigenvalue gap, so at the best
+    u the grid misses the maximum over w by kappa h^2 / 8 at most; +-1 is
+    the whole 0-sphere."""
+    _check_dims(pq.w_dim, pq.u_dim, Direction.MINMAX)
+    lower, upper, widening = _convex_min(pq, cfg)
+    return lower, upper + widening
+
+
+def _convex_min(pq: PartitionedQuadratic, cfg: OracleConfig):
+    """Bracket on the minimum over u of the convex f(u) = max over the w
+    candidates of ``grid_minmax`` of V(u, w), by ``_cuts``, and its widening.
 
     f is constant along null(M11) when M >= 0 and d1 is in R(M11), so
     the search runs over u = V1 x in R(M11); with d1 outside R(M11)
@@ -339,10 +349,12 @@ def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, fl
     if m12_off > TOL * np.linalg.norm(pq.m12):
         raise ValueError("the MINMAX oracle requires M11 >= 0 and R(M12) in R(M11)")
     if np.linalg.norm(f11.v2.T @ pq.d1) > TOL * np.linalg.norm(pq.d):
-        return -math.inf, -math.inf
-    sigma, k = f11.sigma, f11.rank
+        return -math.inf, -math.inf, 0.0
+    sigma, k, m = f11.sigma, f11.rank, pq.m22
+    count = 2 if pq.w_dim == 1 else max(cfg.samples, 4)
+    w_cand = _w_candidates(pq.w_dim, count, 0, count)
     coupling, lin = f11.v1.T @ pq.m12, f11.v1.T @ pq.d1
-    quad_w = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_cand)
+    quad_w = QuadraticForm(m, pq.d2)._evaluate_rows(w_cand)
     cross = coupling @ w_cand.T
 
     def at(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -352,22 +364,30 @@ def _convex_min(pq: PartitionedQuadratic, w_cand: np.ndarray) -> tuple[float, fl
         return float(value), sigma * x + lin + cross[:, j]
 
     a = float(np.linalg.norm(lin) + np.linalg.norm(coupling))
-    return _cuts(at, k, 2.0 * a / sigma[-1] if k else 0.0)
+    size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d))
+    lower, upper, x = _cuts(at, k, 2.0 * a / sigma[-1] if k else 0.0, size)
+    if pq.w_dim == 1:
+        return lower, upper, 0.0
+    kappa = math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1])
+    kappa += float(np.linalg.norm(coupling.T @ x + pq.d2))
+    return lower, upper, kappa * (2.0 * math.pi / count) ** 2 / 8.0
 
 
-def _cuts(at, k: int, radius: float) -> tuple[float, float]:
+def _cuts(at, k: int, radius: float, size: float):
     """Bracket (lower, upper) on the minimum of a convex f over R^k by
     central cuts (the ellipsoid method; bisection for k = 1): ``at(x)``
     gives f(x) and a subgradient g, and the ball ||x|| <= radius holds a
     minimizer.  Each ellipsoid E = {x + By : ||y|| <= 1}, cut at its
     center x along g, keeps one, so f(x) - ||B'g||, the least value on E
     of the cut's linear bound, is a lower end; upper is the least f(x)
-    seen.  The cuts stop when upper - lower <= 1e-10 (1 + |upper|), or
-    after ``_MAX_CUTS``.  R^0 has the one point x = ()."""
-    x = np.zeros(k)
+    seen, at the x it returns too.  The cuts stop when upper - lower <=
+    1e-10 (min(1, size) + |upper|), relative to the data's ``size`` (1 if
+    0), or after ``_MAX_CUTS``.  R^0 has the one point x = ()."""
+    unit = min(1.0, size) or 1.0
+    best = x = np.zeros(k)
     if k == 0:
         value, _ = at(x)
-        return value, value
+        return value, value, x
     # B holds the ellipsoid: P = BB' stays PSD under rounding, where
     # P itself does not.  A cut along p = B'g / ||B'g|| moves x by
     # -Bp / (k+1) and maps B to B (alpha (I - pp') + gamma pp'), the
@@ -381,15 +401,16 @@ def _cuts(at, k: int, radius: float) -> tuple[float, float]:
         value, g = at(x)
         bg = b.T @ g
         width = float(np.linalg.norm(bg))
-        upper = min(upper, value)
+        if value < upper:
+            upper, best = value, x
         lower = max(lower, value - width)
-        if upper - lower <= 1e-10 * (1.0 + abs(upper)):
+        if upper - lower <= 1e-10 * (unit + abs(upper)):
             break
         p = bg / width
         bp = b @ p
         x = x - bp / (k + 1.0)
         b = alpha * b + (gamma - alpha) * np.outer(bp, p)
-    return lower, upper
+    return lower, upper, best
 
 
 def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
@@ -423,22 +444,20 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
     ``_cuts`` of -g, g from ``_inner_min``, along its exact gradient
     (``_inner_gradient`` less lam w), from the ball of radius 2 (1 + ||w0||),
     w0 the w part of -pinv(M(lam)) d.  That assumes w0 is a maximizer, as
-    it is wherever the maxmin value is finite.  An empty w block is the single point of R^0.  g is read in
-    units of min(1, ||M||_F + ||d|| + |lam|): the cuts stop relative to
-    small data too."""
+    it is wherever the maxmin value is finite.  An empty w block is the
+    single point of R^0.  The data's size is ||M||_F + ||d|| + |lam|."""
     if pq.w_dim:  # R^0, the one point of an empty w block, needs no cap
         _check_dims(pq.w_dim)
     f11 = symmetric_split(pq.m11)
     w0 = symmetric_split(pq.assembled(lam)).solve(pq.d)[pq.u_dim :]
     size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam))
-    unit = min(1.0, size) or 1.0  # on all-zero data g is 0 in any unit
 
     def at(w: np.ndarray) -> tuple[float, np.ndarray]:
         g = _inner_min(pq, w[None, :], f11)[0] + 0.5 * lam * (1.0 - w @ w)
-        return -float(g) / unit, (lam * w - _inner_gradient(pq, w, f11)) / unit
+        return -float(g), lam * w - _inner_gradient(pq, w, f11)
 
-    lower, upper = _cuts(at, pq.w_dim, 2.0 * (1.0 + float(np.linalg.norm(w0))))
-    return -upper * unit, -lower * unit
+    lower, upper, _ = _cuts(at, pq.w_dim, 2.0 * (1.0 + float(np.linalg.norm(w0))), size)
+    return -upper, -lower
 
 
 def fd_gradient(f, x, step: float) -> np.ndarray:

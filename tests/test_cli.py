@@ -760,17 +760,14 @@ def test_check_sampled_minimum_is_relative_to_the_data(tmp_path, capsys, c):
 @pytest.mark.parametrize("c", [1.0, 1e6, 1e8])
 def test_check_sphere_games_of_rng5(tmp_path, capsys, c):
     # MAXMIN's polished sphere search holds at c = 1e8 too (gap -6e-8,
-    # where a circle grid gave 0.25); MINMAX's there is the xfail below.
-    for kind in ("maxmin", "minmax") if c < 1e8 else ("maxmin",):
+    # where a circle grid gave 0.25), and so does MINMAX's bracket, whose
+    # circle-grid error is bounded (an absolute 5e-3 refuted it by 0.007).
+    for kind in ("maxmin", "minmax"):
         doc = {"kind": kind, **_rng5_game(c)}
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
         assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 2: the sphere-game bound 5e-3 is absolute; at c = 1e8 the "
-    "MINMAX circle grid's error (gap 0.007) exceeds it"
-))
 def test_check_sphere_games_of_rng5_at_large_scale(tmp_path, capsys):
     doc = {"kind": "minmax", **_rng5_game(1e8)}
     code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
@@ -837,13 +834,53 @@ def _one_w_game(c):
 def test_check_games_are_witnessed_by_their_point(tmp_path, capsys, c):
     # MAXMIN's sphere search reads the claimed w; MINMAX and saddle
     # values are read off V at the claimed point (u, w), 1e-12 of the
-    # size of V's terms there.  A right value passes at every scale and
+    # size of V's terms there, and a MINMAX value with a 2-d w lies in
+    # the oracle's bracket too.  A right value passes at every scale and
     # one moved by 1e-6 relative fails.
     game = _one_w_game(c)
     saddle = {**game, "M22": (-np.asarray(game["M22"])).tolist()}
-    for doc in ({"kind": "maxmin", **_rng5_game(c)}, {"kind": "maxmin", **game},
-                {"kind": "minmax", **game}, {"kind": "saddle", **saddle}):
+    for doc in ({"kind": "maxmin", **_rng5_game(c)}, {"kind": "minmax", **_rng5_game(c)},
+                {"kind": "maxmin", **game}, {"kind": "minmax", **game},
+                {"kind": "saddle", **saddle}):
         assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), doc["kind"]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e8])
+def test_check_minmax_needs_the_samples_that_close_its_bracket(tmp_path, capsys, c):
+    # The circle's widening falls as 1/N^2 at any scale: 10^4 points
+    # leave the bracket wider than delta and the right answer fails.
+    path = write_problem(tmp_path, {"kind": "minmax", **_rng5_game(c)})
+    for samples, expected in (("10000", 3), ("20000", 0)):
+        assert run(capsys, "check", path, "--samples", samples)[0] == expected, samples
+
+
+def test_check_sizes_a_value_by_its_terms_at_the_point(tmp_path, capsys):
+    # u* = 0, so only the w block, 1e-8 of M11, sets V's terms: a size read
+    # off ||M||_F, 1, passed values moved by 1e-6 relative.
+    doc = {"kind": "maxmin", "M11": [[1.0]], "M12": [[0.0, 0.0]], "d1": [0.0],
+           "M22": [[2e-8, 0.0], [0.0, 1e-8]], "d2": [0.3e-8, 0.4e-8]}
+    assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3])
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_check_refutes_a_minmax_w_turned_off_the_maximizer(tmp_path, monkeypatch, capsys, c):
+    # The lie turns w by 1e-3 rad and claims V there, so the exact check
+    # of V at its point holds; the value is low by 9e-7 relative and falls
+    # below the bracket, where an absolute 1e-3 passed it at c <= 1.
+    turn = np.array([[math.cos(1e-3), -math.sin(1e-3)], [math.sin(1e-3), math.cos(1e-3)]])
+    solve_linear_term = cli.minmax.solve_linear_term
+
+    def lie(pq, direction):
+        solution = solve_linear_term(pq, direction)
+        w = turn @ solution.w_set.representative()
+        value = pq.evaluate(solution.u_set.particular, w)
+        w_set = cli.sphere.SphereSolutionSet(w, np.zeros((2, 0)), 0.0)
+        return solution._replace(value=value, w_set=w_set)
+
+    monkeypatch.setattr(cli.minmax, "solve_linear_term", lie)
+    doc = {"kind": "minmax", **_rng5_game(c)}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
 
 
 def test_check_refutes_a_saddle_value_off_its_point(monkeypatch, capsys):

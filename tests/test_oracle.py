@@ -24,9 +24,9 @@ from quadgames.game import schur_reduction
 from quadgames.oracle import (
     BLOCK,
     _convex_min,
-    _w_candidates,
     infinite_maxmin,
     lagrangian_bracket,
+    minmax_bracket,
     off_range,
     sampled_min,
     unit_samples,
@@ -374,9 +374,7 @@ def _minmax_loop(pq, cfg):
 
 def _bracket(pq, cfg):
     """``_convex_min`` over the w candidates of ``grid_minmax``."""
-    n = pq.w_dim
-    count = 2 if n == 1 else max(cfg.samples, 4)
-    return _convex_min(pq, _w_candidates(n, count, 0, count))
+    return _convex_min(pq, cfg)[:2]
 
 
 def test_grid_minmax_matches_the_per_point_loop():
@@ -436,6 +434,50 @@ def test_minmax_bracket_with_a_singular_m11(null_part):
         v = solve_linear_term(pq, Direction.MINMAX).value
         assert lower <= v + 1e-12 and abs(upper - v) <= 1e-8 * (1.0 + abs(v))
     assert grid_minmax(pq, OracleConfig(), Direction.MINMAX) == upper
+
+
+def _rng5(c):
+    """The 2 x 2 game of M = aa' from ``default_rng(5)``, scaled by c."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    m, d = c * (a @ a.T), c * rng.standard_normal(4)
+    return PartitionedQuadratic(m[:2, :2], m[:2, 2:], m[2:, 2:], d[:2], d[2:])
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_minmax_bracket_closes_relative_to_the_data(monkeypatch, c):
+    # The cuts stop relative to the data (at c = 1e-8 the bracket was
+    # 2.1e-3 of the value wide), and the circle grid's error bound keeps
+    # the solver's value inside; the bound needs no factorization beside
+    # M11's eigh.
+    pq = _rng5(c)
+    value = solve_linear_term(pq, Direction.MINMAX).value
+    counts = count_factorizations(monkeypatch)
+    lower, upper = minmax_bracket(pq, OracleConfig())
+    assert counts == {"eigh": 1}
+    assert upper - lower < 1e-8 * value
+    assert lower <= value <= upper
+    assert upper > grid_minmax(pq, OracleConfig(), Direction.MINMAX)
+
+
+def test_minmax_bracket_of_a_1d_w_is_not_widened():
+    # +-1 is the whole 0-sphere: the upper end is f at the best u.
+    pq = _rng5(1.0)
+    pq = PartitionedQuadratic(pq.m11, pq.m12[:, :1], pq.m22[:1, :1], pq.d1, pq.d2[:1])
+    cfg = OracleConfig()
+    assert minmax_bracket(pq, cfg) == _bracket(pq, cfg)
+    assert minmax_bracket(pq, cfg)[1] == grid_minmax(pq, cfg, Direction.MINMAX)
+
+
+@pytest.mark.parametrize("c, lam, ends", [
+    (1.0, 5.114257426612713, ("0x1.1f2c29b9735a0p+3", "0x1.1f2c29b9e0cb1p+3")),
+    (1.0, 10.128514853225427, ("0x1.305902058ee9bp+2", "0x1.305902060fb6ap+2")),
+    (1e4, 100285.24853225428, ("0x1.6fd293a80b0dcp+15", "0x1.6fd293a85eb36p+15")),
+])
+def test_lagrangian_bracket_at_data_size_1_and_above_is_unchanged(c, lam, ends):
+    # The cuts read values in units of min(1, size), which from size 1 on
+    # is 1: these brackets, pinned bit for bit, take no rescaling.
+    assert lagrangian_bracket(_rng5(c), lam) == tuple(float.fromhex(e) for e in ends)
 
 
 def test_lagrangian_bracket_with_an_empty_w_block():

@@ -217,6 +217,14 @@ def test_oracle_owns_every_draw_sweep_and_refutation():
     for name in ("_check_quad_min", "_check_saddle", "_check_lagrangian",
                  "_check_sphere_game"):
         assert "off_range" in _names(checkers[name]), name
+    # Both cut-engine checks judge by one bracket rule, and no check bound
+    # is an absolute constant.
+    readers = {name for name, node in checkers.items() if "_bracketed" in _names(node)}
+    assert readers - {"_bracketed"} == {"_check_lagrangian", "_check_sphere_game"}
+    assert not [
+        c for c in ast.walk(SOURCES["cli"])
+        if isinstance(c, ast.Constant) and c.value in (1e-3, 5e-3)
+    ]
 
 
 def test_oracle_has_one_cut_engine_and_no_w_grid():
