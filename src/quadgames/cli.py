@@ -158,6 +158,14 @@ def _bracketed(pq, lower, upper, value, lam=0.0):
     return upper - lower <= delta and lower - delta <= value <= upper + delta, delta
 
 
+def _sphere_verdict(pq, w, lam, value, delta, searched):
+    """(value, searched, passed) of the trust region and MAXMIN: w passes
+    ``oracle.sphere_certificate`` at lam, g(w) is within delta of the value
+    and the search, a lower bound on the maximum, is at most value + delta."""
+    g, ok = oracle.sphere_certificate(pq, w, lam)
+    return value, searched, ok and abs(g - value) <= delta and searched <= value + delta
+
+
 def _linear_system(prob):
     return _field(prob, "A", 2), _field(prob, "b", 1)
 
@@ -297,9 +305,9 @@ def _check_sphere_game(pq, prob, doc, code, cfg):
     u = np.asarray(doc["u_set"]["particular"], dtype=float)
     w = np.asarray(doc["w_set"]["representative"], dtype=float)
     delta = 1e-12 * _size(pq.assembled(), pq.d, np.concatenate([u, w]))
-    if prob["kind"] == "maxmin":  # the search reads the claimed w too
-        oracle_value = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN, w)
-        return value, oracle_value, abs(oracle_value - value) <= delta
+    if prob["kind"] == "maxmin":
+        searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
+        return _sphere_verdict(pq, w, doc["lambda0"], value, delta, searched)
     # MINMAX: V at the claimed point gives the value exactly, and the
     # oracle's bracket holds it by the rule of ``lagrangian``.
     lower, upper = oracle.minmax_bracket(pq, cfg)
@@ -320,12 +328,13 @@ def _solve_trust_region(data, prob):
 
 
 def _check_trust_region(data, prob, doc, code, cfg):
-    # The sphere search reads the claimed point too, so it beats or misses
-    # a right value by rounding only: 1e-12 of its terms' size at w.
     value = _scalar(prob, "expected_value", doc["value"])
     w = np.asarray(doc["w_star"]["representative"], dtype=float)
-    oracle_value, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg, w)
-    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * _size(*data, w)
+    searched, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg)
+    empty = np.zeros((0, len(w)))  # a trust region is the game with no u
+    pq = game.PartitionedQuadratic(empty @ empty.T, empty, data[0], empty[:, 0], data[1])
+    delta = 1e-12 * _size(*data, w)
+    return _sphere_verdict(pq, w, doc["lambda_p"], value, delta, searched)
 
 
 # The curves look the library functions up at call time, so that a

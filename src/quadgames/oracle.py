@@ -3,8 +3,8 @@
 A "no answer" gets a step-free certificate at any dimension (``off_range``,
 ``infinite_maxmin``, ``infinite_minmax``); an answer gets Gaussian draws
 around a candidate, finite differences, one sampled and polished search
-of the sphere (``_ascend``, which weighs the claimed point too) for the
-trust region and the MAXMIN w, and a grid of MINMAX's w (2 points or a circle).
+of the sphere (``_ascend``) for the trust region and the MAXMIN w beside
+the exact ``sphere_certificate`` of a claimed point, and a MINMAX w grid.
 MAXMIN and the lambda family solve the inner minimum over u exactly; one
 engine of central cuts, stopped relative to the data, brackets the MINMAX
 outer minimum over u (widened by the circle's error) and the lambda
@@ -138,18 +138,18 @@ def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def sampled_min(objective, x0, cfg: OracleConfig, value: float, size: float):
-    """Smallest objective over ``cfg.samples`` Gaussian draws around x0
-    (row 0 is x0), spread by 1 + ||x0||: (value, oracle value, passed).
-    It passes when the two values differ by at most 1e-12 ``size``, the
-    size of the objective's terms at x0: their rounding, a few n eps size,
-    is all by which a draw may beat the value or x0 miss it."""
-    spread = 1.0 + np.linalg.norm(x0)
+def sampled_min(objective, center, cfg: OracleConfig, value: float, size: float):
+    """Smallest objective over ``cfg.samples`` Gaussian draws around center
+    (row 0), spread by 1 + ||center||: (value, oracle value, passed).  It
+    passes when the two values differ by at most 1e-12 ``size``, the size
+    of the objective's terms at center: their rounding, a few n eps size,
+    is all by which a draw may beat the value or center miss it."""
+    spread = 1.0 + np.linalg.norm(center)
 
     def draws(start, stop):
-        x = x0 + _gaussian_rows(cfg.seed, x0.shape[0], start, stop) * spread
+        x = center + _gaussian_rows(cfg.seed, center.shape[0], start, stop) * spread
         if start == 0:
-            x[0] = x0
+            x[0] = center
         return x
 
     oracle_value = -float(_sweep(cfg.samples, draws, lambda x: -objective(x))[0])
@@ -233,18 +233,16 @@ def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
     return bool(s.size) and float(s[-1]) - lam > schur_reduction(pq).secular.tol
 
 
-def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig, x0=None):
+def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
     """(value, point) of the best point found on the unit sphere in R^dim
     for an objective rated on stacked rows by ``rows_value``, with gradient
     ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else the
-    best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``, its polish by
-    ``POLISH_STEPS`` power steps w <- g / ||g|| (g the gradient at w; they
-    stop at g = 0) and a claimed point x0, normalized.  On a convex
-    objective each step rises with no step length (Journee, Nesterov,
-    Richtarik & Sepulchre, JMLR 2010, section 3) but contracts by about
-    ||D|| / lambda, so near ||D|| it stops short of x0.  Only the best
-    sample starts it: a wrong x0 may sit at a quadratic's one non-global
-    local maximizer (Martinez, SIAM J. Optim. 1994), a fixed point of it."""
+    better of the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``
+    and its polish by ``POLISH_STEPS`` power steps w <- g / ||g|| (g the
+    gradient at w; they stop at g = 0).  On a convex objective each step
+    rises with no step length (Journee, Nesterov, Richtarik & Sepulchre,
+    JMLR 2010, section 3) but contracts by about ||D|| / lambda, so near
+    ||D|| it stops short: the value is a lower bound on the maximum."""
     if dim == 1:
         best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
         return float(best), w
@@ -257,19 +255,39 @@ def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig, x0=None):
             break
         w = g / norm
     polished = rows_value(w[None, :])[0]
-    value, w = (polished, w) if polished >= best else (best, sampled)
-    if x0 is not None:
-        x0 = as_vector(x0, "x0") / np.linalg.norm(x0)
-        claimed = rows_value(x0[None, :])[0]
-        value, w = (claimed, x0) if claimed > value else (value, w)
-    return float(value), w
+    return (float(polished), w) if polished >= best else (float(best), sampled)
 
 
-def sphere_max(q: QuadraticForm, cfg: OracleConfig, x0=None) -> tuple[float, np.ndarray]:
-    """Best value of q on the unit sphere and its point (``_ascend``, from
-    x0 too), with no factorization: the power step needs no curvature bound."""
+def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
+    """Best value of q found on the unit sphere and its point (``_ascend``),
+    with no factorization: the power step needs no curvature bound."""
     _check_dims(q.dim)
-    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg, x0)
+    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg)
+
+
+def sphere_certificate(pq: PartitionedQuadratic, w, lam: float) -> tuple[float, bool]:
+    """(g(w), optimal) of a claimed maximizer w on the unit sphere of the
+    exact g(w) = min over u of V(u, w) (``_inner_min``; a trust region has
+    no u) = 1/2 w'Sw + r'w + const, with multiplier lam: optimal iff
+    ||w|| = 1, grad g(w) = lam w and lam >= lambda_max(S) (More & Sorensen
+    1983), each to 1e-12 of its terms' size: |M22||w| + |M12'||u*| + |d2|
+    + |lam||w| for the gradient (``_inner_gradient``), 1 for ||w|| and
+    ||M||_F + |lam| for S, whose columns are the gradient of the game with
+    d = 0 at the unit vectors, read by one ``eigvalsh``."""
+    w = as_vector(w, "w")
+    f11 = symmetric_split(pq.m11)
+    u = f11.solve(pq.m12 @ w + pq.d1)  # -u*, u* the inner minimizer
+    terms = abs(pq.m22) @ abs(w) + abs(pq.m12.T) @ abs(u) + abs(pq.d2) + abs(lam * w)
+    residual = np.linalg.norm(_inner_gradient(pq, w, f11) - lam * w)
+    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
+    s = np.column_stack([_inner_gradient(flat, e, f11) for e in np.eye(pq.w_dim)])
+    size = np.linalg.norm(pq.assembled()) + abs(lam)
+    optimal = (
+        residual <= 1e-12 * np.linalg.norm(terms)
+        and abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        and np.linalg.eigvalsh(s)[-1] - lam <= 1e-12 * size
+    )
+    return float(_inner_min(pq, w[None, :], f11)[0]), bool(optimal)
 
 
 def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
@@ -296,7 +314,7 @@ def _check_dims(w_dim: int, u_dim: int = 0, direction: Direction | None = None):
 
 
 def grid_minmax(
-    pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction, x0=None
+    pq: PartitionedQuadratic, cfg: OracleConfig, direction: Direction
 ) -> float:
     """Nested brute-force value of the sphere-constrained game.
 
@@ -305,18 +323,15 @@ def grid_minmax(
     minimized by central cuts (``_convex_min``), deterministic and with no
     random starts; the value is f at the best point found.
     MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
-    is maximized by the sphere search of ``_ascend``, which reads a
-    claimed w x0 too (MINMAX refuses one), along g's exact gradient
-    (``_inner_gradient``); its one factorization is M11's eigh.
+    is maximized by the sphere search of ``_ascend`` along its exact
+    gradient (``_inner_gradient``); its one factorization is M11's eigh.
     """
     _check_dims(pq.w_dim, pq.u_dim, direction)
-    if x0 is not None and direction is Direction.MINMAX:
-        raise ValueError("the MINMAX oracle reads no claimed w")
     if direction is Direction.MAXMIN:
         f11 = symmetric_split(pq.m11)
         score = partial(_inner_min, pq, f11=f11)
         gradient = partial(_inner_gradient, pq, f11=f11)
-        return _ascend(score, gradient, pq.w_dim, cfg, x0)[0]
+        return _ascend(score, gradient, pq.w_dim, cfg)[0]
     return _convex_min(pq, cfg)[1]
 
 
@@ -382,7 +397,9 @@ def _cuts(at, k: int, radius: float, size: float):
     of the cut's linear bound, is a lower end; upper is the least f(x)
     seen, at the x it returns too.  The cuts stop when upper - lower <=
     1e-10 (min(1, size) + |upper|), relative to the data's ``size`` (1 if
-    0), or after ``_MAX_CUTS``.  R^0 has the one point x = ()."""
+    0), after ``_MAX_CUTS`` or at a non-finite f(x), which bounds nothing.
+    Rounding near a singular M(lambda) can invert the ends, which ``check``
+    fails beyond its tolerance.  R^0 has the one point x = ()."""
     unit = min(1.0, size) or 1.0
     best = x = np.zeros(k)
     if k == 0:
@@ -399,10 +416,12 @@ def _cuts(at, k: int, radius: float, size: float):
     lower, upper = -math.inf, math.inf
     for _ in range(_MAX_CUTS):
         value, g = at(x)
-        bg = b.T @ g
-        width = float(np.linalg.norm(bg))
         if value < upper:
             upper, best = value, x
+        if not math.isfinite(value):
+            break
+        bg = b.T @ g
+        width = float(np.linalg.norm(bg))
         lower = max(lower, value - width)
         if upper - lower <= 1e-10 * (unit + abs(upper)):
             break

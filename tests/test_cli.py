@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadgames import cli, minmax, oracle, quadratic
+from quadgames import cli, minmax, quadratic
 from quadgames.cli import main
 from quadgames.game import (
     DualityReport,
@@ -786,15 +786,32 @@ def _trust_region(seed, c):
     }
 
 
+# Exact hard cases: lambda = ||D|| = 2, with d on no top eigenvector and
+# response norms 0.5, 1 and 0.5 there, so the maximizers form a sphere.
+EXACT_HARD = [
+    (np.diag([2.0, 1.0]), np.array([0.0, 0.5])),
+    (np.diag([2.0, 1.0]), np.array([0.0, 1.0])),
+    (np.diag([2.0, 2.0, 1.0]), np.array([0.0, 0.0, 0.5])),
+]
+
+
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e4, 1e8])
 def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
-    # The oracle, which searches the claimed point too, may beat or miss
-    # a right value by rounding only, 1e-12 of ||D||_F + ||d||: seeds 2-5,
-    # 9 and 11 were refuted at c = 1e8 by an absolute -1e-9, which at
-    # c = 1e-8 let a value lowered by 1e-6 pass, and an absolute upper
-    # bound of 5e-3 let a value raised by 1e-6 pass at c = 1.
+    # The certificate and g(w) judge a right value by rounding only, 1e-12
+    # of its terms: seeds 2-5, 9 and 11 were refuted at c = 1e8 by an
+    # absolute -1e-9, which at c = 1e-8 let a value lowered by 1e-6 pass,
+    # and an absolute upper bound of 5e-3 let a value raised by 1e-6 pass
+    # at c = 1.  The exact hard cases pass too, as trust regions and as
+    # their MAXMIN twins, whose min over u is the trust region's form.
     for seed in range(12):
         assert _check_moved(capsys, tmp_path, _trust_region(seed, c)) == (0, [3, 3]), seed
+    for d_mat, d_vec in EXACT_HARD:
+        n = len(d_vec)
+        tr = {"kind": "trust_region", "D": (c * d_mat).tolist(), "d": (c * d_vec).tolist()}
+        twin = {"kind": "maxmin", "M11": [[c]], "M12": [[0.0] * n], "d1": [0.0],
+                "M22": tr["D"], "d2": tr["d"]}
+        for doc in (tr, twin):
+            assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), doc
 
 
 # D = diag(1e8, 9.99e7, 2e7, 1.5e7): lambda sits near ||D||, where the
@@ -810,8 +827,8 @@ NEAR_NORM_d = [1e6, 1e5, 6e5, -1e5]
      "d1": [0.0], "d2": NEAR_NORM_d},
 ], ids=["trust_region", "maxmin"])
 def test_check_a_polish_that_stops_short_refutes_no_right_answer(tmp_path, capsys, doc):
-    # The sphere search weighs the claimed point beside its polished best
-    # sample, so a right value passes, and a moved one fails.
+    # The search is a lower bound, free to stop short of the value; the
+    # certificate and g(w) pass the right value and fail a moved one.
     for seed in ("0", "1", "7"):
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc), "--seed", seed)
         assert (code, out.splitlines()[1]) == (0, "solver value: 51006817.19099077"), out
@@ -832,7 +849,7 @@ def _one_w_game(c):
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e4, 1e8])
 def test_check_games_are_witnessed_by_their_point(tmp_path, capsys, c):
-    # MAXMIN's sphere search reads the claimed w; MINMAX and saddle
+    # MAXMIN values are read off g(w) at the certified w; MINMAX and saddle
     # values are read off V at the claimed point (u, w), 1e-12 of the
     # size of V's terms there, and a MINMAX value with a 2-d w lies in
     # the oracle's bracket too.  A right value passes at every scale and
@@ -903,41 +920,96 @@ def test_check_refutes_a_saddle_value_off_its_point(monkeypatch, capsys):
 # that picks the wrong secular root near the hard case reports it.
 LOCAL_MAX_D = np.diag([2.0, 1.0, 1.0, 1.0])
 LOCAL_MAX_d = np.array([1e-5, 0.0, 0.0, 0.0])
+LOCAL_MAX_TR = {"kind": "trust_region", "D": LOCAL_MAX_D.tolist(), "d": LOCAL_MAX_d.tolist()}
+# min over u of this game is the trust region's form itself.
+LOCAL_MAX_GAME = {"kind": "maxmin", "M11": [[1.0]], "M12": [[0.0] * 4], "d1": [0.0],
+                  "M22": LOCAL_MAX_TR["D"], "d2": LOCAL_MAX_TR["d"]}
+
+
+def _patch_sphere_answers(monkeypatch, **changes):
+    """Make the trust-region and sphere-game solvers report their answer
+    with ``changes``: ``lam`` for the multiplier, ``value``, ``w``."""
+    solve_trust_region = cli.sphere.solve_trust_region
+    solve_linear_term = cli.minmax.solve_linear_term
+    names = {"lam": ("lambda_p", "lambda0"), "value": ("value", "value"),
+             "w": ("w_star", "w_set")}
+
+    def edited(solution, i):
+        return solution._replace(**{names[k][i]: v for k, v in changes.items()})
+
+    monkeypatch.setattr(cli.sphere, "solve_trust_region",
+                        lambda *data: edited(solve_trust_region(*data), 0))
+    monkeypatch.setattr(cli.minmax, "solve_linear_term",
+                        lambda pq, direction: edited(solve_linear_term(pq, direction), 1))
 
 
 def test_check_refutes_a_non_global_local_maximizer(tmp_path, monkeypatch, capsys):
-    # The claimed point is a candidate, never the polish's start: the
-    # answer fails at every seed whose polished best sample finds the
-    # global maximum (the search alone, without the claimed point).  At
-    # the others the best sample lies in -e1's basin and the search
-    # cannot tell the two apart.
+    # The lie is stationary with its own multiplier w'(Dw + d) = 2 - 1e-5,
+    # below lambda_max = 2, so the certificate refutes it at every seed,
+    # also where the search's best sample lies in -e1's basin and the
+    # polish cannot tell the two apart.
     at_local_max = cli.sphere.SphereSolutionSet(-np.eye(4)[0], np.zeros((4, 0)), 0.0)
-    solve_trust_region = cli.sphere.solve_trust_region
-    solve_linear_term = cli.minmax.solve_linear_term
-    monkeypatch.setattr(
-        cli.sphere, "solve_trust_region",
-        lambda *data: solve_trust_region(*data)._replace(
-            value=1.0 - 1e-5, w_star=at_local_max),
-    )
-    monkeypatch.setattr(
-        cli.minmax, "solve_linear_term",
-        lambda pq, direction: solve_linear_term(pq, direction)._replace(
-            value=1.0 - 1e-5, w_set=at_local_max),
-    )
-    form = quadratic.QuadraticForm(LOCAL_MAX_D, LOCAL_MAX_d)
-    tr = {"kind": "trust_region", "D": LOCAL_MAX_D.tolist(), "d": LOCAL_MAX_d.tolist()}
-    game = {"kind": "maxmin", "M11": [[1.0]], "M12": [[0.0] * 4], "d1": [0.0],
-            "M22": tr["D"], "d2": tr["d"]}
-    refuted = 0
-    for seed in range(12):
-        cfg = oracle.OracleConfig(seed=seed, samples=20000)
-        found = oracle.sphere_max(form, cfg)[0] > 1.0
-        refuted += found
-        for doc in (tr, game):  # min over u of the game is the form itself
+    _patch_sphere_answers(monkeypatch, lam=2.0 - 1e-5, value=1.0 - 1e-5, w=at_local_max)
+    for seed in [*range(20), 20240621]:
+        for doc in (LOCAL_MAX_TR, LOCAL_MAX_GAME):
             argv = ["check", write_problem(tmp_path, doc), "--samples", "20000"]
             code, out, _ = run(capsys, *argv, "--seed", str(seed))
-            assert code == (3 if found else 0), (seed, doc["kind"], out)
-    assert refuted >= 3
+            assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), (seed, out)
+
+
+@pytest.mark.parametrize("lam", [1e6, -5.0])
+@pytest.mark.parametrize(
+    "name", ["trust_region_boundary.json", "trust_region_interior.json", "maxmin_homogeneous.json"]
+)
+def test_check_reads_the_multiplier(monkeypatch, capsys, name, lam):
+    # The value and the point are the solver's own, and only the claimed
+    # lambda_p or lambda0 is wrong: too large for w to be stationary, or
+    # below the top eigenvalue.  The value-only check passed all six.
+    _patch_sphere_answers(monkeypatch, lam=lam)
+    code, out, _ = run(capsys, "check", str(FIXTURES / name))
+    assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
+
+
+def test_check_refutes_a_point_off_the_sphere(tmp_path, monkeypatch, capsys):
+    # With d = 0, w = 2 e1 is stationary at lambda = 2 = lambda_max, and its
+    # value 4 is above every point of the sphere, so only ||w|| = 1 sees it.
+    off = cli.sphere.SphereSolutionSet(np.array([2.0, 0.0]), np.zeros((2, 0)), 0.0)
+    _patch_sphere_answers(monkeypatch, value=4.0, w=off)
+    doc = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0, 0.0]}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (3, "result: FAIL"), out
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 3: Secular.of counts r_top = eps as zero against "
+    "TOL (||D|| + ||d||) = 3e-9 and reports the boundary lambda = 2",
+    strict=True,
+)
+@pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9])
+def test_check_passes_a_trust_region_at_the_edge_of_the_hard_case(tmp_path, capsys, eps):
+    # D = diag(2, 1), d = (eps, 1): the 40-digit multiplier of
+    # tests/mpref.py is 2 + 3.7e-8, 2 + 1.7e-7 and 2 + 7.9e-7, and
+    # (D - 2I)w = -d has no solution, so the certificate refutes the
+    # solver's lambda = 2 (the value, 1.5, is right to 1e-12).
+    doc = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [eps, 1.0]}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 3: Secular.range_tol, TOL times about 2e4 here "
+    "(||d2|| + ||M12' pinv(M11) d1||, beside S's terms), counts r = 2e-6 as zero",
+    strict=True,
+)
+def test_check_passes_a_maxmin_with_a_small_vector_term_beside_large_data(tmp_path, capsys):
+    # S = 3 - 2 = 1 and r = d2 - M12'd1 = 2e-6, so lambda0 = 1 + 2e-6
+    # with w = +1 alone (tests/mpref.py: 1.000002000000677); the solver
+    # reports the boundary lambda0 = 1, which leaves the residual 2e-6.
+    d1 = [1e4, -2e4]
+    doc = {"kind": "maxmin", "M11": [[1.0, 0.0], [0.0, 1.0]], "M12": [[1.0], [1.0]],
+           "M22": [[3.0]], "d1": d1, "d2": [sum(d1) + 2e-6]}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 
 
 def test_check_certifies_an_infinite_minmax(tmp_path, monkeypatch, capsys):

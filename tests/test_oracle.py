@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -216,9 +217,6 @@ def test_minmax_grid_with_a_zero_u_block():
     # The cuts need the coupling inside R(M11); M12 = 1 is not.
     with pytest.raises(ValueError, match=r"R\(M12\) in R\(M11\)"):
         grid_minmax(pq._replace(m12=np.ones((1, 1))), OracleConfig(), Direction.MINMAX)
-    # Only MAXMIN's sphere search reads a claimed w; MINMAX refuses one.
-    with pytest.raises(ValueError, match="MINMAX oracle reads no claimed w"):
-        grid_minmax(pq, OracleConfig(), Direction.MINMAX, np.ones(1))
 
 
 def test_fd_gradient_examples():
@@ -491,6 +489,27 @@ def test_lagrangian_bracket_with_an_empty_w_block():
     delta = 1e-8 * (1.0 + 0.5 + 1.0 + abs(report.value))
     for end in lagrangian_bracket(pq, 1.0):
         assert abs(end - report.value) <= delta
+
+
+def test_cuts_stop_at_the_first_infinite_value(monkeypatch):
+    # The blocks of fixtures/saddle_bilinear.json: M11 = M22 = 0, M12 = 1,
+    # so M11 u = -(w + 3) has no solution off w = -3 and g is -inf at the
+    # first center.  No cut bounds g there, so the cuts stop at once, with
+    # no NaN width, and claim no lower end on the maximum.
+    calls = []
+    inner_min = oracle._inner_min
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner_min(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_inner_min", counted)
+    zero, one = np.zeros((1, 1)), np.ones((1, 1))
+    pq = PartitionedQuadratic(zero, one, zero, np.array([3.0]), np.array([5.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lagrangian_bracket(pq, 0.1) == (-math.inf, math.inf)
+    assert len(calls) == 1
 
 
 def test_sphere_oracle_caps_the_dimension():

@@ -246,7 +246,8 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     # whose power step needs no curvature bound, so no function reads a
     # spectral norm; MAXMIN's polish, the lambda family's cuts and the
     # infinite-maxmin certificate share one gradient of g(w) = min over u
-    # of V, and every dimension cap is in _check_dims.
+    # of V with the optimality certificate, and every dimension cap is in
+    # _check_dims.
     functions = {
         node.name: node for node in SOURCES["oracle"].body
         if isinstance(node, ast.FunctionDef)
@@ -261,8 +262,20 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("spectral_norm") == set()
     assert "spectral_norm" not in _names(SOURCES["oracle"])
     assert readers("_inner_gradient") == {
-        "grid_minmax", "lagrangian_bracket", "infinite_maxmin"
+        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate"
     }
+    # No search reads a claimed point, and the certificate of one reads
+    # the raw data through the oracle's own g: it calls no solver
+    # function and not the solvers' Schur reduction.
+    tree = SOURCES["oracle"]
+    assert "x0" not in _names(tree)
+    assert "x0" not in {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
+    solvers = {
+        node.name for module in ("game", "sphere", "minmax", "quadratic")
+        for node in SOURCES[module].body if isinstance(node, ast.FunctionDef)
+    }
+    assert "schur_reduction" in solvers
+    assert not solvers & _names(functions["sphere_certificate"])
     capped = {
         f for f, node in functions.items() for c in ast.walk(node)
         if isinstance(c, ast.Constant) and "dimension" in str(c.value)
