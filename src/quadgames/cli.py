@@ -233,15 +233,14 @@ def _check_saddle(pq, prob, doc, code, cfg):
     w_star = np.asarray(doc["w_star"], dtype=float)
     value = _scalar(prob, "expected_value", doc["value"])
     at = pq.evaluate(u_star, w_star)
-    # 1e-12 of the size of V's terms, as for sampled_min: at z = (u*, w*)
+    # ROUNDING of the size of V's terms, as for sampled_min: at z = (u*, w*)
     # for the value, and ||M||_F r^2 + ||d|| r for the draws at their spread
     # r = 1 + ||u*|| + ||w*||, which on a bilinear V outgrows ||z|| < 1e-4.
     m = pq.assembled()
-    delta = 1e-12 * _size(m, pq.d, np.concatenate([u_star, w_star]))
+    delta = oracle.ROUNDING * _size(m, pq.d, np.concatenate([u_star, w_star]))
     r = 1.0 + np.linalg.norm(u_star) + np.linalg.norm(w_star)
-    tol = 1e-12 * (np.linalg.norm(m) * r**2 + np.linalg.norm(pq.d) * r)
-    samples = min(cfg.samples, 2000)
-    passed = oracle.verify_saddle(pq, u_star, w_star, samples, cfg.seed, tol)
+    tol = oracle.ROUNDING * (np.linalg.norm(m) * r**2 + np.linalg.norm(pq.d) * r)
+    passed = oracle.verify_saddle(pq, u_star, w_star, cfg.samples, cfg.seed, tol)
     return value, at, passed and abs(at - value) <= delta
 
 
@@ -304,7 +303,7 @@ def _check_sphere_game(pq, prob, doc, code, cfg):
     value = _scalar(prob, "expected_value", doc["value"])
     u = np.asarray(doc["u_set"]["particular"], dtype=float)
     w = np.asarray(doc["w_set"]["representative"], dtype=float)
-    delta = 1e-12 * _size(pq.assembled(), pq.d, np.concatenate([u, w]))
+    delta = oracle.ROUNDING * _size(pq.assembled(), pq.d, np.concatenate([u, w]))
     if prob["kind"] == "maxmin":
         searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
         return _sphere_verdict(pq, w, doc["lambda0"], value, delta, searched)
@@ -333,7 +332,7 @@ def _check_trust_region(data, prob, doc, code, cfg):
     searched, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg)
     empty = np.zeros((0, len(w)))  # a trust region is the game with no u
     pq = game.PartitionedQuadratic(empty @ empty.T, empty, data[0], empty[:, 0], data[1])
-    delta = 1e-12 * _size(*data, w)
+    delta = oracle.ROUNDING * _size(*data, w)
     return _sphere_verdict(pq, w, doc["lambda_p"], value, delta, searched)
 
 

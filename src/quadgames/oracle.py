@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .game import PartitionedQuadratic, schur_reduction
+from .game import PartitionedQuadratic
 from .linalg import (
     TOL,
     Validated,
@@ -44,6 +44,10 @@ _MAX_CUTS = 10_000
 # memory does not grow with the sample count.  At the desk dimensions
 # (up to 4 per row) one block's temporaries stay under about 1 MB.
 BLOCK = 2048
+
+# Rounding leaves a few n eps of its terms' size in a quantity (Higham
+# 2002, ch. 3): the share of that size each certificate here allows.
+ROUNDING = 1e-12
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -141,9 +145,9 @@ def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
 def sampled_min(objective, center, cfg: OracleConfig, value: float, size: float):
     """Smallest objective over ``cfg.samples`` Gaussian draws around center
     (row 0), spread by 1 + ||center||: (value, oracle value, passed).  It
-    passes when the two values differ by at most 1e-12 ``size``, the size
-    of the objective's terms at center: their rounding, a few n eps size,
-    is all by which a draw may beat the value or center miss it."""
+    passes when the two values differ by at most ``ROUNDING`` ``size``, the
+    size of the objective's terms at center: their rounding is all by
+    which a draw may beat the value or center miss it."""
     spread = 1.0 + np.linalg.norm(center)
 
     def draws(start, stop):
@@ -153,7 +157,7 @@ def sampled_min(objective, center, cfg: OracleConfig, value: float, size: float)
         return x
 
     oracle_value = -float(_sweep(cfg.samples, draws, lambda x: -objective(x))[0])
-    return value, oracle_value, abs(oracle_value - value) <= 1e-12 * size
+    return value, oracle_value, abs(oracle_value - value) <= ROUNDING * size
 
 
 def verify_saddle(
@@ -203,34 +207,44 @@ def off_range(h, d, size: float):
     return math.nan, norm, norm > TOL * size
 
 
+def _hessian(pq: PartitionedQuadratic, f11) -> tuple[np.ndarray, float]:
+    """(S, size): the Hessian S = M22 - M12' pinv(M11) M12 of g(w) = min over
+    u of V(u, w), its columns the exact ``_inner_gradient`` at the unit
+    vectors of the game with d = 0, so that no d term cancels (f11 as in
+    ``_inner_min``), and the size ||M22||_F + ||M22 - S||_F of its terms."""
+    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
+    s = np.column_stack([_inner_gradient(flat, e, f11) for e in np.eye(pq.w_dim)])
+    return s, float(np.linalg.norm(pq.m22) + np.linalg.norm(pq.m22 - s))
+
+
 def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     """Certificate of an infinite maxmin answer at lam: g(w) = min over u
-    of L(u, w, lam) is 1/2 w'(S - lam I)w + r'w + const.  Along each
-    eigenvector q_i of S (from the solvers' ``game.schur_reduction``) the
-    exact ``_inner_gradient`` gives g's slope r'q_i at w = 0 and, in the
-    game with d1 = d2 = 0, so that no d term cancels, its curvature
-    q_i'(S - lam I)q_i.  (nan, rise, passed): it passes when the largest
-    curvature, the rise, exceeds the reduction's ``tol``, or else when the
-    rise, the norm of the slopes along curvatures within ``tol`` of 0,
-    exceeds its ``range_tol`` (r off R(S - lam I), as at lam = ||S||)."""
-    sec = schur_reduction(pq).secular
+    of L(u, w, lam) is 1/2 w'(S - lam I)w + r'w + const, S from ``_hessian``
+    = Q diag(s) Q' by one ``eigh``.  (nan, rise, passed): it passes when the
+    largest curvature s_i - lam, the rise, exceeds ROUNDING (size + |lam|),
+    or else when the rise, the norm of g's slopes Q' grad g(0) along the
+    curvatures within that bound of 0, exceeds ROUNDING times the size
+    || |d2| + |M12'| |pinv(M11) d1| || of r's terms (r off R(S - lam I))."""
     f11 = symmetric_split(pq.m11)
-    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
-    curvature = np.array([q @ _inner_gradient(flat, q, f11) for q in sec.q.T]) - lam
-    if np.max(curvature) > sec.tol:
-        return math.nan, float(np.max(curvature)), True
-    slope = sec.q.T @ _inner_gradient(pq, np.zeros(pq.w_dim), f11)
-    rise = float(np.linalg.norm(slope[np.abs(curvature) <= sec.tol]))
-    return math.nan, rise, rise > sec.range_tol
+    s, size = _hessian(pq, f11)
+    curvature, q = np.linalg.eigh(s)
+    curvature, bound = curvature - lam, ROUNDING * (size + abs(lam))
+    if curvature[-1] > bound:
+        return math.nan, float(curvature[-1]), True
+    slope = q.T @ _inner_gradient(pq, np.zeros(pq.w_dim), f11)
+    rise = float(np.linalg.norm(slope[np.abs(curvature) <= bound]))
+    terms = abs(pq.d2) + abs(pq.m12.T) @ abs(f11.solve(pq.d1))
+    return math.nan, rise, rise > ROUNDING * float(np.linalg.norm(terms))
 
 
 def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
     """Certificate of an infinite minmax answer at lam: along the top
     eigenvector of M22 (one ``eigvalsh``), L(u, ., lam) has the curvature
-    s_max - lam for every u.  It passes when that exceeds the ``tol`` of
-    ``game.schur_reduction``, the solvers' threshold test."""
+    s_max - lam for every u.  It passes when that exceeds ``ROUNDING``
+    (||M22||_F + |lam|)."""
     s = np.linalg.eigvalsh(pq.m22)
-    return bool(s.size) and float(s[-1]) - lam > schur_reduction(pq).secular.tol
+    bound = ROUNDING * float(np.linalg.norm(pq.m22) + abs(lam))
+    return bool(s.size) and float(s[-1]) - lam > bound
 
 
 def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
@@ -270,22 +284,19 @@ def sphere_certificate(pq: PartitionedQuadratic, w, lam: float) -> tuple[float, 
     exact g(w) = min over u of V(u, w) (``_inner_min``; a trust region has
     no u) = 1/2 w'Sw + r'w + const, with multiplier lam: optimal iff
     ||w|| = 1, grad g(w) = lam w and lam >= lambda_max(S) (More & Sorensen
-    1983), each to 1e-12 of its terms' size: |M22||w| + |M12'||u*| + |d2|
-    + |lam||w| for the gradient (``_inner_gradient``), 1 for ||w|| and
-    ||M||_F + |lam| for S, whose columns are the gradient of the game with
-    d = 0 at the unit vectors, read by one ``eigvalsh``."""
+    1983), each to ``ROUNDING`` of its terms' size: |M22||w| + |M12'||u*|
+    + |d2| + |lam||w| for the gradient (``_inner_gradient``), 1 for ||w||
+    and ``_hessian``'s size + |lam| for S, read by one ``eigvalsh``."""
     w = as_vector(w, "w")
     f11 = symmetric_split(pq.m11)
     u = f11.solve(pq.m12 @ w + pq.d1)  # -u*, u* the inner minimizer
     terms = abs(pq.m22) @ abs(w) + abs(pq.m12.T) @ abs(u) + abs(pq.d2) + abs(lam * w)
     residual = np.linalg.norm(_inner_gradient(pq, w, f11) - lam * w)
-    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
-    s = np.column_stack([_inner_gradient(flat, e, f11) for e in np.eye(pq.w_dim)])
-    size = np.linalg.norm(pq.assembled()) + abs(lam)
+    s, size = _hessian(pq, f11)
     optimal = (
-        residual <= 1e-12 * np.linalg.norm(terms)
-        and abs(np.linalg.norm(w) - 1.0) <= 1e-12
-        and np.linalg.eigvalsh(s)[-1] - lam <= 1e-12 * size
+        residual <= ROUNDING * np.linalg.norm(terms)
+        and abs(np.linalg.norm(w) - 1.0) <= ROUNDING
+        and np.linalg.eigvalsh(s)[-1] - lam <= ROUNDING * (size + abs(lam))
     )
     return float(_inner_min(pq, w[None, :], f11)[0]), bool(optimal)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quadgames
-from quadgames import Direction, cli, game, linalg, sphere
+from quadgames import Direction, cli, game, linalg, oracle, sphere
 
 from util import (
     count_factorizations,
@@ -76,6 +76,21 @@ def test_factorizations_per_solve(monkeypatch, solve, expected):
     counts = count_factorizations(monkeypatch)
     assert solve() is not None
     assert counts == expected
+
+
+def test_factorizations_per_infinite_certificate(monkeypatch):
+    # The infinite certificates read the raw data, not the solvers' Schur
+    # reduction: the maxmin one an eigh of M11 and one of S, below ||S||
+    # and at it (where it reads r too), the minmax one M22's eigenvalues.
+    pq = random_partitioned(np.random.default_rng(79), 4, 3)
+    norm_s, norm22 = quadgames.maxmin_threshold(pq), quadgames.minmax_threshold(pq)
+    counts = count_factorizations(monkeypatch)
+    for lam in (norm_s - 1.0, norm_s):
+        oracle.infinite_maxmin(pq, lam)
+        assert counts == Counter(eigh=2), lam
+        counts.clear()
+    assert oracle.infinite_minmax(pq, norm22 - 1.0)
+    assert counts == Counter(eigvalsh=1)
 
 
 def _one_of_each_record() -> list:
@@ -246,8 +261,8 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     # whose power step needs no curvature bound, so no function reads a
     # spectral norm; MAXMIN's polish, the lambda family's cuts and the
     # infinite-maxmin certificate share one gradient of g(w) = min over u
-    # of V with the optimality certificate, and every dimension cap is in
-    # _check_dims.
+    # of V with the optimality certificate, the two certificates read S
+    # from one _hessian, and every dimension cap is in _check_dims.
     functions = {
         node.name: node for node in SOURCES["oracle"].body
         if isinstance(node, ast.FunctionDef)
@@ -262,11 +277,13 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("spectral_norm") == set()
     assert "spectral_norm" not in _names(SOURCES["oracle"])
     assert readers("_inner_gradient") == {
-        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate"
+        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate",
+        "_hessian",
     }
-    # No search reads a claimed point, and the certificate of one reads
-    # the raw data through the oracle's own g: it calls no solver
-    # function and not the solvers' Schur reduction.
+    assert readers("_hessian") == {"infinite_maxmin", "sphere_certificate"}
+    # No search reads a claimed point, and every certificate reads the raw
+    # data through the oracle's own g: no oracle function names a solver
+    # function, the solvers' Schur reduction included.
     tree = SOURCES["oracle"]
     assert "x0" not in _names(tree)
     assert "x0" not in {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
@@ -275,9 +292,19 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
         for node in SOURCES[module].body if isinstance(node, ast.FunctionDef)
     }
     assert "schur_reduction" in solvers
-    assert not solvers & _names(functions["sphere_certificate"])
+    assert not solvers & _names(tree)
     capped = {
         f for f, node in functions.items() for c in ast.walk(node)
         if isinstance(c, ast.Constant) and "dimension" in str(c.value)
     }
     assert capped == {"_check_dims"}
+
+
+def test_one_named_rounding_share():
+    # Every certificate and value comparison of ``check`` reads the one
+    # rounding share, oracle.ROUNDING: no other 1e-12 is written out.
+    literals = [
+        module for module in ("cli", "oracle") for node in ast.walk(SOURCES[module])
+        if isinstance(node, ast.Constant) and node.value == 1e-12
+    ]
+    assert literals == ["oracle"] and oracle.ROUNDING == 1e-12

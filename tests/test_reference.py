@@ -13,7 +13,7 @@ from quadgames import (
     solve_saddle,
     solve_trust_region,
 )
-from quadgames.oracle import OracleConfig, grid_minmax, lagrangian_bracket
+from quadgames.oracle import OracleConfig, grid_minmax, infinite_maxmin, lagrangian_bracket
 
 from util import hard_case_instance, random_psd, random_saddle_instance
 
@@ -138,6 +138,22 @@ def test_lambda_family_matches_the_40_digit_reference():
                     assert got.value == pytest.approx(value, rel=1e-10)
             seen.add(report.status)
     assert seen == {"both_infinite", "infinite_gap", "strong_duality"}
+
+
+def test_infinite_maxmin_refutes_a_finite_value_just_above_the_threshold():
+    # At lambda = ||S|| + 1e-10 (||S|| + ||M||_F), inside the solvers'
+    # threshold band of about 1e-9, the maxmin value is finite wherever
+    # ||S|| or ||M|| is nonzero; the certificate, whose bounds are
+    # rounding, passes an infinite answer only where the reference is
+    # infinite (reading the solvers' tol, it passed 26 finite ones here).
+    finite = 0
+    for pq in games(np.random.default_rng(107)):
+        s = maxmin_threshold(pq)
+        lam = s + 1e-10 * (s + np.linalg.norm(pq.assembled()))
+        expected = mpref.lambda_family(pq, lam)[1]
+        assert infinite_maxmin(pq, lam)[2] == (expected is None), lam
+        finite += expected is not None
+    assert finite == 39
 
 
 def _bracket_holds_the_reference(pq):
