@@ -208,13 +208,13 @@ def off_range(h, d, size: float):
 
 
 def _hessian(pq: PartitionedQuadratic, f11) -> tuple[np.ndarray, float]:
-    """(S, size): the Hessian S = M22 - M12' pinv(M11) M12 of g(w) = min over
-    u of V(u, w), its columns the exact ``_inner_gradient`` at the unit
-    vectors of the game with d = 0, so that no d term cancels (f11 as in
-    ``_inner_min``), and the size ||M22||_F + ||M22 - S||_F of its terms."""
-    flat = pq._replace(d1=np.zeros(pq.u_dim), d2=np.zeros(pq.w_dim))
-    s = np.column_stack([_inner_gradient(flat, e, f11) for e in np.eye(pq.w_dim)])
-    return s, float(np.linalg.norm(pq.m22) + np.linalg.norm(pq.m22 - s))
+    """(S, size): the Hessian S = M22 - M12'X, X = pinv(M11) M12 (f11 as in
+    ``_inner_min``), of g(w) = min over u of V(u, w), symmetrized, and the
+    size || |M22| + |M12'||X| ||_F of its terms, not of S: M12'X cancels
+    where M11 is ill-conditioned."""
+    x = f11.solve(pq.m12)
+    s, terms = pq.m22 - pq.m12.T @ x, abs(pq.m22) + abs(pq.m12.T) @ abs(x)
+    return 0.5 * (s + s.T), float(np.linalg.norm(terms))
 
 
 def infinite_maxmin(pq: PartitionedQuadratic, lam: float):

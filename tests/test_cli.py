@@ -814,6 +814,21 @@ def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
             assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), doc
 
 
+@pytest.mark.parametrize("theta", [0.4, 1.0, 2.1, 2.4])
+def test_check_maxmin_lambda_bound_holds_an_ill_conditioned_m11(tmp_path, capsys, theta):
+    # M11 = R diag(1e10, 1) R', M12 = R (1e5, 1)': S = M22 - 2 = 0.5, but
+    # M12' pinv(M11) M12 cancels terms of about 1e5, whose rounding moves
+    # the oracle's S from the solver's by about 1e-11: the lambda test is
+    # sized by S's terms, as a bound sized by S itself refutes this right
+    # hard case.
+    r = rotation(theta)
+    doc = {"kind": "maxmin", "M11": (r @ np.diag([1e10, 1.0]) @ r.T).tolist(),
+           "M12": (r @ [[1e5], [1.0]]).tolist(), "M22": [[2.5]], "d1": [0.0, 0.0],
+           "d2": [0.0]}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
 # D = diag(1e8, 9.99e7, 2e7, 1.5e7): lambda sits near ||D||, where the
 # power polish contracts at about ||D|| / lambda per step and stopped
 # 4.63 short of the value 51006817.19099077 (that of `tests/mpref.py`).
@@ -1058,7 +1073,8 @@ def test_check_certifies_an_infinite_minmax(tmp_path, monkeypatch, capsys):
     above = {**band, "lambda": 2.0 + 5e-8}
     for doc, expected in ((lie, 3), (band, 0), (above, 3)):
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
-        assert code == expected, out
+        line = "result: PASS" if expected == 0 else "result: FAIL"
+        assert (code, out.splitlines()[-1]) == (expected, line), out
 
 
 def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):

@@ -277,8 +277,7 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("spectral_norm") == set()
     assert "spectral_norm" not in _names(SOURCES["oracle"])
     assert readers("_inner_gradient") == {
-        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate",
-        "_hessian",
+        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate"
     }
     assert readers("_hessian") == {"infinite_maxmin", "sphere_certificate"}
     # No search reads a claimed point, and every certificate reads the raw
