@@ -268,19 +268,21 @@ def _solve_lagrangian(pq, prob):
 def _check_lagrangian(pq, prob, doc, code, cfg):
     if doc["status"] == "unbounded_below":
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
-    mm, xm = doc["minmax"], doc["maxmin"]
+    mm, xm, lam = doc["minmax"], doc["maxmin"], doc["lambda"]
+    # A side is finite iff its certificate of +inf fails (minmax >= maxmin),
+    # and two finite sides are equal (strong duality, cor:conminmax).
+    _, rise, infinite = oracle.infinite_maxmin(pq, lam)
+    infinite_mm = infinite or oracle.infinite_minmax(pq, lam)
+    sides = xm["finite"] != infinite and mm["finite"] != infinite_mm
     if not xm["finite"]:
-        # minmax >= maxmin, so an infinite maxmin makes minmax infinite.
-        value, rise, passed = oracle.infinite_maxmin(pq, doc["lambda"])
-        return value, rise, passed and not mm["finite"]
+        return math.nan, rise, sides
     # The oracle refuses the blocks it cannot take before the file's
     # claimed value is read, so only its path has the dimension caps.
-    lower, upper = oracle.lagrangian_bracket(pq, doc["lambda"])
+    lower, upper = oracle.lagrangian_bracket(pq, lam)
     value = _scalar(prob, "expected_value", xm["value"])
-    passed, delta = _bracketed(pq, lower, upper, value, doc["lambda"])
-    if mm["finite"]:
-        return value, lower, passed and xm["value"] <= mm["value"] + delta
-    return value, lower, passed and oracle.infinite_minmax(pq, doc["lambda"])
+    passed, delta = _bracketed(pq, lower, upper, value, lam)
+    equal = not mm["finite"] or abs(mm["value"] - xm["value"]) <= delta
+    return value, lower, sides and passed and equal
 
 
 def _solve_sphere_game(pq, prob):

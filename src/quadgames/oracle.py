@@ -8,9 +8,9 @@ the exact ``sphere_certificate`` of a claimed point, and a MINMAX w grid.
 MAXMIN and the lambda family solve the inner minimum over u exactly; one
 engine of central cuts, stopped relative to the data, brackets the MINMAX
 outer minimum over u (widened by the circle's error) and the lambda
-family's maximum over w.  These searches are desk-scale bounds, not
-certificates: spheres and w blocks of up to 4 dimensions, but a MINMAX w
-of up to 2 and u of up to 4.
+family's maximum over w.  These searches are bounds, not certificates:
+the sphere search takes any dimension, the cuts only desk-scale blocks, a
+lambda-family w of up to 4 and a MINMAX w of up to 2 and u of up to 4.
 All draws come from one seed through the counter-based
 ``_gaussian_rows``, and every best row from one ``_sweep`` in blocks,
 so a configuration gives one output, however the rows are blocked.
@@ -41,8 +41,8 @@ POLISH_STEPS = 100
 _MAX_CUTS = 10_000
 # Most rows one array pass of a sampling oracle holds: the oracles draw
 # and evaluate their candidates in blocks of this many rows, so their
-# memory does not grow with the sample count.  At the desk dimensions
-# (up to 4 per row) one block's temporaries stay under about 1 MB.
+# memory does not grow with the sample count.  One block's temporaries
+# take about 50 bytes per row and dimension: 0.4 MB at 4, 20 MB at 200.
 BLOCK = 2048
 
 # Rounding leaves a few n eps of its terms' size in a quantity (Higham
@@ -229,7 +229,7 @@ def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     s, size = _hessian(pq, f11)
     curvature, q = np.linalg.eigh(s)
     curvature, bound = curvature - lam, ROUNDING * (size + abs(lam))
-    if curvature[-1] > bound:
+    if curvature.size and curvature[-1] > bound:  # an empty w has none
         return math.nan, float(curvature[-1]), True
     slope = q.T @ _inner_gradient(pq, np.zeros(pq.w_dim), f11)
     rise = float(np.linalg.norm(slope[np.abs(curvature) <= bound]))
@@ -311,15 +311,15 @@ def _w_candidates(dim: int, count: int, start: int, stop: int) -> np.ndarray:
     return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
-def _check_dims(w_dim: int, u_dim: int = 0, direction: Direction | None = None):
-    """Refuse what the oracles cannot take: a sphere (the trust region's,
-    a game's w) of 1 to 4 dimensions, with any u (the inner minimum over u
-    is exact); for MINMAX, a w of up to 2, read on a circle, and a u of up
-    to 4, searched by cuts whose count grows with the square of dim u."""
+def _check_dims(w_dim: int, u_dim=0, direction: Direction | None = None, family=False):
+    """Refuse what the oracles cannot take: an empty sphere, and blocks too
+    large for the cuts, whose count grows with the square of the dimension
+    they search: a lambda-family w (``family``) over 4, a MINMAX u over 4 or
+    w over 2 (read on a circle).  The sphere search takes any dimension."""
     if w_dim < 1:
         raise ValueError("dimension must be at least 1")
-    if w_dim > 4:
-        raise ValueError("sphere oracle supports dimensions up to 4")
+    if family and w_dim > 4:
+        raise ValueError("lambda-family oracle supports w dimensions up to 4")
     if direction is Direction.MINMAX and (w_dim > 2 or u_dim > 4):
         raise ValueError("MINMAX grid oracle supports w dimensions up to 2, u up to 4")
 
@@ -477,7 +477,7 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
     it is wherever the maxmin value is finite.  An empty w block is the
     single point of R^0.  The data's size is ||M||_F + ||d|| + |lam|."""
     if pq.w_dim:  # R^0, the one point of an empty w block, needs no cap
-        _check_dims(pq.w_dim)
+        _check_dims(pq.w_dim, family=True)
     f11 = symmetric_split(pq.m11)
     w0 = symmetric_split(pq.assembled(lam)).solve(pq.d)[pq.u_dim :]
     size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam))

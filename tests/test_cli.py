@@ -15,10 +15,11 @@ from quadgames.game import (
     LambdaSolve,
     PartitionedQuadratic,
     maxmin_threshold,
+    minmax_threshold,
     schur_reduction,
 )
 
-from util import count_factorizations, rotation
+from util import count_factorizations, hard_case_instance, random_partitioned, rotation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -466,8 +467,8 @@ def test_output_into_a_missing_directory_is_an_error_line(tmp_path, capsys, comm
     assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
-# A 3-d w (the oracles sample w on a circle at most) and a 5-d u (the
-# MINMAX cuts take up to 4).
+# A 3-d w (MINMAX reads w on a circle) and a 5-d u (the MINMAX cuts take
+# up to 4), and a 5-d w (the lambda family's cuts take up to 4).
 THREE_BY_THREE = {
     "M11": [[1.0]], "M12": [[0.0, 0.0, 0.0]], "M22": np.eye(3).tolist(),
     "d1": [0.0], "d2": [0.0, 0.0, 0.0],
@@ -487,7 +488,6 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
 
 @pytest.mark.parametrize("command,doc", [
     ("check", {"kind": "minmax", **THREE_BY_THREE}),
-    ("check", {"kind": "maxmin", **FIVE_W}),
     ("check", {"kind": "lagrangian", "lambda": 2.0, **FIVE_W}),
     ("check", {"kind": "minmax", **FIVE_BY_FIVE}),
     ("solve", {**LAGRANGIAN, "lambda": None}),
@@ -520,11 +520,10 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     ("check", {**QUAD_MIN, "expected_value": math.nan}),
     ("check", {**QUAD_MIN, "expected_value": -math.inf}),
     ("check", {**LAGRANGIAN, "lambda": 1.5, "expected_value": math.inf}),
-    ("check", {**TRUST_REGION, "D": np.eye(5).tolist(), "d": [0.1] * 5}),
     ("solve", [QUAD_MIN]),
     ("solve", LAGRANGIAN),
 ], ids=[
-    "minmax-3x3", "maxmin-1x5", "lagrangian-1x5", "minmax-5x5",
+    "minmax-3x3", "lagrangian-1x5", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
     "object-expected", "string-expected", "number-oracle", "list-oracle",
     "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
@@ -533,7 +532,7 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     "curve-non-psd-lagrangian", "curve-infinite-lambda-max",
     "curve-infinite-lambda-min", "solve-nan-lambda", "solve-string-inf-lambda",
     "solve-nan-c", "check-nan-expected", "check-infinite-expected",
-    "check-infinite-expected-lagrangian", "check-trust-region-5x5",
+    "check-infinite-expected-lagrangian",
     "solve-top-level-array", "solve-no-lambda",
 ])
 def test_input_errors_are_error_lines(tmp_path, capsys, command, doc):
@@ -1077,6 +1076,77 @@ def test_check_certifies_an_infinite_minmax(tmp_path, monkeypatch, capsys):
         assert (code, out.splitlines()[-1]) == (expected, line), out
 
 
+# Both sides are +inf 1e-10 below ||S|| = ||M22|| = 1, where the solvers'
+# threshold tol calls them finite, with the value lambda / 2.
+LAMBDA_BAND = {"kind": "lagrangian", "M11": [[1.0]], "M12": [[0.0]], "M22": [[1.0]],
+               "lambda": 0.9999999999}
+
+
+def _rng5_lagrangian(at):
+    """The lagrangian of ``_rng5_game(1.0)`` at lambda = at(||M22||)."""
+    game = _rng5_game(1.0)
+    pq = PartitionedQuadratic(**{k.lower(): np.array(v) for k, v in game.items()})
+    return {"kind": "lagrangian", "lambda": at(minmax_threshold(pq)), **game}
+
+
+def _lagrangian_verdict(prob, doc):
+    """``check``'s verdict on the result document ``doc`` of ``prob``."""
+    entry = cli.KINDS["lagrangian"]
+    return entry.check(entry.read(prob), prob, doc, None, cli._oracle_config(prob))[2]
+
+
+def test_check_reads_the_finiteness_of_both_lambda_sides():
+    # Each side's finite flag must be the failure of its infinite
+    # certificate, and two finite sides must be equal: finite sides
+    # claimed in the band below ||S|| = ||M22||, and a minmax value 1e-6
+    # above the maxmin, passed when a finite side needed no certificate.
+    infinite, finite = {"finite": False}, {"finite": True, "value": 0.49999999995}
+    right = {"lambda": LAMBDA_BAND["lambda"], "status": "both_infinite",
+             "minmax": infinite, "maxmin": infinite}
+    lie = {**right, "status": "strong_duality", "value": 0.49999999995,
+           "minmax": finite, "maxmin": finite}
+    assert _lagrangian_verdict(LAMBDA_BAND, right)
+    assert not _lagrangian_verdict(LAMBDA_BAND, lie)
+    prob = _rng5_lagrangian(lambda norm22: norm22 + 1.0)
+    _, right, _ = cli.solve_document(prob)
+    assert right["status"] == "strong_duality"
+    minmax = right["minmax"]
+    lie = {**right, "minmax": {**minmax, "value": minmax["value"] * (1.0 + 1e-6)}}
+    assert _lagrangian_verdict(prob, right)
+    assert not _lagrangian_verdict(prob, lie)
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 3: the solvers' threshold tol, about 1e-9 of the "
+    "data, calls a side finite 1e-10 and 1e-9 relative below its threshold",
+    strict=True,
+)
+@pytest.mark.parametrize("prob", [
+    LAMBDA_BAND, _rng5_lagrangian(lambda norm22: norm22 - 1e-9 * (norm22 + 1.0)),
+], ids=["band", "rng5"])
+def test_check_passes_the_lagrangian_just_below_a_threshold(tmp_path, capsys, prob):
+    # tests/mpref.py has both sides of the band game infinite, and the
+    # minmax of rng5; the solver reports strong_duality for both, which
+    # the infinite certificates refute.
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, prob))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
+def test_check_of_a_lagrangian_with_no_w(monkeypatch):
+    # With no w the family is lam/2 + min over u of V, finite at every
+    # lam: S has no eigenvalue, so the infinite-maxmin certificate passes
+    # nothing (it raised IndexError), and check passes the solver.
+    pq = PartitionedQuadratic(np.eye(1), np.zeros((1, 0)), np.zeros((0, 0)),
+                              np.array([0.5]), np.zeros(0))
+    for lam in (-1.0, 0.0, 1.0):
+        assert not cli.oracle.infinite_maxmin(pq, lam)[2], lam
+        assert not cli.oracle.infinite_minmax(pq, lam), lam
+        prob = {"kind": "lagrangian", "lambda": lam}
+        doc, code = cli._solve_lagrangian(pq, prob)
+        value, _, passed = cli._check_lagrangian(pq, prob, doc, code, cli._oracle_config(prob))
+        assert (value, passed) == (lam / 2.0 - 0.125, True), lam
+
+
 def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):
     # Near the hard case a polish damped by a curvature bound left seed 7
     # a gap of 1.12 at c = 1e8, beyond the absolute 5e-3; the power step
@@ -1106,3 +1176,36 @@ def test_check_a_w_of_3_or_4(tmp_path, capsys, n):
     pq = PartitionedQuadratic(**{k.lower(): np.array(v) for k, v in game.items()})
     doc = {"kind": "lagrangian", "lambda": 2.0 * maxmin_threshold(pq) + 0.1, **game}
     assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3])
+
+
+def _sphere_docs(n, c):
+    """Trust regions of dimension n from ``default_rng(n)``, scaled by c,
+    with their MAXMIN twins: D = aa' with a Gaussian d, and an exact hard
+    case (``hard_case_instance``, response norm 0.5); and a MAXMIN game
+    with a u and a w of n, M >= 0 (``random_partitioned``)."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    for d_mat, d_vec in ((a @ a.T, rng.standard_normal(n)), hard_case_instance(rng, n, 0.5)):
+        tr = {"kind": "trust_region", "D": (c * d_mat).tolist(), "d": (c * d_vec).tolist()}
+        yield tr
+        yield {"kind": "maxmin", "M11": [[c]], "M12": [[0.0] * n], "d1": [0.0],
+               "M22": tr["D"], "d2": tr["d"]}
+    pq = random_partitioned(rng, n, n)
+    yield {"kind": "maxmin", "M11": (c * pq.m11).tolist(), "M12": (c * pq.m12).tolist(),
+           "M22": (c * pq.m22).tolist(), "d1": (c * pq.d1).tolist(), "d2": (c * pq.d2).tolist()}
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("n", [5, 20])
+def test_check_sphere_answers_above_4_dimensions(n, c):
+    # The certificate decides at any n, and the search, a lower bound,
+    # runs at every n too: a right answer passes, and its value moved by
+    # +-1e-6 or +-1e-9 relative fails (check refused n > 4).
+    for doc in _sphere_docs(n, c):
+        data, solved, code = cli.solve_document(doc)
+        check = cli.KINDS[doc["kind"]].check
+        verdicts = []
+        for moved in (0.0, -1e-6, 1e-6, -1e-9, 1e-9):
+            prob = {**doc, "expected_value": solved["value"] * (1.0 + moved)}
+            verdicts.append(check(data, prob, solved, code, cli._oracle_config(prob))[2])
+        assert verdicts == [True, False, False, False, False], doc["kind"]

@@ -24,6 +24,7 @@ from quadgames import (
 from quadgames.game import schur_reduction
 from quadgames.oracle import (
     BLOCK,
+    ROUNDING,
     _convex_min,
     infinite_maxmin,
     lagrangian_bracket,
@@ -183,8 +184,9 @@ def test_grid_minmax_deterministic():
 
 def test_grid_minmax_dimension_limit():
     # MINMAX searches a u of up to 4 dimensions by cuts and reads a w of
-    # up to 2 on a circle; MAXMIN solves the inner minimum over any u
-    # exactly and samples a w of up to 4 on its sphere.
+    # up to 2 on a circle, and the lambda family's cuts take a w of up to
+    # 4; MAXMIN solves the inner minimum over any u exactly and searches
+    # a w of any dimension on its sphere.
     cfg = OracleConfig(samples=100)
     wide_u = PartitionedQuadratic(
         np.eye(5), np.zeros((5, 1)), np.zeros((1, 1)), np.zeros(5), np.zeros(1)
@@ -202,9 +204,10 @@ def test_grid_minmax_dimension_limit():
     wider_w = PartitionedQuadratic(
         np.eye(1), np.zeros((1, 5)), np.eye(5), np.zeros(1), np.zeros(5)
     )
-    for direction in Direction:
-        with pytest.raises(ValueError, match="dimensions up to 4"):
-            grid_minmax(wider_w, cfg, direction)
+    with pytest.raises(ValueError, match="w dimensions up to 2"):
+        grid_minmax(wider_w, cfg, Direction.MINMAX)
+    with pytest.raises(ValueError, match="lambda-family oracle supports w dimensions up to 4"):
+        lagrangian_bracket(wider_w, 2.0)
 
 
 def test_minmax_grid_with_a_zero_u_block():
@@ -512,10 +515,18 @@ def test_cuts_stop_at_the_first_infinite_value(monkeypatch):
     assert len(calls) == 1
 
 
-def test_sphere_oracle_caps_the_dimension():
-    form = QuadraticForm(np.eye(5), np.full(5, 0.1))
-    with pytest.raises(ValueError, match="sphere oracle supports dimensions up to 4"):
-        sphere_max(form, OracleConfig(samples=10))
+def test_sphere_search_takes_a_w_over_4():
+    # The search is a lower bound beside the certificate, so it has no
+    # cap: at n = 5 the trust region's and MAXMIN's come within rounding
+    # of the solver.
+    d_mat, d_vec = np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), np.array([1.0, -1.0, 0.5, 0.0, 2.0])
+    searched, _ = sphere_max(QuadraticForm(d_mat, d_vec), OracleConfig())
+    size = np.linalg.norm(d_mat) + np.linalg.norm(d_vec)
+    assert abs(searched - solve_trust_region(d_mat, d_vec).value) <= ROUNDING * size
+    pq = random_partitioned(np.random.default_rng(5), 5, 5)
+    searched = grid_minmax(pq, OracleConfig(), Direction.MAXMIN)
+    size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d)
+    assert abs(searched - solve_linear_term(pq, Direction.MAXMIN).value) <= ROUNDING * size
 
 
 def test_the_0_sphere_is_not_polished(monkeypatch):

@@ -93,6 +93,19 @@ def test_factorizations_per_infinite_certificate(monkeypatch):
     assert counts == Counter(eigvalsh=1)
 
 
+def test_factorizations_per_finite_lagrangian_check(monkeypatch):
+    # Both sides' finiteness is read by their infinite certificates (the
+    # two eigh and the eigvalsh above) beside the bracket's eigh of M11
+    # and of M(lambda).
+    pq = random_partitioned(np.random.default_rng(79), 4, 3)
+    prob = {"kind": "lagrangian", "lambda": quadgames.minmax_threshold(pq) + 1.0}
+    doc, code = cli._solve_lagrangian(pq, prob)
+    assert doc["status"] == "strong_duality"
+    counts = count_factorizations(monkeypatch)
+    assert cli._check_lagrangian(pq, prob, doc, code, cli._oracle_config(prob))[2]
+    assert counts == Counter(eigh=4, eigvalsh=1)
+
+
 def _one_of_each_record() -> list:
     """An instance of every record type the package builds."""
     eye = np.eye(2)
