@@ -27,7 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import game, minmax, oracle, quadratic, sphere
-from .linalg import AffineSolutionSet, solve_linear
+from .linalg import (
+    BRACKET, ROUNDING, AffineSolutionSet, data_size, solve_linear, term_size,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -142,19 +144,11 @@ def _sset_doc(sset: sphere.SphereSolutionSet) -> dict:
     }
 
 
-def _size(m, d, z):
-    """Size 1/2 |z|'|m||z| + |d|'|z| of the terms of 1/2 z'mz + d'z at z:
-    over n eps, the a-priori bound on its rounding (Higham 2002, ch. 3)."""
-    z = np.abs(z)
-    return 0.5 * z @ np.abs(m) @ z + np.abs(d) @ z
-
-
 def _bracketed(pq, lower, upper, value, lam=0.0):
     """(passed, delta) of the cut-engine checks, ``lagrangian`` and MINMAX:
-    with delta = 1e-8 (||M||_F + ||d|| + |lam| + |value|), the oracle's
-    bracket is at most delta wide and holds the value to within delta."""
-    size = np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam)
-    delta = 1e-8 * (size + abs(value))
+    with delta = ``BRACKET`` (``data_size`` of (M, d, lam) + |value|), the
+    oracle's bracket is at most delta wide and holds the value to delta."""
+    delta = BRACKET * (data_size(pq.assembled(), pq.d, lam) + abs(value))
     return upper - lower <= delta and lower - delta <= value <= upper + delta, delta
 
 
@@ -209,7 +203,7 @@ def _check_quad_min(form, prob, doc, code, cfg):
         return oracle.off_range(form.hessian, form.linear, np.linalg.norm(form.linear))
     value = _scalar(prob, "expected_value", doc["value"])
     x0 = np.asarray(doc["minimizers"]["particular"])
-    size = _size(form.hessian, form.linear, x0) + abs(form.constant)
+    size = term_size(form.hessian, form.linear, x0) + abs(form.constant)
     return oracle.sampled_min(form._evaluate_rows, x0, cfg, value, size)
 
 
@@ -237,9 +231,9 @@ def _check_saddle(pq, prob, doc, code, cfg):
     # for the value, and ||M||_F r^2 + ||d|| r for the draws at their spread
     # r = 1 + ||u*|| + ||w*||, which on a bilinear V outgrows ||z|| < 1e-4.
     m = pq.assembled()
-    delta = oracle.ROUNDING * _size(m, pq.d, np.concatenate([u_star, w_star]))
+    delta = ROUNDING * term_size(m, pq.d, np.concatenate([u_star, w_star]))
     r = 1.0 + np.linalg.norm(u_star) + np.linalg.norm(w_star)
-    tol = oracle.ROUNDING * (np.linalg.norm(m) * r**2 + np.linalg.norm(pq.d) * r)
+    tol = ROUNDING * (np.linalg.norm(m) * r**2 + np.linalg.norm(pq.d) * r)
     passed = oracle.verify_saddle(pq, u_star, w_star, cfg.samples, cfg.seed, tol)
     return value, at, passed and abs(at - value) <= delta
 
@@ -270,10 +264,12 @@ def _check_lagrangian(pq, prob, doc, code, cfg):
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     mm, xm, lam = doc["minmax"], doc["maxmin"], doc["lambda"]
     # A side is finite iff its certificate of +inf fails (minmax >= maxmin),
-    # and two finite sides are equal (strong duality, cor:conminmax).
+    # two finite sides are equal (strong duality, cor:conminmax), and the
+    # joint value is given iff the status says so, as the maxmin's value.
     _, rise, infinite = oracle.infinite_maxmin(pq, lam)
     infinite_mm = infinite or oracle.infinite_minmax(pq, lam)
     sides = xm["finite"] != infinite and mm["finite"] != infinite_mm
+    sides = sides and ("value" in doc) == (doc["status"] == "strong_duality")
     if not xm["finite"]:
         return math.nan, rise, sides
     # The oracle refuses the blocks it cannot take before the file's
@@ -282,6 +278,7 @@ def _check_lagrangian(pq, prob, doc, code, cfg):
     value = _scalar(prob, "expected_value", xm["value"])
     passed, delta = _bracketed(pq, lower, upper, value, lam)
     equal = not mm["finite"] or abs(mm["value"] - xm["value"]) <= delta
+    equal = equal and abs(doc.get("value", xm["value"]) - xm["value"]) <= delta
     return value, lower, sides and passed and equal
 
 
@@ -305,14 +302,16 @@ def _check_sphere_game(pq, prob, doc, code, cfg):
     value = _scalar(prob, "expected_value", doc["value"])
     u = np.asarray(doc["u_set"]["particular"], dtype=float)
     w = np.asarray(doc["w_set"]["representative"], dtype=float)
-    delta = oracle.ROUNDING * _size(pq.assembled(), pq.d, np.concatenate([u, w]))
+    delta = ROUNDING * term_size(pq.assembled(), pq.d, np.concatenate([u, w]))
     if prob["kind"] == "maxmin":
         searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
         return _sphere_verdict(pq, w, doc["lambda0"], value, delta, searched)
-    # MINMAX: V at the claimed point gives the value exactly, and the
-    # oracle's bracket holds it by the rule of ``lagrangian``.
+    # MINMAX: V at the claimed point gives the value exactly, the oracle's
+    # bracket holds it by the rule of ``lagrangian``, and lambda0 is at
+    # least ||M22||, where the inner maximum over w is finite.
     lower, upper = oracle.minmax_bracket(pq, cfg)
     passed = _bracketed(pq, lower, upper, value)[0]
+    passed = passed and not oracle.infinite_minmax(pq, doc["lambda0"])
     return value, upper, passed and abs(pq.evaluate(u, w) - value) <= delta
 
 
@@ -334,7 +333,7 @@ def _check_trust_region(data, prob, doc, code, cfg):
     searched, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg)
     empty = np.zeros((0, len(w)))  # a trust region is the game with no u
     pq = game.PartitionedQuadratic(empty @ empty.T, empty, data[0], empty[:, 0], data[1])
-    delta = oracle.ROUNDING * _size(*data, w)
+    delta = ROUNDING * term_size(*data, w)
     return _sphere_verdict(pq, w, doc["lambda_p"], value, delta, searched)
 
 

@@ -11,6 +11,41 @@ the SVD is for rectangular A alone (``solve_linear``).
 Matrices are plain ``numpy.ndarray`` values, validated (2-d, finite) at
 the function boundary, as vectors and scalars are.  All functions are
 pure and all returned values should be treated as immutable.
+
+The rounding model of the package is here too: every bound any module
+reads, and the two sizes the bounds multiply.  A quantity computed in
+floating point carries rounding of a few n eps of the size of its terms
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3),
+so a test of a quantity against zero reads a share of that size.  The
+sizes are ``data_size``, ||M||_F + ||d|| (+ |lambda|) of the data a
+decision starts from, and ``term_size``, 1/2 |z|'|M||z| + |d|'|z| of
+the terms of 1/2 z'Mz + d'z at a point z; a certificate that builds its
+own quantities sizes them by their own terms.  The shares:
+
+- ``RANK_EPS``: a singular value sigma_i is zero when sigma_i <=
+  RANK_EPS sigma_max max(rows, cols).
+- ``TOL``: the solvers' share for every decision on the data, of the
+  size of the data the tested quantity is computed from: range
+  membership (||U2' b|| <= TOL ||b||), symmetry (||M - M'|| <= TOL ||M||,
+  larger is rejected), the PSD test (eigenvalues >= -TOL ||M||), the
+  branch tests of ``sphere.Secular`` (TOL (||D|| + ||d||)) and the
+  unit-sphere test of ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
+  The oracles' range tests read it as the solvers do, and
+  ``oracle.verify_saddle`` takes it as its default absolute tolerance.
+- ``ROUNDING``: the certificates' share of their terms' size, for every
+  certificate and value comparison of ``check``.
+- ``BRACKET``: the cut-engine verdicts of ``check`` (MINMAX,
+  ``lagrangian``): with delta = BRACKET (data_size + |value|), the
+  oracle's bracket is at most delta wide and holds the value to delta.
+- ``CUT_STOP``: the central cuts stop once upper - lower <= CUT_STOP
+  (min(1, size) + |upper|), size the data_size (1 if 0).
+- ``SECULAR_STOP``: Newton on the secular f(mu) = 1/||c(mu)|| - 1 stops at
+  f >= -SECULAR_STOP, 4 eps: f is formed with a few eps of rounding.
+- ``IMAG_TOL``: an eigenvalue counts as real when |Im| <= IMAG_TOL
+  (1 + |Re|); nonsymmetric eigensolvers return complex pairs with
+  rounding noise.
+- ``HARD_CASE_BAND``: ``near_hard_case`` flags a trust region whose
+  boundary response norm is within this of 1.
 """
 
 from __future__ import annotations
@@ -21,16 +56,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Singular value sigma_i is treated as zero when
-# sigma_i <= RANK_EPS * sigma_max * max(rows, cols).
 RANK_EPS = 1e-12
-# One relative tolerance for every decision on the data, applied to the
-# size of the data the tested quantity is computed from: range membership
-# (||U2' b|| <= TOL ||b||), symmetry (||M - M'|| <= TOL ||M||, larger is
-# rejected), the PSD test (eigenvalues >= -TOL ||M||), the branch tests
-# of ``sphere.Secular`` (TOL (||D|| + ||d||)) and the unit-sphere test
-# of ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
 TOL = 1e-9
+ROUNDING = 1e-12
+BRACKET = 1e-8
+CUT_STOP = 1e-10
+SECULAR_STOP = 4.0 * np.finfo(float).eps
+IMAG_TOL = 1e-8
+HARD_CASE_BAND = 1e-6
+
+
+def data_size(m: np.ndarray, d: np.ndarray | None = None, lam: float = 0.0) -> float:
+    """||m||_F + ||d|| + |lam|, the size of the data (m, d) at lam."""
+    return _norm(m) + (0.0 if d is None else _norm(d)) + abs(lam)
+
+
+def term_size(m: np.ndarray, d: np.ndarray, z: np.ndarray) -> float:
+    """1/2 |z|'|m||z| + |d|'|z|, the size of the terms of 1/2 z'mz + d'z
+    at z."""
+    z = np.abs(z)
+    return 0.5 * z @ np.abs(m) @ z + np.abs(d) @ z
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -26,10 +26,7 @@ import numpy as np
 
 from .game import PartitionedQuadratic
 from .linalg import (
-    TOL,
-    Validated,
-    as_vector,
-    check_integer,
+    CUT_STOP, ROUNDING, TOL, Validated, as_vector, check_integer, data_size,
     symmetric_split,
 )
 from .minmax import Direction
@@ -44,10 +41,6 @@ _MAX_CUTS = 10_000
 # memory does not grow with the sample count.  One block's temporaries
 # take about 50 bytes per row and dimension: 0.4 MB at 4, 20 MB at 200.
 BLOCK = 2048
-
-# Rounding leaves a few n eps of its terms' size in a quantity (Higham
-# 2002, ch. 3): the share of that size each certificate here allows.
-ROUNDING = 1e-12
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -166,15 +159,16 @@ def verify_saddle(
     w_star,
     samples: int = 200,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = TOL,
 ) -> bool:
     """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
 
     Draws ``samples`` Gaussian perturbations around the candidate point
     from ``seed`` (row i: the u part moves u*, the w part moves w*) and
-    sweeps them for a row that breaks either inequality; a probabilistic
-    refutation test, not a certificate.  ``samples`` must be an integer
-    >= 1 and ``seed`` one >= 0, as in ``OracleConfig``.
+    sweeps them for a row that breaks either inequality by more than the
+    absolute ``tol``; a probabilistic refutation test, not a certificate.
+    ``samples`` must be an integer >= 1 and ``seed`` one >= 0, as in
+    ``OracleConfig``.
     """
     OracleConfig(seed, samples)  # refuses what the config refuses
     u_star = as_vector(u_star, "u_star")
@@ -243,8 +237,7 @@ def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
     s_max - lam for every u.  It passes when that exceeds ``ROUNDING``
     (||M22||_F + |lam|)."""
     s = np.linalg.eigvalsh(pq.m22)
-    bound = ROUNDING * float(np.linalg.norm(pq.m22) + abs(lam))
-    return bool(s.size) and float(s[-1]) - lam > bound
+    return bool(s.size) and float(s[-1]) - lam > ROUNDING * data_size(pq.m22, lam=lam)
 
 
 def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
@@ -390,7 +383,7 @@ def _convex_min(pq: PartitionedQuadratic, cfg: OracleConfig):
         return float(value), sigma * x + lin + cross[:, j]
 
     a = float(np.linalg.norm(lin) + np.linalg.norm(coupling))
-    size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d))
+    size = data_size(pq.assembled(), pq.d)
     lower, upper, x = _cuts(at, k, 2.0 * a / sigma[-1] if k else 0.0, size)
     if pq.w_dim == 1:
         return lower, upper, 0.0
@@ -407,8 +400,9 @@ def _cuts(at, k: int, radius: float, size: float):
     center x along g, keeps one, so f(x) - ||B'g||, the least value on E
     of the cut's linear bound, is a lower end; upper is the least f(x)
     seen, at the x it returns too.  The cuts stop when upper - lower <=
-    1e-10 (min(1, size) + |upper|), relative to the data's ``size`` (1 if
-    0), after ``_MAX_CUTS`` or at a non-finite f(x), which bounds nothing.
+    ``CUT_STOP`` (min(1, size) + |upper|), relative to the data's ``size``
+    (1 if 0), after ``_MAX_CUTS`` or at a non-finite f(x), which bounds
+    nothing.
     Rounding near a singular M(lambda) can invert the ends, which ``check``
     fails beyond its tolerance.  R^0 has the one point x = ()."""
     unit = min(1.0, size) or 1.0
@@ -434,7 +428,7 @@ def _cuts(at, k: int, radius: float, size: float):
         bg = b.T @ g
         width = float(np.linalg.norm(bg))
         lower = max(lower, value - width)
-        if upper - lower <= 1e-10 * (unit + abs(upper)):
+        if upper - lower <= CUT_STOP * (unit + abs(upper)):
             break
         p = bg / width
         bp = b @ p
@@ -475,12 +469,12 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
     (``_inner_gradient`` less lam w), from the ball of radius 2 (1 + ||w0||),
     w0 the w part of -pinv(M(lam)) d.  That assumes w0 is a maximizer, as
     it is wherever the maxmin value is finite.  An empty w block is the
-    single point of R^0.  The data's size is ||M||_F + ||d|| + |lam|."""
+    single point of R^0.  The data's size is ``data_size`` of (M, d, lam)."""
     if pq.w_dim:  # R^0, the one point of an empty w block, needs no cap
         _check_dims(pq.w_dim, family=True)
     f11 = symmetric_split(pq.m11)
     w0 = symmetric_split(pq.assembled(lam)).solve(pq.d)[pq.u_dim :]
-    size = float(np.linalg.norm(pq.assembled()) + np.linalg.norm(pq.d) + abs(lam))
+    size = data_size(pq.assembled(), pq.d, lam)
 
     def at(w: np.ndarray) -> tuple[float, np.ndarray]:
         g = _inner_min(pq, w[None, :], f11)[0] + 0.5 * lam * (1.0 - w @ w)

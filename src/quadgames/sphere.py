@@ -31,15 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    TOL, AffineSolutionSet, _norm, as_scalar, as_vector, check_integer,
-    nonnegative_spectrum, symmetrize,
+    HARD_CASE_BAND, IMAG_TOL, SECULAR_STOP, TOL, AffineSolutionSet, _norm,
+    as_scalar, as_vector, check_integer, nonnegative_spectrum, symmetrize,
 )
 
-# An eigenvalue counts as real when |Im| <= IMAG_TOL * (1 + |Re|);
-# nonsymmetric eigensolvers return complex pairs with rounding noise.
-IMAG_TOL = 1e-8
-# ``near_hard_case`` flags a boundary response norm within this of 1.
-HARD_CASE_BAND = 1e-6
 # Newton steps on the secular equation converge quadratically from the
 # left; the cap only guards against a stalled iteration.
 NEWTON_STEPS = 100
@@ -225,7 +220,8 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
     Newton on f(mu) = 1/||c(mu)|| - 1, which is concave and increasing,
     starts at the lower bound mu = max(0, max_i |r_i| - gaps_i), where
     f <= 0; its iterates then rise monotonically to the root, capped at
-    ||r||, where f >= 0.  Returns (mu, c(mu), Newton steps).
+    ||r||, where f >= 0, and stop once f >= -``SECULAR_STOP``.
+    Returns (mu, c(mu), Newton steps).
     """
     live = r != 0.0
     g, rl = gaps[live], r[live]
@@ -237,7 +233,7 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
         terms = r2 / (mu + g) ** 2
         norm2 = float(terms.sum())
         f = 1.0 / math.sqrt(norm2) - 1.0
-        if f >= -4.0 * np.finfo(float).eps:
+        if f >= -SECULAR_STOP:
             break
         slope = float(np.sum(terms / (mu + g))) / norm2**1.5
         nxt = min(mu - f / slope, hi)

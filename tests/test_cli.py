@@ -1107,6 +1107,7 @@ def test_check_reads_the_finiteness_of_both_lambda_sides():
            "minmax": finite, "maxmin": finite}
     assert _lagrangian_verdict(LAMBDA_BAND, right)
     assert not _lagrangian_verdict(LAMBDA_BAND, lie)
+    assert not _lagrangian_verdict(LAMBDA_BAND, {**right, "value": 0.5})
     prob = _rng5_lagrangian(lambda norm22: norm22 + 1.0)
     _, right, _ = cli.solve_document(prob)
     assert right["status"] == "strong_duality"
@@ -1114,6 +1115,54 @@ def test_check_reads_the_finiteness_of_both_lambda_sides():
     lie = {**right, "minmax": {**minmax, "value": minmax["value"] * (1.0 + 1e-6)}}
     assert _lagrangian_verdict(prob, right)
     assert not _lagrangian_verdict(prob, lie)
+
+
+def _verdict(prob, **edits):
+    """``check``'s verdict on the solved document of ``prob`` with its
+    top-level fields replaced by ``edits`` (None deletes a field)."""
+    data, doc, code = cli.solve_document(prob)
+    doc = {k: v for k, v in {**doc, **edits}.items() if v is not None}
+    return cli.KINDS[prob["kind"]].check(data, prob, doc, code, cli._oracle_config(prob))[2]
+
+
+STRONG = {"kind": "lagrangian", "M11": [[2.0]], "M12": [[1.0]], "M22": [[1.0]],
+          "d1": [0.5], "d2": [0.3], "lambda": 3.0}
+
+
+@pytest.mark.parametrize("prob", [
+    json.loads((FIXTURES / "fig_duality_gap.json").read_text()),
+    json.loads((FIXTURES / "lagrangian_gap.json").read_text()),
+    STRONG,
+], ids=["fig_duality_gap", "lagrangian_gap", "strong"])
+def test_check_reads_the_lagrangian_joint_value(prob):
+    # The top-level value is given iff the status is strong_duality, and
+    # it is the maxmin side's value: a value of 123, or none, fails.
+    assert cli.solve_document(prob)[1]["status"] == "strong_duality"
+    assert _verdict(prob)
+    assert not _verdict(prob, value=123.0)
+    assert not _verdict(prob, value=None)
+
+
+@pytest.mark.parametrize("name", ["minmax_linear", "minmax_homogeneous"])
+def test_check_reads_the_minmax_lambda0(name):
+    # lambda0 must be at least ||M22||, where the inner maximum is
+    # finite: a lambda0 of -5 fails.
+    prob = json.loads((FIXTURES / f"{name}.json").read_text())
+    assert _verdict(prob)
+    assert not _verdict(prob, lambda0=-5.0)
+
+
+def test_check_passes_the_lambda0_of_right_minmax_answers():
+    # The lambda0 rule refutes no right answer across sizes and scales.
+    rng = np.random.default_rng(83)
+    for _ in range(100):
+        p, n = (int(k) for k in rng.integers(1, 5, size=2))
+        c = 10.0 ** rng.uniform(-8.0, 8.0)
+        pq = random_partitioned(rng, p, n)
+        for game in (pq, pq._replace(d1=np.zeros(p), d2=np.zeros(n))):
+            game = PartitionedQuadratic(*(c * np.asarray(x) for x in game))
+            solution = minmax.solve_linear_term(game, minmax.Direction.MINMAX)
+            assert not cli.oracle.infinite_minmax(game, solution.lambda0), (p, n, c)
 
 
 @pytest.mark.xfail(

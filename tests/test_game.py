@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 from collections import Counter
@@ -13,9 +14,12 @@ from quadgames import (
     duality_report,
     lambda_curve,
     maxmin_threshold,
+    minimize,
     minmax_threshold,
+    solve_linear,
     solve_linear_term,
     solve_saddle,
+    solve_trust_region,
     verify_saddle,
 )
 from quadgames.oracle import _gaussian_rows
@@ -24,6 +28,7 @@ from quadgames.sphere import Secular
 from util import (
     count_factorizations,
     random_partitioned,
+    random_psd,
     random_saddle_instance,
     rotation,
 )
@@ -508,7 +513,9 @@ def test_curve_factorization_count_does_not_grow_with_steps(monkeypatch, steps):
 
 def _python_calls(fn) -> int:
     """The Python and C function calls fn() makes, counted by
-    ``sys.setprofile`` (its "call" and "c_call" events)."""
+    ``sys.setprofile`` (its "call" and "c_call" events), with the cyclic
+    garbage collector off: a collection would count the finalizers of
+    whatever earlier tests left behind."""
     calls = 0
 
     def count(frame, event, arg):
@@ -516,11 +523,14 @@ def _python_calls(fn) -> int:
         calls += event in ("call", "c_call")
 
     previous = sys.getprofile()
+    gc.collect()
+    gc.disable()
     sys.setprofile(count)
     try:
         fn()
     finally:
         sys.setprofile(previous)
+        gc.enable()
     return calls
 
 
@@ -545,6 +555,43 @@ def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
     calls = _python_calls(curves(steps))
     assert calls <= CURVE_CALLS
     assert calls == _python_calls(curves(100))
+
+
+# The calls of one solve of each kind at n = 2 (numpy 2.4), on the
+# instances below: at that size a solve is mostly Python, so these
+# counts gate its cost where its wall time cannot.  The secular Newton
+# steps, and with them the last three counts, vary a little by instance.
+SOLVER_CALLS = {
+    "solve_linear": 80, "minimize": 72, "solve_saddle": 166,
+    "duality_report": 205, "solve_trust_region": 137, "minmax": 233, "maxmin": 190,
+}
+
+
+def _solvers_at_2() -> dict:
+    """One call of each solver kind of ``SOLVER_CALLS`` at n = 2."""
+    rng = np.random.default_rng(79)
+    a, b = rng.standard_normal((2, 2)), rng.standard_normal(2)
+    form = QuadraticForm(random_psd(rng, 2), rng.standard_normal(2))
+    saddle = random_saddle_instance(rng, 2, 2)
+    pq = random_partitioned(rng, 2, 2)
+    lam = minmax_threshold(pq) + 1.0
+    d_mat, d_vec = random_psd(rng, 2), rng.standard_normal(2)
+    return {
+        "solve_linear": lambda: solve_linear(a, b),
+        "minimize": lambda: minimize(form),
+        "solve_saddle": lambda: solve_saddle(saddle),
+        "duality_report": lambda: duality_report(pq, lam),
+        "solve_trust_region": lambda: solve_trust_region(d_mat, d_vec),
+        "minmax": lambda: solve_linear_term(pq, Direction.MINMAX),
+        "maxmin": lambda: solve_linear_term(pq, Direction.MAXMIN),
+    }
+
+
+@pytest.mark.parametrize("kind", SOLVER_CALLS)
+def test_solver_python_calls_are_bounded(kind):
+    solve = _solvers_at_2()[kind]
+    assert solve() is not None
+    assert _python_calls(solve) <= SOLVER_CALLS[kind]
 
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])

@@ -312,11 +312,40 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert capped == {"_check_dims"}
 
 
-def test_one_named_rounding_share():
-    # Every certificate and value comparison of ``check`` reads the one
-    # rounding share, oracle.ROUNDING: no other 1e-12 is written out.
-    literals = [
-        module for module in ("cli", "oracle") for node in ast.walk(SOURCES[module])
-        if isinstance(node, ast.Constant) and node.value == 1e-12
-    ]
-    assert literals == ["oracle"] and oracle.ROUNDING == 1e-12
+BOUNDS = {
+    "RANK_EPS": 1e-12, "TOL": 1e-9, "ROUNDING": 1e-12, "BRACKET": 1e-8,
+    "CUT_STOP": 1e-10, "SECULAR_STOP": 4.0 * np.finfo(float).eps,
+    "IMAG_TOL": 1e-8, "HARD_CASE_BAND": 1e-6,
+}
+
+
+def test_one_rounding_model_in_linalg():
+    # Every bound of the package and both size rules are defined once, in
+    # linalg: no other module writes a tolerance literal (a float with
+    # 0 < |x| < 1e-3) or reads the machine epsilon, binds a bound's name
+    # but by importing it from linalg, or defines a size rule.
+    for module, tree in SOURCES.items():
+        if module == "linalg":
+            continue
+        small = [
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)
+            and 0.0 < abs(node.value) < 1e-3
+        ]
+        assert small == [] and "finfo" not in _names(tree), module
+        bound = {
+            target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        assert not bound & set(BOUNDS), module
+        assert {name for _, name in _imports(tree)} & set(BOUNDS) <= {
+            name for source, name in _imports(tree) if source == "linalg"
+        }, module
+        functions = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        assert not {f for f in functions if f.endswith("size")}, module
+    assert {name: getattr(linalg, name) for name in BOUNDS} == BOUNDS
+    assert oracle.ROUNDING is linalg.ROUNDING
+    assert oracle.verify_saddle.__defaults__[-1] == linalg.TOL
+    assert {"data_size", "term_size"} <= _names(SOURCES["linalg"])
