@@ -36,7 +36,6 @@ from .linalg import (
     as_matrix,
     as_scalar,
     as_vector,
-    is_psd,
     nonnegative_spectrum,
     spectral_norm,
     symmetric_split,
@@ -122,14 +121,15 @@ class SaddleSolution(NamedTuple):
 def solve_saddle(pq: PartitionedQuadratic) -> SaddleSolution | None:
     """Saddle point of V, which exists iff d is in the range of M.
 
-    Requires M11 >= 0 and M22 <= 0.  Returns None when no solution
-    exists.  At a solution, strong duality holds: the minmax and maxmin
-    values both equal -1/2 d' pinv(M) d.  One ``eigh`` of M gives
-    pinv(M), the range test and null(M).
+    Requires M11 >= 0 and M22 <= 0, read off the eigenvalues of the
+    blocks ``PartitionedQuadratic`` validated.  Returns None when no
+    solution exists.  At a solution, strong duality holds: the minmax
+    and maxmin values both equal -1/2 d' pinv(M) d.  One ``eigh`` of M
+    gives pinv(M), the range test and null(M).
     """
-    if not is_psd(pq.m11):
+    if not nonnegative_spectrum(np.linalg.eigvalsh(pq.m11)):
         raise ValueError("solve_saddle requires M11 positive semidefinite")
-    if not is_psd(-pq.m22):
+    if not nonnegative_spectrum(np.linalg.eigvalsh(-pq.m22)):
         raise ValueError("solve_saddle requires M22 negative semidefinite")
     f = symmetric_split(pq.assembled())
     d = pq.d

@@ -175,15 +175,20 @@ def symmetric_split(m: np.ndarray, psd: bool = False) -> SvdFactors | None:
 
 
 def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
-    """Split U diag(s) V' (s descending) at the numerical rank."""
+    """Split U diag(s) V' (s descending) at the numerical rank.
+
+    ``v2`` is a compact copy: it is the null-space basis the solvers
+    hand out in their solution sets, and a slice would keep the whole
+    n x n factor alive as long as the result is held.  The other blocks
+    are views that live only as long as the split."""
     smax = float(s[0]) if s.size else 0.0
     rank = np.count_nonzero(s > RANK_EPS * smax * max(u.shape[0], v.shape[0], 1))
     return SvdFactors(
         u1=u[:, :rank],
         u2=u[:, rank:],
         v1=v[:, :rank],
-        v2=v[:, rank:],
-        sigma=s[:rank].copy(),
+        v2=v[:, rank:].copy(),
+        sigma=s[:rank],
         rank=rank,
     )
 

@@ -267,7 +267,11 @@ def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
     """Best value of q found on the unit sphere and its point (``_ascend``),
-    with no factorization: the power step needs no curvature bound."""
+    with no factorization: the power step needs no curvature bound.  It
+    rises only for a convex q; on an indefinite hessian D (linear term d)
+    the polish can fall back, and the value is about that of the best
+    sample: up to a few 1e-3 of ||D||_F + ||d|| short of the maximum on
+    random indefinite 2 x 2 to 4 x 4 D at the default samples."""
     _check_dims(q.dim)
     return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg)
 
@@ -469,7 +473,10 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
     (``_inner_gradient`` less lam w), from the ball of radius 2 (1 + ||w0||),
     w0 the w part of -pinv(M(lam)) d.  That assumes w0 is a maximizer, as
     it is wherever the maxmin value is finite.  An empty w block is the
-    single point of R^0.  The data's size is ``data_size`` of (M, d, lam)."""
+    single point of R^0.  The data's size is ``data_size`` of (M, d, lam).
+    Near a singular M(lam) rounding in g can invert the ends, as
+    ``_cuts`` says: on the rng5 game at c = 1e8 (M = c aa' from
+    ``default_rng(5)``), lam = ||S|| + 0.1 gives lower > upper."""
     if pq.w_dim:  # R^0, the one point of an empty w block, needs no cap
         _check_dims(pq.w_dim, family=True)
     f11 = symmetric_split(pq.m11)

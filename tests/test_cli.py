@@ -19,7 +19,10 @@ from quadgames.game import (
     schur_reduction,
 )
 
-from util import count_factorizations, hard_case_instance, random_partitioned, rotation
+from util import (
+    count_factorizations, hard_case_instance, ill_conditioned_maxmin, random_partitioned,
+    rotation,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -824,6 +827,28 @@ def test_check_maxmin_lambda_bound_holds_an_ill_conditioned_m11(tmp_path, capsys
     doc = {"kind": "maxmin", "M11": (r @ np.diag([1e10, 1.0]) @ r.T).tolist(),
            "M12": (r @ [[1e5], [1.0]]).tolist(), "M22": [[2.5]], "d1": [0.0, 0.0],
            "d2": [0.0]}
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP items 5 and 7: sphere_certificate sizes its gradient test by "
+    "the terms |M22||w| + |M12'||u*| + |d2| + |lam||w| alone, while S formed "
+    "through pinv(M11) carries rounding that grows with the condition number "
+    "of M11 (1e10 here)",
+    strict=True,
+)
+def test_check_passes_a_maxmin_with_an_ill_conditioned_m11(tmp_path, capsys):
+    # The solver's answer agrees with tests/mpref.py (test_reference), and
+    # the value gap is 1.5e-14.  The claimed w and lambda0 are exact for
+    # the S the solver formed, 4.9e-10 relative from the true one, so
+    # their gradient residual is 2.0e-9 in 40 digits too (2.1e-9 in
+    # float, where u* = pinv(M11)(M12 w + d1) is off by 2.7e-10), against
+    # a bound of 2.2e-10.
+    pq = ill_conditioned_maxmin()
+    doc = {"kind": "maxmin", **{
+        key: getattr(pq, key.lower()).tolist() for key in ("M11", "M12", "M22", "d1", "d2")
+    }}
     code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 

@@ -562,7 +562,7 @@ def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
 # counts gate its cost where its wall time cannot.  The secular Newton
 # steps, and with them the last three counts, vary a little by instance.
 SOLVER_CALLS = {
-    "solve_linear": 80, "minimize": 72, "solve_saddle": 166,
+    "solve_linear": 80, "minimize": 72, "solve_saddle": 138,
     "duality_report": 205, "solve_trust_region": 137, "minmax": 233, "maxmin": 190,
 }
 

@@ -36,9 +36,9 @@ def test_public_names():
     assert all(hasattr(quadgames, name) for name in quadgames.__all__)
 
 
-def _solver_calls() -> list:
+def _solver_calls() -> dict:
     """One call of each solver kind the benchmark runs, on nonempty
-    blocks, with the factorizations it makes."""
+    blocks, with the factorizations it makes, by kind."""
     qg = quadgames
     rng = np.random.default_rng(79)
     a, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
@@ -66,16 +66,52 @@ def _solver_calls() -> list:
             lambda: qg.solve_linear_term(pq, Direction.MAXMIN), Counter(eigh=2)
         ),
     }
-    return [pytest.param(*call, id=kind) for kind, call in calls.items()]
+    return calls
 
 
-@pytest.mark.parametrize("solve, expected", _solver_calls())
+@pytest.mark.parametrize(
+    "solve, expected",
+    [pytest.param(*call, id=kind) for kind, call in _solver_calls().items()],
+)
 def test_factorizations_per_solve(monkeypatch, solve, expected):
     # The factorization count of a solve does not depend on the machine,
     # so it gates the cost of each kind where wall times cannot.
     counts = count_factorizations(monkeypatch)
     assert solve() is not None
     assert counts == expected
+
+
+def _arrays(value):
+    """The arrays a result holds, through its nested records and dicts."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose buffer ``a`` views (a itself if it owns one)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [pytest.param(solve, id=kind) for kind, (solve, _) in _solver_calls().items()],
+)
+def test_results_hold_only_their_own_arrays(solve):
+    # A view keeps its whole base alive: a null-space basis sliced from
+    # the n x n factor of a solve would pin that factor for as long as
+    # the result is held.  What a result retains does not depend on the
+    # machine: the buffers its arrays view weigh what the arrays weigh.
+    arrays = list({id(a): a for a in _arrays(solve())}.values())
+    owners = list({id(o): o for o in map(_owner, arrays)}.values())
+    assert sum(o.nbytes for o in owners) == sum(a.nbytes for a in arrays)
 
 
 def test_factorizations_per_infinite_certificate(monkeypatch):

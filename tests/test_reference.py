@@ -15,7 +15,9 @@ from quadgames import (
 )
 from quadgames.oracle import OracleConfig, grid_minmax, infinite_maxmin, lagrangian_bracket
 
-from util import hard_case_instance, random_psd, random_saddle_instance
+from util import (
+    hard_case_instance, ill_conditioned_maxmin, random_psd, random_saddle_instance
+)
 
 pytest.importorskip("mpmath")
 import mpref  # noqa: E402
@@ -115,6 +117,19 @@ def test_sphere_games_match_the_40_digit_reference():
             lams[direction] = lam
         above.add(lams[Direction.MINMAX] > lams[Direction.MAXMIN])
     assert above == {False, True}
+
+
+def test_ill_conditioned_maxmin_matches_the_40_digit_reference():
+    # The game whose check is a strict xfail in test_cli: kappa(M11) = 1e10
+    # leaves 30 of the reference's 40 digits.  The value agrees to 3.7e-12
+    # relative; lambda0 = ||S|| to 4.9e-10, the rounding of S, formed
+    # through pinv(M11), whose forward error grows with kappa(M11).
+    pq = ill_conditioned_maxmin()
+    sol = solve_linear_term(pq, Direction.MAXMIN)
+    value, lam = mpref.sphere_game(pq, minmax=False)
+    assert sol.diagnostics["mode"] == "boundary"
+    assert sol.value == pytest.approx(value, rel=1e-10)
+    assert sol.lambda0 == pytest.approx(lam, rel=1e-9)
 
 
 def test_lambda_family_matches_the_40_digit_reference():

@@ -43,6 +43,29 @@ def hard_case_instance(rng, n, norm):
     return 0.5 * (d_mat + d_mat.T), q @ ((2.0 - s) * c)
 
 
+def ill_conditioned_maxmin():
+    """A MAXMIN hard case whose M11 = R diag(kappa, 1) R' has condition
+    number kappa = 1e10: with C = diag(sqrt(kappa), 1) B, M12 = R C and
+    M22 = S + C' diag(1/kappa, 1) C, the Schur complement is
+    S = aa' + I, and M12' pinv(M11) M12 cancels terms of about
+    sqrt(kappa).  d1 = 0 and d2, of norm ||a||^2 / 2, is orthogonal to
+    S's top eigenvector a, so the response at ||S|| has norm 1/2.
+    ``default_rng(38)`` draws R's angle, the 2 x 2 B, a and d2's
+    direction."""
+    kappa = 1e10
+    rng = np.random.default_rng(38)
+    r = rotation(rng.uniform(0.0, np.pi))
+    c = np.diag([np.sqrt(kappa), 1.0]) @ rng.standard_normal((2, 2))
+    a = rng.standard_normal(2)
+    v = rng.standard_normal(2)
+    v -= a * (a @ v) / (a @ a)
+    return PartitionedQuadratic(
+        r @ np.diag([kappa, 1.0]) @ r.T, r @ c,
+        np.outer(a, a) + np.eye(2) + c.T @ np.diag([1.0 / kappa, 1.0]) @ c,
+        np.zeros(2), 0.5 * (a @ a) * v / np.linalg.norm(v),
+    )
+
+
 def random_partitioned(rng, m, n, linear_scale=1.0):
     """PartitionedQuadratic whose assembled block matrix is PSD."""
     big = random_psd(rng, m + n)
