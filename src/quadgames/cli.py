@@ -152,12 +152,62 @@ def _bracketed(pq, lower, upper, value, lam=0.0):
     return upper - lower <= delta and lower - delta <= value <= upper + delta, delta
 
 
-def _sphere_verdict(pq, w, lam, value, delta, searched):
-    """(value, searched, passed) of the trust region and MAXMIN: w passes
-    ``oracle.sphere_certificate`` at lam, g(w) is within delta of the value
-    and the search, a lower bound on the maximum, is at most value + delta."""
-    g, ok = oracle.sphere_certificate(pq, w, lam)
-    return value, searched, ok and abs(g - value) <= delta and searched <= value + delta
+class _SphereAnswer(NamedTuple):
+    """What ``check`` reads of a sphere document (``trust_region``,
+    ``maxmin``, ``minmax``): the value (or ``expected_value``), the
+    multiplier (``lambda_p``, ``lambda0``), the particular u (none for a
+    trust region), the representative w, delta = ``ROUNDING`` times the
+    size of the terms at z = (u, w), and whether the w set holds."""
+
+    value: float
+    lam: float
+    u: np.ndarray
+    w: np.ndarray
+    delta: float
+    held: bool
+
+
+def _sphere_set(sset: dict) -> tuple[np.ndarray, bool]:
+    """The representative w of a w set document and whether the set holds:
+    w is particular + radius_residual basis[:, 0] (the particular point
+    when the basis is empty), to ``ROUNDING`` of |particular| +
+    radius_residual |basis[:, 0]|, and radius_residual^2 = max(0, 1 -
+    ||particular||^2), the rule of ``sphere_intersect``, to ``ROUNDING``
+    (radius^2 + ||particular||^2 + 1): squares, as a square root amplifies
+    rounding near ||particular|| = 1."""
+    w = np.asarray(sset["representative"], dtype=float)
+    particular = np.asarray(sset["particular"], dtype=float)
+    basis = np.asarray(sset["basis"], dtype=float)
+    first = basis[:, 0] if basis.shape[1] else np.zeros_like(particular)
+    radius = float(sset["radius_residual"])
+    norm2 = float(particular @ particular)
+    terms = abs(particular) + radius * abs(first)
+    at = np.all(abs(w - (particular + radius * first)) <= ROUNDING * terms)
+    on = abs(radius**2 - max(0.0, 1.0 - norm2)) <= ROUNDING * (radius**2 + norm2 + 1.0)
+    return w, bool(at and on)
+
+
+def _sphere_answer(pq, prob, doc) -> _SphereAnswer:
+    """Read a sphere document of the game pq (a trust region is the game
+    with no u)."""
+    trust = prob["kind"] == "trust_region"
+    w, held = _sphere_set(doc["w_star" if trust else "w_set"])
+    u = np.asarray([] if trust else doc["u_set"]["particular"], dtype=float)
+    delta = ROUNDING * term_size(pq.assembled(), pq.d, np.concatenate([u, w]))
+    value = _scalar(prob, "expected_value", doc["value"])
+    return _SphereAnswer(value, doc["lambda_p" if trust else "lambda0"], u, w, delta, held)
+
+
+def _sphere_verdict(pq, prob, doc, cfg):
+    """(value, searched, passed) of the trust region and MAXMIN: the w set
+    holds (``_sphere_set``), w passes ``oracle.sphere_certificate`` at
+    the claimed multiplier, g(w) is within delta of the value and the
+    MAXMIN search, a lower bound on the maximum, is at most value + delta."""
+    a = _sphere_answer(pq, prob, doc)
+    searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
+    g, ok = oracle.sphere_certificate(pq, a.w, a.lam)
+    passed = a.held and ok and abs(g - a.value) <= a.delta
+    return a.value, searched, passed and searched <= a.value + a.delta
 
 
 def _linear_system(prob):
@@ -299,20 +349,16 @@ def _solve_sphere_game(pq, prob):
 def _check_sphere_game(pq, prob, doc, code, cfg):
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
-    value = _scalar(prob, "expected_value", doc["value"])
-    u = np.asarray(doc["u_set"]["particular"], dtype=float)
-    w = np.asarray(doc["w_set"]["representative"], dtype=float)
-    delta = ROUNDING * term_size(pq.assembled(), pq.d, np.concatenate([u, w]))
     if prob["kind"] == "maxmin":
-        searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
-        return _sphere_verdict(pq, w, doc["lambda0"], value, delta, searched)
+        return _sphere_verdict(pq, prob, doc, cfg)
     # MINMAX: V at the claimed point gives the value exactly, the oracle's
     # bracket holds it by the rule of ``lagrangian``, and lambda0 is at
     # least ||M22||, where the inner maximum over w is finite.
+    a = _sphere_answer(pq, prob, doc)
     lower, upper = oracle.minmax_bracket(pq, cfg)
-    passed = _bracketed(pq, lower, upper, value)[0]
-    passed = passed and not oracle.infinite_minmax(pq, doc["lambda0"])
-    return value, upper, passed and abs(pq.evaluate(u, w) - value) <= delta
+    passed = a.held and _bracketed(pq, lower, upper, a.value)[0]
+    passed = passed and not oracle.infinite_minmax(pq, a.lam)
+    return a.value, upper, passed and abs(pq.evaluate(a.u, a.w) - a.value) <= a.delta
 
 
 def _solve_trust_region(data, prob):
@@ -328,13 +374,9 @@ def _solve_trust_region(data, prob):
 
 
 def _check_trust_region(data, prob, doc, code, cfg):
-    value = _scalar(prob, "expected_value", doc["value"])
-    w = np.asarray(doc["w_star"]["representative"], dtype=float)
-    searched, _ = oracle.sphere_max(quadratic.QuadraticForm(*data), cfg)
-    empty = np.zeros((0, len(w)))  # a trust region is the game with no u
+    empty = np.zeros((0, len(data[1])))  # a trust region is the game with no u
     pq = game.PartitionedQuadratic(empty @ empty.T, empty, data[0], empty[:, 0], data[1])
-    delta = ROUNDING * term_size(*data, w)
-    return _sphere_verdict(pq, w, doc["lambda_p"], value, delta, searched)
+    return _sphere_verdict(pq, prob, doc, cfg)
 
 
 # The curves look the library functions up at call time, so that a

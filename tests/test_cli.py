@@ -1283,3 +1283,75 @@ def test_check_sphere_answers_above_4_dimensions(n, c):
             prob = {**doc, "expected_value": solved["value"] * (1.0 + moved)}
             verdicts.append(check(data, prob, solved, code, cli._oracle_config(prob))[2])
         assert verdicts == [True, False, False, False, False], doc["kind"]
+
+
+SPHERE_FIXTURES = [
+    "fig_trust_blue", "fig_trust_green", "maxmin_homogeneous", "minmax_homogeneous",
+    "minmax_linear", "trust_region_boundary", "trust_region_interior",
+]
+
+
+def _set_key(prob):
+    return "w_star" if prob["kind"] == "trust_region" else "w_set"
+
+
+def _set_edits(sset):
+    """A w set document with its particular point moved by 1e3, its radius
+    doubled plus 1, every basis entry raised by 1, or its basis dropped;
+    the representative stays."""
+    particular = sset["particular"]
+    yield {**sset, "particular": [particular[0] + 1e3, *particular[1:]]}
+    yield {**sset, "radius_residual": 2.0 * sset["radius_residual"] + 1.0}
+    yield {**sset, "basis": (np.asarray(sset["basis"]) + 1.0).tolist()}
+    yield {**sset, "basis": [[] for _ in particular]}
+
+
+@pytest.mark.parametrize("name", SPHERE_FIXTURES)
+def test_check_reads_the_w_set_it_prints(name):
+    # The representative is particular + radius_residual basis[:, 0] and
+    # radius_residual^2 = 1 - ||particular||^2, so every edit of the set
+    # that changes the document fails, though its representative, value
+    # and multiplier are the solver's (the edits that leave an empty
+    # basis as it is change nothing).
+    prob = json.loads((FIXTURES / f"{name}.json").read_text())
+    data, doc, code = cli.solve_document(prob)
+    check, key = cli.KINDS[prob["kind"]].check, _set_key(prob)
+    cfg = cli._oracle_config(prob)
+    assert check(data, prob, doc, code, cfg)[2]
+    edited = [sset for sset in _set_edits(doc[key]) if sset != doc[key]]
+    assert len(edited) == (4 if np.size(doc[key]["basis"]) else 2)
+    for sset in edited:
+        assert not check(data, prob, {**doc, key: sset}, code, cfg)[2], sset
+
+
+def _sphere_problems(rng, n, c):
+    """Sphere problems of dimension n scaled by c, as JSON documents:
+    trust regions in the interior (D = aa', rank-deficient at random), in
+    the hard case (response norm 0.5) and near it (1 - 1e-8), each with
+    its MINMAX and MAXMIN twin; and both games with a u of 1-4, with and
+    without linear terms."""
+    a = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+    forms = [(a @ a.T, rng.standard_normal(n))]
+    forms += [hard_case_instance(rng, n, norm) for norm in (0.5, 1.0 - 1e-8)]
+    docs = []
+    for d_mat, d_vec in forms:
+        docs.append({"kind": "trust_region", "D": c * d_mat, "d": c * d_vec})
+        twin = {"M11": [[c]], "M12": np.zeros((1, n)), "d1": [0.0],
+                "M22": c * d_mat, "d2": c * d_vec}
+        docs += [{"kind": kind, **twin} for kind in ("minmax", "maxmin")]
+    pq = random_partitioned(rng, int(rng.integers(1, 5)), n)
+    for scale in (c, 0.0):
+        game = {"M11": c * pq.m11, "M12": c * pq.m12, "M22": c * pq.m22,
+                "d1": scale * pq.d1, "d2": scale * pq.d2}
+        docs += [{"kind": kind, **game} for kind in ("minmax", "maxmin")]
+    return [json.loads(json.dumps(doc, default=np.ndarray.tolist)) for doc in docs]
+
+
+def test_check_holds_the_w_sets_of_right_answers():
+    # The set rules refute no right answer, at n = 1..29 and c = 1e-8..1e8.
+    rng = np.random.default_rng(33)
+    for n in range(1, 30):
+        for c in 10.0 ** rng.uniform(-8.0, 8.0, size=2):
+            for prob in _sphere_problems(rng, n, c):
+                doc = cli.solve_document(prob)[1]
+                assert cli._sphere_set(doc[_set_key(prob)])[1], (prob["kind"], n, c)

@@ -164,6 +164,14 @@ def test_solution_set_parameterizes_solutions():
             assert norm0 <= np.linalg.norm(pt) + 1e-9
 
 
+def test_solution_set_point_without_coefficients_is_a_copy():
+    aset = AffineSolutionSet(np.array([1.0, 2.0]), np.zeros((2, 0)))
+    x = aset.point()
+    np.testing.assert_array_equal(x, [1.0, 2.0])
+    x[0] = 9.0
+    np.testing.assert_array_equal(aset.particular, [1.0, 2.0])
+
+
 def test_least_squares_residual_is_minimal_against_sampled_candidates():
     rng = np.random.default_rng(19)
     for _ in range(10):
@@ -192,6 +200,7 @@ def test_symmetrize_rejects_asymmetric():
 def test_is_psd_examples():
     assert is_psd(np.eye(2))
     assert is_psd(np.zeros((3, 3)))
+    assert is_psd(np.zeros((0, 0)))
     assert not is_psd(np.diag([1.0, -1.0]))
     assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 

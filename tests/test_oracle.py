@@ -94,6 +94,16 @@ def test_sphere_max_examples():
     assert val == pytest.approx(1.125, abs=1e-4)
 
 
+def test_sphere_max_stops_its_polish_where_the_gradient_vanishes():
+    # On the zero form every gradient is 0: the polish stops at once, with
+    # no 0 / 0 step, and the best sample stands.
+    zero = QuadraticForm(np.zeros((3, 3)), np.zeros(3))
+    with np.errstate(all="raise"):
+        val, w = sphere_max(zero, OracleConfig(samples=10))
+    assert val == 0.0
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_sphere_max_deterministic():
     cfg = OracleConfig(seed=42, samples=3000)
     q = QuadraticForm(np.diag([1.0, 3.0, 0.5]), np.array([0.1, -0.2, 0.4]))

@@ -341,11 +341,44 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     }
     assert "schur_reduction" in solvers
     assert not solvers & _names(tree)
+    # A cap is a raised message that names a dimension; a docstring that
+    # says "dimension" is none.
     capped = {
-        f for f, node in functions.items() for c in ast.walk(node)
+        f for f, node in functions.items()
+        for r in ast.walk(node) if isinstance(r, ast.Raise) and r.exc is not None
+        for c in ast.walk(r.exc)
         if isinstance(c, ast.Constant) and "dimension" in str(c.value)
     }
     assert capped == {"_check_dims"}
+
+
+def test_check_has_one_sphere_path():
+    # A trust region is checked as its p = 0 MAXMIN game: one verdict owns
+    # the MAXMIN search and the certificate, no check calls the trust
+    # region's own sphere_max, and one reader takes the value, the
+    # multiplier and the w set of the three sphere documents.
+    functions = {
+        node.name: node for node in SOURCES["cli"].body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def readers(name):
+        return {f for f, node in functions.items() if name in _names(node)} - {name}
+
+    assert "sphere_max" not in _names(SOURCES["cli"])
+    assert readers("grid_minmax") == {"_sphere_verdict"}
+    assert readers("sphere_certificate") == {"_sphere_verdict"}
+    assert readers("_sphere_verdict") == {"_check_trust_region", "_check_sphere_game"}
+    assert readers("_sphere_answer") == {"_sphere_verdict", "_check_sphere_game"}
+    assert readers("_sphere_set") == {"_sphere_answer"}
+    writers = {"_sset_doc", "_solve_trust_region", "_solve_sphere_game"}
+    for key, reader in (("lambda_p", "_sphere_answer"), ("lambda0", "_sphere_answer"),
+                        ("representative", "_sphere_set"), ("radius_residual", "_sphere_set")):
+        read = {
+            f for f, node in functions.items() for c in ast.walk(node)
+            if isinstance(c, ast.Constant) and c.value == key
+        }
+        assert read - writers == {reader}, key
 
 
 BOUNDS = {

@@ -33,6 +33,23 @@ def test_lambda_p_examples():
     )
 
 
+@pytest.mark.parametrize("eigvals,message", [
+    (np.linalg.LinAlgError("no convergence"), "eigenvalue computation failed"),
+    (np.array([1.0 + 1.0j, 1.0 - 1.0j, 2.0j, -2.0j]), "no real eigenvalue found"),
+])
+def test_lambda_p_surfaces_an_eigensolver_failure(monkeypatch, eigvals, message):
+    # An eigensolver that fails, or returns no real eigenvalue where one
+    # >= ||D|| must exist, is a RuntimeError.
+    def broken(matrix):
+        if isinstance(eigvals, Exception):
+            raise eigvals
+        return eigvals
+
+    monkeypatch.setattr(np.linalg, "eigvals", broken)
+    with pytest.raises(RuntimeError, match=message):
+        lambda_p(np.diag([2.0, 1.0]), np.array([0.0, 0.5]))
+
+
 def response_norm(sec: Secular) -> float:
     """||pinv(D - ||D|| I) d||, the norm the boundary branch tests."""
     return float(np.linalg.norm(sec.response(sec.smax)))
