@@ -374,9 +374,7 @@ def _solve_trust_region(data, prob):
 
 
 def _check_trust_region(data, prob, doc, code, cfg):
-    empty = np.zeros((0, len(data[1])))  # a trust region is the game with no u
-    pq = game.PartitionedQuadratic(empty @ empty.T, empty, data[0], empty[:, 0], data[1])
-    return _sphere_verdict(pq, prob, doc, cfg)
+    return _sphere_verdict(game.PartitionedQuadratic.trust_region(*data), prob, doc, cfg)
 
 
 # The curves look the library functions up at call time, so that a
@@ -503,9 +501,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+# argparse reads a token that starts with "-" as an option name unless it
+# looks like -5 or -0.5, so it refuses a curve end written as -1e3.  A
+# finite end is joined to its option (--lambda-min=-1e3) before parsing;
+# -inf is left to argparse's refusal, an input error either way.
+_CURVE_ENDS = ("--lambda-min", "--lambda-max")
+
+
+def _finite(token: str) -> bool:
     try:
-        args = build_parser().parse_args(argv)
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
+
+
+def _join_curve_ends(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _CURVE_ENDS and token.startswith("-") and _finite(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(_join_curve_ends(argv))
         return args.func(args)
     except (ProblemError, ValueError, RuntimeError) as exc:
         # A ValueError is a solver or oracle refusing the data (not PSD,

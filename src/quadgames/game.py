@@ -67,6 +67,15 @@ class PartitionedQuadratic(
             raise ValueError("linear terms inconsistent with block dimensions")
         return super().__new__(cls, m11, m12, m22, d1, d2)
 
+    @classmethod
+    def trust_region(cls, d_mat, d_vec) -> "PartitionedQuadratic":
+        """The trust region max 1/2 w'Dw + d'w over the unit sphere as the
+        game with an empty u block (p = 0): its Schur complement is D and
+        its r is d, so its MAXMIN answer is the trust region's."""
+        d_vec = as_vector(d_vec, "d2")
+        empty = np.zeros((0, d_vec.shape[0]))
+        return cls(np.zeros((0, 0)), empty, d_mat, np.zeros(0), d_vec)
+
     @property
     def u_dim(self) -> int:
         return self.m11.shape[0]
@@ -180,9 +189,11 @@ class SchurReduction(NamedTuple):
     -inf for every w.  The range test compares the part of d1 outside
     R(M11) with ||d||, so it does not depend on the scale of the data.
     ``secular`` holds the eigenpairs of S; its ``tol`` is relative to
-    ||M22|| + ||M12' X12|| + ||r||, the data S is computed from, and its
-    ``range_tol`` to ||M22|| + ||M12' X12|| + ||d2|| + ||M12' x1||,
-    which also covers the data r is computed from.
+    ||S||_2 + ||M12' X12||_F + ||r|| (``Secular.of``'s one rule, with
+    the coupling M12' X12 the term S is reduced by), and its
+    ``range_tol`` to ||S||_2 + ||M12' X12||_F + ||d2|| + ||M12' x1||,
+    which also covers the data r is computed from.  With p = 0 the
+    coupling is 0, and ``secular`` is the trust region's on (M22, d2).
     """
 
     secular: Secular
@@ -211,19 +222,18 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
     schur = pq.m22 - coupling
     # S and r are differences of two terms; their rounding follows the
-    # size of those terms, so the PSD and eigenvalue tests read the scale
-    # of S's terms and the test that r vanishes that of r's.
-    scale = _norm(pq.m22) + _norm(coupling)
+    # size of those terms, so the PSD and eigenvalue tests read the
+    # coupling beside ||S|| and the test that r vanishes r's terms.
     d_scale = _norm(pq.d2) + _norm(shift)
-    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, scale, d_scale)
-    if not nonnegative_spectrum(secular.s, scale):
+    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, _norm(coupling), d_scale)
+    if not secular.psd:
         raise ValueError(PSD_MESSAGE)
     bounded = not null11.size or _norm(null11.T @ pq.d1) <= TOL * _norm(pq.d)
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
 
 
 def _m22(pq: PartitionedQuadratic) -> Secular:
-    """Eigenpairs of M22, with tol = TOL ||M22||."""
+    """Eigenpairs of M22, with tol = TOL ||M22||_2."""
     return Secular.of(pq.m22, np.zeros(pq.w_dim))
 
 

@@ -28,8 +28,10 @@ own quantities sizes them by their own terms.  The shares:
   size of the data the tested quantity is computed from: range
   membership (||U2' b|| <= TOL ||b||), symmetry (||M - M'|| <= TOL ||M||,
   larger is rejected), the PSD test (eigenvalues >= -TOL ||M||), the
-  branch tests of ``sphere.Secular`` (TOL (||D|| + ||d||)) and the
-  unit-sphere test of ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
+  branch tests of ``sphere.Secular`` (TOL (||D||_2 + ||C|| + ||d||),
+  C the term a Schur complement D was reduced by, 0 for a given D; its
+  PSD test reads ||D||_2 + ||C||) and the unit-sphere test of
+  ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
   The oracles' range tests read it as the solvers do, and
   ``oracle.verify_saddle`` takes it as its default absolute tolerance.
 - ``ROUNDING``: the certificates' share of their terms' size, for every

@@ -3,8 +3,9 @@
 A "no answer" gets a step-free certificate at any dimension (``off_range``,
 ``infinite_maxmin``, ``infinite_minmax``); an answer gets Gaussian draws
 around a candidate, finite differences, one sampled and polished search
-of the sphere (``_ascend``) for the trust region and the MAXMIN w beside
-the exact ``sphere_certificate`` of a claimed point, and a MINMAX w grid.
+of the sphere (``_ascend``) for the MAXMIN w, a trust region's as its
+p = 0 game, beside the exact ``sphere_certificate`` of a claimed point,
+and a MINMAX w grid.
 MAXMIN and the lambda family solve the inner minimum over u exactly; one
 engine of central cuts, stopped relative to the data, brackets the MINMAX
 outer minimum over u (widened by the circle's error) and the lambda
@@ -240,40 +241,47 @@ def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
     return bool(s.size) and float(s[-1]) - lam > ROUNDING * data_size(pq.m22, lam=lam)
 
 
-def _ascend(rows_value, gradient, dim: int, cfg: OracleConfig):
-    """(value, point) of the best point found on the unit sphere in R^dim
-    for an objective rated on stacked rows by ``rows_value``, with gradient
-    ``gradient``: the better of +-1, the whole 0-sphere (dim 1), else the
-    better of the best of ``cfg.samples`` ``unit_samples`` of ``cfg.seed``
-    and its polish by ``POLISH_STEPS`` power steps w <- g / ||g|| (g the
-    gradient at w; they stop at g = 0).  On a convex objective each step
-    rises with no step length (Journee, Nesterov, Richtarik & Sepulchre,
-    JMLR 2010, section 3) but contracts by about ||D|| / lambda, so near
-    ||D|| it stops short: the value is a lower bound on the maximum."""
-    if dim == 1:
-        best, w = _sweep(2, partial(_w_candidates, 1, 2), rows_value)
+def _ascend(pq: PartitionedQuadratic, cfg: OracleConfig):
+    """(value, point) of the best w found on the unit sphere for the
+    MAXMIN objective of pq, g(w) = min over u of V(u, w), rated exactly
+    (``_inner_min``; its one factorization is M11's eigh) along its exact
+    gradient (``_inner_gradient``): the better of +-1, the whole 0-sphere
+    (a w of 1), else the better of the best of ``cfg.samples``
+    ``unit_samples`` of ``cfg.seed`` and its polish by ``POLISH_STEPS``
+    power steps w <- grad g / ||grad g|| (they stop at a zero gradient).
+    On a convex g each step rises with no step length (Journee, Nesterov,
+    Richtarik & Sepulchre, JMLR 2010, section 3) but contracts by about
+    ||S|| / lambda, so near ||S|| it stops short: the value is a lower
+    bound on the maximum."""
+    f11 = symmetric_split(pq.m11)
+    score = partial(_inner_min, pq, f11=f11)
+    if pq.w_dim == 1:
+        best, w = _sweep(2, partial(_w_candidates, 1, 2), score)
         return float(best), w
-    best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, dim), rows_value)
+    best, w = _sweep(cfg.samples, partial(unit_samples, cfg.seed, pq.w_dim), score)
     sampled = w
     for _ in range(POLISH_STEPS):
-        g = gradient(w)
+        g = _inner_gradient(pq, w, f11)
         norm = np.linalg.norm(g)
         if not norm:
             break
         w = g / norm
-    polished = rows_value(w[None, :])[0]
+    polished = score(w[None, :])[0]
     return (float(polished), w) if polished >= best else (float(best), sampled)
 
 
 def sphere_max(q: QuadraticForm, cfg: OracleConfig) -> tuple[float, np.ndarray]:
-    """Best value of q found on the unit sphere and its point (``_ascend``),
-    with no factorization: the power step needs no curvature bound.  It
-    rises only for a convex q; on an indefinite hessian D (linear term d)
-    the polish can fall back, and the value is about that of the best
-    sample: up to a few 1e-3 of ||D||_F + ||d|| short of the maximum on
-    random indefinite 2 x 2 to 4 x 4 D at the default samples."""
+    """Best value of q found on the unit sphere and its point: the MAXMIN
+    search (``_ascend``) of q's p = 0 game, whose g is q less its
+    constant, plus ``q.constant``.  The power step needs no curvature
+    bound, so no spectrum of q's hessian D is computed.  It rises only
+    for a convex q; on an indefinite D (linear term d) the polish can
+    fall back, and the value is about that of the best sample: up to a
+    few 1e-3 of ||D||_F + ||d|| short of the maximum on random
+    indefinite 2 x 2 to 4 x 4 D at the default samples."""
     _check_dims(q.dim)
-    return _ascend(q._evaluate_rows, q.gradient, q.dim, cfg)
+    value, w = _ascend(PartitionedQuadratic.trust_region(q.hessian, q.linear), cfg)
+    return value + q.constant, w
 
 
 def sphere_certificate(pq: PartitionedQuadratic, w, lam: float) -> tuple[float, bool]:
@@ -330,16 +338,12 @@ def grid_minmax(
     1-d w, else ``cfg.samples`` points of a deterministic circle grid, is
     minimized by central cuts (``_convex_min``), deterministic and with no
     random starts; the value is f at the best point found.
-    MAXMIN: g(w) = min over u of V(u, w), solved exactly (``_inner_min``),
-    is maximized by the sphere search of ``_ascend`` along its exact
-    gradient (``_inner_gradient``); its one factorization is M11's eigh.
+    MAXMIN: g(w) = min over u of V(u, w) is maximized by the sphere
+    search of ``_ascend``.
     """
     _check_dims(pq.w_dim, pq.u_dim, direction)
     if direction is Direction.MAXMIN:
-        f11 = symmetric_split(pq.m11)
-        score = partial(_inner_min, pq, f11=f11)
-        gradient = partial(_inner_gradient, pq, f11=f11)
-        return _ascend(score, gradient, pq.w_dim, cfg)[0]
+        return _ascend(pq, cfg)[0]
     return _convex_min(pq, cfg)[1]
 
 

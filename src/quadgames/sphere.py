@@ -102,16 +102,23 @@ class TrustRegionSolution(NamedTuple):
 class Secular(NamedTuple):
     """A trust region (D, d) in the eigenbasis of D = Q diag(s) Q'.
 
-    ``s`` ascends, ``r`` = Q'd, and ``tol`` = TOL (||D|| + ||d||) is
-    the scale of the eigenvalue tests (top eigenspace, gaps lam - s_i).
+    ``s`` ascends, ``r`` = Q'd, and ``tol`` = TOL (scale + ||d||) is the
+    scale of the eigenvalue tests (top eigenspace, gaps lam - s_i), with
+    scale = ||D||_2 + ``coupling``, the norm of the term D was reduced by
+    (0 for data given as D).  ``psd`` is the PSD test of
+    ``nonnegative_spectrum`` on ``s`` at that scale.  By Weyl's theorem
+    an error E in D moves each eigenvalue by at most ||E||_2, a few eps
+    of ||M||_2 + ||C|| for D = M - C; the scale is within a factor of 2
+    of that, as ||D||_2 + ||C|| >= ||M||_2.  A p = 0 game's S is its M22
+    with C = 0, so its instance is the trust region's, field for field.
     ``range_tol`` is that of the test that r vanishes on the top
     eigenspace; it equals ``tol`` unless d was computed from larger data.
     ``smax`` is ||D|| for PSD D, and -inf for a 0 x 0 D, whose empty
     spectrum sets no threshold, so every lambda is above it.
     ``range_holds`` says whether d lies in R(D - ||D|| I): r vanishes on
     the top eigenspace (s_i within tol of ``smax``), up to
-    ``range_tol``.  Only ``of`` builds an instance, as it derives these
-    two from the others; a ``_replace`` would leave them stale.  One
+    ``range_tol``.  Only ``of`` builds an instance, as it derives the
+    tests from the others; a ``_replace`` would leave them stale.  One
     instance serves the solve, the dual curve and the lambda-family of a
     game, which all decide their branches by ``range_holds``, ``finite``
     and ``at``.
@@ -124,24 +131,24 @@ class Secular(NamedTuple):
     range_tol: float
     smax: float
     range_holds: bool
+    psd: bool
 
     @classmethod
     def of(
-        cls, d_mat: np.ndarray, d_vec: np.ndarray, scale=None, d_scale=None
+        cls, d_mat: np.ndarray, d_vec: np.ndarray, coupling: float = 0.0, d_scale=None
     ) -> "Secular":
-        """Factor symmetric D once; its PSD test reads ``s``.  ``scale``
-        stands in for ||D|| when D was computed from larger data (a Schur
-        complement), whose rounding its eigenvalues carry; ``d_scale``
-        likewise stands in for ||d|| in ``range_tol``."""
+        """Factor symmetric D once.  ``coupling`` is the norm of the term
+        a Schur complement D was reduced by; ``d_scale`` stands in for
+        ||d|| in ``range_tol`` when d was computed from larger data."""
         s, q = np.linalg.eigh(d_mat)
-        if scale is None:
-            scale = float(max(-s[0], s[-1])) if s.size else 0.0
+        scale = (float(max(-s[0], s[-1])) if s.size else 0.0) + coupling
         tol = TOL * (scale + _norm(d_vec))
         range_tol = tol if d_scale is None else TOL * (scale + d_scale)
         r = q.T @ d_vec
         smax = float(s[-1]) if s.size else -math.inf
         range_holds = _norm(r[s >= smax - tol]) <= range_tol
-        return cls(s, q, r, tol, range_tol, smax, range_holds)
+        psd = nonnegative_spectrum(s, scale)
+        return cls(s, q, r, tol, range_tol, smax, range_holds, psd)
 
     def response(self, lam: float | np.ndarray) -> np.ndarray:
         """Coordinates r_i / (lam - s_i) of the stationary point at lam,
@@ -253,7 +260,7 @@ def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
     if d_vec.shape[0] != d_mat.shape[0]:
         raise ValueError("d length does not match D")
     sec = Secular.of(d_mat, d_vec)
-    if not nonnegative_spectrum(sec.s):
+    if not sec.psd:
         raise ValueError("D must be positive semidefinite")
     return d_mat, d_vec, sec
 

@@ -156,9 +156,7 @@ def test_criterion_6_trust_region_embedding():
             n = int(rng.integers(1, 5))
             d_mat = random_psd(rng, n)
             d_vec = rng.standard_normal(n)
-            pq = PartitionedQuadratic(
-                np.zeros((0, 0)), np.zeros((0, n)), d_mat, np.zeros(0), d_vec
-            )
+            pq = PartitionedQuadratic.trust_region(d_mat, d_vec)
             sol = solve_linear_term(pq, Direction.MINMAX)
             lam_ref = lambda_p(d_mat, d_vec)
             assert abs(sol.lambda0 - lam_ref) <= 1e-8 * (1.0 + abs(lam_ref))

@@ -170,6 +170,18 @@ def test_curve_invalid_range(capsys):
     assert "lambda" in err
 
 
+@pytest.mark.parametrize(
+    "lo,hi", [("-1e3", "2"), ("-2E3", "-1e3"), ("-.5e1", "-1")], ids=["min", "both", "dot"]
+)
+def test_curve_takes_negative_ends_written_with_an_exponent(capsys, lo, hi):
+    # argparse alone reads -1e3 after a space as an option name; the ends
+    # read as they do when joined to their options by "=".
+    path = str(FIXTURES / "fig_duality_gap.json")
+    joined = run(capsys, "curve", path, f"--lambda-min={lo}", f"--lambda-max={hi}", "--steps", "3")
+    assert joined[0] == 0
+    assert run(capsys, "curve", path, "--lambda-min", lo, "--lambda-max", hi, "--steps", "3") == joined
+
+
 def test_curve_rejects_other_kinds(capsys):
     code, _, err = run(
         capsys, "curve", str(FIXTURES / "linear_solve.json"),

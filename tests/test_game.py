@@ -535,7 +535,7 @@ def _python_calls(fn) -> int:
 
 
 # One lambda_curve plus one dual_curve on the p = n = 20 game below make
-# 255 calls with numpy 2.4.  The bound leaves room for numpy's own
+# 251 calls with numpy 2.4.  The bound leaves room for numpy's own
 # wrappers to change, and stays below the 369 calls the same curves make
 # through np.linalg.norm, np.all and a sorted split of the spectrum.
 CURVE_CALLS = 310
@@ -563,7 +563,7 @@ def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
 # steps, and with them the last three counts, vary a little by instance.
 SOLVER_CALLS = {
     "solve_linear": 80, "minimize": 72, "solve_saddle": 138,
-    "duality_report": 205, "solve_trust_region": 137, "minmax": 233, "maxmin": 190,
+    "duality_report": 203, "solve_trust_region": 136, "minmax": 231, "maxmin": 187,
 }
 
 

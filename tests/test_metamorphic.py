@@ -1,5 +1,6 @@
-"""Metamorphic tests of the lambda curves: answers that must not move, or
-must move in a known way, when the data is rescaled or rotated."""
+"""Metamorphic tests of the lambda curves and the sphere kernel: answers
+that must not move, or must move in a known way, when the data is
+rescaled or rotated, or a trust region is posed as its p = 0 game."""
 
 import math
 
@@ -9,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadgames import (
+    Direction,
     PartitionedQuadratic,
     dual_curve,
     lambda_curve,
     maxmin_threshold,
     minmax_threshold,
+    solve_linear_term,
+    solve_trust_region,
 )
+from quadgames.game import schur_reduction
 from quadgames.linalg import spectral_norm
+from quadgames.sphere import Secular
 
 from util import random_psd
 
@@ -141,3 +147,45 @@ def test_lambda_curve_is_invariant_under_a_rotation_of_w(seed):
     for (lam, mm, xm), (t_lam, t_mm, t_xm) in zip(base, rows):
         assert t_lam == lam
         assert close(t_mm, mm, 1e-12, ref) and close(t_xm, xm, 1e-12, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    exponent=st.floats(-8.0, 8.0),
+    top=st.sampled_from([0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8]),
+)
+def test_trust_region_is_the_p0_maxmin_game(seed, n, exponent, top):
+    # D = c Q diag(s) Q' of random rank, ||D|| = c a with a in [0.3, 1],
+    # and d = c Q r with r_top = top on the top eigenvector beside a rest
+    # of norm at most 0.2: r_top falls on either side of TOL (||D||_2 +
+    # ||d||) and of TOL (||D||_F + ||d||).  The trust region and its p = 0
+    # game share one Secular, field for field, so both directions of the
+    # game give the trust region's answer bit for bit.
+    rng = np.random.default_rng(seed)
+    c = 10.0**exponent
+    rank = int(rng.integers(1, n + 1))
+    a = rng.uniform(0.3, 1.0)
+    s = np.zeros(n)
+    s[:rank] = a * rng.uniform(0.5, 1.0, rank)
+    s[0] = a
+    r = np.zeros(n)
+    r[0] = top
+    r[1:] = rng.standard_normal(n - 1)
+    if n > 1:
+        r[1:] *= rng.uniform(0.0, 0.2) / np.linalg.norm(r[1:])
+    q = orthogonal(rng, n)
+    d_mat = c * (q @ np.diag(s) @ q.T)
+    d_mat, d_vec = 0.5 * (d_mat + d_mat.T), c * (q @ r)
+    direct = solve_trust_region(d_mat, d_vec)
+    pq = PartitionedQuadratic.trust_region(d_mat, d_vec)
+    for got, want in zip(schur_reduction(pq).secular, Secular.of(d_mat, d_vec)):
+        assert np.array_equal(got, want)
+    for direction in Direction:
+        sol = solve_linear_term(pq, direction)
+        assert (sol.value, sol.lambda0) == (direct.value, direct.lambda_p)
+        assert (sol.diagnostics["mode"] != "interior") == direct.boundary
+        np.testing.assert_array_equal(
+            sol.w_set.representative(), direct.w_star.representative()
+        )

@@ -34,13 +34,6 @@ def separable_instance():
     )
 
 
-def embed_trust_region(d_mat, d_vec) -> PartitionedQuadratic:
-    n = d_mat.shape[0]
-    return PartitionedQuadratic(
-        np.zeros((0, 0)), np.zeros((0, n)), d_mat, np.zeros(0), d_vec
-    )
-
-
 def test_homogeneous_gap_instance():
     pq = gap_instance()
     mm = solve_homogeneous(pq, Direction.MINMAX)
@@ -218,7 +211,7 @@ def test_trust_region_embedding_matches_direct_solver():
         else:
             d_mat = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
             d_vec = rng.standard_normal(n)
-        pq = embed_trust_region(d_mat, d_vec)
+        pq = PartitionedQuadratic.trust_region(d_mat, d_vec)
         direct = solve_trust_region(d_mat, d_vec)
         for direction in Direction:
             sol = solve_linear_term(pq, direction)
@@ -242,41 +235,31 @@ def test_trust_region_embedding_matches_direct_solver():
 
 @pytest.mark.parametrize("c", [1e-8, 1e-4, 1.0, 1e4, 1e8])
 def test_trust_region_embedding_matches_at_every_scale(c):
-    # Off the TOL band around the hard case, the p = 0 MAXMIN game gives
-    # the trust region's value, multiplier, branch and representative bit
-    # for bit at n up to 50: in the interior and in the hard case.
+    # The p = 0 MAXMIN game gives the trust region's value, multiplier,
+    # branch and representative bit for bit at n up to 50: in the
+    # interior, in the hard case, and at its edge, where D = diag(1, 0.9,
+    # 0.9, 0.9, 0.9) and d = (1.5e-9, 0.05, 0, 0, 0) put r_top between
+    # TOL (||D||_2 + ||d||) and TOL (||D||_F + ||d||): the multiplier is
+    # the interior 1.0000000017320507 (times c) of tests/mpref.py.
     rng = np.random.default_rng(33)
+    edge = (np.diag([1.0, 0.9, 0.9, 0.9, 0.9]), np.array([1.5e-9, 0.05, 0.0, 0.0, 0.0]))
+    cases = [edge]
     for n in (1, 2, 3, 5, 10, 20, 50):
         d_mat = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
-        interior = (d_mat, rng.standard_normal(n))
-        for d_mat, d_vec in (interior, hard_case_instance(rng, n, 0.5)):
-            d_mat, d_vec = c * d_mat, c * d_vec
-            direct = solve_trust_region(d_mat, d_vec)
-            sol = solve_linear_term(embed_trust_region(d_mat, d_vec), Direction.MAXMIN)
-            assert (sol.value, sol.lambda0) == (direct.value, direct.lambda_p), (n, c)
-            assert (sol.diagnostics["mode"] != "interior") == direct.boundary, (n, c)
-            np.testing.assert_array_equal(
-                sol.w_set.representative(), direct.w_star.representative()
-            )
-
-
-@pytest.mark.xfail(
-    reason="ROADMAP item 3: Secular.of sizes the trust region's tol by "
-    "||D||_2 + ||d|| = 1.05e-9, schur_reduction the game's by ||D||_F + ||d|| "
-    "= 2.11e-9, so r_top = 1.5e-9 is live in one and zero in the other",
-    strict=True,
-)
-def test_trust_region_embedding_matches_inside_the_tol_band():
-    # D = diag(1, 0.9, 0.9, 0.9, 0.9), d = (1.5e-9, 0.05, 0, 0, 0): the
-    # trust region's multiplier is 1.0000000017320507, interior, as in
-    # tests/mpref.py; the p = 0 MAXMIN game reports the boundary lambda0 =
-    # 1, as does the maxmin file with M11 = [[1]] and M12 = 0, which
-    # ``check`` refutes.
-    d_mat, d_vec = np.diag([1.0, 0.9, 0.9, 0.9, 0.9]), np.array([1.5e-9, 0.05, 0.0, 0.0, 0.0])
-    direct = solve_trust_region(d_mat, d_vec)
-    assert (direct.lambda_p, direct.boundary) == (1.0000000017320507, False)
-    sol = solve_linear_term(embed_trust_region(d_mat, d_vec), Direction.MAXMIN)
-    assert (sol.lambda0, sol.diagnostics["mode"]) == (direct.lambda_p, "interior")
+        cases += [(d_mat, rng.standard_normal(n)), hard_case_instance(rng, n, 0.5)]
+    for i, (d_mat, d_vec) in enumerate(cases):
+        d_mat, d_vec = c * d_mat, c * d_vec
+        direct = solve_trust_region(d_mat, d_vec)
+        pq = PartitionedQuadratic.trust_region(d_mat, d_vec)
+        sol = solve_linear_term(pq, Direction.MAXMIN)
+        assert (sol.value, sol.lambda0) == (direct.value, direct.lambda_p), (i, c)
+        assert (sol.diagnostics["mode"] != "interior") == direct.boundary, (i, c)
+        np.testing.assert_array_equal(
+            sol.w_set.representative(), direct.w_star.representative()
+        )
+    direct = solve_trust_region(c * edge[0], c * edge[1])
+    assert not direct.boundary
+    assert direct.lambda_p == pytest.approx(1.0000000017320507 * c, rel=1e-12)
 
 
 @pytest.mark.xfail(

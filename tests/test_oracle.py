@@ -175,12 +175,20 @@ def test_grid_minmax_maxmin_factors_m11_only(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 3])
 def test_sphere_max_makes_no_factorization(monkeypatch, dim):
     # Neither the sampled start nor the power-step polish needs a
-    # spectrum: no curvature bound, no step length.
+    # spectrum: no curvature bound, no step length.  The one eigh is the
+    # MAXMIN search's split of M11, empty in the p = 0 game of the form.
     b = np.random.default_rng(dim).standard_normal((dim, dim))
     form = QuadraticForm(b @ b.T, np.ones(dim))
     counts = count_factorizations(monkeypatch)
+    shapes = []
+
+    def shaped(a, *args, _counted=np.linalg.eigh, **kwargs):
+        shapes.append(np.shape(a))
+        return _counted(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", shaped)
     sphere_max(form, OracleConfig(samples=100))
-    assert counts == {}
+    assert shapes == [(0, 0)] and counts == {"eigh": 1}
 
 
 def test_grid_minmax_deterministic():

@@ -142,6 +142,33 @@ def test_factorizations_per_finite_lagrangian_check(monkeypatch):
     assert counts == Counter(eigh=4, eigvalsh=1)
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("trust_region_interior.json", Counter(eigh=2, eigvalsh=1)),
+    ("maxmin_homogeneous.json", Counter(eigh=2, eigvalsh=1)),
+    ("minmax_linear.json", Counter(eigh=1, eigvalsh=1)),
+    ("lagrangian_gap.json", Counter(eigh=4, eigvalsh=1)),
+    ("saddle_bilinear.json", Counter()),
+    ("quad_min.json", Counter()),
+    ("linear_solve.json", Counter()),
+    ("quad_min_unbounded.json", Counter(eigh=1)),
+])
+def test_factorizations_per_check(monkeypatch, name, expected):
+    # The check part of a `check`, past its solve, per kind.  The trust
+    # region is its p = 0 MAXMIN game, so both make the search's and the
+    # certificate's split of M11 (0 x 0 for the trust region) and the
+    # certificate's eigvalsh of S; MINMAX one split for its bracket; an
+    # unbounded quad_min the off_range split, and the sampled checks none.
+    prob = cli.load_problem(str(FIXTURES / name))
+    data, doc, code = cli.solve_document(prob)
+    cfg = cli._oracle_config(prob, samples=200)
+    counts = count_factorizations(monkeypatch)
+    assert cli.KINDS[prob["kind"]].check(data, prob, doc, code, cfg)[2]
+    assert counts == expected
+
+
 def _one_of_each_record() -> list:
     """An instance of every record type the package builds."""
     eye = np.eye(2)
@@ -306,9 +333,10 @@ def test_oracle_has_one_cut_engine_and_no_w_grid():
 
 
 def test_oracle_has_one_sphere_search_and_one_cap_table():
-    # The trust region and MAXMIN share one sample-and-polish routine,
-    # whose power step needs no curvature bound, so no function reads a
-    # spectral norm; MAXMIN's polish, the lambda family's cuts and the
+    # The trust region and MAXMIN share one sample-and-polish routine, the
+    # MAXMIN search of a game (a trust region's p = 0 game), whose power
+    # step needs no curvature bound, so no function reads a spectral
+    # norm; MAXMIN's polish, the lambda family's cuts and the
     # infinite-maxmin certificate share one gradient of g(w) = min over u
     # of V with the optimality certificate, the two certificates read S
     # from one _hessian, and every dimension cap is in _check_dims.
@@ -323,10 +351,12 @@ def test_oracle_has_one_sphere_search_and_one_cap_table():
     assert readers("POLISH_STEPS") == {"_ascend"}
     assert readers("unit_samples") == {"_ascend"}
     assert readers("_ascend") == {"sphere_max", "grid_minmax"}
+    assert [a.arg for a in functions["_ascend"].args.args] == ["pq", "cfg"]
+    assert "trust_region" in _names(functions["sphere_max"])
     assert readers("spectral_norm") == set()
     assert "spectral_norm" not in _names(SOURCES["oracle"])
     assert readers("_inner_gradient") == {
-        "grid_minmax", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate"
+        "_ascend", "lagrangian_bracket", "infinite_maxmin", "sphere_certificate"
     }
     assert readers("_hessian") == {"infinite_maxmin", "sphere_certificate"}
     # No search reads a claimed point, and every certificate reads the raw
@@ -369,6 +399,7 @@ def test_check_has_one_sphere_path():
     assert readers("grid_minmax") == {"_sphere_verdict"}
     assert readers("sphere_certificate") == {"_sphere_verdict"}
     assert readers("_sphere_verdict") == {"_check_trust_region", "_check_sphere_game"}
+    assert "trust_region" in _names(functions["_check_trust_region"])
     assert readers("_sphere_answer") == {"_sphere_verdict", "_check_sphere_game"}
     assert readers("_sphere_set") == {"_sphere_answer"}
     writers = {"_sset_doc", "_solve_trust_region", "_solve_sphere_game"}

@@ -119,6 +119,24 @@ def test_sphere_games_match_the_40_digit_reference():
     assert above == {False, True}
 
 
+def test_maxmin_with_a_small_top_term_beside_a_coupling_matches_the_reference():
+    # S = diag(1, 0.9, 0.9, 0.9, 0.9) and r = (1.5e-9, 0.05, 0, 0, 0)
+    # behind a u block: r_top is above TOL (||S||_2 + ||M12'X12||_F + ||r||)
+    # = 1.05e-9, so it is live, as in the trust region on (S, r).  Sized
+    # by ||M22||_F + ||M12'X12||_F + ||r|| (2.1e-9) it would count as zero,
+    # with the boundary lambda0 = 1.
+    m12 = 0.01 * np.array([[1.0, -1.0, 0.5, 0.0, 2.0]])
+    d1 = np.array([0.02])
+    m22 = np.diag([1.0, 0.9, 0.9, 0.9, 0.9]) + m12.T @ m12 / 2.0
+    d2 = np.array([1.5e-9, 0.05, 0.0, 0.0, 0.0]) + m12[0] * d1[0] / 2.0
+    pq = PartitionedQuadratic(np.array([[2.0]]), m12, m22, d1, d2)
+    sol = solve_linear_term(pq, Direction.MAXMIN)
+    value, lam = mpref.sphere_game(pq, minmax=False)
+    assert sol.diagnostics["mode"] == "interior" and sol.w_set.basis.shape[1] == 0
+    assert sol.lambda0 == pytest.approx(lam, rel=1e-12)
+    assert sol.value == pytest.approx(value, rel=1e-12)
+
+
 def test_ill_conditioned_maxmin_matches_the_40_digit_reference():
     # The game whose check is a strict xfail in test_cli: kappa(M11) = 1e10
     # leaves 30 of the reference's 40 digits.  The value agrees to 3.7e-12
