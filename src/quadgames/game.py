@@ -157,8 +157,10 @@ def minmax_threshold(pq: PartitionedQuadratic) -> float:
 
 def maxmin_threshold(pq: PartitionedQuadratic) -> float:
     """Smallest lambda at which max-min of L is finite: ||S|| with
-    S = M22 - M12' pinv(M11) M12, from one ``eigh`` of M11 and one
-    ``eigvalsh`` of S.  It asks nothing of the signs of the blocks.
+    S = M22 - M12' pinv(M11) M12, from one ``eigh`` of M11 (a second when
+    M11 fails the PSD test; a PSD M11 is split as ``schur_reduction``
+    splits it) and one ``eigvalsh`` of S.  It asks nothing of the signs
+    of the blocks.
     0.0 for an empty w block, finite at every lambda."""
     return spectral_norm(_schur(pq.m11, pq.m12, pq.m22))
 

@@ -32,8 +32,7 @@ own quantities sizes them by their own terms.  The shares:
   C the term a Schur complement D was reduced by, 0 for a given D; its
   PSD test reads ||D||_2 + ||C||) and the unit-sphere test of
   ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
-  The oracles' range tests read it as the solvers do, and
-  ``oracle.verify_saddle`` takes it as its default absolute tolerance.
+  The oracles' range tests read it as the solvers do.
 - ``ROUNDING``: the certificates' share of their terms' size, for every
   certificate and value comparison of ``check``.
 - ``BRACKET``: the cut-engine verdicts of ``check`` (MINMAX,
@@ -142,8 +141,8 @@ class SvdFactors(NamedTuple):
         return (self.v1 / self.sigma) @ (self.u1.T @ b)
 
     def in_range(self, b: np.ndarray) -> bool:
-        """Whether b lies in the range of A (relative residual test)."""
-        b = as_vector(b)
+        """Whether the validated vector b lies in the range of A (relative
+        residual test)."""
         return _norm(self.u2.T @ b) <= TOL * _norm(b)
 
 
@@ -337,7 +336,9 @@ class SchurPair(NamedTuple):
 
 
 def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
-    """Compute both Schur complements of [[M11, M12], [M12', M22 - lam I]]."""
+    """Compute both Schur complements of [[M11, M12], [M12', M22 - lam I]],
+    each through ``_schur``'s split: one ``eigh`` of a PSD block, a
+    second of one that fails the PSD test."""
     m11 = symmetrize(m11, "M11")
     m22 = symmetrize(m22, "M22")
     m12 = as_matrix(m12, "M12")
@@ -351,6 +352,9 @@ def schur_complements(m11, m12, m22, lam: float = 0.0) -> SchurPair:
 
 
 def _schur(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """C - B' pinv(A) B for symmetric A and C, symmetrized; one ``eigh`` of A."""
-    s = c - b.T @ symmetric_split(a).solve(b)
+    """C - B' pinv(A) B for symmetric A and C, symmetrized.  A is split as
+    ``schur_reduction`` splits M11: a PSD A with the negative eigenvalues
+    that the PSD test tolerates clipped to zero, by one ``eigh``; any
+    other A as it is, by a second."""
+    s = c - b.T @ (symmetric_split(a, psd=True) or symmetric_split(a)).solve(b)
     return 0.5 * (s + s.T)

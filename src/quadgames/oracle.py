@@ -160,16 +160,16 @@ def verify_saddle(
     w_star,
     samples: int = 200,
     seed: int = 0,
-    tol: float = TOL,
 ) -> bool:
     """Sampled check of V(u*, w) <= V(u*, w*) <= V(u, w*).
 
     Draws ``samples`` Gaussian perturbations around the candidate point
-    from ``seed`` (row i: the u part moves u*, the w part moves w*) and
-    sweeps them for a row that breaks either inequality by more than the
-    absolute ``tol``; a probabilistic refutation test, not a certificate.
-    ``samples`` must be an integer >= 1 and ``seed`` one >= 0, as in
-    ``OracleConfig``.
+    from ``seed`` (row i: the u part moves u*, the w part moves w*),
+    spread by r = 1 + ||u*|| + ||w*||, and sweeps them for a row that
+    breaks either inequality by more than ``ROUNDING`` (||M||_F r^2 +
+    ||d|| r), the size of V's terms at the draws' spread; a
+    probabilistic refutation test, not a certificate.  ``samples`` must
+    be an integer >= 1 and ``seed`` one >= 0, as in ``OracleConfig``.
     """
     OracleConfig(seed, samples)  # refuses what the config refuses
     u_star = as_vector(u_star, "u_star")
@@ -177,7 +177,9 @@ def verify_saddle(
     p = pq.u_dim
     center = pq.evaluate(u_star, w_star)
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
-    form = QuadraticForm(pq.assembled(), pq.d)
+    m = pq.assembled()
+    tol = ROUNDING * (np.linalg.norm(m) * scale**2 + np.linalg.norm(pq.d) * scale)
+    form = QuadraticForm(m, pq.d)
     point = np.concatenate([u_star, w_star])
 
     def broken(g):

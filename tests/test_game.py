@@ -22,6 +22,8 @@ from quadgames import (
     solve_trust_region,
     verify_saddle,
 )
+from quadgames.game import schur_reduction
+from quadgames.linalg import ROUNDING, schur_complements
 from quadgames.oracle import _gaussian_rows
 from quadgames.sphere import Secular
 
@@ -178,12 +180,15 @@ def test_verify_saddle_refuses_no_samples_and_bad_seeds():
     assert verify_saddle(pq, np.zeros(1), np.zeros(1), seed=2**70)
 
 
-def _verify_saddle_loop(pq, u_star, w_star, samples, seed, tol):
+def _verify_saddle_loop(pq, u_star, w_star, samples, seed):
     """Per-sample reference for the array pass of ``verify_saddle``:
     sample i moves u* by the first u_dim entries of draw row i and w* by
-    the rest."""
+    the rest, and breaks an inequality by more than ROUNDING (||M||_F
+    r^2 + ||d|| r), r = 1 + ||u*|| + ||w*|| the draws' spread."""
     center = pq.evaluate(u_star, w_star)
     scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
+    size = np.linalg.norm(pq.assembled()) * scale**2 + np.linalg.norm(pq.d) * scale
+    tol = ROUNDING * size
     for i in range(samples):
         g = scale * _gaussian_rows(seed, pq.u_dim + pq.w_dim, i, i + 1)[0]
         u = u_star + g[: pq.u_dim]
@@ -210,10 +215,9 @@ def test_verify_saddle_matches_the_per_sample_loop():
         u, w = (sol.u_star, sol.w_star) if sol else (np.zeros(p), np.zeros(n))
         if trial % 2:
             u, w = u + 1e-3 * rng.standard_normal(p), w + 1e-3 * rng.standard_normal(n)
-        for tol in (1e-9 * c, 1e-6 * c):
-            expected = _verify_saddle_loop(pq, u, w, 200, trial, tol)
-            assert verify_saddle(pq, u, w, samples=200, seed=trial, tol=tol) == expected
-            verdicts.add(expected)
+        expected = _verify_saddle_loop(pq, u, w, 200, trial)
+        assert verify_saddle(pq, u, w, samples=200, seed=trial) == expected
+        verdicts.add(expected)
     assert verdicts == {True, False}
 
 
@@ -227,7 +231,7 @@ def test_saddle_stationarity_and_verifier_on_random_instances():
         assert sol is not None
         grad = pq.assembled() @ sol.solutions.particular + pq.d
         assert np.linalg.norm(grad) <= 1e-8 * (1.0 + np.linalg.norm(pq.d))
-        assert verify_saddle(pq, sol.u_star, sol.w_star, tol=1e-6)
+        assert verify_saddle(pq, sol.u_star, sol.w_star)
 
 
 def test_grid_oracle_matches_saddle_value_1d():
@@ -562,7 +566,7 @@ def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
 # counts gate its cost where its wall time cannot.  The secular Newton
 # steps, and with them the last three counts, vary a little by instance.
 SOLVER_CALLS = {
-    "solve_linear": 80, "minimize": 72, "solve_saddle": 138,
+    "solve_linear": 80, "minimize": 67, "solve_saddle": 133,
     "duality_report": 203, "solve_trust_region": 136, "minmax": 231, "maxmin": 187,
 }
 
@@ -614,6 +618,22 @@ def test_schur_complement_formed_by_cancellation(c):
     assert rows[0][:2] == (0.0, math.inf)
     assert rows[0][2] == pytest.approx(0.0, abs=1e-12 * c)
     assert rows[1][1:] == pytest.approx((0.5 * c, 0.5 * c), rel=1e-12)
+
+
+def test_maxmin_threshold_splits_m11_as_the_reduction_does():
+    # M11 = diag(1, -1e-11) passes the PSD test, whose tolerated -1e-11 is
+    # rounding: the reduction splits it as a zero, so S = 10001 - 100^2 = 1.
+    # Inverted instead, it adds (9e-8)^2 / 1e-11 = 8.1e-4 to S, and the
+    # threshold 1.00081 sat above a lambda at which the maxmin is finite.
+    pq = PartitionedQuadratic(
+        np.diag([1.0, -1e-11]), np.array([[100.0], [9e-8]]), np.array([[10001.0]]),
+        np.zeros(2), np.zeros(1),
+    )
+    assert schur_reduction(pq).secular.smax == pytest.approx(1.0, rel=1e-12)
+    assert maxmin_threshold(pq) == pytest.approx(1.0, rel=1e-12)
+    schur11 = schur_complements(pq.m11, pq.m12, pq.m22).schur11
+    np.testing.assert_allclose(schur11, [[1.0]], rtol=1e-12)
+    assert duality_report(pq, 1.0004).maxmin.finite
 
 
 def test_schur_vector_formed_by_cancellation():

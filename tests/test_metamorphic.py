@@ -1,6 +1,7 @@
-"""Metamorphic tests of the lambda curves and the sphere kernel: answers
-that must not move, or must move in a known way, when the data is
-rescaled or rotated, or a trust region is posed as its p = 0 game."""
+"""Metamorphic tests of the lambda curves, the sphere kernel and the
+saddle verifier: answers that must not move, or must move in a known
+way, when the data is rescaled or rotated, or a trust region is posed as
+its p = 0 game."""
 
 import math
 
@@ -17,13 +18,15 @@ from quadgames import (
     maxmin_threshold,
     minmax_threshold,
     solve_linear_term,
+    solve_saddle,
     solve_trust_region,
+    verify_saddle,
 )
 from quadgames.game import schur_reduction
 from quadgames.linalg import spectral_norm
 from quadgames.sphere import Secular
 
-from util import random_psd
+from util import random_psd, random_saddle_instance
 
 
 def orthogonal(rng, n):
@@ -189,3 +192,25 @@ def test_trust_region_is_the_p0_maxmin_game(seed, n, exponent, top):
         np.testing.assert_array_equal(
             sol.w_set.representative(), direct.w_star.representative()
         )
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_verify_saddle_verdict_is_invariant_under_scaling(c):
+    # Scaling M and d by c keeps the saddle point and scales V by c, so
+    # a bound relative to V's terms keeps every verdict: the solver's
+    # saddle passes, and a lie that moves u* by 0.1 (1 + ||z||) fails.
+    rng = np.random.default_rng(53)
+    verdicts = []
+    for trial in range(30):
+        p, n = (int(k) for k in rng.integers(1, 3, size=2))
+        pq = random_saddle_instance(rng, p, n)
+        sol = solve_saddle(pq)
+        g = rng.standard_normal(p)
+        step = 0.1 * (1.0 + np.linalg.norm(sol.solutions.particular))
+        lie = sol.u_star + step * g / np.linalg.norm(g)
+        scaled = PartitionedQuadratic(c * pq.m11, c * pq.m12, c * pq.m22, c * pq.d1, c * pq.d2)
+        for u in (sol.u_star, lie):
+            verdict = verify_saddle(pq, u, sol.w_star, seed=trial)
+            assert verify_saddle(scaled, u, sol.w_star, seed=trial) == verdict, trial
+            verdicts.append(verdict)
+    assert verdicts == [True, False] * 30

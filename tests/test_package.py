@@ -447,5 +447,12 @@ def test_one_rounding_model_in_linalg():
         assert not {f for f in functions if f.endswith("size")}, module
     assert {name: getattr(linalg, name) for name in BOUNDS} == BOUNDS
     assert oracle.ROUNDING is linalg.ROUNDING
-    assert oracle.verify_saddle.__defaults__[-1] == linalg.TOL
+    # verify_saddle sizes its own bound: ROUNDING of V's terms at the
+    # draws' spread, with no tolerance to pass in.
+    saddle = next(
+        node for node in SOURCES["oracle"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_saddle"
+    )
+    assert [a.arg for a in saddle.args.args] == ["pq", "u_star", "w_star", "samples", "seed"]
+    assert "ROUNDING" in _names(saddle) and "TOL" not in _names(saddle)
     assert {"data_size", "term_size"} <= _names(SOURCES["linalg"])
