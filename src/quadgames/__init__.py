@@ -5,6 +5,11 @@ minimization, quadratic saddle points, parametric Lagrangian duality,
 the sphere trust-region problem via one eigendecomposition and a secular
 root, and sphere-constrained minmax/maxmin as trust regions on a Schur
 complement, each paired with brute-force oracles.
+
+The oracle names (``OracleConfig``, ``fd_gradient``, ``grid_minmax``,
+``sphere_max``, ``verify_saddle``) load ``quadgames.oracle`` on first
+use, so an import of the package, and a cold ``solve`` or ``curve``,
+loads no oracle code.
 """
 
 from .game import (
@@ -30,7 +35,6 @@ from .minmax import (
     solve_homogeneous,
     solve_linear_term,
 )
-from .oracle import OracleConfig, fd_gradient, grid_minmax, sphere_max, verify_saddle
 from .quadratic import QuadOptimum, QuadraticForm, minimize
 from .sphere import (
     SphereSolutionSet,
@@ -72,3 +76,19 @@ __all__ = [
     "sphere_max",
     "verify_saddle",
 ]
+
+_ORACLE_NAMES = ("OracleConfig", "fd_gradient", "grid_minmax", "sphere_max", "verify_saddle")
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name not yet in the module dict.
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))

@@ -8,7 +8,9 @@ round-trip losslessly; curves are emitted as CSV with the literal tokens
 
 ``KINDS`` has one entry per kind: it reads the file into the solver's
 input once, solves it, checks the result document with an oracle and,
-for ``lagrangian`` and ``trust_region``, draws the curve.
+for ``lagrangian`` and ``trust_region``, draws the curve.  Only the
+check functions import ``oracle``, so a cold ``solve`` or ``curve``
+loads no oracle code.
 
 Exit codes: 0 solved / check passed, 1 input error (a malformed command
 line included), 2 well-posed "no solution / unbounded" outcomes, 3 check
@@ -26,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import game, minmax, oracle, quadratic, sphere
+from . import game, minmax, quadratic, sphere
 from .linalg import (
     BRACKET, ROUNDING, AffineSolutionSet, data_size, solve_linear, term_size,
 )
@@ -116,7 +118,9 @@ def _partitioned(prob: dict) -> game.PartitionedQuadratic:
     return game.PartitionedQuadratic(m11, m12, m22, d1, d2)
 
 
-def _oracle_config(prob: dict, samples=None, seed=None) -> oracle.OracleConfig:
+def _oracle_config(prob: dict, samples=None, seed=None):
+    from . import oracle
+
     raw = prob.get("oracle", {})
     if not isinstance(raw, dict):
         raise ProblemError("field 'oracle' must be an object")
@@ -203,6 +207,8 @@ def _sphere_verdict(pq, prob, doc, cfg):
     holds (``_sphere_set``), w passes ``oracle.sphere_certificate`` at
     the claimed multiplier, g(w) is within delta of the value and the
     MAXMIN search, a lower bound on the maximum, is at most value + delta."""
+    from . import oracle
+
     a = _sphere_answer(pq, prob, doc)
     searched = oracle.grid_minmax(pq, cfg, minmax.Direction.MAXMIN)
     g, ok = oracle.sphere_certificate(pq, a.w, a.lam)
@@ -224,6 +230,8 @@ def _solve_linear_system(data, prob):
 
 
 def _check_linear_system(data, prob, doc, code, cfg):
+    from . import oracle
+
     a, b = data
     residual = _scalar(prob, "expected_value", doc["residual"])
     x0 = np.asarray(doc["solutions"]["particular"])
@@ -249,6 +257,8 @@ def _solve_quad_min(form, prob):
 
 
 def _check_quad_min(form, prob, doc, code, cfg):
+    from . import oracle
+
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(form.hessian, form.linear, np.linalg.norm(form.linear))
     value = _scalar(prob, "expected_value", doc["value"])
@@ -271,6 +281,8 @@ def _solve_saddle(pq, prob):
 
 
 def _check_saddle(pq, prob, doc, code, cfg):
+    from . import oracle
+
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.assembled(), pq.d, np.linalg.norm(pq.d))
     u_star = np.asarray(doc["u_star"], dtype=float)
@@ -305,6 +317,8 @@ def _solve_lagrangian(pq, prob):
 
 
 def _check_lagrangian(pq, prob, doc, code, cfg):
+    from . import oracle
+
     if doc["status"] == "unbounded_below":
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     mm, xm, lam = doc["minmax"], doc["maxmin"], doc["lambda"]
@@ -342,6 +356,8 @@ def _solve_sphere_game(pq, prob):
 
 
 def _check_sphere_game(pq, prob, doc, code, cfg):
+    from . import oracle
+
     if code == EXIT_NO_SOLUTION:
         return oracle.off_range(pq.m11, pq.d1, np.linalg.norm(pq.d))
     if prob["kind"] == "maxmin":
@@ -460,7 +476,12 @@ def run_check(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """A malformed command line is bad input (exit 1): argparse's exit 2 is
-    the code of a well-posed "no solution" answer.  Subparsers share it."""
+    the code of a well-posed "no solution" answer.  Options are spelled in
+    full, so ``_join_curve_ends`` sees every curve end.  Subparsers share
+    it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ProblemError(f"{self.prog}: {message}")

@@ -195,9 +195,14 @@ def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
 
 
 def _norm(x: np.ndarray) -> float:
-    """||x||, Frobenius for a matrix, summed as ``np.linalg.norm`` does."""
+    """||x||, Frobenius for a matrix, summed as ``np.linalg.norm`` does.
+    Entries past about 1e154 overflow x'x to inf (numpy warns): only then
+    is the norm taken by ``math.hypot``, which scales by max |x|."""
     x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
+    square = x.dot(x)
+    if square < math.inf:
+        return math.sqrt(square)
+    return math.hypot(*x.tolist())
 
 
 def spectral_norm(m) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadgames import cli, minmax, quadratic
+from quadgames import cli, minmax, oracle, quadratic
 from quadgames.cli import main
 from quadgames.game import (
     DualityReport,
@@ -570,6 +570,14 @@ def test_bad_environment_and_command_lines_are_error_lines(capsys):
             ([*curve, "--lambda-min", end, "--steps", "3"], "error: lambda_min must be finite")
             for end in ("-inf", "-nan", "-1e400")
         ),
+        # No option is abbreviated: --lambda-mi is no curve end.
+        *(
+            ([*curve, "--lambda-mi", end, "--steps", "3"],
+             "error: quadgames curve: the following arguments are required: --lambda-min")
+            for end in ("-1e3", "0")
+        ),
+        (["check", str(FIXTURES / "quad_min.json"), "--samp", "5"],
+         "error: quadgames: unrecognized arguments: --samp 5"),
         (["solve"], "error: quadgames"),
         ([], "error: quadgames"),
     ):
@@ -1230,7 +1238,7 @@ def test_check_passes_the_lambda0_of_right_minmax_answers():
         for game in (pq, pq._replace(d1=np.zeros(p), d2=np.zeros(n))):
             game = PartitionedQuadratic(*(c * np.asarray(x) for x in game))
             solution = minmax.solve_linear_term(game, minmax.Direction.MINMAX)
-            assert not cli.oracle.infinite_minmax(game, solution.lambda0), (p, n, c)
+            assert not oracle.infinite_minmax(game, solution.lambda0), (p, n, c)
 
 
 @pytest.mark.xfail(
@@ -1256,8 +1264,8 @@ def test_check_of_a_lagrangian_with_no_w(monkeypatch):
     pq = PartitionedQuadratic(np.eye(1), np.zeros((1, 0)), np.zeros((0, 0)),
                               np.array([0.5]), np.zeros(0))
     for lam in (-1.0, 0.0, 1.0):
-        assert not cli.oracle.infinite_maxmin(pq, lam)[2], lam
-        assert not cli.oracle.infinite_minmax(pq, lam), lam
+        assert not oracle.infinite_maxmin(pq, lam)[2], lam
+        assert not oracle.infinite_minmax(pq, lam), lam
         prob = {"kind": "lagrangian", "lambda": lam}
         doc, code = cli._solve_lagrangian(pq, prob)
         value, _, passed = cli._check_lagrangian(pq, prob, doc, code, cli._oracle_config(prob))

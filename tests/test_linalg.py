@@ -334,6 +334,17 @@ def test_range_and_sign_tests_scale_with_the_data(c):
         solve_linear_term(indefinite, Direction.MINMAX)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [1.0, 1e160])
+def test_range_tests_hold_past_the_overflow_of_a_square(c):
+    # At c = 1e160, ||U2' b||^2 and ||b||^2 overflow to inf, and inf <= inf
+    # would call b = (c, c) in the range of diag(c, 0): the norm is taken
+    # scaled there, so the decisions are the ones at c = 1.
+    flat, b = c * np.diag([1.0, 0.0]), np.array([c, c])
+    assert not solve_linear(flat, b).consistent
+    assert minimize(QuadraticForm(flat, b)) is None
+
+
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
 def test_eigenvalues_the_psd_test_tolerates_count_as_zero(c):
     # M11 = c diag(1, -1e-10) passes the PSD test, but its second

@@ -212,27 +212,73 @@ def test_replace_validates_the_inputs():
         quadgames.OracleConfig()._replace(samples=2.5)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _loads(module: str, statements: str) -> bool:
+    """Whether a fresh interpreter that runs ``statements`` has imported
+    ``module``."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    probe = f"import sys\n{statements}\nprint({module!r} in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
 def test_cold_cli_import_leaves_dataclasses_out():
     # The records are namedtuples; a frozen dataclass costs about 0.8 ms
     # of import time per class, so the CLI's start-up keeps them out.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-
-    def loads_dataclasses(imports: str) -> bool:
-        probe = f"import sys\n{imports}\nprint('dataclasses' in sys.modules)\n"
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return out.strip() == "True"
-
-    if loads_dataclasses("import numpy, argparse, json"):
+    if _loads("dataclasses", "import numpy, argparse, json"):
         pytest.skip("numpy, argparse or json already imports dataclasses here")
-    assert not loads_dataclasses("import quadgames.cli")
+    assert not _loads("dataclasses", "import quadgames.cli")
+
+
+FILES = [str(ROOT / "fixtures" / name) for name in ("fig_trust_blue.json", "fig_duality_gap.json")]
+CURVE = ["--lambda-min", "0", "--lambda-max", "2", "--steps", "3"]
+
+
+def _main(argvs: list) -> str:
+    return f"import quadgames.cli\nfor argv in {argvs!r}:\n    assert quadgames.cli.main(argv) == 0"
+
+
+@pytest.mark.parametrize("statements, loaded", [
+    ("import quadgames", False),
+    (_main([["solve", f] for f in FILES]), False),
+    (_main([["curve", f, *CURVE] for f in FILES]), False),
+    (_main([["check", FILES[0]]]), True),
+], ids=["import", "solve", "curve", "check"])
+def test_only_check_loads_the_oracle(statements, loaded):
+    # The oracle names load quadgames.oracle on first use and the command
+    # line imports it only to check, so an import of the package, a solve
+    # and a curve run no oracle code.
+    assert _loads("quadgames.oracle", statements) == loaded
+
+
+ORACLE_NAMES = ("OracleConfig", "fd_gradient", "grid_minmax", "sphere_max", "verify_saddle")
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_oracle_names_resolve_on_first_use(monkeypatch, name):
+    # Each name is looked up in quadgames.oracle once, then held in the
+    # package namespace.
+    monkeypatch.delattr(quadgames, name, raising=False)
+    assert getattr(quadgames, name) is getattr(oracle, name)
+    assert vars(quadgames)[name] is getattr(oracle, name)
+
+
+def test_package_namespace_lists_every_public_name(monkeypatch):
+    assert set(ORACLE_NAMES) <= set(quadgames.__all__) <= set(dir(quadgames))
+    monkeypatch.delattr(quadgames, "verify_saddle", raising=False)
+    from quadgames import verify_saddle
+
+    assert verify_saddle is oracle.verify_saddle
+    with pytest.raises(AttributeError, match="no_such_name"):
+        quadgames.no_such_name
 
 
 SOURCES = {

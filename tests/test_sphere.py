@@ -92,6 +92,23 @@ def test_trust_region_boundary_example():
     assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.xfail(
+    reason="ROADMAP item 1: sphere._secular_root squares r, which overflows "
+    "past about 1e154, so at c = 1e160 it answers 2.25c and lambda = 3c",
+    strict=True,
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_trust_region_scales_past_the_overflow_of_a_square():
+    # D = c diag(2, 1), d = c (1, 1): the value and the multiplier scale
+    # with c, 2.2422c and 3.1322c.
+    d_mat, d_vec = np.diag([2.0, 1.0]), np.array([1.0, 1.0])
+    one = solve_trust_region(d_mat, d_vec)
+    c = 1e160
+    far = solve_trust_region(c * d_mat, c * d_vec)
+    assert far.value == pytest.approx(c * one.value, rel=1e-9)
+    assert far.lambda_p == pytest.approx(c * one.lambda_p, rel=1e-9)
+
+
 def test_trust_region_interior_example():
     sol = solve_trust_region(np.zeros((2, 2)), np.array([3.0, 4.0]))
     assert not sol.boundary
