@@ -31,12 +31,12 @@ from .linalg import (
     TOL,
     AffineSolutionSet,
     Validated,
-    _norm,
     _schur,
     as_matrix,
     as_scalar,
     as_vector,
     nonnegative_spectrum,
+    norm,
     spectral_norm,
     symmetric_split,
     symmetrize,
@@ -217,7 +217,7 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     if f11 is None:
         raise ValueError(PSD_MESSAGE)
     null11 = f11.v2
-    if null11.size and _norm(null11.T @ pq.m12) > TOL * _norm(pq.m12):
+    if null11.size and norm(null11.T @ pq.m12) > TOL * norm(pq.m12):
         raise ValueError(PSD_MESSAGE)
     x = f11.solve(np.concatenate((pq.m12, pq.d1[:, None]), axis=1))
     x12, x1 = x[:, :-1], x[:, -1]
@@ -226,11 +226,11 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     # S and r are differences of two terms; their rounding follows the
     # size of those terms, so the PSD and eigenvalue tests read the
     # coupling beside ||S|| and the test that r vanishes r's terms.
-    d_scale = _norm(pq.d2) + _norm(shift)
-    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, _norm(coupling), d_scale)
+    d_scale = norm(pq.d2) + norm(shift)
+    secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, norm(coupling), d_scale)
     if not secular.psd:
         raise ValueError(PSD_MESSAGE)
-    bounded = not null11.size or _norm(null11.T @ pq.d1) <= TOL * _norm(pq.d)
+    bounded = not null11.size or norm(null11.T @ pq.d1) <= TOL * norm(pq.d)
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
 
 

@@ -13,14 +13,16 @@ the function boundary, as vectors and scalars are.  All functions are
 pure and all returned values should be treated as immutable.
 
 The rounding model of the package is here too: every bound any module
-reads, and the two sizes the bounds multiply.  A quantity computed in
-floating point carries rounding of a few n eps of the size of its terms
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 3),
-so a test of a quantity against zero reads a share of that size.  The
-sizes are ``data_size``, ||M||_F + ||d|| (+ |lambda|) of the data a
-decision starts from, and ``term_size``, 1/2 |z|'|M||z| + |d|'|z| of
-the terms of 1/2 z'Mz + d'z at a point z; a certificate that builds its
-own quantities sizes them by their own terms.  The shares:
+reads, the two sizes the bounds multiply, and the one norm they are
+measured by (``norm``, by rows ``row_norms``), exact over the normal
+floats.  A quantity computed in floating point carries rounding of a few
+n eps of the size of its terms (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 3), so a test of a quantity against zero
+reads a share of that size.  The sizes are ``data_size``, ||M||_F +
+||d|| (+ |lambda|) of the data a decision starts from, and ``term_size``,
+1/2 |z|'|M||z| + |d|'|z| of the terms of 1/2 z'Mz + d'z at a point z; a
+certificate that builds its own quantities sizes them by their own
+terms.  The shares:
 
 - ``RANK_EPS``: a singular value sigma_i is zero when sigma_i <=
   RANK_EPS sigma_max max(rows, cols).
@@ -65,11 +67,13 @@ CUT_STOP = 1e-10
 SECULAR_STOP = 4.0 * np.finfo(float).eps
 IMAG_TOL = 1e-8
 HARD_CASE_BAND = 1e-6
+_TINY = float(np.finfo(float).tiny)
+_UNIT = 2.0**600
 
 
 def data_size(m: np.ndarray, d: np.ndarray | None = None, lam: float = 0.0) -> float:
     """||m||_F + ||d|| + |lam|, the size of the data (m, d) at lam."""
-    return _norm(m) + (0.0 if d is None else _norm(d)) + abs(lam)
+    return norm(m) + (0.0 if d is None else norm(d)) + abs(lam)
 
 
 def term_size(m: np.ndarray, d: np.ndarray, z: np.ndarray) -> float:
@@ -143,7 +147,7 @@ class SvdFactors(NamedTuple):
     def in_range(self, b: np.ndarray) -> bool:
         """Whether the validated vector b lies in the range of A (relative
         residual test)."""
-        return _norm(self.u2.T @ b) <= TOL * _norm(b)
+        return norm(self.u2.T @ b) <= TOL * norm(b)
 
 
 def svd(a) -> SvdFactors:
@@ -194,15 +198,29 @@ def _split(u: np.ndarray, s: np.ndarray, v: np.ndarray) -> SvdFactors:
     )
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x||, Frobenius for a matrix, summed as ``np.linalg.norm`` does.
-    Entries past about 1e154 overflow x'x to inf (numpy warns): only then
-    is the norm taken by ``math.hypot``, which scales by max |x|."""
+def norm(x: np.ndarray) -> float:
+    """||x|| of a float array, Frobenius for a matrix.  A sum of squares
+    x'x in the normal range is taken as ``np.linalg.norm`` takes it, to
+    its bits; one that overflows (numpy warns) or underflows, 0 included,
+    is summed again of x 2^-600 or x 2^600, an exact scaling, and the
+    power of two undone (Blue, ACM TOMS 4(1), 1978; LAPACK's dnrm2)."""
     x = x.ravel(order="K")
     square = x.dot(x)
-    if square < math.inf:
+    if _TINY <= square < math.inf:
         return math.sqrt(square)
-    return math.hypot(*x.tolist())
+    unit = _UNIT if square < _TINY else 1.0 / _UNIT
+    x = x * unit
+    return math.sqrt(x @ x) / unit
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """``norm`` of each row of a float matrix x; in the normal range the
+    bits of ``np.linalg.norm(x, axis=1)``."""
+    square = np.add.reduce(x * x, axis=1)
+    if ((square >= _TINY) & (square < math.inf)).all() or not x.any():
+        return np.sqrt(square)
+    unit = np.where(square < _TINY, _UNIT, np.where(square < math.inf, 1.0, 1.0 / _UNIT))
+    return np.sqrt(np.add.reduce((x * unit[:, None]) ** 2, axis=1)) / unit
 
 
 def spectral_norm(m) -> float:
@@ -283,8 +301,8 @@ def solve_linear(a, b) -> LinearSolve:
         raise ValueError(f"A has {a.shape[0]} rows but b has length {b.shape[0]}")
     f = svd(a)
     x = f.solve(b)
-    residual = _norm(f.u2.T @ b)
-    consistent = residual <= TOL * _norm(b)
+    residual = norm(f.u2.T @ b)
+    consistent = residual <= TOL * norm(b)
     return LinearSolve(AffineSolutionSet(x, f.v2), residual, consistent)
 
 
@@ -293,8 +311,8 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
     m = as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    asym = _norm(m - m.T)
-    if asym > TOL * _norm(m):
+    asym = norm(m - m.T)
+    if asym > TOL * norm(m):
         raise ValueError(f"{name} is not symmetric (asymmetry {asym:g})")
     return 0.5 * (m + m.T)
 
@@ -310,7 +328,7 @@ def is_psd(m) -> bool:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     if m.size == 0:
         return True
-    if _norm(m - m.T) > TOL * _norm(m):
+    if norm(m - m.T) > TOL * norm(m):
         return False
     return nonnegative_spectrum(np.linalg.eigvalsh(0.5 * (m + m.T)))
 

@@ -28,7 +28,7 @@ import numpy as np
 from .game import PartitionedQuadratic
 from .linalg import (
     CUT_STOP, ROUNDING, TOL, Validated, as_vector, check_integer, data_size,
-    symmetric_split,
+    norm, row_norms, symmetric_split,
 )
 from .minmax import Direction
 from .quadratic import QuadraticForm
@@ -133,7 +133,7 @@ def unit_samples(seed: int, dim: int, start: int, stop: int) -> np.ndarray:
     ``seed`` draws: its Gaussian rows (``_gaussian_rows``, never zero),
     normalized."""
     g = _gaussian_rows(seed, dim, start, stop)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return g / row_norms(g)[:, None]
 
 
 def sampled_min(objective, center, cfg: OracleConfig, value: float, size: float):
@@ -142,7 +142,7 @@ def sampled_min(objective, center, cfg: OracleConfig, value: float, size: float)
     passes when the two values differ by at most ``ROUNDING`` ``size``, the
     size of the objective's terms at center: their rounding is all by
     which a draw may beat the value or center miss it."""
-    spread = 1.0 + np.linalg.norm(center)
+    spread = 1.0 + norm(center)
 
     def draws(start, stop):
         x = center + _gaussian_rows(cfg.seed, center.shape[0], start, stop) * spread
@@ -176,9 +176,9 @@ def verify_saddle(
     w_star = as_vector(w_star, "w_star")
     p = pq.u_dim
     center = pq.evaluate(u_star, w_star)
-    scale = 1.0 + float(np.linalg.norm(u_star) + np.linalg.norm(w_star))
+    scale = 1.0 + (norm(u_star) + norm(w_star))
     m = pq.assembled()
-    tol = ROUNDING * (np.linalg.norm(m) * scale**2 + np.linalg.norm(pq.d) * scale)
+    tol = ROUNDING * (norm(m) * scale**2 + norm(pq.d) * scale)
     form = QuadraticForm(m, pq.d)
     point = np.concatenate([u_star, w_star])
 
@@ -200,8 +200,8 @@ def off_range(h, d, size: float):
     section 8).  (nan, ||P d||, passed): it passes when ||P d|| > TOL size,
     the solvers' range test (size ||d||; ||(d1, d2)|| for a game's d1)."""
     f = symmetric_split(h)
-    norm = float(np.linalg.norm(f.v2.T @ d))
-    return math.nan, norm, norm > TOL * size
+    rate = norm(f.v2.T @ d)
+    return math.nan, rate, rate > TOL * size
 
 
 def _hessian(pq: PartitionedQuadratic, f11) -> tuple[np.ndarray, float]:
@@ -211,7 +211,7 @@ def _hessian(pq: PartitionedQuadratic, f11) -> tuple[np.ndarray, float]:
     where M11 is ill-conditioned."""
     x = f11.solve(pq.m12)
     s, terms = pq.m22 - pq.m12.T @ x, abs(pq.m22) + abs(pq.m12.T) @ abs(x)
-    return 0.5 * (s + s.T), float(np.linalg.norm(terms))
+    return 0.5 * (s + s.T), norm(terms)
 
 
 def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
@@ -229,9 +229,9 @@ def infinite_maxmin(pq: PartitionedQuadratic, lam: float):
     if curvature.size and curvature[-1] > bound:  # an empty w has none
         return math.nan, float(curvature[-1]), True
     slope = q.T @ _inner_gradient(pq, np.zeros(pq.w_dim), f11)
-    rise = float(np.linalg.norm(slope[np.abs(curvature) <= bound]))
+    rise = norm(slope[np.abs(curvature) <= bound])
     terms = abs(pq.d2) + abs(pq.m12.T) @ abs(f11.solve(pq.d1))
-    return math.nan, rise, rise > ROUNDING * float(np.linalg.norm(terms))
+    return math.nan, rise, rise > ROUNDING * norm(terms)
 
 
 def infinite_minmax(pq: PartitionedQuadratic, lam: float) -> bool:
@@ -264,10 +264,10 @@ def _ascend(pq: PartitionedQuadratic, cfg: OracleConfig):
     sampled = w
     for _ in range(POLISH_STEPS):
         g = _inner_gradient(pq, w, f11)
-        norm = np.linalg.norm(g)
-        if not norm:
+        length = norm(g)
+        if not length:
             break
-        w = g / norm
+        w = g / length
     polished = score(w[None, :])[0]
     return (float(polished), w) if polished >= best else (float(best), sampled)
 
@@ -298,11 +298,11 @@ def sphere_certificate(pq: PartitionedQuadratic, w, lam: float) -> tuple[float, 
     f11 = symmetric_split(pq.m11)
     u = f11.solve(pq.m12 @ w + pq.d1)  # -u*, u* the inner minimizer
     terms = abs(pq.m22) @ abs(w) + abs(pq.m12.T) @ abs(u) + abs(pq.d2) + abs(lam * w)
-    residual = np.linalg.norm(_inner_gradient(pq, w, f11) - lam * w)
+    residual = norm(_inner_gradient(pq, w, f11) - lam * w)
     s, size = _hessian(pq, f11)
     optimal = (
-        residual <= ROUNDING * np.linalg.norm(terms)
-        and abs(np.linalg.norm(w) - 1.0) <= ROUNDING
+        residual <= ROUNDING * norm(terms)
+        and abs(norm(w) - 1.0) <= ROUNDING
         and np.linalg.eigvalsh(s)[-1] - lam <= ROUNDING * (size + abs(lam))
     )
     return float(_inner_min(pq, w[None, :], f11)[0]), bool(optimal)
@@ -374,10 +374,10 @@ def _convex_min(pq: PartitionedQuadratic, cfg: OracleConfig):
     at x is V1'(M11 u + d1 + M12 w*), w* the best row.
     """
     f11 = symmetric_split(pq.m11, psd=True)
-    m12_off = np.linalg.norm(f11.v2.T @ pq.m12) if f11 is not None else math.inf
-    if m12_off > TOL * np.linalg.norm(pq.m12):
+    m12_off = norm(f11.v2.T @ pq.m12) if f11 is not None else math.inf
+    if m12_off > TOL * norm(pq.m12):
         raise ValueError("the MINMAX oracle requires M11 >= 0 and R(M12) in R(M11)")
-    if np.linalg.norm(f11.v2.T @ pq.d1) > TOL * np.linalg.norm(pq.d):
+    if norm(f11.v2.T @ pq.d1) > TOL * norm(pq.d):
         return -math.inf, -math.inf, 0.0
     sigma, k, m = f11.sigma, f11.rank, pq.m22
     count = 2 if pq.w_dim == 1 else max(cfg.samples, 4)
@@ -392,13 +392,13 @@ def _convex_min(pq: PartitionedQuadratic, cfg: OracleConfig):
         value = inner[j] + (0.5 * sigma * x + lin) @ x
         return float(value), sigma * x + lin + cross[:, j]
 
-    a = float(np.linalg.norm(lin) + np.linalg.norm(coupling))
+    a = norm(lin) + norm(coupling)
     size = data_size(pq.assembled(), pq.d)
     lower, upper, x = _cuts(at, k, 2.0 * a / sigma[-1] if k else 0.0, size)
     if pq.w_dim == 1:
         return lower, upper, 0.0
     kappa = math.hypot(m[0, 0] - m[1, 1], 2.0 * m[0, 1])
-    kappa += float(np.linalg.norm(coupling.T @ x + pq.d2))
+    kappa += norm(coupling.T @ x + pq.d2)
     return lower, upper, kappa * (2.0 * math.pi / count) ** 2 / 8.0
 
 
@@ -436,7 +436,7 @@ def _cuts(at, k: int, radius: float, size: float):
         if not math.isfinite(value):
             break
         bg = b.T @ g
-        width = float(np.linalg.norm(bg))
+        width = norm(bg)
         lower = max(lower, value - width)
         if upper - lower <= CUT_STOP * (unit + abs(upper)):
             break
@@ -457,8 +457,8 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     from, and the scale the solvers' range test reads d1 against."""
     cross = w_rows @ pq.m12.T
     rhs = cross + pq.d1
-    residuals = np.linalg.norm(rhs @ f11.u2, axis=1)
-    scale = np.linalg.norm(cross, axis=1) + np.linalg.norm(pq.d)
+    residuals = row_norms(rhs @ f11.u2)
+    scale = row_norms(cross) + norm(pq.d)
     feasible = residuals <= TOL * scale
     inner = -0.5 * np.einsum("ij,ji->i", rhs, f11.solve(rhs.T))
     outer = QuadraticForm(pq.m22, pq.d2)._evaluate_rows(w_rows)
@@ -493,7 +493,7 @@ def lagrangian_bracket(pq: PartitionedQuadratic, lam: float) -> tuple[float, flo
         g = _inner_min(pq, w[None, :], f11)[0] + 0.5 * lam * (1.0 - w @ w)
         return -float(g), lam * w - _inner_gradient(pq, w, f11)
 
-    lower, upper, _ = _cuts(at, pq.w_dim, 2.0 * (1.0 + float(np.linalg.norm(w0))), size)
+    lower, upper, _ = _cuts(at, pq.w_dim, 2.0 * (1.0 + norm(w0)), size)
     return -upper, -lower
 
 

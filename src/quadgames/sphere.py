@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    HARD_CASE_BAND, IMAG_TOL, SECULAR_STOP, TOL, AffineSolutionSet, _norm,
-    as_scalar, as_vector, check_integer, nonnegative_spectrum, symmetrize,
+    HARD_CASE_BAND, IMAG_TOL, SECULAR_STOP, TOL, AffineSolutionSet, as_scalar,
+    as_vector, check_integer, nonnegative_spectrum, norm, symmetrize,
 )
 
 # Newton steps on the secular equation converge quadratically from the
@@ -68,7 +68,7 @@ def sphere_intersect(aset: AffineSolutionSet) -> SphereSolutionSet:
     (orthogonal to the basis).  Raises when the intersection is empty,
     which on trust-region solution sets signals a numerical breakdown.
     """
-    p_norm = _norm(aset.particular)
+    p_norm = norm(aset.particular)
     if p_norm > 1.0 + TOL:
         raise ValueError(
             f"affine set does not reach the unit sphere (min norm {p_norm!r})"
@@ -142,11 +142,11 @@ class Secular(NamedTuple):
         ||d|| in ``range_tol`` when d was computed from larger data."""
         s, q = np.linalg.eigh(d_mat)
         scale = (float(max(-s[0], s[-1])) if s.size else 0.0) + coupling
-        tol = TOL * (scale + _norm(d_vec))
+        tol = TOL * (scale + norm(d_vec))
         range_tol = tol if d_scale is None else TOL * (scale + d_scale)
         r = q.T @ d_vec
         smax = float(s[-1]) if s.size else -math.inf
-        range_holds = _norm(r[s >= smax - tol]) <= range_tol
+        range_holds = norm(r[s >= smax - tol]) <= range_tol
         psd = nonnegative_spectrum(s, scale)
         return cls(s, q, r, tol, range_tol, smax, range_holds, psd)
 
@@ -179,7 +179,7 @@ class Secular(NamedTuple):
     def solve(self) -> tuple[TrustRegionSolution, int]:
         """The maximizer set and value, plus the Newton step count."""
         c = self.response(self.smax)
-        response_norm = _norm(c)
+        response_norm = norm(c)
         boundary = self.range_holds and response_norm <= 1.0
         if boundary:
             lam, steps = self.smax, 0
@@ -206,19 +206,19 @@ class Secular(NamedTuple):
         the set.  When it is exactly 0 both come back as they are."""
         r = self.r if r is None else r
         part = r[np.abs(self.s - lam) <= self.tol]
-        norm = _norm(part)
-        if norm == 0.0:
+        length = norm(part)
+        if length == 0.0:
             return sset, value
         # A Householder reflection maps the first coordinate axis to the
-        # unit part: the new first free direction is basis @ part / norm.
-        v = -part / norm
+        # unit part: the new first free direction is basis @ part / length.
+        v = -part / length
         v[0] += 1.0
         vv = float(v @ v)
         basis = sset.basis
         if vv > 0.0:
             basis = basis - np.outer(basis @ v, (2.0 / vv) * v)
         turned = sset._replace(basis=basis)
-        return turned, value + sset.radius_residual * norm
+        return turned, value + sset.radius_residual * length
 
 
 def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, int]:
@@ -228,12 +228,15 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
     starts at the lower bound mu = max(0, max_i |r_i| - gaps_i), where
     f <= 0; its iterates then rise monotonically to the root, capped at
     ||r||, where f >= 0, and stop once f >= -``SECULAR_STOP``.
+    The steps run on (gaps, r) / 2^k, 2^k <= max |r_i| < 2^(k+1): an
+    exact scaling that leaves c as it is and puts max r_i^2 in [1, 4).
     Returns (mu, c(mu), Newton steps).
     """
     live = r != 0.0
-    g, rl = gaps[live], r[live]
+    unit = 2.0 ** (math.frexp(np.abs(r).max())[1] - 1)
+    g, rl = gaps[live] / unit, r[live] / unit
     r2 = rl * rl
-    mu = max(0.0, float(np.max(np.abs(rl) - g)))
+    mu = max(0.0, float((np.abs(rl) - g).max()))
     hi = math.sqrt(float(r2.sum()))
     steps = 0
     while steps < NEWTON_STEPS:
@@ -242,7 +245,7 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
         f = 1.0 / math.sqrt(norm2) - 1.0
         if f >= -SECULAR_STOP:
             break
-        slope = float(np.sum(terms / (mu + g))) / norm2**1.5
+        slope = float((terms / (mu + g)).sum()) / norm2**1.5
         nxt = min(mu - f / slope, hi)
         if not nxt > mu:
             break
@@ -250,7 +253,7 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
         steps += 1
     c = np.zeros_like(r)
     c[live] = rl / (mu + g)
-    return mu, c, steps
+    return mu * unit, c, steps
 
 
 def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
@@ -278,7 +281,10 @@ def lambda_p(d_mat, d_vec) -> float:
     2-4.
     """
     d_mat, d_vec, _ = _check_inputs(d_mat, d_vec)
-    p = np.block([[d_mat, np.eye(d_vec.shape[0])], [np.outer(d_vec, d_vec), d_mat]])
+    # The similar [[D, sI], [dd'/s, D]] (by diag(I, sI)), s a power of two
+    # near ||d||, has blocks of the data's size where dd' over- or underflows.
+    n, unit = d_vec.shape[0], 2.0 ** (math.frexp(norm(d_vec))[1] - 1)
+    p = np.block([[d_mat, unit * np.eye(n)], [np.outer(d_vec, d_vec / unit), d_mat]])
     try:
         eigs = np.linalg.eigvals(p)
     except np.linalg.LinAlgError as exc:

@@ -398,6 +398,53 @@ def test_check_escape_probe_scales_with_the_data(tmp_path, capsys, c):
         assert (code, out.splitlines()[-1]) == (0, "result: PASS"), (doc["kind"], out)
 
 
+LADDER_GAME = {"M11": [[2.0]], "M12": [[1.0, 0.0]], "M22": [[2.0, 0.3], [0.3, 1.5]],
+               "d1": [1.0], "d2": [0.5, -1.0]}
+LADDER = [
+    {"kind": "linear_solve", "A": [[2.0, 1.0], [1.0, 3.0], [0.5, -1.0]],
+     "b": [1.0, -2.0, 0.5]},
+    {"kind": "quad_min", "D": [[2.0, 0.3], [0.3, 1.0]], "d": [1.0, -0.5]},
+    {"kind": "quad_min", "D": [[1.0, 0.0], [0.0, 0.0]], "d": [1.0, 1.0]},
+    {"kind": "saddle", "M11": [[2.0]], "M12": [[1.0, 0.5]],
+     "M22": [[-1.0, 0.0], [0.0, -2.0]], "d1": [1.0], "d2": [0.5, -1.0]},
+    {"kind": "trust_region", "D": [[2.0, 0.3], [0.3, 1.0]], "d": [1.0, -0.5]},
+    {"kind": "maxmin", **LADDER_GAME},
+    {"kind": "minmax", **LADDER_GAME},
+    {"kind": "lagrangian", **LADDER_GAME, "lambda": 3.0},
+]
+
+
+def _answers(doc, path=""):
+    """Every value, multiplier and residual of a result document."""
+    found = {}
+    for key, item in doc.items():
+        if isinstance(item, dict):
+            found |= _answers(item, f"{path}{key}.")
+        elif key in ("value", "lambda_p", "lambda0", "residual"):
+            found[path + key] = item
+    return found
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-300, 1e-170, 1e160, 1e300])
+@pytest.mark.parametrize("doc", LADDER, ids=lambda doc: doc["kind"])
+def test_answers_scale_to_the_ends_of_the_float_range(tmp_path, capsys, doc, c):
+    # Every entry (and lambda) times c: the status and exit code are those
+    # at c = 1, every answer is c times its own to 1e-14, and check exits
+    # as at c = 1.  Squares of such data leave the float range, so every
+    # norm and the secular root take them scaled by a power of two.
+    _, one, code = cli.solve_document(doc)
+    _, far, far_code = cli.solve_document(_scaled(doc, c))
+    assert (far_code, far["status"]) == (code, one["status"])
+    answers, far_answers = _answers(one), _answers(far)
+    assert far_answers.keys() == answers.keys()
+    for key, answer in answers.items():
+        assert abs(far_answers[key] - c * answer) <= 1e-14 * abs(c * answer), key
+    check = run(capsys, "check", write_problem(tmp_path, doc))[0]
+    far_check = run(capsys, "check", write_problem(tmp_path, _scaled(doc, c), "far.json"))
+    assert far_check[0] == check, far_check[1]
+
+
 # d1's part off R(M11), 5e-9, is within TOL ||(d1, d2)|| = 1e-8, the
 # solvers' range test, so the game is bounded; TOL ||d1|| is 1e-9.
 D1_IN_BAND = {"M11": [[1.0, 0.0], [0.0, 0.0]], "M12": [[0.0], [0.0]], "M22": [[1.0]],

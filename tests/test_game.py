@@ -567,7 +567,7 @@ def test_curve_python_calls_are_bounded_and_do_not_grow_with_steps(steps):
 # steps, and with them the last three counts, vary a little by instance.
 SOLVER_CALLS = {
     "solve_linear": 80, "minimize": 67, "solve_saddle": 133,
-    "duality_report": 203, "solve_trust_region": 136, "minmax": 231, "maxmin": 187,
+    "duality_report": 203, "solve_trust_region": 125, "minmax": 224, "maxmin": 180,
 }
 
 

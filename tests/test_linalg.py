@@ -17,7 +17,8 @@ from quadgames import (
 )
 from quadgames.game import PSD_MESSAGE, schur_reduction
 from quadgames.linalg import (
-    RANK_EPS, TOL, as_matrix, as_vector, is_psd, spectral_norm, svd, symmetrize
+    RANK_EPS, TOL, as_matrix, as_vector, is_psd, norm, row_norms, spectral_norm, svd,
+    symmetrize,
 )
 from quadgames.oracle import OracleConfig, sphere_max
 
@@ -335,14 +336,36 @@ def test_range_and_sign_tests_scale_with_the_data(c):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("c", [1.0, 1e160])
+@pytest.mark.parametrize("shape", [(1,), (7,), (200,), (3, 5), (40, 30)])
+def test_norm_keeps_numpys_bits_in_range_and_scales_exactly_out_of_it(shape):
+    # A square in the normal range is summed as np.linalg.norm sums it;
+    # out of it the norm is taken scaled by a power of two, so a power of
+    # two c scales it exactly, where x'x overflows or underflows.
+    x = np.random.default_rng(len(shape) * 1000 + shape[0]).standard_normal(shape)
+    rows = x.reshape(shape[0], -1)
+    assert norm(x) == np.linalg.norm(x)
+    assert np.array_equal(row_norms(rows), np.linalg.norm(rows, axis=1))
+    for c in (2.0**-1000, 2.0**-700, 2.0**700):
+        assert norm(c * x) == c * norm(x)
+        assert np.array_equal(row_norms(c * rows), c * row_norms(rows))
+    assert norm(np.zeros(shape)) == 0.0
+    assert row_norms(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    assert row_norms(np.array([[0.0, 0.0], [1e-170, 0.0]])).tolist() == [0.0, 1e-170]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [1.0, 1e160, 1e-170])
 def test_range_tests_hold_past_the_overflow_of_a_square(c):
     # At c = 1e160, ||U2' b||^2 and ||b||^2 overflow to inf, and inf <= inf
-    # would call b = (c, c) in the range of diag(c, 0): the norm is taken
-    # scaled there, so the decisions are the ones at c = 1.
+    # would call b = (c, c) in the range of diag(c, 0); at c = 1e-170 both
+    # underflow to 0, and 0 <= 0 would too, and call the asymmetry of
+    # c [[1, 2], [0, 1]] 0.  The norm is taken scaled there, so the
+    # decisions are the ones at c = 1.
     flat, b = c * np.diag([1.0, 0.0]), np.array([c, c])
     assert not solve_linear(flat, b).consistent
     assert minimize(QuadraticForm(flat, b)) is None
+    with pytest.raises(ValueError, match="not symmetric"):
+        symmetrize(c * np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])

@@ -465,6 +465,27 @@ BOUNDS = {
 }
 
 
+def test_one_norm_in_linalg():
+    # Every module measures with linalg's norm, which is exact past the
+    # overflow and below the underflow of a square: no other module calls
+    # np.linalg.norm, and the one math.hypot left is _convex_min's 2 x 2
+    # eigenvalue gap, whose bits feed the printed MINMAX bracket.
+    for module, tree in SOURCES.items():
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+        ]
+        assert module == "linalg" or calls == [], module
+    hypot = {
+        (module, node.name) for module, tree in SOURCES.items()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        and "hypot" in _names(node)
+    }
+    assert hypot == {("oracle", "_convex_min")}
+    assert "_norm" not in _names(SOURCES["linalg"])
+
+
 def test_one_rounding_model_in_linalg():
     # Every bound of the package and both size rules are defined once, in
     # linalg: no other module writes a tolerance literal (a float with

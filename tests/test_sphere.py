@@ -10,6 +10,7 @@ from quadgames import (
     dual_curve,
     lambda_p,
     solve_trust_region,
+    sphere,
     sphere_max,
 )
 
@@ -31,6 +32,18 @@ def test_lambda_p_examples():
     assert lambda_p(np.array([[1.0]]), np.array([3.0])) == pytest.approx(
         4.0, abs=1e-9
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-300, 1e-170, 1e155, 1e300])
+def test_lambda_p_scales_to_the_ends_of_the_float_range(c):
+    # The companion matrix is taken with blocks of the data's size: dd'
+    # itself overflows from about 1e155 (the eigensolver fails) and
+    # underflows below about 1e-162 (lambda_p reads lambda_max(D),
+    # 2.083c for 2.974c).
+    d_mat, d_vec = np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([1.0, -0.5])
+    one = lambda_p(d_mat, d_vec)
+    assert abs(lambda_p(c * d_mat, c * d_vec) - c * one) <= 1e-14 * c * one
 
 
 @pytest.mark.parametrize("eigvals,message", [
@@ -75,6 +88,7 @@ def test_finite_reads_the_stored_branch_facts(monkeypatch):
         raise AssertionError("Secular.finite computed a norm")
 
     monkeypatch.setattr(np.linalg, "norm", no_norm)
+    monkeypatch.setattr(sphere, "norm", no_norm)
     assert not sec.finite(2.0) and sec.finite(2.5)
     assert sec.finite(np.array([1.0, 2.0, 3.0])).tolist() == [False, False, True]
 
@@ -92,15 +106,11 @@ def test_trust_region_boundary_example():
     assert np.linalg.norm(rep) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.xfail(
-    reason="ROADMAP item 1: sphere._secular_root squares r, which overflows "
-    "past about 1e154, so at c = 1e160 it answers 2.25c and lambda = 3c",
-    strict=True,
-)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_trust_region_scales_past_the_overflow_of_a_square():
     # D = c diag(2, 1), d = c (1, 1): the value and the multiplier scale
-    # with c, 2.2422c and 3.1322c.
+    # with c, 2.2422c and 3.1322c; the secular root squares no r of the
+    # data, so none overflows.
     d_mat, d_vec = np.diag([2.0, 1.0]), np.array([1.0, 1.0])
     one = solve_trust_region(d_mat, d_vec)
     c = 1e160
