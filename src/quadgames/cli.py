@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -537,14 +538,20 @@ def _join_curve_ends(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(_join_curve_ends(argv))
-        return args.func(args)
-    except (ProblemError, ValueError, RuntimeError) as exc:
-        # A ValueError is a solver or oracle refusing the data (not PSD,
-        # a wrong length, a block too large): an input error.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        # Past about 1e154 the first sum of squares in ``norm`` and
+        # ``row_norms`` overflows, and they sum again rescaled: the
+        # answer is right, so their numpy warnings are noise here.
+        warnings.filterwarnings("ignore", "overflow encountered in (dot|multiply)",
+                                RuntimeWarning, r"quadgames\.linalg\Z")
+        try:
+            args = build_parser().parse_args(_join_curve_ends(argv))
+            return args.func(args)
+        except (ProblemError, ValueError, RuntimeError) as exc:
+            # A ValueError is a solver or oracle refusing the data (not PSD,
+            # a wrong length, a block too large): an input error.
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +171,14 @@ def test_curve_invalid_range(capsys):
     assert "lambda" in err
 
 
-@pytest.mark.parametrize(
-    "lo,hi", [("-1e3", "2"), ("-2E3", "-1e3"), ("-.5e1", "-1")], ids=["min", "both", "dot"]
-)
-def test_curve_takes_negative_ends_written_with_an_exponent(capsys, lo, hi):
+@pytest.mark.parametrize("name,lo,hi", [
+    ("fig_duality_gap.json", "-1e3", "2"), ("fig_duality_gap.json", "-2E3", "-1e3"),
+    ("fig_duality_gap.json", "-.5e1", "-1"), ("fig_trust_blue.json", "-1e3", "2"),
+], ids=["min", "both", "dot", "trust-region-min"])
+def test_curve_takes_negative_ends_written_with_an_exponent(capsys, name, lo, hi):
     # argparse alone reads -1e3 after a space as an option name; the ends
     # read as they do when joined to their options by "=".
-    path = str(FIXTURES / "fig_duality_gap.json")
+    path = str(FIXTURES / name)
     joined = run(capsys, "curve", path, f"--lambda-min={lo}", f"--lambda-max={hi}", "--steps", "3")
     assert joined[0] == 0
     assert run(capsys, "curve", path, "--lambda-min", lo, "--lambda-max", hi, "--steps", "3") == joined
@@ -328,7 +330,10 @@ def test_check_wide_u_without_a_u_grid(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
 def test_check_every_fixture(name, capsys, monkeypatch):
-    # The SVD is for the rectangular A of a linear_solve alone.
+    # `solve` exits 2 for the unbounded fixture alone.  The SVD of the
+    # check is for the rectangular A of a linear_solve alone.
+    solved = run(capsys, "solve", str(FIXTURES / name))[0]
+    assert solved == (2 if name == "quad_min_unbounded.json" else 0)
     counts = count_factorizations(monkeypatch)
     code, out, _ = run(capsys, "check", str(FIXTURES / name))
     assert code == (3 if name == "check_corrupted.json" else 0)
@@ -430,7 +435,7 @@ def _answers(doc, path=""):
 @pytest.mark.parametrize("doc", LADDER, ids=lambda doc: doc["kind"])
 def test_answers_scale_to_the_ends_of_the_float_range(tmp_path, capsys, doc, c):
     # Every entry (and lambda) times c: the status and exit code are those
-    # at c = 1, every answer is c times its own to 1e-14, and check exits
+    # at c = 1, every answer is c times its own to 1e-14, and check passes
     # as at c = 1.  Squares of such data leave the float range, so every
     # norm and the secular root take them scaled by a power of two.
     _, one, code = cli.solve_document(doc)
@@ -442,7 +447,33 @@ def test_answers_scale_to_the_ends_of_the_float_range(tmp_path, capsys, doc, c):
         assert abs(far_answers[key] - c * answer) <= 1e-14 * abs(c * answer), key
     check = run(capsys, "check", write_problem(tmp_path, doc))[0]
     far_check = run(capsys, "check", write_problem(tmp_path, _scaled(doc, c), "far.json"))
-    assert far_check[0] == check, far_check[1]
+    assert far_check[0] == check == 0, far_check[1]
+
+
+@pytest.mark.parametrize("doc", LADDER, ids=lambda doc: doc["kind"])
+def test_commands_print_no_warning_past_the_overflow_of_a_square(tmp_path, capsys, doc):
+    # At c = 1e160 the first sums of squares in linalg.norm and row_norms
+    # overflow, and they sum again rescaled.  The library warns of that
+    # overflow; a command keeps the warning to itself, answers as at c = 1
+    # and leaves the caller's filters as they were.  (capsys cannot see
+    # this: pytest captures warnings itself.)
+    far = _scaled(doc, 1e160)
+    path = write_problem(tmp_path, far)
+    commands = [["solve", path], ["check", path]]
+    if doc["kind"] in ("lagrangian", "trust_region"):
+        commands.append(["curve", path, "--lambda-min", "0", "--lambda-max", "1e161",
+                         "--steps", "3"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli.solve_document(far)
+        assert any("overflow encountered" in str(w.message) for w in caught)
+        caught.clear()
+        filters = list(warnings.filters)
+        codes = [run(capsys, *argv)[0] for argv in commands]
+        assert warnings.filters == filters
+    assert [str(w.message) for w in caught] == []
+    solved = cli.solve_document(doc)[2]
+    assert codes == [solved, 0, 0][:len(commands)]
 
 
 # d1's part off R(M11), 5e-9, is within TOL ||(d1, d2)|| = 1e-8, the
@@ -765,6 +796,8 @@ def test_check_samples_option_overrides_the_file(tmp_path, capsys):
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
     code, _, err = run(capsys, "check", path, "--samples", "0")
     assert code == 1 and "samples must be at least 1" in err, err
+    code, out, _ = run(capsys, "check", str(FIXTURES / "saddle_bilinear.json"), "--samples", "50")
+    assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 
 
 
@@ -875,10 +908,15 @@ def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
     # of its terms: seeds 2-5, 9 and 11 were refuted at c = 1e8 by an
     # absolute -1e-9, which at c = 1e-8 let a value lowered by 1e-6 pass,
     # and an absolute upper bound of 5e-3 let a value raised by 1e-6 pass
-    # at c = 1.  The exact hard cases pass too, as trust regions and as
-    # their MAXMIN twins, whose min over u is the trust region's form.
+    # at c = 1, as it did 5.001 for D = 0, d = (3, 4), whose value is 5.
+    # The exact hard cases pass too, as trust regions and as their MAXMIN
+    # twins, whose min over u is the trust region's form.
     for seed in range(12):
         assert _check_moved(capsys, tmp_path, _trust_region(seed, c)) == (0, [3, 3]), seed
+    linear = {"kind": "trust_region", "D": [[0.0, 0.0], [0.0, 0.0]], "d": [3.0 * c, 4.0 * c]}
+    assert _check_moved(capsys, tmp_path, linear) == (0, [3, 3])
+    raised = write_problem(tmp_path, {**linear, "expected_value": 5.001 * c})
+    assert run(capsys, "check", raised)[0] == 3
     for d_mat, d_vec in EXACT_HARD:
         n = len(d_vec)
         tr = {"kind": "trust_region", "D": (c * d_mat).tolist(), "d": (c * d_vec).tolist()}
@@ -904,7 +942,7 @@ def test_check_maxmin_lambda_bound_holds_an_ill_conditioned_m11(tmp_path, capsys
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP items 5 and 7: sphere_certificate sizes its gradient test by "
+    reason="ROADMAP items 2 and 1: sphere_certificate sizes its gradient test by "
     "the terms |M22||w| + |M12'||u*| + |d2| + |lam||w| alone, while S formed "
     "through pinv(M11) carries rounding that grows with the condition number "
     "of M11 (1e10 here)",
@@ -944,6 +982,31 @@ def test_check_a_polish_that_stops_short_refutes_no_right_answer(tmp_path, capsy
         code, out, _ = run(capsys, "check", write_problem(tmp_path, doc), "--seed", seed)
         assert (code, out.splitlines()[1]) == (0, "solver value: 51006817.19099077"), out
     assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3])
+
+
+# D = diag(1, 0.9, 0.9, 0.9, 0.9) and d = (1.5e-9, 0.05, 0, 0, 0): r_top
+# lies between TOL (||D||_2 + ||d||) and TOL (||D||_F + ||d||), at the
+# edge of the hard case, where the interior multiplier 1.0000000017320507
+# is that of tests/mpref.py.
+BAND_D = np.diag([1.0, 0.9, 0.9, 0.9, 0.9]).tolist()
+BAND_d = [1.5e-9, 0.05, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("d_mat,d_vec", [(NEAR_NORM_D, NEAR_NORM_d), (BAND_D, BAND_d)],
+                         ids=["near-norm", "band"])
+def test_a_trust_region_and_its_p0_game_answer_and_check_alike(tmp_path, capsys, d_mat, d_vec):
+    # The trust region is the MAXMIN game with M11 = [[1]] and M12 = 0,
+    # solved and checked by one rule: both pass, every line of `check`
+    # after "kind:" is the same, and so are the values and multipliers.
+    tr = {"kind": "trust_region", "D": d_mat, "d": d_vec}
+    game = {"kind": "maxmin", "M11": [[1.0]], "M12": [[0.0] * len(d_vec)], "d1": [0.0],
+            "M22": d_mat, "d2": d_vec}
+    paths = [write_problem(tmp_path, doc, f"{doc['kind']}.json") for doc in (tr, game)]
+    checked = [run(capsys, "check", path) for path in paths]
+    assert [(code, out.splitlines()[-1]) for code, out, _ in checked] == [(0, "result: PASS")] * 2
+    assert checked[0][1].splitlines()[1:] == checked[1][1].splitlines()[1:]
+    solved = [json.loads(run(capsys, "solve", path)[1]) for path in paths]
+    assert (solved[0]["value"], solved[0]["lambda_p"]) == (solved[1]["value"], solved[1]["lambda0"])
 
 
 def _one_w_game(c):
@@ -1092,7 +1155,7 @@ def test_check_refutes_a_point_off_the_sphere(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 3: Secular.of counts r_top = eps as zero against "
+    reason="ROADMAP item 1: Secular.of counts r_top = eps as zero against "
     "TOL (||D|| + ||d||) = 3e-9 and reports the boundary lambda = 2",
     strict=True,
 )
@@ -1108,7 +1171,7 @@ def test_check_passes_a_trust_region_at_the_edge_of_the_hard_case(tmp_path, caps
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 3: Secular.range_tol, TOL times about 2e4 here "
+    reason="ROADMAP item 1: Secular.range_tol, TOL times about 2e4 here "
     "(||d2|| + ||M12' pinv(M11) d1||, beside S's terms), counts r = 2e-6 as zero",
     strict=True,
 )
@@ -1124,7 +1187,7 @@ def test_check_passes_a_maxmin_with_a_small_vector_term_beside_large_data(tmp_pa
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 3: the solvers' threshold tol, about 1e-9 of the "
+    reason="ROADMAP item 1: the solvers' threshold tol, about 1e-9 of the "
     "data, calls the maxmin infinite 2e-10 and 2e-9 relative above ||S||",
     strict=True,
 )
@@ -1289,7 +1352,7 @@ def test_check_passes_the_lambda0_of_right_minmax_answers():
 
 
 @pytest.mark.xfail(
-    reason="ROADMAP item 3: the solvers' threshold tol, about 1e-9 of the "
+    reason="ROADMAP item 1: the solvers' threshold tol, about 1e-9 of the "
     "data, calls a side finite 1e-10 and 1e-9 relative below its threshold",
     strict=True,
 )
@@ -1381,6 +1444,27 @@ def test_check_sphere_answers_above_4_dimensions(n, c):
             prob = {**doc, "expected_value": solved["value"] * (1.0 + moved)}
             verdicts.append(check(data, prob, solved, code, cli._oracle_config(prob))[2])
         assert verdicts == [True, False, False, False, False], doc["kind"]
+
+
+# Fixed files of a w over 2: a MAXMIN game with a w of 3, one with a w of
+# 5 and d = 0, and a trust region of 6.
+SPHERE_FILES = {
+    "maxmin_w3": {"kind": "maxmin", "M11": [[2.0]], "M12": [[1.0, 0.0, 0.0]],
+                  "M22": np.diag([1.0, 2.0, 3.0]).tolist(), "d1": [1.0], "d2": [0.5, -0.5, 1.0]},
+    "maxmin_w5": {"kind": "maxmin", **FIVE_W},
+    "trust_region_6": {
+        "kind": "trust_region", "D": np.diag([6.0, 5.0, 4.0, 3.0, 2.0, 1.0]).tolist(),
+        "d": [1.0, -1.0, 0.5, 0.0, 2.0, -0.5],
+    },
+}
+
+
+@pytest.mark.parametrize("name", SPHERE_FILES)
+def test_check_sphere_files_of_a_w_over_2(tmp_path, capsys, name):
+    # The certificate decides at any dimension, and the sphere search is a
+    # lower bound: a right value passes, and one moved by 1e-6 relative
+    # fails (for trust_region_6, 4.6866087635462685 against 4.686604076942192).
+    assert _check_moved(capsys, tmp_path, SPHERE_FILES[name]) == (0, [3, 3])
 
 
 SPHERE_FIXTURES = [

@@ -263,8 +263,8 @@ def test_trust_region_embedding_matches_at_every_scale(c):
 
 
 @pytest.mark.xfail(
-    reason="Secular.range_tol reads r against ||d2|| + ||M12' pinv(M11) d1|| "
-    "= 2e13, so it counts r = 1 as zero on S's top eigenspace",
+    reason="ROADMAP item 1: Secular.range_tol reads r against ||d2|| + "
+    "||M12' pinv(M11) d1|| = 2e13, so it counts r = 1 as zero on S's top eigenspace",
     strict=True,
 )
 def test_maxmin_keeps_an_exact_vector_term_beside_large_data():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -239,6 +240,7 @@ def test_cold_cli_import_leaves_dataclasses_out():
 
 
 FILES = [str(ROOT / "fixtures" / name) for name in ("fig_trust_blue.json", "fig_duality_gap.json")]
+QUAD_MIN = str(ROOT / "fixtures" / "quad_min.json")
 CURVE = ["--lambda-min", "0", "--lambda-max", "2", "--steps", "3"]
 
 
@@ -248,15 +250,28 @@ def _main(argvs: list) -> str:
 
 @pytest.mark.parametrize("statements, loaded", [
     ("import quadgames", False),
-    (_main([["solve", f] for f in FILES]), False),
+    (_main([["solve", f] for f in [*FILES, QUAD_MIN]]), False),
     (_main([["curve", f, *CURVE] for f in FILES]), False),
     (_main([["check", FILES[0]]]), True),
-], ids=["import", "solve", "curve", "check"])
+    (_main([["check", QUAD_MIN]]), True),
+], ids=["import", "solve", "curve", "check", "check-quad-min"])
 def test_only_check_loads_the_oracle(statements, loaded):
     # The oracle names load quadgames.oracle on first use and the command
     # line imports it only to check, so an import of the package, a solve
     # and a curve run no oracle code.
     assert _loads("quadgames.oracle", statements) == loaded
+
+
+def test_console_script_is_cli_main():
+    # The installed `quadgames` command runs cli.main, which the tests
+    # call in process, so the CI runs the installed script only once per
+    # exit code.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"quadgames": "quadgames.cli:main"}
+    module, name = scripts["quadgames"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 ORACLE_NAMES = ("OracleConfig", "fd_gradient", "grid_minmax", "sphere_max", "verify_saddle")
