@@ -9,10 +9,13 @@ value is finite from ||M22|| on and its maxmin value from ||S|| on,
 where S = M22 - M12' pinv(M11) M12; between those two thresholds the
 duality gap is infinite.  Where finite, both equal
 lambda/2 - c0 + 1/2 sum r_i^2 / (lambda - s_i) over the eigenpairs of S
-from ``schur_reduction``; one ``eigh`` each of M11, S and M22 serves
-every lambda, and ``lambda_curve`` evaluates a whole grid in one array
-pass, reading only the eigenvalues of M22; past those factorizations
-its Python work does not grow with the grid.  Threshold tests are
+from ``schur_reduction``, whose ``at`` gives the joint stationary point
+at a lambda, its value and its u set without deciding a branch: only
+``duality_report`` and ``lambda_curve`` test finiteness.  One ``eigh``
+each of M11, S and M22 serves every lambda, and ``lambda_curve``
+evaluates a whole grid in one array pass, reading only the eigenvalues
+of M22; past those factorizations its Python work does not grow with
+the grid.  Threshold tests are
 relative to the data S is computed from.  An empty w block sets no
 threshold: both values are min over u of V plus lambda/2 at every
 lambda (``minmax_threshold`` and ``maxmin_threshold`` still read 0.0,
@@ -208,6 +211,16 @@ class SchurReduction(NamedTuple):
     def u_set(self, w: np.ndarray) -> AffineSolutionSet:
         return AffineSolutionSet(-(self.x12 @ w + self.x1), self.null11)
 
+    def at(self, lam: float) -> tuple[np.ndarray, float, AffineSolutionSet]:
+        """The joint stationary point w0 at lam (coordinates
+        r_i / (lam - s_i) in S's eigenbasis), the value there and the u
+        set ``u_set(w0)``.  It decides no branch: whether the value is
+        that of the minmax or the maxmin is the caller's test."""
+        sec = self.secular
+        c = sec.response(lam)
+        w0 = sec.q @ c
+        return w0, float(sec.value(lam, c)) - self.c0, self.u_set(w0)
+
 
 def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     """Factor M11 and S once each.  The assembled matrix is PSD iff
@@ -232,31 +245,6 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
         raise ValueError(PSD_MESSAGE)
     bounded = not null11.size or norm(null11.T @ pq.d1) <= TOL * norm(pq.d)
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
-
-
-def _m22(pq: PartitionedQuadratic) -> Secular:
-    """Eigenpairs of M22, with tol = TOL ||M22||_2."""
-    return Secular.of(pq.m22, np.zeros(pq.w_dim))
-
-
-def _lambda_solve(red: SchurReduction, lam: float, *bs: Secular) -> list[LambdaSolve]:
-    """The family at lam, read off the reduction, one evaluation per
-    threshold matrix B in ``bs``: S (``red.secular``) for maxmin, M22
-    (``_m22(pq)``) for minmax.  Both share the joint stationary point w0
-    (coordinates r_i / (lam - s_i) in S's eigenbasis), its value and the
-    u set ``red.u_set(w0)``; the threshold is ||B||, and the w set is w0
-    plus null(B - lam I).
-    """
-    sec = red.secular
-    c = sec.response(lam)
-    w0 = sec.q @ c
-    value, u_set = float(sec.value(lam, c)) - red.c0, red.u_set(w0)
-    return [
-        LambdaSolve(True, value, u_set, b.at(lam, w0))
-        if sec.finite(lam, b.smax)
-        else LambdaSolve(False)
-        for b in bs
-    ]
 
 
 class DualityReport(NamedTuple):
@@ -288,7 +276,13 @@ def duality_report(pq: PartitionedQuadratic, lam: float) -> DualityReport:
     red = schur_reduction(pq)
     if not red.bounded:
         return DualityReport("unbounded_below")
-    mm, xm = _lambda_solve(red, lam, _m22(pq), red.secular)
+    w0, value, u_set = red.at(lam)
+    # Each side's w set is w0 + null(B - lam I), B = M22 for minmax, S for maxmin.
+    mm, xm = [
+        LambdaSolve(True, value, u_set, b.at(lam, w0))
+        if red.secular.finite(lam, b.smax) else LambdaSolve(False)
+        for b in (Secular.of(pq.m22, np.zeros(pq.w_dim)), red.secular)
+    ]
     if not xm.finite:
         return DualityReport("both_infinite", None, mm, xm)
     if not mm.finite:

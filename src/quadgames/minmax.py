@@ -13,7 +13,9 @@ S = M22 - M12' pinv(M11) M12 and r = d2 - M12' pinv(M11) d1,
   are w0 + null(M22 - ||M22|| I) on the sphere.
 
 One factorization of M11, one of S and (minmax) one of M22 give every
-answer; the multiplier is the secular root of ``sphere.Secular``.  When
+answer; the multiplier is the secular root of ``sphere.Secular``.  At
+||M22|| >= lambda_TR >= ||S|| no finiteness rule is asked: the sets are
+``game.SchurReduction.at``'s and M22's ``Secular.on_sphere``.  When
 d1 is outside the range of M11 the game is unbounded below in both
 orders (u = -t P_null(M11) d1 drives V to -inf) and the solvers return
 None.
@@ -29,7 +31,7 @@ import numpy as np
 from . import game
 from .game import PartitionedQuadratic
 from .linalg import AffineSolutionSet
-from .sphere import SphereSolutionSet, sphere_intersect
+from .sphere import Secular, SphereSolutionSet
 
 
 class Direction(enum.Enum):
@@ -88,16 +90,16 @@ def solve_linear_term(
     lam0, boundary, w_set = tr.lambda_p, tr.boundary, tr.w_star
     value, u_set = tr.value - red.c0, red.u_set(w_set.representative())
     if direction is Direction.MINMAX:
-        m22 = game._m22(pq)
+        m22 = Secular.of(pq.m22, np.zeros(pq.w_dim))
         if m22.smax >= lam0:
-            # The multiplier sticks at ||M22||: u* answers the joint
-            # stationary point there, and the maximizers over w at u*
-            # are that point's best-response set on the sphere, oriented
-            # as in the trust region by the inner linear term M12'u* + d2.
-            (at,) = game._lambda_solve(red, m22.smax, m22)
-            lam0, boundary, u_set = m22.smax, True, at.u_set
+            # lambda0 sticks at ||M22||: u* answers the joint stationary
+            # point w0 there, and the maximizers over w at u* are
+            # w0 + null(M22 - ||M22|| I) on the sphere, turned as in the
+            # trust region by the inner linear term M12'u* + d2.
+            lam0, boundary = m22.smax, True
+            w0, value, u_set = red.at(lam0)
             inner = m22.q.T @ (pq.m12.T @ u_set.particular + pq.d2)
-            w_set, value = m22.orient(sphere_intersect(at.w_set), lam0, at.value, inner)
+            w_set, value = m22.on_sphere(lam0, w0, value, inner)
     mode = "boundary" if boundary else "interior"
     if not np.any(pq.d):
         mode = "homogeneous"

@@ -15,7 +15,9 @@ of r on that eigenspace, zero up to the range test, still points the
 representative at the best member.
 One ``Secular`` rule decides each branch for the solve, the dual curve
 (one ``eigh``, then whole-array steps whose count does not grow with
-its lambda grid) and the games of ``game``.
+its lambda grid) and the games of ``game``.  One routine,
+``Secular.on_sphere``, puts a stationary set on the sphere, for the
+solve's boundary branch and for a MINMAX multiplier stuck at ||M22||.
 
 The paper's certificate for the multiplier, the largest real eigenvalue
 of the 2n x 2n companion matrix [[D, I], [dd', D]], is kept as
@@ -120,8 +122,8 @@ class Secular(NamedTuple):
     ``range_tol``.  Only ``of`` builds an instance, as it derives the
     tests from the others; a ``_replace`` would leave them stale.  One
     instance serves the solve, the dual curve and the lambda-family of a
-    game, which all decide their branches by ``range_holds``, ``finite``
-    and ``at``.
+    game, which all decide their branches by ``range_holds`` and
+    ``finite``, and read their sets off ``at`` and ``on_sphere``.
     """
 
     s: np.ndarray
@@ -183,9 +185,7 @@ class Secular(NamedTuple):
         boundary = self.range_holds and response_norm <= 1.0
         if boundary:
             lam, steps = self.smax, 0
-            value = float(self.value(lam, c))
-            aset = self.at(lam, self.q @ c)
-            w_star, value = self.orient(sphere_intersect(aset), lam, value)
+            w_star, value = self.on_sphere(lam, self.q @ c, float(self.value(lam, c)))
         else:
             mu, c, steps = _secular_root(np.maximum(self.smax - self.s, 0.0), self.r)
             lam = self.smax + mu
@@ -194,16 +194,17 @@ class Secular(NamedTuple):
         near_hard = self.range_holds and abs(response_norm - 1.0) < HARD_CASE_BAND
         return TrustRegionSolution(value, lam, boundary, w_star, near_hard), steps
 
-    def orient(
-        self, sset: SphereSolutionSet, lam: float, value: float, r=None
+    def on_sphere(
+        self, lam: float, w0: np.ndarray, value: float, r=None
     ) -> tuple[SphereSolutionSet, float]:
-        """Turn ``sset``, whose free directions span null(D - lam I), so
-        that its representative points along the part of r (default
-        ``self.r``; eigenbasis coordinates) in that null space, and add
-        radius ||r_null|| to ``value``, the value at the set's stationary
-        point: the representative's value.  That part passes the range
-        test, so it is rounding, but it still picks the best member of
-        the set.  When it is exactly 0 both come back as they are."""
+        """The stationary set ``at(lam, w0)`` on the unit sphere, turned
+        so that its representative points along the part of r (default
+        ``self.r``; eigenbasis coordinates) in null(D - lam I), and
+        ``value``, the value at w0, plus radius ||r_null||: the
+        representative's value.  That part passes the range test, so it
+        is rounding, but it still picks the best member of the set.  When
+        it is exactly 0 the set is not turned."""
+        sset = sphere_intersect(self.at(lam, w0))
         r = self.r if r is None else r
         part = r[np.abs(self.s - lam) <= self.tol]
         length = norm(part)

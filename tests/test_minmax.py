@@ -17,6 +17,7 @@ from quadgames import (
     solve_trust_region,
 )
 
+from quadgames.linalg import data_size
 from quadgames.sphere import Secular
 
 from util import hard_case_instance, pinv, random_partitioned, random_psd
@@ -378,3 +379,45 @@ def test_residual_certificates_n100():
             1.0 + np.linalg.norm(z)
         )
         assert sol.value == pytest.approx(pq.evaluate(u, w), rel=1e-10)
+
+
+def conminmax_games(rng, count):
+    """``count`` games with M >= 0 and d1 in R(M11), p 0-3, n 1-4, at
+    scales 1e-8..1e8: M12 = M11 Y and M22 = Y'M11Y + W with W >= 0 of
+    random rank, so S is W to rounding; every second Y is 4 times
+    larger, which raises ||M22|| above the root of (S, r), where MINMAX
+    sticks."""
+    for i in range(count):
+        p, n = int(rng.integers(0, 4)), int(rng.integers(1, 5))
+        c = 10.0 ** rng.uniform(-8.0, 8.0)
+        m11 = random_psd(rng, p, int(rng.integers(0, p + 1)))
+        y = rng.standard_normal((p, n)) * (4.0 if i % 2 else 1.0)
+        m22 = y.T @ m11 @ y + random_psd(rng, n, int(rng.integers(0, n + 1)))
+        d1 = m11 @ rng.standard_normal(p)
+        yield PartitionedQuadratic(
+            c * m11, c * (m11 @ y), c * (0.5 * (m22 + m22.T)), c * d1,
+            c * rng.standard_normal(n),
+        )
+
+
+def test_sphere_game_value_is_the_lambda_family_value_at_its_multiplier():
+    # cor:conminmax: a sphere game's value is the same direction's value
+    # of the lambda family at its lambda0, interior roots and MINMAX stuck
+    # at ||M22|| alike (on these 200 games, 70 of them stuck, up to
+    # 3.8e-16 of the data).  Left out:
+    # the trust region's boundary branch, whose value adds
+    # Secular.on_sphere's term radius ||r_top||, up to TOL of the data
+    # (ROADMAP item 1).
+    branches = set()
+    for pq in conminmax_games(np.random.default_rng(137), 200):
+        bound = 1e-12 * data_size(pq.assembled(), pq.d)
+        xm = solve_linear_term(pq, Direction.MAXMIN)
+        mm = solve_linear_term(pq, Direction.MINMAX)
+        stuck = mm.lambda0 > xm.lambda0
+        for sol, name, at_m22 in ((xm, "maxmin", False), (mm, "minmax", stuck)):
+            if at_m22 or sol.diagnostics["mode"] == "interior":
+                family = getattr(duality_report(pq, sol.lambda0), name)
+                assert family.finite
+                assert abs(sol.value - family.value) <= bound
+                branches.add((name, at_m22))
+    assert branches == {("maxmin", False), ("minmax", False), ("minmax", True)}

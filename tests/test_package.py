@@ -473,6 +473,37 @@ def test_check_has_one_sphere_path():
         assert read - writers == {reader}, key
 
 
+def test_one_stationary_point_per_multiplier():
+    # The reduction's ``at`` is the one evaluation at a multiplier and
+    # Secular.on_sphere the one set on the sphere; minmax reaches no
+    # private helper of another module, and only the lambda family tests
+    # finiteness: MINMAX's solve has already put lambda0 at or above ||S||.
+    tree = SOURCES["minmax"]
+    modules = {name for module, name in _imports(tree) if name in SOURCES}
+    private = [
+        (module, name) for module, name in _imports(tree)
+        if module in SOURCES and name.startswith("_")
+    ]
+    private += [
+        (node.value.id, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert private == []
+
+    def callers(modules, name):
+        """The functions of ``modules`` that call ``name``, each with its
+        number of calls."""
+        return Counter(
+            f.name for module in modules for f in ast.walk(SOURCES[module])
+            if isinstance(f, ast.FunctionDef) for c in ast.walk(f)
+            if isinstance(c, ast.Call) and name in _names(c.func)
+        )
+
+    assert callers(SOURCES, "sphere_intersect") == Counter({"on_sphere": 1})
+    assert set(callers(("game", "minmax"), "finite")) == {"duality_report", "lambda_curve"}
+
+
 BOUNDS = {
     "RANK_EPS": 1e-12, "TOL": 1e-9, "ROUNDING": 1e-12, "BRACKET": 1e-8,
     "CUT_STOP": 1e-10, "SECULAR_STOP": 4.0 * np.finfo(float).eps,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,57 @@ def test_sphere_games_match_the_40_digit_reference():
             lams[direction] = lam
         above.add(lams[Direction.MINMAX] > lams[Direction.MAXMIN])
     assert above == {False, True}
+
+
+def flat_top_game(c):
+    """S = diag(1, 1 - 9e-10), whose top eigenvalues lie within tol
+    (about 1e-9) of each other, behind M12 = (sqrt(6.75e-10), 0), and
+    r = (0, 1.5e-9), off the top range: the trust region on (S, r) is
+    interior at 1 + 6e-10, below ||M22|| = 1 + 6.75e-10, where MINMAX
+    sticks.  Every block and d2 are scaled by c."""
+    return PartitionedQuadratic(
+        c * np.eye(1), c * np.array([[np.sqrt(6.75e-10), 0.0]]),
+        c * np.diag([1.0 + 6.75e-10, 1.0 - 9e-10]), np.zeros(1),
+        c * np.array([0.0, 1.5e-9]),
+    )
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_minmax_stuck_just_above_a_flat_top_matches_the_reference(c, tmp_path, capsys):
+    # MINMAX takes the stationary point at ||M22|| without asking the
+    # lambda family's finiteness rule, which calls ||M22|| infinite here
+    # (next test): the solve has already put it at or above ||S||.
+    pq = flat_top_game(c)
+    value, lam = mpref.sphere_game(pq, minmax=True)
+    assert (value, lam) == pytest.approx((0.5000000010517858 * c, 1.000000000675 * c))
+    sol = solve_linear_term(pq, Direction.MINMAX)
+    assert sol.lambda0 == minmax_threshold(pq)
+    assert sol.lambda0 == pytest.approx(lam, rel=1e-12)
+    assert sol.value == pytest.approx(value, rel=1e-12)
+    path = tmp_path / "flat_top.json"
+    path.write_text(json.dumps({
+        "kind": "minmax", "M11": pq.m11.tolist(), "M12": pq.m12.tolist(),
+        "M22": pq.m22.tolist(), "d1": pq.d1.tolist(), "d2": pq.d2.tolist(),
+    }))
+    assert cli.main(["solve", str(path)]) == 0
+    assert cli.main(["check", str(path)]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.xfail(
+    reason="ROADMAP item 1: lambda0 = ||M22|| lies 6.75e-10 above ||S||, inside "
+    "TOL's band, where Secular.finite wants r in the top range",
+    strict=True,
+)
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_lambda_family_of_a_flat_top_at_its_minmax_multiplier(c):
+    # The 40-digit maxmin at lambda0 is finite, 0.5000000010517858 c,
+    # the sphere game's value (cor:conminmax); duality_report says
+    # both_infinite.
+    pq = flat_top_game(c)
+    value, lam = mpref.sphere_game(pq, minmax=True)
+    assert mpref.lambda_family(pq, lam)[1] == pytest.approx(value, rel=1e-15)
+    assert duality_report(pq, lam).maxmin.value == pytest.approx(value, rel=1e-12)
 
 
 def test_maxmin_with_a_small_top_term_beside_a_coupling_matches_the_reference():
