@@ -8,9 +8,11 @@ round-trip losslessly; curves are emitted as CSV with the literal tokens
 
 ``KINDS`` has one entry per kind: it reads the file into the solver's
 input once, solves it, checks the result document with an oracle and,
-for ``lagrangian`` and ``trust_region``, draws the curve.  Only the
-check functions import ``oracle``, so a cold ``solve`` or ``curve``
-loads no oracle code.
+for ``lagrangian`` and ``trust_region``, draws the curve.  Only
+``check`` imports ``oracle``, so a cold ``solve`` or ``curve`` loads no
+oracle code.  ``check`` is configured by ``--seed`` and ``--samples``
+alone; the file holds the problem and, optionally, a claimed
+``expected_value``.
 
 Exit codes: 0 solved / check passed, 1 input error (a malformed command
 line included), 2 well-posed "no solution / unbounded" outcomes, 3 check
@@ -118,23 +120,6 @@ def _partitioned(prob: dict) -> game.PartitionedQuadratic:
     d1 = _field(prob, "d1", 1, np.zeros(m11.shape[0]))
     d2 = _field(prob, "d2", 1, np.zeros(m22.shape[0]))
     return game.PartitionedQuadratic(m11, m12, m22, d1, d2)
-
-
-def _oracle_config(prob: dict, samples=None, seed=None):
-    from . import oracle
-
-    raw = prob.get("oracle", {})
-    if not isinstance(raw, dict):
-        raise ProblemError("field 'oracle' must be an object")
-    raw = dict(raw)
-    if samples is not None:
-        raw["samples"] = samples
-    if seed is not None:
-        raw["seed"] = seed
-    try:
-        return oracle.OracleConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ProblemError(f"invalid oracle config: {exc}") from exc
 
 
 def _aset_doc(aset: AffineSolutionSet) -> dict:
@@ -463,8 +448,12 @@ def run_curve(args) -> int:
 
 
 def run_check(args) -> int:
+    from . import oracle
+
     prob = load_problem(args.input)
-    cfg = _oracle_config(prob, samples=args.samples, seed=args.seed)
+    # An option not given keeps OracleConfig's own default.
+    options = {"seed": args.seed, "samples": args.samples}
+    cfg = oracle.OracleConfig(**{k: v for k, v in options.items() if v is not None})
     data, doc, code = solve_document(prob)
     check = KINDS[prob["kind"]].check
     value, oracle_value, passed = check(data, prob, doc, code, cfg)

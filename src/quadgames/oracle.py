@@ -50,7 +50,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 class OracleConfig(Validated, namedtuple("OracleConfig", "seed samples grid_points")):
     """``seed`` of every random draw and ``samples`` sphere draws (trust
     region, MAXMIN) or circle points (MINMAX).  ``grid_points`` (an integer
-    >= 2) is validated for callers that still pass it; no oracle reads it."""
+    >= 2) is validated and kept for the benchmark's checks, its one
+    caller; no oracle reads it."""
 
     __slots__ = ()
 

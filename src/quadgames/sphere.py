@@ -257,8 +257,10 @@ def _secular_root(gaps: np.ndarray, r: np.ndarray) -> tuple[float, np.ndarray, i
     return mu * unit, c, steps
 
 
-def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
-    """Validated D and d, and the eigenpairs of D that the PSD test read."""
+def _check_inputs(d_mat, d_vec, sphere=True) -> tuple[np.ndarray, np.ndarray, Secular]:
+    """Validated D and d, and the eigenpairs of D that the PSD test read.
+    A 0 x 0 D is an input error for a problem on the unit ``sphere``,
+    which in R^0 has no points."""
     d_mat = symmetrize(d_mat, "D")
     d_vec = as_vector(d_vec, "d")
     if d_vec.shape[0] != d_mat.shape[0]:
@@ -266,6 +268,8 @@ def _check_inputs(d_mat, d_vec) -> tuple[np.ndarray, np.ndarray, Secular]:
     sec = Secular.of(d_mat, d_vec)
     if not sec.psd:
         raise ValueError("D must be positive semidefinite")
+    if sphere and sec.s.size == 0:
+        raise ValueError("D is 0 x 0; the unit sphere in R^0 is empty")
     return d_mat, d_vec, sec
 
 
@@ -273,8 +277,10 @@ def lambda_p(d_mat, d_vec) -> float:
     """Largest real eigenvalue of the 2n x 2n companion matrix
     [[D, I], [dd', D]].
 
-    A real eigenvalue >= ||D|| always exists for PSD D; its absence
-    signals an eigensolver failure and is surfaced as a RuntimeError.
+    A real eigenvalue >= ||D|| always exists for PSD D of order n >= 1;
+    its absence signals an eigensolver failure and is surfaced as a
+    RuntimeError.  A 0 x 0 D is an input error (ValueError), as for
+    ``solve_trust_region``.
     Off the hard case it matches the secular multiplier to rounding.
     In the hard case the multiplier ||D|| is a defective eigenvalue of
     this matrix, and ``eigvals`` resolves it only to about sqrt(eps):
@@ -313,12 +319,9 @@ def solve_trust_region(d_mat, d_vec) -> TrustRegionSolution:
 
     The value is lambda/2 - 1/2 d' pinv(D - lambda I) d at the optimal
     multiplier; one eigendecomposition of D gives the multiplier, the
-    branch and the maximizer set.  A 0 x 0 D is an input error: the
-    unit sphere in R^0 has no points.
+    branch and the maximizer set.  A 0 x 0 D is an input error.
     """
     _, _, sec = _check_inputs(d_mat, d_vec)
-    if sec.s.size == 0:
-        raise ValueError("D is 0 x 0; the unit sphere in R^0 is empty")
     solution, _ = sec.solve()
     return solution
 
@@ -340,7 +343,7 @@ def dual_curve(
     with no derivative (encoded math.inf / None).  The whole grid is one
     array pass over a (steps x n) response matrix.
     """
-    _, _, sec = _check_inputs(d_mat, d_vec)
+    _, _, sec = _check_inputs(d_mat, d_vec, sphere=False)
     lams = _lambda_grid(lambda_min, lambda_max, steps)
     c = sec.response(lams)
     finite = sec.finite(lams)

@@ -589,15 +589,10 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
     ("check", {**QUAD_MIN, "c": [1, 2]}),
     ("check", {**QUAD_MIN, "expected_value": {"value": 1}}),
     ("check", {**QUAD_MIN, "expected_value": "one"}),
-    ("check", {**QUAD_MIN, "oracle": 5}),
-    ("check", {**QUAD_MIN, "oracle": [["seed", 1]]}),
     ("curve --lambda-min 0 --lambda-max 2 --steps 3",
      {**LAGRANGIAN, "lambda": 1.0, "d1": ["x"]}),
     ("solve", {**LAGRANGIAN, "lambda": 1.0, "d1": ["x"]}),
     ("check", {**LAGRANGIAN, "lambda": 1.0, "d2": [[0.0]]}),
-    ("check", {**QUAD_MIN, "oracle": {"samples": 1.5}}),
-    ("check", {**QUAD_MIN, "oracle": {"samples": True}}),
-    ("check", {**QUAD_MIN, "oracle": {"seed": -1}}),
     ("check --seed -3", QUAD_MIN),
     ("curve --lambda-min 0 --lambda-max 2 --steps 3",
      {**TRUST_REGION, "D": [[-1.0, 0.0], [0.0, 1.0]]}),
@@ -618,9 +613,8 @@ TRUST_REGION = {"kind": "trust_region", "D": [[2.0, 0.0], [0.0, 1.0]], "d": [0.0
 ], ids=[
     "minmax-3x3", "lagrangian-1x5", "minmax-5x5",
     "solve-null-lambda", "check-null-lambda", "solve-list-c", "check-list-c",
-    "object-expected", "string-expected", "number-oracle", "list-oracle",
-    "curve-string-d1", "solve-string-d1", "check-matrix-d2", "float-samples",
-    "bool-samples", "negative-seed", "negative-seed-option",
+    "object-expected", "string-expected",
+    "curve-string-d1", "solve-string-d1", "check-matrix-d2", "negative-seed-option",
     "curve-non-psd-D", "curve-non-symmetric-D", "curve-short-d",
     "curve-non-psd-lagrangian", "curve-infinite-lambda-max",
     "curve-infinite-lambda-min", "solve-nan-lambda", "solve-string-inf-lambda",
@@ -789,16 +783,14 @@ def test_check_lagrangian_box_reads_only_the_w_part(tmp_path, capsys):
     assert abs(float(out.splitlines()[3].split(": ")[1])) <= 1e-3, out
 
 
-def test_check_samples_option_overrides_the_file(tmp_path, capsys):
-    path = write_problem(tmp_path, {**QUAD_MIN, "oracle": {"samples": 1.5}})
-    assert run(capsys, "check", path)[0] == 1
+def test_check_samples_option_sets_the_search(tmp_path, capsys):
+    path = write_problem(tmp_path, QUAD_MIN)
     code, out, _ = run(capsys, "check", path, "--samples", "5")
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
     code, _, err = run(capsys, "check", path, "--samples", "0")
     assert code == 1 and "samples must be at least 1" in err, err
     code, out, _ = run(capsys, "check", str(FIXTURES / "saddle_bilinear.json"), "--samples", "50")
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
-
 
 
 def _rng5_game(c):
@@ -812,13 +804,29 @@ def _rng5_game(c):
     }
 
 
-def _check_moved(capsys, tmp_path, doc):
+@pytest.mark.parametrize("doc,value", [
+    (QUAD_MIN, 5), (QUAD_MIN, [["seed", 1]]), (QUAD_MIN, None), (QUAD_MIN, {"samples": 1.5}),
+    (QUAD_MIN, {"samples": True}), (QUAD_MIN, {"seed": -1}),
+    ({"kind": "minmax", **_rng5_game(1.0)}, {"seed": 3, "samples": 10000, "grid_points": 2}),
+], ids=["number", "list", "null", "float-samples", "bool-samples", "negative-seed", "config"])
+def test_check_ignores_an_oracle_key_of_the_file(tmp_path, capsys, doc, value):
+    # The command line alone configures the search: a file's "oracle" is
+    # a key the schema does not list, read by nothing.  An invalid one is
+    # no error, and 10^4 circle points, which leave this MINMAX bracket
+    # too wide, are not taken.
+    plain = run(capsys, "check", write_problem(tmp_path, doc, "plain.json"))
+    keyed = run(capsys, "check", write_problem(tmp_path, {**doc, "oracle": value}))
+    assert keyed[:2] == plain[:2] and plain[0] == 0, keyed
+
+
+def _check_moved(capsys, tmp_path, doc, *options):
     """Exit codes of `check` on ``doc``, and on ``doc`` with its solver
-    value moved by 1e-6 relative down and up."""
-    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc))
+    value moved by 1e-6 relative down and up, each with ``options``."""
+    code, out, _ = run(capsys, "check", write_problem(tmp_path, doc), *options)
     value = float(out.splitlines()[1].split(": ")[1])
     moved = [
-        run(capsys, "check", write_problem(tmp_path, {**doc, "expected_value": v}))[0]
+        run(capsys, "check", write_problem(tmp_path, {**doc, "expected_value": v}),
+            *options)[0]
         for v in (value * (1.0 - 1e-6), value * (1.0 + 1e-6))
     ]
     return code, moved
@@ -842,13 +850,11 @@ def test_check_sampled_minimum_is_relative_to_the_data(tmp_path, capsys, c):
     for seed in range(12):
         rng = np.random.default_rng(seed)
         a, d = rng.standard_normal((2, 2)), rng.standard_normal(2)
-        doc = {"kind": "quad_min", "D": (c * a @ a.T).tolist(), "d": (c * d).tolist(),
-               "oracle": {"samples": 5000}}
-        assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), seed
+        doc = {"kind": "quad_min", "D": (c * a @ a.T).tolist(), "d": (c * d).tolist()}
+        assert _check_moved(capsys, tmp_path, doc, "--samples", "5000") == (0, [3, 3]), seed
         a, b = rng.standard_normal((3, 2)), rng.standard_normal(3)
-        doc = {"kind": "linear_solve", "A": (c * a).tolist(), "b": (c * b).tolist(),
-               "oracle": {"samples": 5000}}
-        assert _check_moved(capsys, tmp_path, doc) == (0, [3, 3]), seed
+        doc = {"kind": "linear_solve", "A": (c * a).tolist(), "b": (c * b).tolist()}
+        assert _check_moved(capsys, tmp_path, doc, "--samples", "5000") == (0, [3, 3]), seed
         # A 2 x 2 saddle, M11 = aa' and M22 = -bb': an absolute 1e-9
         # passed a moved value at c = 1e-8 on every seed.
         a, b, m12 = rng.standard_normal((3, 2, 2))
@@ -883,14 +889,17 @@ def test_check_sphere_games_of_rng5_at_large_scale(tmp_path, capsys):
 
 def _trust_region(seed, c):
     """A trust region of dimension 2 + seed % 3 from ``default_rng(seed)``:
-    D = c aa', d = c times a Gaussian draw."""
+    D = c aa', d = c times a Gaussian draw.  Its checks take ``TRUST_SAMPLES``."""
     rng = np.random.default_rng(seed)
     n = 2 + seed % 3
     a = rng.standard_normal((n, n))
     return {
         "kind": "trust_region", "D": (c * a @ a.T).tolist(),
-        "d": (c * rng.standard_normal(n)).tolist(), "oracle": {"samples": 20000},
+        "d": (c * rng.standard_normal(n)).tolist(),
     }
+
+
+TRUST_SAMPLES = ("--samples", "20000")
 
 
 # Exact hard cases: lambda = ||D|| = 2, with d on no top eigenvector and
@@ -912,7 +921,8 @@ def test_check_trust_region_lower_bound_is_relative(tmp_path, capsys, c):
     # The exact hard cases pass too, as trust regions and as their MAXMIN
     # twins, whose min over u is the trust region's form.
     for seed in range(12):
-        assert _check_moved(capsys, tmp_path, _trust_region(seed, c)) == (0, [3, 3]), seed
+        doc = _trust_region(seed, c)
+        assert _check_moved(capsys, tmp_path, doc, *TRUST_SAMPLES) == (0, [3, 3]), seed
     linear = {"kind": "trust_region", "D": [[0.0, 0.0], [0.0, 0.0]], "d": [3.0 * c, 4.0 * c]}
     assert _check_moved(capsys, tmp_path, linear) == (0, [3, 3])
     raised = write_problem(tmp_path, {**linear, "expected_value": 5.001 * c})
@@ -1278,7 +1288,7 @@ def _rng5_lagrangian(at):
 def _lagrangian_verdict(prob, doc):
     """``check``'s verdict on the result document ``doc`` of ``prob``."""
     entry = cli.KINDS["lagrangian"]
-    return entry.check(entry.read(prob), prob, doc, None, cli._oracle_config(prob))[2]
+    return entry.check(entry.read(prob), prob, doc, None, oracle.OracleConfig())[2]
 
 
 def test_check_reads_the_finiteness_of_both_lambda_sides():
@@ -1308,7 +1318,7 @@ def _verdict(prob, **edits):
     top-level fields replaced by ``edits`` (None deletes a field)."""
     data, doc, code = cli.solve_document(prob)
     doc = {k: v for k, v in {**doc, **edits}.items() if v is not None}
-    return cli.KINDS[prob["kind"]].check(data, prob, doc, code, cli._oracle_config(prob))[2]
+    return cli.KINDS[prob["kind"]].check(data, prob, doc, code, oracle.OracleConfig())[2]
 
 
 STRONG = {"kind": "lagrangian", "M11": [[2.0]], "M12": [[1.0]], "M22": [[1.0]],
@@ -1378,7 +1388,7 @@ def test_check_of_a_lagrangian_with_no_w(monkeypatch):
         assert not oracle.infinite_minmax(pq, lam), lam
         prob = {"kind": "lagrangian", "lambda": lam}
         doc, code = cli._solve_lagrangian(pq, prob)
-        value, _, passed = cli._check_lagrangian(pq, prob, doc, code, cli._oracle_config(prob))
+        value, _, passed = cli._check_lagrangian(pq, prob, doc, code, oracle.OracleConfig())
         assert (value, passed) == (lam / 2.0 - 0.125, True), lam
 
 
@@ -1386,7 +1396,8 @@ def test_check_trust_region_upper_bound_at_large_scale(tmp_path, capsys):
     # Near the hard case a polish damped by a curvature bound left seed 7
     # a gap of 1.12 at c = 1e8, beyond the absolute 5e-3; the power step
     # closes it.
-    code, out, _ = run(capsys, "check", write_problem(tmp_path, _trust_region(7, 1e8)))
+    path = write_problem(tmp_path, _trust_region(7, 1e8))
+    code, out, _ = run(capsys, "check", path, *TRUST_SAMPLES)
     assert (code, out.splitlines()[-1]) == (0, "result: PASS"), out
 
 
@@ -1442,7 +1453,7 @@ def test_check_sphere_answers_above_4_dimensions(n, c):
         verdicts = []
         for moved in (0.0, -1e-6, 1e-6, -1e-9, 1e-9):
             prob = {**doc, "expected_value": solved["value"] * (1.0 + moved)}
-            verdicts.append(check(data, prob, solved, code, cli._oracle_config(prob))[2])
+            verdicts.append(check(data, prob, solved, code, oracle.OracleConfig())[2])
         assert verdicts == [True, False, False, False, False], doc["kind"]
 
 
@@ -1498,7 +1509,7 @@ def test_check_reads_the_w_set_it_prints(name):
     prob = json.loads((FIXTURES / f"{name}.json").read_text())
     data, doc, code = cli.solve_document(prob)
     check, key = cli.KINDS[prob["kind"]].check, _set_key(prob)
-    cfg = cli._oracle_config(prob)
+    cfg = oracle.OracleConfig()
     assert check(data, prob, doc, code, cfg)[2]
     edited = [sset for sset in _set_edits(doc[key]) if sset != doc[key]]
     assert len(edited) == (4 if np.size(doc[key]["basis"]) else 2)

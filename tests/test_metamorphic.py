@@ -1,7 +1,7 @@
-"""Metamorphic tests of the lambda curves, the sphere kernel and the
-saddle verifier: answers that must not move, or must move in a known
-way, when the data is rescaled or rotated, or a trust region is posed as
-its p = 0 game."""
+"""Metamorphic tests of the lambda curves, the sphere kernel, the saddle
+verifier and the one-shot solvers behind ``solve``: answers that must
+not move, or must move in a known way, when the data is rescaled or
+rotated, or a trust region is posed as its p = 0 game."""
 
 import math
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from quadgames import (
     Direction,
     PartitionedQuadratic,
+    cli,
     dual_curve,
     lambda_curve,
     maxmin_threshold,
@@ -23,7 +24,7 @@ from quadgames import (
     verify_saddle,
 )
 from quadgames.game import schur_reduction
-from quadgames.linalg import spectral_norm
+from quadgames.linalg import ROUNDING, norm, spectral_norm, term_size
 from quadgames.sphere import Secular
 
 from util import random_psd, random_saddle_instance
@@ -214,3 +215,83 @@ def test_verify_saddle_verdict_is_invariant_under_scaling(c):
             assert verify_saddle(scaled, u, sol.w_star, seed=trial) == verdict, trial
             verdicts.append(verdict)
     assert verdicts == [True, False] * 30
+
+
+def _rotated_files(rng):
+    """One ``quad_min``, ``linear_solve`` and ``saddle`` file each, of
+    blocks of dimension 1-4, random rank and scale 10^U(-8, 8), half of
+    them with the linear term in the range of the matrix: (file, the
+    file rotated, the map of its points onto the rotated file's).
+    ``quad_min`` takes D -> Q D Q' and d -> Q d, ``linear_solve`` A ->
+    U A V' and b -> U b, and ``saddle`` turns its u and w blocks apart."""
+    def dims():
+        return (int(k) for k in rng.integers(1, 5, size=2))
+
+    def term(m):
+        return m @ rng.standard_normal(m.shape[1]) if rng.uniform() < 0.5 else (
+            rng.standard_normal(m.shape[0]))
+
+    def sym(m):
+        return (0.5 * (m + m.T)).tolist()
+
+    c = 10.0 ** rng.uniform(-8.0, 8.0)
+    n = int(rng.integers(1, 5))
+    d_mat = c * random_psd(rng, n, int(rng.integers(0, n + 1)))
+    d_vec, q = term(d_mat), orthogonal(rng, n)
+    yield ({"kind": "quad_min", "D": sym(d_mat), "d": d_vec.tolist()},
+           {"kind": "quad_min", "D": sym(q @ d_mat @ q.T), "d": (q @ d_vec).tolist()}, q)
+    m, n = dims()
+    rank = int(rng.integers(0, min(m, n) + 1))
+    a = c * rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    b, u, v = term(a), orthogonal(rng, m), orthogonal(rng, n)
+    yield ({"kind": "linear_solve", "A": a.tolist(), "b": b.tolist()},
+           {"kind": "linear_solve", "A": (u @ a @ v.T).tolist(), "b": (u @ b).tolist()}, v)
+    p, n = dims()
+    m11 = c * random_psd(rng, p, int(rng.integers(0, p + 1)))
+    m22 = -c * random_psd(rng, n, int(rng.integers(0, n + 1)))
+    m12 = c * rng.standard_normal((p, n))
+    d = term(np.block([[m11, m12], [m12.T, m22]]))
+    q1, q2 = orthogonal(rng, p), orthogonal(rng, n)
+    turn = np.block([[q1, np.zeros((p, n))], [np.zeros((n, p)), q2]])
+    d_turned = turn @ d
+    yield ({"kind": "saddle", "M11": sym(m11), "M12": m12.tolist(), "M22": sym(m22),
+            "d1": d[:p].tolist(), "d2": d[p:].tolist()},
+           {"kind": "saddle", "M11": sym(q1 @ m11 @ q1.T), "M12": (q1 @ m12 @ q2.T).tolist(),
+            "M22": sym(q2 @ m22 @ q2.T), "d1": d_turned[:p].tolist(),
+            "d2": d_turned[p:].tolist()}, turn)
+
+
+def test_one_shot_solves_are_invariant_under_rotation():
+    # A rotation keeps the exit code and the status, the value to check's
+    # own rule (ROUNDING of the size of the terms at the answer; for
+    # linear_solve the residual, sized as check sizes it), and maps the
+    # minimum-norm particular point and the span of the basis onto the
+    # rotated file's, to 1e-10.  Over these 400 draws the worst value
+    # gaps are 6.4e-14 (saddle), 8.9e-16 (quad_min) and 5.8e-16
+    # (linear_solve) of that size, and the worst point gap is 6.4e-11
+    # relative, a saddle whose M has condition number 2.4e6 (about 22 eps
+    # times the condition number at every draw); spans agree to 4.3e-14.
+    rng = np.random.default_rng(13)
+    for draw in range(400):
+        for prob, turned_prob, rot in _rotated_files(rng):
+            data, doc, code = cli.solve_document(prob)
+            _, turned, turned_code = cli.solve_document(turned_prob)
+            where = (draw, prob["kind"])
+            assert (turned_code, turned["status"]) == (code, doc["status"]), where
+            if code != cli.EXIT_OK:
+                continue
+            key = {"quad_min": "minimizers"}.get(prob["kind"], "solutions")
+            x0, basis = (np.asarray(doc[key][k]) for k in ("particular", "basis"))
+            x1, turned_basis = (np.asarray(turned[key][k]) for k in ("particular", "basis"))
+            if prob["kind"] == "linear_solve":
+                a, b = data
+                gap, size = turned["residual"] - doc["residual"], norm(a) * norm(x0) + norm(b)
+            else:
+                m, d = (data.hessian, data.linear) if prob["kind"] == "quad_min" else (
+                    data.assembled(), data.d)
+                gap, size = turned["value"] - doc["value"], term_size(m, d, x0)
+            assert abs(gap) <= ROUNDING * size, where
+            assert norm(x1 - rot @ x0) <= 1e-10 * norm(x0), where
+            assert turned_basis.shape == basis.shape, where
+            projector = rot @ basis @ basis.T @ rot.T
+            assert np.abs(turned_basis @ turned_basis.T - projector).max() <= 1e-10, where

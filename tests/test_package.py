@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -139,7 +140,7 @@ def test_factorizations_per_finite_lagrangian_check(monkeypatch):
     doc, code = cli._solve_lagrangian(pq, prob)
     assert doc["status"] == "strong_duality"
     counts = count_factorizations(monkeypatch)
-    assert cli._check_lagrangian(pq, prob, doc, code, cli._oracle_config(prob))[2]
+    assert cli._check_lagrangian(pq, prob, doc, code, oracle.OracleConfig())[2]
     assert counts == Counter(eigh=4, eigvalsh=1)
 
 
@@ -164,7 +165,7 @@ def test_factorizations_per_check(monkeypatch, name, expected):
     # unbounded quad_min the off_range split, and the sampled checks none.
     prob = cli.load_problem(str(FIXTURES / name))
     data, doc, code = cli.solve_document(prob)
-    cfg = cli._oracle_config(prob, samples=200)
+    cfg = oracle.OracleConfig(samples=200)
     counts = count_factorizations(monkeypatch)
     assert cli.KINDS[prob["kind"]].check(data, prob, doc, code, cfg)[2]
     assert counts == expected
@@ -502,6 +503,50 @@ def test_one_stationary_point_per_multiplier():
 
     assert callers(SOURCES, "sphere_intersect") == Counter({"on_sphere": 1})
     assert set(callers(("game", "minmax"), "finite")) == {"duality_report", "lambda_curve"}
+
+
+def _problem_keys_read() -> set:
+    """The keys ``cli`` reads of a problem object: the names passed to
+    ``_field`` and ``_scalar``, and those of ``prob[...]`` and
+    ``prob.get(...)``.  Only the two readers look up a key held in a
+    variable, their parameter ``key``."""
+    keys = set()
+    for node in ast.walk(SOURCES["cli"]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and (
+            node.func.id in ("_field", "_scalar")
+        ):
+            keys.add(node.args[1])
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr == "get" and _names(node.func.value) == {"prob"}
+        ):
+            keys.add(node.args[0])
+        elif isinstance(node, ast.Subscript) and _names(node.value) == {"prob"}:
+            keys.add(node.slice)
+    constants = {key for key in keys if isinstance(key, ast.Constant)}
+    assert {ast.unparse(key) for key in keys - constants} == {"key"}
+    return {key.value for key in constants}
+
+
+def test_check_is_configured_by_its_command_line_alone():
+    # A file holds the problem and a claim; --seed and --samples alone
+    # build the oracle's config, which has no second path through the file.
+    assert "oracle" not in _problem_keys_read()
+    assert "_oracle_config" not in _names(SOURCES["cli"])
+
+
+def test_problem_schema_names_the_keys_cli_reads():
+    # README's "Problem file schema" table lists each key of a problem
+    # file, and cli reads exactly those.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Problem file schema", 1)[1].split("\n### ", 1)[0]
+    named = {
+        key for line in section.splitlines() if line.startswith("| `")
+        for key in re.findall(r"`([^`]+)`", line.split("|")[1])
+    }
+    assert named == _problem_keys_read() == {
+        "kind", "A", "b", "D", "d", "c", "M11", "M12", "M22", "d1", "d2", "lambda",
+        "expected_value",
+    }
 
 
 BOUNDS = {

@@ -351,8 +351,11 @@ def test_hard_case_representative_follows_the_top_part_of_d(c, d_mat, d_vec):
 
 
 def test_empty_sphere_is_an_input_error():
-    with pytest.raises(ValueError, match="D is 0 x 0"):
-        solve_trust_region(np.zeros((0, 0)), np.zeros(0))
+    # The solver and the companion-matrix certificate refuse it alike, as
+    # bad input: no eigensolver failed (lambda_p raised RuntimeError).
+    for solve in (solve_trust_region, lambda_p):
+        with pytest.raises(ValueError, match="D is 0 x 0"):
+            solve(np.zeros((0, 0)), np.zeros(0))
     # The dual function has no sphere constraint: lambda/2 everywhere.
     rows = dual_curve(np.zeros((0, 0)), np.zeros(0), 1.0, 3.0, 3)
     assert [value for _, value, _ in rows] == [0.5, 1.0, 1.5]
