@@ -31,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    TOL,
     AffineSolutionSet,
     Validated,
     _schur,
@@ -191,8 +190,9 @@ class SchurReduction(NamedTuple):
     and c0 = 1/2 d1' x1.  When d1 lies in the range of M11 (``bounded``),
     min over u of V(u, w) = 1/2 w'Sw + r'w - c0, attained on
     ``u_set(w)`` = -(X12 w + x1) + null(M11); otherwise that minimum is
-    -inf for every w.  The range test compares the part of d1 outside
-    R(M11) with ||d||, so it does not depend on the scale of the data.
+    -inf for every w.  The one range rule, ``SvdFactors.in_range``, tests
+    R(M12) in R(M11) at ||M12|| and compares the part of d1 outside R(M11)
+    with ||d||, not ||d1||: neither test depends on the scale of the data.
     ``secular`` holds the eigenpairs of S; its ``tol`` is relative to
     ||S||_2 + ||M12' X12||_F + ||r|| (``Secular.of``'s one rule, with
     the coupling M12' X12 the term S is reduced by), and its
@@ -227,11 +227,9 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     M11 >= 0, R(M12) lies in R(M11) and S >= 0; that test reads the two
     eigendecompositions and raises ValueError(PSD_MESSAGE) otherwise."""
     f11 = symmetric_split(pq.m11, psd=True)
-    if f11 is None:
+    if f11 is None or (f11.v2.size and not f11.in_range(pq.m12)):
         raise ValueError(PSD_MESSAGE)
     null11 = f11.v2
-    if null11.size and norm(null11.T @ pq.m12) > TOL * norm(pq.m12):
-        raise ValueError(PSD_MESSAGE)
     x = f11.solve(np.concatenate((pq.m12, pq.d1[:, None]), axis=1))
     x12, x1 = x[:, :-1], x[:, -1]
     coupling, shift = pq.m12.T @ x12, pq.m12.T @ x1
@@ -243,7 +241,7 @@ def schur_reduction(pq: PartitionedQuadratic) -> SchurReduction:
     secular = Secular.of(0.5 * (schur + schur.T), pq.d2 - shift, norm(coupling), d_scale)
     if not secular.psd:
         raise ValueError(PSD_MESSAGE)
-    bounded = not null11.size or norm(null11.T @ pq.d1) <= TOL * norm(pq.d)
+    bounded = not null11.size or f11.in_range(pq.d1, norm(pq.d))
     return SchurReduction(secular, float(0.5 * pq.d1 @ x1), x12, x1, null11, bounded)
 
 

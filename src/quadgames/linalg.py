@@ -28,13 +28,13 @@ terms.  The shares:
   RANK_EPS sigma_max max(rows, cols).
 - ``TOL``: the solvers' share for every decision on the data, of the
   size of the data the tested quantity is computed from: range
-  membership (||U2' b|| <= TOL ||b||), symmetry (||M - M'|| <= TOL ||M||,
-  larger is rejected), the PSD test (eigenvalues >= -TOL ||M||), the
-  branch tests of ``sphere.Secular`` (TOL (||D||_2 + ||C|| + ||d||),
-  C the term a Schur complement D was reduced by, 0 for a given D; its
-  PSD test reads ||D||_2 + ||C||) and the unit-sphere test of
+  membership, for solvers and oracles, by ``SvdFactors.in_range`` (||U2'
+  b|| <= TOL ||b||, or TOL ||d|| for a game's d1), symmetry (||M - M'||
+  <= TOL ||M||, larger is rejected), the PSD test (eigenvalues >= -TOL
+  ||M||), the branch tests of ``sphere.Secular`` (TOL (||D||_2 + ||C|| +
+  ||d||), C the term a Schur complement D was reduced by, 0 for a given
+  D; its PSD test reads ||D||_2 + ||C||) and the unit-sphere test of
   ``sphere.sphere_intersect`` (| ||w|| - 1 | <= TOL).
-  The oracles' range tests read it as the solvers do.
 - ``ROUNDING``: the certificates' share of their terms' size, for every
   certificate and value comparison of ``check``.
 - ``BRACKET``: the cut-engine verdicts of ``check`` (MINMAX,
@@ -144,10 +144,11 @@ class SvdFactors(NamedTuple):
         of a matrix b, without forming pinv(A)."""
         return (self.v1 / self.sigma) @ (self.u1.T @ b)
 
-    def in_range(self, b: np.ndarray) -> bool:
-        """Whether the validated vector b lies in the range of A (relative
-        residual test)."""
-        return norm(self.u2.T @ b) <= TOL * norm(b)
+    def in_range(self, b: np.ndarray, scale: float | None = None) -> bool:
+        """Whether b, a vector or the columns of a matrix, lies in the range
+        of A by the one range rule ||U2' b|| <= TOL scale: scale ||b||, or
+        ||d|| for a game's d1, the data it was taken from (not ||d1||)."""
+        return norm(self.u2.T @ b) <= TOL * (norm(b) if scale is None else scale)
 
 
 def svd(a) -> SvdFactors:
@@ -292,8 +293,8 @@ def solve_linear(a, b) -> LinearSolve:
     """Solve A x = b, returning the full solution set.
 
     The particular solution is the minimum-norm one (pinv(A) b); the
-    basis spans the null space of A.  Consistency is decided by the
-    relative range-membership test; b = 0 is always consistent.
+    basis spans the null space of A.  Consistency is ``in_range``'s rule,
+    written out to report the residual it compares; b = 0 passes it.
     """
     a = as_matrix(a, "A")
     b = as_vector(b, "b")

@@ -198,11 +198,10 @@ def off_range(h, d, size: float):
     along -P d, P the projector onto null(h), the objective has no
     curvature and falls at the rate ||P d||, with no step to choose (for
     h >= 0 a recession direction; Rockafellar, Convex Analysis, 1970,
-    section 8).  (nan, ||P d||, passed): it passes when ||P d|| > TOL size,
-    the solvers' range test (size ||d||; ||(d1, d2)|| for a game's d1)."""
+    section 8).  (nan, ||P d||, passed): it passes when d fails the
+    solvers' ``in_range`` at ``size`` (||d||; ||(d1, d2)|| for d1)."""
     f = symmetric_split(h)
-    rate = norm(f.v2.T @ d)
-    return math.nan, rate, rate > TOL * size
+    return math.nan, norm(f.v2.T @ d), not f.in_range(d, size)
 
 
 def _hessian(pq: PartitionedQuadratic, f11) -> tuple[np.ndarray, float]:
@@ -368,17 +367,16 @@ def _convex_min(pq: PartitionedQuadratic, cfg: OracleConfig):
 
     f is constant along null(M11) when M >= 0 and d1 is in R(M11), so
     the search runs over u = V1 x in R(M11); with d1 outside R(M11)
-    (beyond TOL ||d||) f is unbounded below and both ends are -inf.  As
+    (``in_range`` at ||d||) f is unbounded below and both ends are -inf.  As
     the rows are unit vectors, f(V1 x) >= f(0) - a ||x|| +
     sigma_min ||x||^2 / 2 with a = ||V1' d1|| + ||V1' M12||_F, so every
     minimizer lies in the ball ||x|| <= 2a / sigma_min.  The subgradient
     at x is V1'(M11 u + d1 + M12 w*), w* the best row.
     """
     f11 = symmetric_split(pq.m11, psd=True)
-    m12_off = norm(f11.v2.T @ pq.m12) if f11 is not None else math.inf
-    if m12_off > TOL * norm(pq.m12):
+    if f11 is None or not f11.in_range(pq.m12):
         raise ValueError("the MINMAX oracle requires M11 >= 0 and R(M12) in R(M11)")
-    if norm(f11.v2.T @ pq.d1) > TOL * norm(pq.d):
+    if not f11.in_range(pq.d1, norm(pq.d)):
         return -math.inf, -math.inf, 0.0
     sigma, k, m = f11.sigma, f11.rank, pq.m22
     count = 2 if pq.w_dim == 1 else max(cfg.samples, 4)
@@ -454,8 +452,9 @@ def _inner_min(pq: PartitionedQuadratic, w_rows: np.ndarray, f11) -> np.ndarray:
     clipping, so it splits M11 as its SVD would); -inf where
     M11 u = -(M12 w + d1) has no solution.  The right-hand side is
     formed by cancellation, so its residual off the range of M11 is read
-    against TOL (||M12 w|| + ||d||): the norm of M12 w it is formed
-    from, and the scale the solvers' range test reads d1 against."""
+    against TOL (||M12 w|| + ||d||): the norm of M12 w it is formed from,
+    and the scale ``in_range`` reads d1 against.  The rule is written out
+    to test every row in one array pass, not one call per row."""
     cross = w_rows @ pq.m12.T
     rhs = cross + pq.d1
     residuals = row_norms(rhs @ f11.u2)

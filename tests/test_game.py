@@ -22,9 +22,9 @@ from quadgames import (
     solve_trust_region,
     verify_saddle,
 )
-from quadgames.game import schur_reduction
-from quadgames.linalg import ROUNDING, schur_complements
-from quadgames.oracle import _gaussian_rows
+from quadgames.game import PSD_MESSAGE, schur_reduction
+from quadgames.linalg import ROUNDING, TOL, norm, schur_complements
+from quadgames.oracle import OracleConfig, _gaussian_rows, minmax_bracket, off_range
 from quadgames.sphere import Secular
 
 from util import (
@@ -32,6 +32,7 @@ from util import (
     random_partitioned,
     random_psd,
     random_saddle_instance,
+    range_edge_game,
     rotation,
 )
 
@@ -433,6 +434,30 @@ def test_unbounded_game_lambda_family():
         (1.0, -math.inf, -math.inf),
         (2.0, -math.inf, -math.inf),
     ]
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("share", [0.5, 2.0])
+@pytest.mark.parametrize("part", ["m12", "d1"])
+def test_reduction_range_verdicts_at_their_bound(part, share, c):
+    # The part of M12 off R(M11) is read against TOL ||M12||, that of d1
+    # against TOL ||d||: at half its bound the game has an answer, at twice
+    # it the reduction refuses M (M12) or calls the game unbounded below
+    # (d1).  With ||d2|| = 1e6 ||d1||, d1's part at half its bound is 5e5
+    # TOL ||d1||, so a test sized by ||d1|| would fail every d1 row.  The
+    # MINMAX oracle and off_range read the same verdicts.
+    pq = range_edge_game(c, **{part: share * TOL})
+    if part == "m12" and share > 1.0:
+        with pytest.raises(ValueError, match=PSD_MESSAGE):
+            duality_report(pq, 3.0 * c)
+        with pytest.raises(ValueError, match=r"R\(M12\) in R\(M11\)"):
+            minmax_bracket(pq, OracleConfig())
+        return
+    unbounded = part == "d1" and share > 1.0
+    status = duality_report(pq, 3.0 * c).status
+    assert status == ("unbounded_below" if unbounded else "strong_duality")
+    assert (minmax_bracket(pq, OracleConfig())[1] == -math.inf) == unbounded
+    assert off_range(pq.m11, pq.d1, norm(pq.d))[2] == unbounded
 
 
 @pytest.mark.parametrize("c", [1e-10, 1e-8, 1.0, 1e8])

@@ -577,6 +577,36 @@ def test_one_norm_in_linalg():
     assert "_norm" not in _names(SOURCES["linalg"])
 
 
+def _readers(name: str) -> set:
+    """The functions that read ``name``, each as module.function, with
+    the classes that hold it between."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef) and name in _names(child):
+                    found.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+
+    for module, tree in SOURCES.items():
+        visit(tree, f"{module}.")
+    return found
+
+
+def test_one_range_rule_and_tol_read_by_the_rules_alone():
+    # Every scalar range test calls SvdFactors.in_range; TOL is read only
+    # by linalg's rules, the Secular branch tests, the unit-sphere test
+    # and the oracle's per-row inner minimum, which writes the range rule
+    # out for all rows at once.  The game module reads no tolerance.
+    assert _readers("TOL") == {
+        "linalg.SvdFactors.in_range", "linalg.solve_linear", "linalg.symmetrize",
+        "linalg.is_psd", "linalg.nonnegative_spectrum", "sphere.Secular.of",
+        "sphere.sphere_intersect", "oracle._inner_min",
+    }
+    assert "TOL" not in _names(SOURCES["game"])
+
+
 def test_one_rounding_model_in_linalg():
     # Every bound of the package and both size rules are defined once, in
     # linalg: no other module writes a tolerance literal (a float with

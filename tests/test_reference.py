@@ -19,7 +19,8 @@ from quadgames import cli
 from quadgames.oracle import OracleConfig, grid_minmax, infinite_maxmin, lagrangian_bracket
 
 from util import (
-    hard_case_instance, ill_conditioned_maxmin, random_psd, random_saddle_instance
+    hard_case_instance, ill_conditioned_maxmin, random_psd, random_saddle_instance,
+    range_edge_game,
 )
 
 pytest.importorskip("mpmath")
@@ -103,6 +104,35 @@ def test_trust_region_at_the_edge_of_the_hard_case_matches_the_40_digit_referenc
     value, lam = mpref.trust_region(d_mat, d_vec)
     assert abs(sol.lambda_p - lam) <= 1e-10 * abs(lam)
     assert abs(sol.value - value) <= 1e-12 * abs(value)
+
+
+# The rows where the reduction's range rule, ||part of d1 off R(M11)||
+# <= TOL ||d||, counts d1's part as zero and the reference does not.
+D1_EDGE_MISSES = (1e-15, 1e-13, 1e-11, 1e-10, 1e-9)
+
+
+def _d1_edge_params():
+    for delta in (0.0, 1e-15, 1e-13, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6):
+        marks = pytest.mark.xfail(
+            reason="ROADMAP items 1 and 12: schur_reduction's range rule counts "
+            "d1's part off R(M11), delta ||d|| <= TOL ||d||, as zero and calls "
+            "bounded a game the reference calls unbounded below",
+            strict=True,
+        ) if delta in D1_EDGE_MISSES else ()
+        for c in (1e-8, 1.0, 1e8):
+            yield pytest.param(delta, c, marks=marks, id=f"delta{delta:g}-c{c:g}")
+
+
+@pytest.mark.parametrize("delta,c", _d1_edge_params())
+def test_d1_against_the_range_of_m11_matches_the_40_digit_reference(delta, c):
+    # M11 = c diag(1, 0) and d1 = (c, delta ||d||) with ||d2|| = 1e6 c
+    # (util.range_edge_game): null(M11) is e2 exactly, so the reference
+    # puts d1 off R(M11) at every delta > 0, and duality_report must call
+    # the game unbounded below exactly there.
+    pq = range_edge_game(c, d1=delta)
+    unbounded = mpref.pinv_problem(pq.m11, pq.d1) is None
+    assert unbounded == (delta > 0.0)
+    assert (duality_report(pq, 3.0 * c).status == "unbounded_below") == unbounded
 
 
 def _m11(rng, p, zeros):

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 
 from quadgames import PartitionedQuadratic
-from quadgames.linalg import RANK_EPS
+from quadgames.linalg import RANK_EPS, norm
 
 
 def random_psd(rng, n, rank=None, scale=1.0):
@@ -63,6 +63,25 @@ def ill_conditioned_maxmin():
         r @ np.diag([kappa, 1.0]) @ r.T, r @ c,
         np.outer(a, a) + np.eye(2) + c.T @ np.diag([1.0 / kappa, 1.0]) @ c,
         np.zeros(2), 0.5 * (a @ a) * v / np.linalg.norm(v),
+    )
+
+
+def range_edge_game(c, m12=0.0, d1=0.0):
+    """A game at chosen distances from the reduction's two range tests:
+    M11 = c diag(1, 0), M12 = (c, e)', M22 = 2c, d1 = (c, x) and
+    d2 = 1e6 c, so ||d2|| = 1e6 ||d1|| while x is small beside c.  The
+    parts off R(M11) = span(e1), e = ``m12`` ||M12|| and x = ``d1`` ||d||,
+    are set against the norms the rule reads, as ``linalg.norm`` computes
+    them, so the share ``d1`` = TOL lands on the bound to the last bit.
+    Null(M11) is e2 exactly and S = c, so the game has an answer whenever
+    both parts count as zero."""
+    m12_col = np.array([c, 0.0])
+    m12_col[1] = m12 * norm(m12_col)
+    d = np.array([c, 0.0, 1e6 * c])
+    for _ in range(3):  # x moves ||d|| by (x / ||d||)^2 of itself
+        d[1] = d1 * norm(d)
+    return PartitionedQuadratic(
+        c * np.diag([1.0, 0.0]), m12_col[:, None], [[2.0 * c]], d[:2], d[2:]
     )
 
 
